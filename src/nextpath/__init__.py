@@ -1,6 +1,8 @@
 """Exact next-to-shortest (strictly second-shortest) simple paths on
 directed graphs with positive weights."""
 
+from types import ModuleType as _ModuleType
+
 from .disjoint import (
     CyclicGraphError,
     DisjointPathPair,
@@ -62,4 +64,8 @@ from .solver import (
     solve_layered,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -200,7 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one instance end to end")
     p_solve.add_argument("graph")
-    p_solve.add_argument("--threads", type=int, default=1)
+    p_solve.add_argument("--threads", type=int, default=1,
+                         help="accepted and ignored; the search is sequential")
     p_solve.add_argument("--dump-trace", action="store_true",
                          help="describe the reduction steps on stderr")
     p_solve.set_defaults(func=_cmd_solve)

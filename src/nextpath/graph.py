@@ -137,9 +137,6 @@ class EdgeClassification:
     forward_edges: frozenset[Edge]
     back_vertices: frozenset[int]
 
-    def is_back(self, edge: Edge) -> bool:
-        return edge in self.back_edges
-
 
 @dataclass(frozen=True)
 class PathCheck:
@@ -206,10 +203,6 @@ def shortest_distances(g: WeightedDigraph) -> DistanceTable:
         from_s={u: out.get(u) for u in g.vertices},
         to_t={u: into.get(u) for u in g.vertices},
     )
-
-
-def st_distance(g: WeightedDigraph, d: DistanceTable) -> int | None:
-    return d.from_s[g.t]
 
 
 def classify_edges(g: WeightedDigraph, d: DistanceTable) -> EdgeClassification:
@@ -288,23 +281,33 @@ def is_straight(g: WeightedDigraph, d: DistanceTable) -> bool:
 
 
 def is_layered(g: WeightedDigraph, d: DistanceTable) -> bool:
-    """True when the graph is straight, no edge joins equal-distance vertices,
-    and no edge spans strictly past an intermediate distance value."""
-    if not is_straight(g, d):
-        return False
+    """True when the graph is straight and no edge violates layeredness
+    (see `layering_violations`)."""
+    return is_straight(g, d) and layering_violations(g, d) == ([], [])
+
+
+def layering_violations(g: WeightedDigraph, d: DistanceTable) -> tuple[list[Edge], list[Edge]]:
+    """Edges of a straight graph that violate layeredness, split by kind.
+
+    An edge violates when it joins equal-distance vertices, or when it
+    increases the distance and spans strictly past some intermediate
+    distance value. Back-edges (d(u) + w > d(v)) come first, then
+    layer-skipping forward edges; both lists are sorted by edge ids.
+    """
     values = sorted({d.from_s[u] for u in g.vertices})
+    back: list[Edge] = []
+    fwd: list[Edge] = []
     for (u, v), w in g.edges.items():
         du, dv = d.from_s[u], d.from_s[v]
         if du == dv:
-            return False
-        if du < dv and _has_value_strictly_between(values, du, du + w):
-            return False
-    return True
-
-
-def _has_value_strictly_between(sorted_values: list[int], lo: int, hi: int) -> bool:
-    i = bisect.bisect_right(sorted_values, lo)
-    return i < len(sorted_values) and sorted_values[i] < hi
+            back.append((u, v))  # positive weight makes any such edge a back-edge
+        elif du < dv:
+            i = bisect.bisect_right(values, du)
+            if i < len(values) and values[i] < du + w:
+                (back if du + w > dv else fwd).append((u, v))
+    back.sort()
+    fwd.sort()
+    return back, fwd
 
 
 def layer_assignment(g: WeightedDigraph, d: DistanceTable) -> LayerAssignment:

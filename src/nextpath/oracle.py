@@ -29,28 +29,32 @@ def simple_paths(
 ) -> Iterator[tuple[Path, int]]:
     """Yield every simple a-to-b path with its weight, in DFS order with
     ascending adjacency. Raises BudgetExceeded past `budget` paths."""
-    stack = [a]
-    on_path = {a}
     count = 0
-
-    def rec(u: int, acc: int) -> Iterator[tuple[Path, int]]:
-        nonlocal count
-        if u == b:
+    path, weights, on_path = [a], [0], {a}
+    # frames[i] iterates the not yet tried out-edges of path[i]
+    frames: list[Iterator[tuple[int, int]]] = []
+    while True:
+        if path[-1] == b:
             count += 1
             if budget is not None and count > budget:
                 raise BudgetExceeded(f"more than {budget} simple paths")
-            yield tuple(stack), acc
+            yield tuple(path), weights[-1]
+            frames.append(iter(()))
+        else:
+            frames.append(iter(g.adj_out[path[-1]]))
+        while frames:
+            step = next(((v, w) for v, w in frames[-1] if v not in on_path), None)
+            if step is not None:
+                break
+            frames.pop()
+            on_path.remove(path.pop())
+            weights.pop()
+        else:
             return
-        for v, w in g.adj_out[u]:
-            if v in on_path:
-                continue
-            stack.append(v)
-            on_path.add(v)
-            yield from rec(v, acc + w)
-            stack.pop()
-            on_path.remove(v)
-
-    yield from rec(a, 0)
+        v, w = step
+        path.append(v)
+        on_path.add(v)
+        weights.append(weights[-1] + w)
 
 
 def exhaustive_next_to_shortest(

@@ -40,7 +40,8 @@ def solve_detailed(g: WeightedDigraph, threads: int = 1) -> PipelineResult:
     detour paths recorded by the reductions (already in original
     coordinates) plus the lifted layered-graph solution, all weighed in the
     original graph. Ties keep the earliest entry, making the output
-    deterministic and independent of the thread count.
+    deterministic. `threads` is accepted for compatibility and has no
+    effect: the layered search is sequential.
     """
     d = shortest_distances(g)
     dst = d.from_s[g.t]

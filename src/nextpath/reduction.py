@@ -9,7 +9,6 @@ reproduces the reduced graph exactly.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -19,6 +18,7 @@ from .graph import (
     Path,
     WeightedDigraph,
     is_straight,
+    layering_violations,
     min_children_to_t,
     min_parents_from_s,
     path_weight,
@@ -293,42 +293,17 @@ def _collect_detour_candidates(
                 parents = min_parents_from_s(cur, d)
                 children = min_children_to_t(cur, d)
             q = tree_path_from_s(cur, parents, x) + (u,) + tree_path_to_t(cur, children, y)
-            lifted = _lift_through_steps(trace.steps, q)
+            lifted = lift_path(trace, q)
             trace.candidates.append((lifted, path_weight(original, lifted)))
 
 
-def _lift_through_steps(steps: list[Step], path: Path) -> Path:
-    return lift_path(ReductionTrace(steps=list(steps)), path)
-
-
 def layering_potential(g: WeightedDigraph, d: DistanceTable) -> int:
-    """Count of edges violating layeredness in a straight graph: edges that
-    join equal-distance vertices, plus distance-increasing edges that span
-    strictly past some intermediate distance value."""
+    """Count of edges violating layeredness in a straight graph (see
+    `layering_violations`)."""
     if not is_straight(g, d):
         raise ValueError("graph is not (s,t)-straight")
-    back_viol, fwd_viol = _violating_edges(g, d)
+    back_viol, fwd_viol = layering_violations(g, d)
     return len(back_viol) + len(fwd_viol)
-
-
-def _violating_edges(g: WeightedDigraph, d: DistanceTable) -> tuple[list[Edge], list[Edge]]:
-    """Violating edges split by kind: back-edges (d(u) <= d(v)) first, then
-    layer-skipping forward edges; both sorted by edge ids."""
-    values = sorted({d.from_s[u] for u in g.vertices})
-    back: list[Edge] = []
-    fwd: list[Edge] = []
-    for (u, v), w in sorted(g.edges.items()):
-        du, dv = d.from_s[u], d.from_s[v]
-        if du == dv:
-            back.append((u, v))  # positive weight makes any such edge a back-edge
-        elif du < dv:
-            i = bisect.bisect_right(values, du)
-            if i < len(values) and values[i] < du + w:
-                if du + w > dv:
-                    back.append((u, v))
-                else:
-                    fwd.append((u, v))
-    return back, fwd
 
 
 def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
@@ -354,13 +329,13 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     cur = g
     while True:
         d = shortest_distances(cur)
-        back_viol, fwd_viol = _violating_edges(cur, d)
+        back_viol, fwd_viol = layering_violations(cur, d)
         if back_viol:
             u, v = back_viol[0]
             parents = min_parents_from_s(cur, d)
             children = min_children_to_t(cur, d)
             candidate = tree_path_from_s(cur, parents, u) + tree_path_to_t(cur, children, v)
-            lifted = _lift_through_steps(trace.steps, candidate)
+            lifted = lift_path(trace, candidate)
             trace.candidates.append((lifted, path_weight(g, lifted)))
             step: Step = BackEdgeRemoval((u, v))
         elif fwd_viol:

@@ -14,8 +14,8 @@ middle segment descends from d(a) to d(b) < d(a), which forces a back-edge.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 from .disjoint import DisjointPathPair, ForwardDag, two_disjoint_paths
 from .graph import (
@@ -110,8 +110,8 @@ def shortest_path_avoiding(
 
 
 class _LayeredSearch:
-    """Shared, read-only state for one solve: distances, layers, the forward
-    DAG, and memoized half-queries for the disjoint-path construction."""
+    """State for one solve: distances, layers, the forward DAG, and memoized
+    half-queries for the disjoint-path construction."""
 
     def __init__(self, g: WeightedDigraph):
         self.g = g
@@ -170,66 +170,64 @@ class _LayeredSearch:
             if dfs[a] > dfs[b] and b != self.g.s and a != self.g.t
         ]
 
-    def scan_pairs(self, pairs: list[tuple[int, int, int]]) -> tuple | None:
-        """Evaluate the tuple space of a contiguous block of (a, b) pairs.
+    def scan(self) -> tuple[int, Path] | None:
+        """Evaluate the tuple space in enumeration order.
 
-        Returns the block's best candidate as (weight, pair_pos, tuple_pos,
-        path), or None. Pruning only ever drops tuples that cannot strictly
-        beat an earlier candidate, so the block result equals what a plain
-        scan in enumeration order would produce.
+        Returns the first minimum-weight candidate as (weight, path), or
+        None. Pruning only drops tuples that cannot strictly beat the
+        incumbent, and the scan stops once a candidate reaches `floor`, so
+        the result equals that of a plain full scan.
         """
-        g, d, lam, dag = self.g, self.d, self.lam, self.dag
-        dfs = d.from_s
-        by_layer = self.layers.forward_by_tail_layer
-        best: tuple | None = None
-        for pair_pos, a, b in pairs:
-            base = dfs[a] - dfs[b] + self.dst
+        dfs = self.d.from_s
+        best: tuple[int, Path] | None = None
+        for a, b in self.middle_endpoint_pairs():
             lower = self.dist_between(a, b)
             if lower is None:
                 continue
+            base = dfs[a] - dfs[b] + self.dst
+            # No route of this pair weighs less than base + lower.
             if best is not None and base + lower >= best[0]:
                 continue
-            tuple_pos = 0
-            prune_pair = False
-            for layer in range(lam[b], lam[a]):
-                if prune_pair:
-                    break
-                edges_here = by_layer.get(layer, ())
-                for xp, x in edges_here:
-                    if prune_pair:
+            for weight, path in self._pair_routes(a, b, base):
+                if best is None or weight < best[0]:
+                    best = (weight, path)
+                    if weight <= self.floor:
+                        return best
+                    if base + lower >= weight:
                         break
-                    if xp == b or x == b or not dag.reaches(x, a):
-                        tuple_pos += len(edges_here)
-                        continue
-                    for yp, y in edges_here:
-                        tuple_pos += 1
-                        if best is not None and base + lower >= best[0]:
-                            prune_pair = True
-                            break
-                        if xp == yp or x == y or y == a:
-                            continue
-                        if not dag.reaches(b, yp):
-                            continue
-                        prefix = self.prefix_pair(b, xp, yp)
-                        if prefix is None:
-                            continue
-                        suffix = self.suffix_pair(a, x, y)
-                        if suffix is None:
-                            continue
-                        p1 = prefix.p1 + suffix.p1
-                        p2 = prefix.p2 + suffix.p2
-                        blocked = (set(p1) | set(p2)) - {a, b}
-                        p0 = shortest_path_avoiding(g, blocked, a, b)
-                        if p0 is None:
-                            continue
-                        weight = base + path_weight(g, p0)
-                        full = p1 + p0[1:] + p2[1:]
-                        _check_candidate(g, d, full, weight, self.dst)
-                        if best is None or weight < best[0]:
-                            best = (weight, pair_pos, tuple_pos, full)
-                            if weight <= self.floor:
-                                return best
         return best
+
+    def _pair_routes(self, a: int, b: int, base: int) -> Iterator[tuple[int, Path]]:
+        """Completed routes of pair (a, b) with their weights, in tuple
+        enumeration order; each is checked before it is yielded."""
+        g, lam, dag = self.g, self.lam, self.dag
+        by_layer = self.layers.forward_by_tail_layer
+        for layer in range(lam[b], lam[a]):
+            edges_here = by_layer.get(layer, ())
+            for xp, x in edges_here:
+                if xp == b or x == b or not dag.reaches(x, a):
+                    continue
+                for yp, y in edges_here:
+                    if xp == yp or x == y or y == a:
+                        continue
+                    if not dag.reaches(b, yp):
+                        continue
+                    prefix = self.prefix_pair(b, xp, yp)
+                    if prefix is None:
+                        continue
+                    suffix = self.suffix_pair(a, x, y)
+                    if suffix is None:
+                        continue
+                    p1 = prefix.p1 + suffix.p1
+                    p2 = prefix.p2 + suffix.p2
+                    blocked = (set(p1) | set(p2)) - {a, b}
+                    p0 = shortest_path_avoiding(g, blocked, a, b)
+                    if p0 is None:
+                        continue
+                    weight = base + path_weight(g, p0)
+                    full = p1 + p0[1:] + p2[1:]
+                    _check_candidate(g, self.d, full, weight, self.dst)
+                    yield weight, full
 
 
 def _check_candidate(
@@ -247,30 +245,15 @@ def _check_candidate(
 def solve_layered(g: WeightedDigraph, threads: int = 1) -> SolveOutcome:
     """Find a next-to-shortest s-to-t path of a layered graph, or report none.
 
-    Deterministic: tuples are enumerated with a ascending, b ascending, then
-    waypoint-edge pairs in lexicographic order, and ties in weight keep the
-    first-found path. With threads > 1 the pair blocks are scanned
-    concurrently and the per-block minima merged by (weight, enumeration
-    position), which reproduces the sequential result exactly.
+    Deterministic: one sequential scan enumerates tuples with a ascending,
+    b ascending, then waypoint-edge pairs in lexicographic order, and ties
+    in weight keep the first-found path. `threads` is accepted for
+    compatibility and has no effect.
     """
     search = _LayeredSearch(g)
     if not search.cls.back_edges:
         return SolveOutcome.none()
-    pairs = [(i, a, b) for i, (a, b) in enumerate(search.middle_endpoint_pairs())]
-    if not pairs:
-        return SolveOutcome.none()
-    if threads <= 1 or len(pairs) < 2:
-        best = search.scan_pairs(pairs)
-    else:
-        # Contiguous blocks keep the in-block prune exact and share the
-        # memoized half-queries well.
-        chunk_count = min(threads * 4, len(pairs))
-        size = (len(pairs) + chunk_count - 1) // chunk_count
-        chunks = [pairs[i : i + size] for i in range(0, len(pairs), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(search.scan_pairs, chunks))
-        candidates = [r for r in results if r is not None]
-        best = min(candidates, key=lambda r: r[:3]) if candidates else None
+    best = search.scan()
     if best is None:
         return SolveOutcome.none()
-    return SolveOutcome.of(best[3], best[0])
+    return SolveOutcome.of(best[1], best[0])

@@ -76,6 +76,14 @@ def test_oracle_budget_exit_code(capsys, chains_file):
     assert code == 4 and "budget" in err
 
 
+def test_oracle_on_long_path_graph_answers_none(capsys, tmp_path):
+    n = 1200
+    f = tmp_path / "long.txt"
+    f.write_text(f"{n} {n - 1} 0 {n - 1}\n" + "".join(f"{i} {i + 1} 1\n" for i in range(n - 1)))
+    code, out, err = run(capsys, "oracle", str(f))
+    assert code == 0 and out == "NONE\n" and err == ""
+
+
 def test_check_round_trip(capsys, chains_file, tmp_path):
     code, out, _ = run(capsys, "solve", chains_file)
     weight, path_line = out.splitlines()

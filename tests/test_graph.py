@@ -1,6 +1,8 @@
 """graph-core: parsing, distances, classification, predicates, layers."""
 from __future__ import annotations
 
+from types import ModuleType
+
 import pytest
 
 from conftest import TRIANGLE, bellman_ford_from, build_graph
@@ -265,3 +267,14 @@ def test_layer_stepping_on_generated_instances(seed):
     for u in g.vertices:
         for v in g.vertices:
             assert (d.from_s[u] < d.from_s[v]) == (lam.layer[u] < lam.layer[v])
+
+
+# --- package surface -------------------------------------------------------
+
+
+def test_all_exports_no_modules():
+    import nextpath
+
+    modules = [n for n in nextpath.__all__ if isinstance(getattr(nextpath, n), ModuleType)]
+    assert modules == []
+    assert "solve" in nextpath.__all__ and "WeightedDigraph" in nextpath.__all__

@@ -177,10 +177,12 @@ def test_layerize_invariants_per_iteration(seed):
     d = shortest_distances(cur)
     phi = layering_potential(cur, d)
     assert len(trace.steps) == phi
+    assert is_layered(cur, d) == (phi == 0)
     for step in trace.steps:
         nxt = apply_step(cur, step)
         d_cur, d_nxt = shortest_distances(cur), shortest_distances(nxt)
         assert layering_potential(nxt, d_nxt) == phi - 1
+        assert is_layered(nxt, d_nxt) == (phi - 1 == 0)
         for z in cur.vertices & nxt.vertices:
             assert d_cur.from_s[z] == d_nxt.from_s[z]
         assert len({d_cur.from_s[z] for z in cur.vertices}) == len(

@@ -1,6 +1,8 @@
 """layered-solver: back-edge decomposition, residual paths, full enumeration."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from conftest import PARALLEL_CHAINS, build_graph
@@ -140,6 +142,14 @@ def test_solver_thread_count_does_not_change_result():
     for seed in (0, 3, 9):
         g = layered_digraph(6, 3, 6, seed, back_weight_max=7)
         assert solve_layered(g, threads=1) == solve_layered(g, threads=4)
+    # Splitting the pair scan into per-thread blocks loses the incumbent and
+    # the floor exit: this instance then takes minutes. Criterion 8 bounds a
+    # solve at 30 s.
+    g = layered_digraph(24, 12, 150, 3)
+    want = solve_layered(g, threads=1)
+    start = time.perf_counter()
+    assert solve_layered(g, threads=4) == want
+    assert time.perf_counter() - start < 30
 
 
 def test_multi_hop_middle_segment():
