@@ -12,6 +12,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 Edge = tuple[int, int]
@@ -49,15 +50,18 @@ class WeightedDigraph:
     subdivisions allocate fresh ids past the current maximum, keeping the
     surviving ids stable. `scale` is the power of ten by which the original
     decimal weights were multiplied; it only matters when formatting output.
+    `edges` is a read-only view of a private copy of the map passed in, so
+    the cached adjacencies can never go stale.
     """
 
     vertices: frozenset[int]
-    edges: dict[Edge, int]
+    edges: Mapping[Edge, int]
     s: int
     t: int
     scale: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
         if self.s == self.t:
             raise ValueError("source and sink must differ")
         if self.s not in self.vertices or self.t not in self.vertices:
@@ -104,7 +108,7 @@ class WeightedDigraph:
         """Copy with a new vertex set and/or edge map (s, t, scale kept)."""
         return WeightedDigraph(
             vertices=self.vertices if vertices is None else frozenset(vertices),
-            edges=dict(self.edges) if edges is None else dict(edges),
+            edges=self.edges if edges is None else edges,
             s=self.s,
             t=self.t,
             scale=self.scale,
@@ -334,55 +338,6 @@ def layer_assignment(g: WeightedDigraph, d: DistanceTable) -> LayerAssignment:
         by_layer={k: tuple(v) for k, v in by_layer.items()},
         forward_by_tail_layer={k: tuple(v) for k, v in fwd_by_tail.items()},
     )
-
-
-def min_parents_from_s(g: WeightedDigraph, d: DistanceTable) -> dict[int, int]:
-    """Smallest-id optimal predecessor for every vertex reachable from s."""
-    parents: dict[int, int] = {}
-    for v in g.vertices:
-        dv = d.from_s[v]
-        if v == g.s or dv is None:
-            continue
-        best = None
-        for u, w in g.adj_in[v]:
-            du = d.from_s[u]
-            if du is not None and du + w == dv:
-                best = u
-                break  # adj_in is sorted by tail id
-        if best is not None:
-            parents[v] = best
-    return parents
-
-
-def min_children_to_t(g: WeightedDigraph, d: DistanceTable) -> dict[int, int]:
-    """Smallest-id optimal successor toward t for every co-reachable vertex."""
-    children: dict[int, int] = {}
-    for u in g.vertices:
-        ut = d.to_t[u]
-        if u == g.t or ut is None:
-            continue
-        for v, w in g.adj_out[u]:
-            vt = d.to_t[v]
-            if vt is not None and w + vt == ut:
-                children[u] = v
-                break
-    return children
-
-
-def tree_path_from_s(g: WeightedDigraph, parents: dict[int, int], v: int) -> Path:
-    """Shortest s-to-v path along the smallest-id predecessor tree."""
-    rev = [v]
-    while rev[-1] != g.s:
-        rev.append(parents[rev[-1]])
-    return tuple(reversed(rev))
-
-
-def tree_path_to_t(g: WeightedDigraph, children: dict[int, int], u: int) -> Path:
-    """Shortest u-to-t path along the smallest-id successor tree."""
-    out = [u]
-    while out[-1] != g.t:
-        out.append(children[out[-1]])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ dozen vertices.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .disjoint import DisjointPathPair, ForwardDag, SharedTerminalError
 from .graph import (
@@ -14,6 +14,7 @@ from .graph import (
     Path,
     SolveOutcome,
     WeightedDigraph,
+    path_weight,
     validate_path,
 )
 
@@ -24,37 +25,46 @@ class BudgetExceeded(RuntimeError):
     """The instance has more simple paths than the enumeration budget."""
 
 
+def _dfs_paths(
+    succ: Callable[[int], Iterable[int]], a: int, b: int, avoid: frozenset[int]
+) -> Iterator[Path]:
+    """Yield every simple a-to-b path that avoids `avoid`, in DFS order with
+    successors tried in `succ` order. The stack is explicit, so a path may
+    be longer than the recursion limit."""
+    if a in avoid or b in avoid:
+        return
+    path, on_path = [a], {a}
+    # frames[i] iterates the not yet tried successors of path[i]
+    frames: list[Iterator[int]] = []
+    while True:
+        if path[-1] == b:
+            yield tuple(path)
+            frames.append(iter(()))
+        else:
+            frames.append(iter(succ(path[-1])))
+        while frames:
+            v = next((v for v in frames[-1] if v not in on_path and v not in avoid), None)
+            if v is not None:
+                break
+            frames.pop()
+            on_path.remove(path.pop())
+        else:
+            return
+        path.append(v)
+        on_path.add(v)
+
+
 def simple_paths(
     g: WeightedDigraph, a: int, b: int, budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[tuple[Path, int]]:
     """Yield every simple a-to-b path with its weight, in DFS order with
     ascending adjacency. Raises BudgetExceeded past `budget` paths."""
     count = 0
-    path, weights, on_path = [a], [0], {a}
-    # frames[i] iterates the not yet tried out-edges of path[i]
-    frames: list[Iterator[tuple[int, int]]] = []
-    while True:
-        if path[-1] == b:
-            count += 1
-            if budget is not None and count > budget:
-                raise BudgetExceeded(f"more than {budget} simple paths")
-            yield tuple(path), weights[-1]
-            frames.append(iter(()))
-        else:
-            frames.append(iter(g.adj_out[path[-1]]))
-        while frames:
-            step = next(((v, w) for v, w in frames[-1] if v not in on_path), None)
-            if step is not None:
-                break
-            frames.pop()
-            on_path.remove(path.pop())
-            weights.pop()
-        else:
-            return
-        v, w = step
-        path.append(v)
-        on_path.add(v)
-        weights.append(weights[-1] + w)
+    for path in _dfs_paths(lambda u: (v for v, _w in g.adj_out[u]), a, b, frozenset()):
+        count += 1
+        if budget is not None and count > budget:
+            raise BudgetExceeded(f"more than {budget} simple paths")
+        yield path, path_weight(g, path)
 
 
 def exhaustive_next_to_shortest(
@@ -83,25 +93,7 @@ def exhaustive_next_to_shortest(
 def _dag_paths(
     dag: ForwardDag, a: int, b: int, avoid: frozenset[int]
 ) -> Iterator[Path]:
-    if a in avoid or b in avoid:
-        return
-    stack = [a]
-    on_path = {a}
-
-    def rec(u: int) -> Iterator[Path]:
-        if u == b:
-            yield tuple(stack)
-            return
-        for v in dag.adj[u]:
-            if v in on_path or v in avoid:
-                continue
-            stack.append(v)
-            on_path.add(v)
-            yield from rec(v)
-            stack.pop()
-            on_path.remove(v)
-
-    yield from rec(a)
+    return _dfs_paths(dag.adj.__getitem__, a, b, avoid)
 
 
 def exhaustive_two_disjoint_paths(

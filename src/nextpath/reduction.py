@@ -5,10 +5,14 @@ Every transformation is logged in a ReductionTrace so that any path in the
 reduced graph can be lifted back to the original graph, and so that
 candidate next-to-shortest paths generated mid-reduction survive in
 original-graph coordinates. Replaying a trace against the original graph
-reproduces the reduced graph exactly.
+(`apply_step`, one step at a time) reproduces the reduced graph exactly;
+the reductions themselves make one pass over a mutable working graph and
+never replay.
 """
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -19,12 +23,8 @@ from .graph import (
     WeightedDigraph,
     is_straight,
     layering_violations,
-    min_children_to_t,
-    min_parents_from_s,
     path_weight,
     shortest_distances,
-    tree_path_from_s,
-    tree_path_to_t,
 )
 
 
@@ -154,7 +154,8 @@ def lift_through_elimination(rec: EliminationRecord, path: Path) -> Path:
 
 
 def apply_step(g: WeightedDigraph, step: Step) -> WeightedDigraph:
-    """Replay one recorded transformation step."""
+    """Replay one recorded transformation step (the reference the one-pass
+    reductions are tested against; they do not call it)."""
     if isinstance(step, VertexDeletion):
         u = step.vertex
         return g.replace(
@@ -228,73 +229,155 @@ def _contract_chain(step: SubdivisionRecord, path: Path) -> Path:
     return tuple(out)
 
 
+# The working graph of a reduction: out[u][v] == inn[v][u] == w(u, v).
+Adjacency = dict[int, dict[int, int]]
+
+
+def _working_graph(g: WeightedDigraph) -> tuple[Adjacency, Adjacency]:
+    out: Adjacency = {u: {} for u in g.vertices}
+    inn: Adjacency = {u: {} for u in g.vertices}
+    for (u, v), w in g.edges.items():
+        out[u][v] = w
+        inn[v][u] = w
+    return out, inn
+
+
+def _freeze(g: WeightedDigraph, out: Adjacency) -> WeightedDigraph:
+    return g.replace(
+        vertices=out,
+        edges={(u, v): w for u, nbrs in out.items() for v, w in nbrs.items()},
+    )
+
+
+def _unlink(out: Adjacency, inn: Adjacency, u: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Remove u and its edges from the working graph; return its in- and
+    out-edges."""
+    ins, outs = inn.pop(u), out.pop(u)
+    for x in ins:
+        del out[x][u]
+    for y in outs:
+        del inn[y][u]
+    return ins, outs
+
+
+def _tight_walk(adj: Adjacency, dist: dict[int, int | None], v: int, end: int) -> list[int]:
+    """Walk from v to `end`, each time to the smallest-id neighbor z with
+    dist[z] + w == dist[current].
+
+    Over in-edges with d(s,.) this is the smallest-id predecessor tree path
+    from s to v, reversed; over out-edges with d(.,t) it is the smallest-id
+    successor tree path from v to t.
+    """
+    walk = [v]
+    while v != end:
+        dv = dist[v]
+        v = min(z for z, w in adj[v].items() if dist[z] is not None and dist[z] + w == dv)
+        walk.append(v)
+    return walk
+
+
+def _tree_path(
+    g: WeightedDigraph, out: Adjacency, inn: Adjacency, d: DistanceTable, x: int, mid: Path, y: int
+) -> Path:
+    """s -> x along the smallest-id shortest-path tree from s, then `mid`,
+    then y -> t along the smallest-id shortest-path tree to t."""
+    to_x = _tight_walk(inn, d.from_s, x, g.s)
+    return (*reversed(to_x), *mid, *_tight_walk(out, d.to_t, y, g.t))
+
+
 def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     """Reduce to a graph where every vertex lies on a shortest s-to-t path.
 
-    Repeatedly deletes vertices that cannot reach both terminals and
-    eliminates the smallest-id vertex violating straightness. When an
-    eliminated vertex's detour (x,u),(u,y) loses to an existing edge (x,y)
-    that sits on a shortest path, the detour path is recorded as a
-    candidate next-to-shortest path (in original coordinates), because the
-    reduced graph can no longer represent it.
+    Visits the vertices violating straightness once, in ascending id order:
+    those that cannot reach both terminals are deleted, the others are
+    eliminated. When an eliminated vertex's detour (x,u),(u,y) loses to an
+    existing edge (x,y) that sits on a shortest path, the detour path
+    s->x, (x,u,y), y->t along the smallest-id shortest-path trees is
+    recorded as a candidate next-to-shortest path (in original
+    coordinates), because the reduced graph can no longer represent it.
+
+    Distances are computed once, on the input, and the steps mutate a
+    working copy that is frozen once, at the end. This is sound because
+    deleting or eliminating a non-straight vertex keeps d(s,.) and d(.,t) of
+    every vertex on an s-to-t walk; a vertex can lose a finite distance only
+    when its other one is already infinite, and it is deleted either way.
+    So the set of non-straight vertices never changes, and every distance
+    read here is the input's. An elimination adds, replaces or removes no
+    tight edge at a vertex of a shortest path (that would put u on a
+    shortest path), so the trees are the same after it as before.
     """
     d = shortest_distances(g)
-    if d.from_s[g.t] is None:
+    from_s, to_t = d.from_s, d.to_t
+    dst = from_s[g.t]
+    if dst is None:
         raise ValueError("no s-to-t path exists")
     trace = ReductionTrace()
-    cur = g
-    while True:
-        d = shortest_distances(cur)
-        dst = d.from_s[cur.t]
-        u = _first_non_straight(cur, d, dst)
-        if u is None:
-            return cur, trace
-        du, ut = d.from_s[u], d.to_t[u]
-        if du is None or ut is None:
-            cur = apply_step(cur, VertexDeletion(u))
+    off = [
+        u
+        for u in sorted(g.vertices)
+        if from_s[u] is None or to_t[u] is None or from_s[u] + to_t[u] != dst
+    ]
+    if not off:
+        return g, trace
+    out, inn = _working_graph(g)
+    origin: dict[Edge, int] = {}  # edge -> index of the last elimination that set it
+    for u in off:
+        if from_s[u] is None or to_t[u] is None:
+            _unlink(out, inn, u)
             trace.steps.append(VertexDeletion(u))
             continue
-        _collect_detour_candidates(g, cur, d, u, trace)
-        nxt, rec = _eliminate(cur, u)
-        trace.steps.append(rec)
-        cur = nxt
+        ins, outs = _unlink(out, inn, u)
+        shortcuts: set[Edge] = set()
+        replaced: dict[Edge, int] = {}
+        detours: list[Edge] = []
+        for x, wxu in ins.items():
+            out_x, dx = out[x], from_s[x]
+            for y, wuy in outs.items():
+                if x == y:
+                    continue
+                old, detour = out_x.get(y), wxu + wuy
+                if old is None or detour < old:
+                    out_x[y] = inn[y][x] = detour
+                    shortcuts.add((x, y))
+                    if old is not None:
+                        replaced[(x, y)] = old
+                elif old < detour:
+                    yt = to_t[y]
+                    if dx is not None and yt is not None and dx + old + yt == dst:
+                        detours.append((x, y))  # (x, y) lies on a shortest path
+        for x, y in sorted(detours):
+            lifted = _lift(trace.steps, origin, _tree_path(g, out, inn, d, x, (u,), y))
+            trace.candidates.append((lifted, path_weight(g, lifted)))
+        origin.update(dict.fromkeys(shortcuts, len(trace.steps)))
+        trace.steps.append(
+            EliminationRecord(u, frozenset(ins), frozenset(outs), frozenset(shortcuts), replaced)
+        )
+    return _freeze(g, out), trace
 
 
-def _first_non_straight(g: WeightedDigraph, d: DistanceTable, dst: int) -> int | None:
-    for u in sorted(g.vertices):
-        du, ut = d.from_s[u], d.to_t[u]
-        if du is None or ut is None or du + ut != dst:
-            return u
-    return None
+def _lift(steps: list[Step], origin: dict[Edge, int], path: Path) -> Path:
+    """`lift_path` of a path of the current working graph.
 
-
-def _collect_detour_candidates(
-    original: WeightedDigraph,
-    cur: WeightedDigraph,
-    d: DistanceTable,
-    u: int,
-    trace: ReductionTrace,
-) -> None:
-    """Record s->x, (x,u,y), y->t detours for edges (x,y) cheaper than the
-    detour but lying on a shortest s-to-t path."""
-    dst = d.from_s[cur.t]
-    parents = children = None
-    for x, wxu in cur.adj_in[u]:
-        for y, wuy in cur.adj_out[u]:
-            if x == y or (x, y) not in cur.edges:
-                continue
-            wxy = cur.edges[(x, y)]
-            if wxy >= wxu + wuy:
-                continue
-            dx, yt = d.from_s[x], d.to_t[y]
-            if dx is None or yt is None or dx + wxy + yt != dst:
-                continue  # no shortest path traverses (x, y)
-            if parents is None:
-                parents = min_parents_from_s(cur, d)
-                children = min_children_to_t(cur, d)
-            q = tree_path_from_s(cur, parents, x) + (u,) + tree_path_to_t(cur, children, y)
-            lifted = lift_path(trace, q)
-            trace.candidates.append((lifted, path_weight(original, lifted)))
+    Only an elimination that set one of the path's edges can change it, so
+    only those are visited, highest step first; each splice adds two edges
+    through the restored vertex, whose origins join the queue.
+    """
+    queued = {origin[e] for e in zip(path, path[1:]) if e in origin}
+    heap = [-k for k in queued]
+    heapq.heapify(heap)
+    while heap:
+        rec = steps[-heapq.heappop(heap)]
+        lifted = lift_through_elimination(rec, path)
+        if lifted is path:
+            continue
+        path = lifted
+        i = path.index(rec.vertex)
+        for e in ((path[i - 1], rec.vertex), (rec.vertex, path[i + 1])):
+            k = origin.get(e)
+            if k is not None and k not in queued:
+                queued.add(k)
+                heapq.heappush(heap, -k)
+    return path
 
 
 def layering_potential(g: WeightedDigraph, d: DistanceTable) -> int:
@@ -309,49 +392,48 @@ def layering_potential(g: WeightedDigraph, d: DistanceTable) -> int:
 def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     """Reduce a straight graph to a layered one.
 
-    Each iteration fixes one violating edge, chosen deterministically
-    (back-edge violations before forward ones, smallest ids first):
+    Fixes every violating edge once, back-edge violations before forward
+    ones, smallest ids first:
 
     * a violating back-edge (u,v) is removed, after recording the candidate
-      path s->u, (u,v), v->t built from the fixed forward shortest-path
-      trees -- the cheapest path through that edge, which the reduced graph
+      path s->u, (u,v), v->t built from the smallest-id shortest-path trees
+      -- the cheapest path through that edge, which the reduced graph
       loses;
     * a layer-skipping forward edge is subdivided into a chain with one
       fresh vertex per skipped distance value.
 
-    Distances from s and the set of distinct distance values are preserved
-    throughout, and the violation count drops by exactly one per step.
+    Distances are computed once, on the input, and the violations are
+    listed once. Removing a back-edge and subdividing a forward edge keep
+    d(s,.) and d(.,t) of every vertex and the set of distinct distance
+    values; each step fixes exactly one violation and creates none. A
+    removed back-edge is never tight, so the trees the candidates follow
+    do not change either, and the candidates need no lifting: only
+    back-edge removals precede them.
     """
     d = shortest_distances(g)
     if not is_straight(g, d):
         raise ValueError("graph is not (s,t)-straight")
     trace = ReductionTrace()
-    cur = g
-    while True:
-        d = shortest_distances(cur)
-        back_viol, fwd_viol = layering_violations(cur, d)
-        if back_viol:
-            u, v = back_viol[0]
-            parents = min_parents_from_s(cur, d)
-            children = min_children_to_t(cur, d)
-            candidate = tree_path_from_s(cur, parents, u) + tree_path_to_t(cur, children, v)
-            lifted = lift_path(trace, candidate)
-            trace.candidates.append((lifted, path_weight(g, lifted)))
-            step: Step = BackEdgeRemoval((u, v))
-        elif fwd_viol:
-            u, v = fwd_viol[0]
-            du, w = d.from_s[u], cur.edges[(u, v)]
-            qs = sorted(
-                {
-                    d.from_s[z]
-                    for z in cur.vertices
-                    if du < d.from_s[z] < du + w
-                }
-            )
-            fresh = max(cur.vertices) + 1
-            chain = tuple(range(fresh, fresh + len(qs)))
-            step = SubdivisionRecord((u, v), chain, (du, *qs, d.from_s[v]))
-        else:
-            return cur, trace
-        cur = apply_step(cur, step)
-        trace.steps.append(step)
+    back, fwd = layering_violations(g, d)
+    if not back and not fwd:
+        return g, trace
+    from_s = d.from_s
+    out, inn = _working_graph(g)
+    for u, v in back:
+        candidate = _tree_path(g, out, inn, d, u, (), v)
+        trace.candidates.append((candidate, path_weight(g, candidate)))
+        del out[u][v], inn[v][u]
+        trace.steps.append(BackEdgeRemoval((u, v)))
+    values = sorted(set(from_s.values()))
+    fresh = max(g.vertices) + 1
+    for u, v in fwd:
+        du, dv = from_s[u], from_s[v]
+        qs = values[bisect.bisect_right(values, du) : bisect.bisect_left(values, dv)]
+        chain = tuple(range(fresh, fresh + len(qs)))
+        fresh += len(qs)
+        del out[u][v], inn[v][u]
+        nodes, q_values = (u, *chain, v), (du, *qs, dv)
+        for a, b, qa, qb in zip(nodes, nodes[1:], q_values, q_values[1:]):
+            out.setdefault(a, {})[b] = inn.setdefault(b, {})[a] = qb - qa
+        trace.steps.append(SubdivisionRecord((u, v), chain, q_values))
+    return _freeze(g, out), trace

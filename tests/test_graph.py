@@ -101,6 +101,19 @@ def test_graph_invariants_enforced():
         WeightedDigraph(frozenset({0, 1}), {}, 0, 0)
 
 
+def test_edges_are_read_only():
+    src = {(0, 1): 1, (1, 2): 1}
+    g = WeightedDigraph(frozenset(range(3)), src, 0, 2)
+    adj = g.adj_out
+    with pytest.raises(TypeError):
+        g.edges[(0, 2)] = 5
+    src[(0, 2)] = 5  # the graph holds its own copy of the map it was given
+    assert g.edges == {(0, 1): 1, (1, 2): 1}
+    assert g.adj_out is adj
+    assert adj == {0: ((1, 1),), 1: ((2, 1),), 2: ()}
+    assert g.replace(edges=g.edges) == g
+
+
 # --- distances ------------------------------------------------------------
 
 

@@ -80,3 +80,12 @@ def test_exhaustive_disjoint_pairs():
     assert exhaustive_two_disjoint_paths(x_gadget, (0, 3), (1, 4)) is None
     with pytest.raises(SharedTerminalError):
         exhaustive_two_disjoint_paths(x_gadget, (0, 3), (0, 4))
+
+
+def test_exhaustive_disjoint_pairs_on_long_dag_path():
+    # a 1,200-vertex path as p1 and a separate edge as p2: the DAG path
+    # enumeration must not recurse once per path vertex
+    n = 1200
+    dag = ForwardDag(range(n + 2), {i: [i + 1] for i in range(n - 1)} | {n: [n + 1]})
+    pair = exhaustive_two_disjoint_paths(dag, (0, n - 1), (n, n + 1))
+    assert pair.p1 == tuple(range(n)) and pair.p2 == (n, n + 1)

@@ -1,18 +1,27 @@
 """reduction: vertex elimination, layerization, traces and lifting."""
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from conftest import build_graph, floyd_warshall
 from nextpath import (
+    BackEdgeRemoval,
+    EliminationRecord,
+    ReductionTrace,
     SubdivisionRecord,
     TraceError,
+    VertexDeletion,
+    WeightedDigraph,
     apply_step,
     eliminate_vertex,
     exhaustive_next_to_shortest,
     is_layered,
     is_straight,
     layering_potential,
+    layered_digraph,
     layerize,
     lift_path,
     lift_through_elimination,
@@ -23,6 +32,8 @@ from nextpath import (
     straighten,
     validate_path,
 )
+from nextpath import reduction
+from nextpath.graph import layering_violations
 from nextpath.oracle import simple_paths
 
 
@@ -193,17 +204,150 @@ def test_layerize_invariants_per_iteration(seed):
     assert phi == 0 and is_layered(g_l, shortest_distances(g_l))
 
 
+def _skip_edge_graph(seed):
+    """A layered graph without back-edges plus extra edges that shorten no
+    distance: same-layer edges and layer-skipping edges that weigh their
+    span (subdivided) or more (removed as back-edges)."""
+    base = layered_digraph(8, 3, 0, seed)
+    dist = shortest_distances(base).from_s
+    rng = random.Random(seed)
+    edges = dict(base.edges)
+    vs = sorted(base.vertices)
+    for _ in range(14):
+        u, v = rng.choice(vs), rng.choice(vs)
+        if u != v and (u, v) not in edges:
+            edges[(u, v)] = max(dist[v] - dist[u], 1) + rng.choice((0, 0, 1, 2))
+    return WeightedDigraph(base.vertices, edges, base.s, base.t)
+
+
+REPLAY_GRAPHS = (
+    # sparse: parts unreachable from s or not reaching t
+    [random_digraph(10, 0.2, 5, seed) for seed in range(20)]
+    + [random_digraph(8, 0.45, 4, seed) for seed in (3, 5, 11)]
+    + [random_digraph(10, 0.3, 5, 20)]
+    + [layered_digraph(6, 3, 6, seed) for seed in range(4)]
+    + [_skip_edge_graph(seed) for seed in range(10)]
+)
+
+
+def _on_shortest_path(d, v, dst):
+    return d.from_s[v] is not None and d.to_t[v] is not None and d.from_s[v] + d.to_t[v] == dst
+
+
+def _tree_paths(g, d, x, y):
+    """s -> x and y -> t, each along the smallest-id tight edges of g."""
+    def tight(adj, dist, v):
+        return next(z for z, w in adj[v] if dist[z] is not None and dist[z] + w == dist[v])
+
+    head, tail = [x], [y]
+    while head[-1] != g.s:
+        head.append(tight(g.adj_in, d.from_s, head[-1]))
+    while tail[-1] != g.t:
+        tail.append(tight(g.adj_out, d.to_t, tail[-1]))
+    return tuple(reversed(head)), tuple(tail)
+
+
+def _detour_candidates(g, cur, u, done):
+    """The candidates of eliminating u from cur, by definition and with fresh
+    distances: in ascending (x, y) order, every edge (x, y) on a shortest
+    path that is cheaper than its detour through u gives the path along the
+    trees through (x, u, y), lifted through the steps `done` before."""
+    d = shortest_distances(cur)
+    dst = d.from_s[cur.t]
+    found = []
+    for x, wxu in cur.adj_in[u]:
+        for y, wuy in cur.adj_out[u]:
+            wxy, dx, yt = cur.edges.get((x, y)), d.from_s[x], d.to_t[y]
+            if wxy is None or wxy >= wxu + wuy or dx is None or yt is None:
+                continue
+            if dx + wxy + yt == dst:
+                head, tail = _tree_paths(cur, d, x, y)
+                lifted = lift_path(ReductionTrace(list(done)), head + (u,) + tail)
+                found.append((lifted, path_weight(g, lifted)))
+    return found
+
+
 def test_trace_replay_reproduces_reduced_graphs():
-    for seed in (3, 5, 11):
-        g = random_digraph(8, 0.45, 4, seed)
-        if shortest_distances(g).from_s[g.t] is None:
+    """Replaying each trace step by step gives the returned graph and the
+    recorded candidates, and every intermediate graph keeps the distances
+    the one-pass reductions read off their single distance table."""
+    kinds: set[type] = set()
+    solved = 0
+    for g in REPLAY_GRAPHS:
+        d0 = shortest_distances(g)
+        dst = d0.from_s[g.t]
+        if dst is None:
             continue
+        solved += 1
         g_s, tr_s = straighten(g)
-        g_l, tr_l = layerize(g_s)
-        cur = g
-        for step in tr_s.steps + tr_l.steps:
+        cur, expected = g, []
+        for i, step in enumerate(tr_s.steps):
+            if isinstance(step, EliminationRecord):
+                expected += _detour_candidates(g, cur, step.vertex, tr_s.steps[:i])
             cur = apply_step(cur, step)
+            d = shortest_distances(cur)
+            for v in cur.vertices:
+                # straightness never changes, nor do the distances of the
+                # vertices on an s-to-t walk
+                assert _on_shortest_path(d, v, dst) == _on_shortest_path(d0, v, dst)
+                if d0.from_s[v] is not None and d0.to_t[v] is not None:
+                    assert (d.from_s[v], d.to_t[v]) == (d0.from_s[v], d0.to_t[v])
+        assert cur == g_s
+        assert tr_s.candidates == expected
+
+        g_l, tr_l = layerize(g_s)
+        d1 = shortest_distances(g_s)
+        back, fwd = layering_violations(g_s, d1)
+        # each violation listed once is fixed by exactly one step, in order
+        assert [step.edge for step in tr_l.steps] == back + fwd
+        cur, expected = g_s, []
+        for i, step in enumerate(tr_l.steps):
+            if isinstance(step, BackEdgeRemoval):
+                head, tail = _tree_paths(cur, shortest_distances(cur), *step.edge)
+                expected.append((head + tail, path_weight(g_s, head + tail)))
+            cur = apply_step(cur, step)
+            d = shortest_distances(cur)
+            for v in g_s.vertices:
+                assert (d.from_s[v], d.to_t[v]) == (d1.from_s[v], d1.to_t[v])
+            if isinstance(step, SubdivisionRecord):
+                assert [d.from_s[c] for c in step.chain] == list(step.q_values[1:-1])
+            assert {d.from_s[v] for v in cur.vertices} == set(d1.from_s.values())
+            b, f = layering_violations(cur, d)
+            assert b + f == (back + fwd)[i + 1 :]
         assert cur == g_l
+        assert tr_l.candidates == expected
+
+        for host, trace in ((g, tr_s), (g_s, tr_l)):
+            for path, w in trace.candidates:
+                check = validate_path(host, path)
+                assert path[0] == g.s and path[-1] == g.t and check.simple
+                assert w == check.weight == path_weight(host, path) > dst
+        kinds |= {type(step) for step in tr_s.steps + tr_l.steps}
+    assert solved >= 30
+    assert kinds == {VertexDeletion, EliminationRecord, BackEdgeRemoval, SubdivisionRecord}
+
+
+def test_each_reduction_computes_distances_once(monkeypatch):
+    calls: Counter[str] = Counter()
+
+    def counted(name):
+        fn = getattr(reduction, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, name, wrapper)
+
+    for name in ("shortest_distances", "apply_step", "lift_path"):
+        counted(name)
+    g = random_digraph(10, 0.3, 5, 20)
+    g_s, tr_s = straighten(g)
+    assert {type(step) for step in tr_s.steps} == {VertexDeletion, EliminationRecord}
+    assert calls == {"shortest_distances": 1}
+    _, tr_l = layerize(g_s)
+    assert {type(step) for step in tr_l.steps} == {BackEdgeRemoval, SubdivisionRecord}
+    assert calls == {"shortest_distances": 2}
 
 
 # --- lifting through whole traces --------------------------------------------------
