@@ -98,6 +98,16 @@ class WeightedDigraph:
             adj[v].append((u, w))
         return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
+    @cached_property
+    def distances(self) -> "DistanceTable":
+        """Exact distances from s and to t, computed once; read-only, so shared."""
+        out, _ = dijkstra(self.adj_out, self.s)
+        into, _ = dijkstra(self.adj_in, self.t)
+        return DistanceTable(
+            from_s=MappingProxyType({u: out.get(u) for u in self.vertices}),
+            to_t=MappingProxyType({u: into.get(u) for u in self.vertices}),
+        )
+
     def weight(self, u: int, v: int) -> int:
         return self.edges[(u, v)]
 
@@ -120,11 +130,11 @@ class DistanceTable:
     """Exact distances from s and to t; None marks unreachable.
 
     Unreachable is a real sentinel, never a large finite stand-in, so it can
-    never leak into weight arithmetic.
+    never leak into weight arithmetic. Both maps are read-only views.
     """
 
-    from_s: dict[int, int | None]
-    to_t: dict[int, int | None]
+    from_s: Mapping[int, int | None]
+    to_t: Mapping[int, int | None]
 
 
 @dataclass(frozen=True)
@@ -184,29 +194,58 @@ class SolveOutcome:
         return SolveOutcome(tuple(path), weight)
 
 
-def dijkstra(adj: Mapping[int, Iterable[tuple[int, int]]], source: int) -> dict[int, int]:
-    """Exact single-source distances over an adjacency map; omits unreachable."""
+def dijkstra(
+    adj: Mapping[int, Iterable[tuple[int, int]]],
+    source: int,
+    *,
+    target: int | None = None,
+    blocked: frozenset[int] | set[int] = frozenset(),
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Exact distances from `source` that never enter `blocked`, and the
+    parent that set each reached vertex's distance. `dist` holds settled
+    vertices only; with a `target` the search stops once it is settled. Only
+    a strict improvement pushes, so on ties the first parent stays."""
     dist: dict[int, int] = {}
+    best = {source: 0}
+    parent: dict[int, int] = {}
     heap = [(0, source)]
     while heap:
         du, u = heapq.heappop(heap)
         if u in dist:
             continue
         dist[u] = du
+        if u == target:
+            break
         for v, w in adj.get(u, ()):
-            if v not in dist:
-                heapq.heappush(heap, (du + w, v))
-    return dist
+            if v in dist or v in blocked:
+                continue
+            nd = du + w
+            old = best.get(v)
+            if old is None or nd < old:
+                best[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+    return dist, parent
+
+
+def shortest_path_avoiding(
+    g: WeightedDigraph, blocked: frozenset[int] | set[int], a: int, b: int
+) -> Path | None:
+    """Exact shortest a-to-b path avoiding `blocked`, over all edge types."""
+    if a in blocked or b in blocked:
+        raise ValueError("endpoints must not be blocked")
+    dist, parent = dijkstra(g.adj_out, a, target=b, blocked=blocked)
+    if b not in dist:
+        return None
+    rev = [b]
+    while rev[-1] != a:
+        rev.append(parent[rev[-1]])
+    return tuple(reversed(rev))
 
 
 def shortest_distances(g: WeightedDigraph) -> DistanceTable:
-    """Distances from s to every vertex and from every vertex to t."""
-    out = dijkstra(g.adj_out, g.s)
-    into = dijkstra(g.adj_in, g.t)
-    return DistanceTable(
-        from_s={u: out.get(u) for u in g.vertices},
-        to_t={u: into.get(u) for u in g.vertices},
-    )
+    """Distances from s and to t: the graph's own `distances`, cached."""
+    return g.distances
 
 
 def classify_edges(g: WeightedDigraph, d: DistanceTable) -> EdgeClassification:

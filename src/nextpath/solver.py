@@ -13,7 +13,6 @@ middle segment descends from d(a) to d(b) < d(a), which forces a back-edge.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -29,6 +28,7 @@ from .graph import (
     layer_assignment,
     path_weight,
     shortest_distances,
+    shortest_path_avoiding,
     validate_path,
 )
 
@@ -78,40 +78,9 @@ def back_edge_decomposition(
     )
 
 
-def shortest_path_avoiding(
-    g: WeightedDigraph, blocked: frozenset[int] | set[int], a: int, b: int
-) -> Path | None:
-    """Exact shortest a-to-b path avoiding `blocked`, over all edge types."""
-    if a in blocked or b in blocked:
-        raise ValueError("endpoints must not be blocked")
-    dist = {a: 0}
-    parent: dict[int, int] = {}
-    settled: set[int] = set()
-    heap = [(0, a)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled.add(u)
-        if u == b:
-            rev = [b]
-            while rev[-1] != a:
-                rev.append(parent[rev[-1]])
-            return tuple(reversed(rev))
-        for v, w in g.adj_out[u]:
-            if v in blocked or v in settled:
-                continue
-            nd = du + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
-    return None
-
-
 class _LayeredSearch:
     """State for one solve: distances, layers, the forward DAG, and memoized
-    half-queries for the disjoint-path construction."""
+    disjoint-pair queries for the outer paths."""
 
     def __init__(self, g: WeightedDigraph):
         self.g = g
@@ -128,35 +97,25 @@ class _LayeredSearch:
              if (u, v) in self.cls.back_edges),
             default=0,
         )
-        self._prefix_cache: dict[tuple[int, int, int], DisjointPathPair | None] = {}
-        self._suffix_cache: dict[tuple[int, int, int], DisjointPathPair | None] = {}
+        self._pairs: dict[tuple[tuple[int, int], ...], DisjointPathPair | None] = {}
         self._dist_from: dict[int, dict[int, int]] = {}
 
     def dist_between(self, a: int, b: int) -> int | None:
         """Unrestricted a-to-b distance (lower bound for any residual route)."""
         table = self._dist_from.get(a)
         if table is None:
-            table = dijkstra(self.g.adj_out, a)
+            table, _ = dijkstra(self.g.adj_out, a)
             self._dist_from[a] = table
         return table.get(b)
 
-    def prefix_pair(self, b: int, xp: int, yp: int) -> DisjointPathPair | None:
-        key = (b, xp, yp)
-        try:
-            return self._prefix_cache[key]
-        except KeyError:
-            res = two_disjoint_paths(self.dag, (self.g.s, xp), (b, yp))
-            self._prefix_cache[key] = res
-            return res
-
-    def suffix_pair(self, a: int, x: int, y: int) -> DisjointPathPair | None:
-        key = (a, x, y)
-        try:
-            return self._suffix_cache[key]
-        except KeyError:
-            res = two_disjoint_paths(self.dag, (x, a), (y, self.g.t))
-            self._suffix_cache[key] = res
-            return res
+    def disjoint_pair(
+        self, pair1: tuple[int, int], pair2: tuple[int, int]
+    ) -> DisjointPathPair | None:
+        """`two_disjoint_paths` over the forward DAG, memoized."""
+        key = (pair1, pair2)
+        if key not in self._pairs:
+            self._pairs[key] = two_disjoint_paths(self.dag, pair1, pair2)
+        return self._pairs[key]
 
     def middle_endpoint_pairs(self) -> list[tuple[int, int]]:
         """Candidate (a, b) pairs in enumeration order: both incident to a
@@ -212,10 +171,10 @@ class _LayeredSearch:
                         continue
                     if not dag.reaches(b, yp):
                         continue
-                    prefix = self.prefix_pair(b, xp, yp)
+                    prefix = self.disjoint_pair((g.s, xp), (b, yp))
                     if prefix is None:
                         continue
-                    suffix = self.suffix_pair(a, x, y)
+                    suffix = self.disjoint_pair((x, a), (y, g.t))
                     if suffix is None:
                         continue
                     p1 = prefix.p1 + suffix.p1

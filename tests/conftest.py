@@ -1,7 +1,9 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
-from nextpath import WeightedDigraph
+import random
+
+from nextpath import WeightedDigraph, layered_digraph, shortest_distances
 
 
 def build_graph(n, edges, s=0, t=None, scale=0):
@@ -9,6 +11,22 @@ def build_graph(n, edges, s=0, t=None, scale=0):
     if not isinstance(edges, dict):
         edges = {(u, v): w for u, v, w in edges}
     return WeightedDigraph(frozenset(range(n)), dict(edges), s, n - 1 if t is None else t, scale)
+
+
+def skip_edge_graph(seed):
+    """A layered graph without back-edges plus extra edges that shorten no
+    distance: same-layer edges and layer-skipping edges that weigh their
+    span (subdivided) or more (removed as back-edges)."""
+    base = layered_digraph(8, 3, 0, seed)
+    dist = shortest_distances(base).from_s
+    rng = random.Random(seed)
+    edges = dict(base.edges)
+    vs = sorted(base.vertices)
+    for _ in range(14):
+        u, v = rng.choice(vs), rng.choice(vs)
+        if u != v and (u, v) not in edges:
+            edges[(u, v)] = max(dist[v] - dist[u], 1) + rng.choice((0, 0, 1, 2))
+    return WeightedDigraph(base.vertices, edges, base.s, base.t)
 
 
 TRIANGLE = "3 3 0 2\n0 1 1\n1 2 1\n0 2 1\n"

@@ -4,6 +4,8 @@ from __future__ import annotations
 from types import ModuleType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TRIANGLE, bellman_ford_from, build_graph
 from nextpath import (
@@ -17,11 +19,14 @@ from nextpath import (
     layer_assignment,
     layered_digraph,
     parse_graph,
+    path_weight,
     random_digraph,
     serialize_graph,
     shortest_distances,
+    shortest_path_avoiding,
     validate_path,
 )
+from nextpath.graph import dijkstra
 from nextpath.oracle import simple_paths
 
 
@@ -148,6 +153,64 @@ def test_distances_agree_with_relaxation_oracle(seed):
     g = random_digraph(7, 0.4, 5, seed)
     d = shortest_distances(g)
     assert d.from_s == bellman_ford_from(g, g.s)
+
+
+def test_distance_table_is_computed_once_per_graph():
+    g = random_digraph(7, 0.4, 5, 1)
+    assert shortest_distances(g) is shortest_distances(g)
+
+
+def test_distance_table_is_read_only():
+    d = shortest_distances(random_digraph(7, 0.4, 5, 1))
+    with pytest.raises(TypeError):
+        d.from_s[0] = 1
+    with pytest.raises(TypeError):
+        d.to_t[0] = 1
+
+
+@st.composite
+def blocked_queries(draw):
+    """A digraph on 2..7 vertices with weights 1..3 (many ties), distinct
+    endpoints a = s and b = t, and a set of other vertices to avoid."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 3)))
+    a, b = draw(st.permutations(range(n)))[:2]
+    blocked = draw(st.frozensets(st.sampled_from(range(n)).filter(lambda v: v not in (a, b))))
+    g = build_graph(n, edges, s=a, t=b)
+    rest = g.replace(
+        vertices=g.vertices - blocked,
+        edges={(u, v): w for (u, v), w in g.edges.items() if not {u, v} & blocked},
+    )
+    return g, blocked, rest
+
+
+@settings(derandomize=True, database=None)
+@given(blocked_queries())
+def test_dijkstra_matches_relaxation_on_the_unblocked_graph(query):
+    g, blocked, rest = query
+    want = {v: d for v, d in bellman_ford_from(rest, g.s).items() if d is not None}
+    dist, parent = dijkstra(g.adj_out, g.s, blocked=blocked)
+    assert dist == want
+    for v, u in parent.items():
+        assert dist[u] + g.weight(u, v) == dist[v]
+    cut, _ = dijkstra(g.adj_out, g.s, target=g.t, blocked=blocked)
+    assert cut.get(g.t) == want.get(g.t)
+    assert all(dist[v] == d for v, d in cut.items())
+
+
+@settings(derandomize=True, database=None)
+@given(blocked_queries())
+def test_shortest_path_avoiding_is_a_lightest_simple_path(query):
+    g, blocked, rest = query
+    weights = [w for _p, w in simple_paths(rest, g.s, g.t, budget=None)]
+    path = shortest_path_avoiding(g, blocked, g.s, g.t)
+    if not weights:
+        assert path is None
+        return
+    assert path is not None and path[0] == g.s and path[-1] == g.t
+    assert len(set(path)) == len(path) and not set(path) & blocked
+    assert path_weight(g, path) == min(weights)
 
 
 # --- classification ---------------------------------------------------------

@@ -1,9 +1,12 @@
 """End-to-end pipeline behavior beyond what the CLI tests cover."""
 from __future__ import annotations
 
+import pytest
+
 from conftest import PARALLEL_CHAINS, TRIANGLE, build_graph
 from nextpath import (
     exhaustive_next_to_shortest,
+    layered_digraph,
     parse_graph,
     random_digraph,
     shortest_distances,
@@ -11,6 +14,7 @@ from nextpath import (
     solve_detailed,
     validate_path,
 )
+from nextpath.graph import dijkstra
 
 
 def test_triangle_answer():
@@ -29,6 +33,23 @@ def test_layered_answer_survives_lifting():
     result = solve_detailed(g)
     assert result.outcome.path == (0, 3, 4, 1, 2, 5)
     assert result.layered_outcome.found
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_layered_input_shares_one_distance_table(monkeypatch, seed):
+    """Both reductions return a layered input unchanged, so the pipeline,
+    both reductions and the layered search read one table: two Dijkstras,
+    from s and to t."""
+    calls = []
+
+    def counting(adj, source, **kwargs):
+        calls.append(source)
+        return dijkstra(adj, source, **kwargs)
+
+    monkeypatch.setattr("nextpath.graph.dijkstra", counting)
+    g = layered_digraph(6, 3, 0, seed)
+    assert not solve(g).found
+    assert sorted(calls) == sorted([g.s, g.t])
 
 
 def test_outcome_always_validates():

@@ -1,12 +1,11 @@
 """reduction: vertex elimination, layerization, traces and lifting."""
 from __future__ import annotations
 
-import random
 from collections import Counter
 
 import pytest
 
-from conftest import build_graph, floyd_warshall
+from conftest import build_graph, floyd_warshall, skip_edge_graph
 from nextpath import (
     BackEdgeRemoval,
     EliminationRecord,
@@ -204,29 +203,13 @@ def test_layerize_invariants_per_iteration(seed):
     assert phi == 0 and is_layered(g_l, shortest_distances(g_l))
 
 
-def _skip_edge_graph(seed):
-    """A layered graph without back-edges plus extra edges that shorten no
-    distance: same-layer edges and layer-skipping edges that weigh their
-    span (subdivided) or more (removed as back-edges)."""
-    base = layered_digraph(8, 3, 0, seed)
-    dist = shortest_distances(base).from_s
-    rng = random.Random(seed)
-    edges = dict(base.edges)
-    vs = sorted(base.vertices)
-    for _ in range(14):
-        u, v = rng.choice(vs), rng.choice(vs)
-        if u != v and (u, v) not in edges:
-            edges[(u, v)] = max(dist[v] - dist[u], 1) + rng.choice((0, 0, 1, 2))
-    return WeightedDigraph(base.vertices, edges, base.s, base.t)
-
-
 REPLAY_GRAPHS = (
     # sparse: parts unreachable from s or not reaching t
     [random_digraph(10, 0.2, 5, seed) for seed in range(20)]
     + [random_digraph(8, 0.45, 4, seed) for seed in (3, 5, 11)]
     + [random_digraph(10, 0.3, 5, 20)]
     + [layered_digraph(6, 3, 6, seed) for seed in range(4)]
-    + [_skip_edge_graph(seed) for seed in range(10)]
+    + [skip_edge_graph(seed) for seed in range(10)]
 )
 
 
