@@ -9,7 +9,6 @@ from .disjoint import (
     ForwardDag,
     SharedTerminalError,
     two_disjoint_paths,
-    waypoint_disjoint_paths,
 )
 from .generate import layered_digraph, random_digraph
 from .graph import (

@@ -20,10 +20,12 @@ from .graph import (
     InternalInvariantError,
     InvalidPathError,
     WeightedDigraph,
+    edge_slack,
     format_weight,
     is_layered,
     is_straight,
     parse_graph,
+    parse_int,
     serialize_graph,
     shortest_distances,
     validate_path,
@@ -46,16 +48,16 @@ def _load_graph(path: str) -> WeightedDigraph:
 
 
 def _load_path_file(path: str) -> tuple[int, ...]:
+    ids: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        tokens: list[str] = []
-        for raw in fh:
-            tokens.extend(raw.split("#", 1)[0].split())
-    if not tokens:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                ids.extend(parse_int(tok) for tok in raw.split("#", 1)[0].split())
+            except ValueError:
+                raise GraphFormatError("path file must hold integer vertex ids", lineno) from None
+    if not ids:
         raise GraphFormatError("empty path file")
-    try:
-        return tuple(int(tok) for tok in tokens)
-    except ValueError:
-        raise GraphFormatError("path file must hold integer vertex ids") from None
+    return tuple(ids)
 
 
 def _print_outcome(g: WeightedDigraph, path, weight) -> None:
@@ -166,15 +168,10 @@ def _cmd_vdp(args) -> int:
 def _cmd_stats(args) -> int:
     g = _load_graph(args.graph)
     d = shortest_distances(g)
-    back = forward = unclassified = 0
-    for (u, v), w in g.edges.items():
-        du = d.from_s[u]
-        if du is None:
-            unclassified += 1
-        elif du + w > d.from_s[v]:
-            back += 1
-        else:
-            forward += 1
+    slacks = [edge_slack(d, u, v, w) for (u, v), w in g.edges.items()]
+    unclassified = slacks.count(None)
+    forward = slacks.count(0)
+    back = len(slacks) - unclassified - forward
     dst = d.from_s[g.t]
     straight = is_straight(g, d)
     print(f"vertices: {g.vertex_count}")

@@ -1,5 +1,5 @@
-"""Two vertex-disjoint paths in a DAG, plus the waypoint-constrained variant
-used on the forward subgraph of a layered graph.
+"""Two vertex-disjoint paths in a DAG, such as the forward subgraph of a
+layered graph.
 
 The search is a pair-token dynamic program over topological order: a state
 holds one vertex per path, and the token that is earlier in topological
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graph import EdgeClassification, LayerAssignment, Path, WeightedDigraph
+from .graph import EdgeClassification, Path, WeightedDigraph
 
 
 class CyclicGraphError(ValueError):
@@ -37,23 +37,14 @@ class ForwardDag:
     """An acyclic digraph with a certified topological order.
 
     Adjacency lists are kept sorted by head id so every search here is
-    deterministic. `s`/`t` are carried along when the DAG is derived from a
-    graph, for the waypoint queries.
+    deterministic.
     """
 
-    def __init__(
-        self,
-        vertices: Iterable[int],
-        adj: Mapping[int, Iterable[int]],
-        s: int | None = None,
-        t: int | None = None,
-    ):
+    def __init__(self, vertices: Iterable[int], adj: Mapping[int, Iterable[int]]):
         self.vertices = frozenset(vertices)
         self.adj: dict[int, tuple[int, ...]] = {
             u: tuple(sorted(adj.get(u, ()))) for u in self.vertices
         }
-        self.s = s
-        self.t = t
         self.rank = self._topological_rank()
 
     @classmethod
@@ -62,7 +53,7 @@ class ForwardDag:
         adj: dict[int, list[int]] = {u: [] for u in g.vertices}
         for u, v in g.edges:
             adj[u].append(v)
-        return cls(g.vertices, adj, g.s, g.t)
+        return cls(g.vertices, adj)
 
     @classmethod
     def forward_subgraph(cls, g: WeightedDigraph, cls_: EdgeClassification) -> "ForwardDag":
@@ -71,7 +62,7 @@ class ForwardDag:
         adj: dict[int, list[int]] = {u: [] for u in g.vertices}
         for u, v in cls_.forward_edges:
             adj[u].append(v)
-        return cls(g.vertices, adj, g.s, g.t)
+        return cls(g.vertices, adj)
 
     def _topological_rank(self) -> dict[int, int]:
         indeg = {u: 0 for u in self.vertices}
@@ -205,41 +196,3 @@ def two_disjoint_paths(
     p2 = (s2, *reversed(rev2))
     return DisjointPathPair(p1, p2)
 
-
-def waypoint_disjoint_paths(
-    dag: ForwardDag,
-    layers: LayerAssignment,
-    a: int,
-    b: int,
-    xp: int,
-    x: int,
-    yp: int,
-    y: int,
-) -> DisjointPathPair | None:
-    """Disjoint forward paths s -> xp -> x -> a and b -> yp -> y -> t, where
-    (xp, x) and (yp, y) are same-layer forward edges serving as waypoints.
-
-    Splits at the waypoint layer into two independent disjoint-path queries:
-    (s -> xp, b -> yp) lives entirely in layers up to layer(xp), while
-    (x -> a, y -> t) lives in layers from layer(x) on, because forward
-    edges of a layered graph advance the layer by exactly one. The two
-    halves therefore cannot collide and concatenating them is sound.
-    """
-    if dag.s is None or dag.t is None:
-        raise ValueError("waypoint queries need a DAG with terminals attached")
-    lam = layers.layer
-    if x not in dag.adj.get(xp, ()) or y not in dag.adj.get(yp, ()):
-        raise ValueError("waypoints must be forward edges of the DAG")
-    if not (lam[xp] == lam[yp] == lam[x] - 1 == lam[y] - 1):
-        raise ValueError("waypoint edges must share one layer boundary")
-    if lam[b] >= lam[a]:
-        raise ValueError("middle-path endpoints out of order")
-    if lam[b] > lam[yp] or lam[x] > lam[a]:
-        raise ValueError("terminals outside the waypoint layer window")
-    prefix = two_disjoint_paths(dag, (dag.s, xp), (b, yp))
-    if prefix is None:
-        return None
-    suffix = two_disjoint_paths(dag, (x, a), (y, dag.t))
-    if suffix is None:
-        return None
-    return DisjointPathPair(prefix.p1 + suffix.p1, prefix.p2 + suffix.p2)

@@ -23,7 +23,7 @@ Path = tuple[int, ...]
 # not depend on that.
 MAX_ACCUMULATOR = 2**63 - 1
 
-_WEIGHT_RE = re.compile(r"^(\d+)(?:\.(\d{1,9}))?$")
+_WEIGHT_RE = re.compile(r"^(\d+)(?:\.(\d{1,9}))?$", re.ASCII)
 
 
 class GraphFormatError(ValueError):
@@ -141,9 +141,9 @@ class DistanceTable:
 class EdgeClassification:
     """Partition of the edges into back-edges and forward-edges.
 
-    An edge (u, v) is a back-edge when d(s,u) + w(u,v) > d(s,v) and a
-    forward-edge when equality holds; no third case exists on edges whose
-    tail is reachable from s. `back_vertices` collects every endpoint of a
+    An edge is a back-edge when its `edge_slack` is positive and a
+    forward-edge when it is zero; no third case exists on edges whose tail
+    is reachable from s. `back_vertices` collects every endpoint of a
     back-edge.
     """
 
@@ -164,13 +164,6 @@ class LayerAssignment:
     """1-based layer indices: layer(u) = rank of d(s,u) among distinct values."""
 
     layer: dict[int, int]
-    values: tuple[int, ...]
-    by_layer: dict[int, tuple[int, ...]]
-    forward_by_tail_layer: dict[int, tuple[Edge, ...]]
-
-    @property
-    def layer_count(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -248,8 +241,18 @@ def shortest_distances(g: WeightedDigraph) -> DistanceTable:
     return g.distances
 
 
+def edge_slack(d: DistanceTable, u: int, v: int, w: int) -> int | None:
+    """d(s,u) + w(u,v) - d(s,v): positive on a back-edge, zero on a forward
+    edge, None when an endpoint is unreachable from s. The one place that
+    decides back against forward."""
+    du, dv = d.from_s[u], d.from_s[v]
+    if du is None or dv is None:
+        return None
+    return du + w - dv
+
+
 def classify_edges(g: WeightedDigraph, d: DistanceTable) -> EdgeClassification:
-    """Tag each edge back/forward by the defining distance inequality.
+    """Tag each edge back/forward by the sign of its `edge_slack`.
 
     Requires every edge tail to be reachable from s; the caller removes
     unreachable vertices first.
@@ -258,14 +261,14 @@ def classify_edges(g: WeightedDigraph, d: DistanceTable) -> EdgeClassification:
     forward: set[Edge] = set()
     touched: set[int] = set()
     for (u, v), w in g.edges.items():
-        du = d.from_s[u]
-        if du is None:
-            raise ValueError(f"edge ({u}, {v}) has a tail unreachable from s")
-        dv = d.from_s[v]
-        # Relaxation guarantees dv <= du + w, so dv is finite here.
-        if dv is None or du + w < dv:
+        slack = edge_slack(d, u, v, w)
+        # Relaxation guarantees d(s,v) <= d(s,u) + w, so a reachable tail
+        # has a finite head and a non-negative slack.
+        if slack is None or slack < 0:
+            if d.from_s[u] is None:
+                raise ValueError(f"edge ({u}, {v}) has a tail unreachable from s")
             raise AssertionError(f"distance table inconsistent at edge ({u}, {v})")
-        if du + w > dv:
+        if slack:
             back.add((u, v))
             touched.add(u)
             touched.add(v)
@@ -299,28 +302,24 @@ def validate_path(g: WeightedDigraph, path: Path, d: DistanceTable | None = None
     weight = path_weight(g, path)
     if d is None:
         d = shortest_distances(g)
-    uses_back = False
-    for u, v in zip(path, path[1:]):
-        du = d.from_s[u]
-        if du is None:
-            continue  # tail unreachable from s: the edge has no classification
-        # d.from_s[v] is finite whenever d.from_s[u] is (edge relaxation).
-        if du + g.edges[(u, v)] > d.from_s[v]:
-            uses_back = True
-            break
+    uses_back = any(edge_slack(d, u, v, g.edges[(u, v)]) for u, v in zip(path, path[1:]))
     return PathCheck(simple=len(set(path)) == len(path), weight=weight, uses_back_edge=uses_back)
+
+
+def straightness_violations(g: WeightedDigraph, d: DistanceTable) -> list[int]:
+    """Vertices on no shortest s-to-t path, sorted by id; all of them when t
+    is unreachable from s."""
+    from_s, to_t, dst = d.from_s, d.to_t, d.from_s[g.t]
+    return sorted(
+        u
+        for u in g.vertices
+        if from_s[u] is None or to_t[u] is None or from_s[u] + to_t[u] != dst
+    )
 
 
 def is_straight(g: WeightedDigraph, d: DistanceTable) -> bool:
     """True when every vertex lies on at least one shortest s-to-t path."""
-    dst = d.from_s[g.t]
-    if dst is None:
-        return False
-    for u in g.vertices:
-        du, ut = d.from_s[u], d.to_t[u]
-        if du is None or ut is None or du + ut != dst:
-            return False
-    return True
+    return not straightness_violations(g, d)
 
 
 def is_layered(g: WeightedDigraph, d: DistanceTable) -> bool:
@@ -332,22 +331,21 @@ def is_layered(g: WeightedDigraph, d: DistanceTable) -> bool:
 def layering_violations(g: WeightedDigraph, d: DistanceTable) -> tuple[list[Edge], list[Edge]]:
     """Edges of a straight graph that violate layeredness, split by kind.
 
-    An edge violates when it joins equal-distance vertices, or when it
-    increases the distance and spans strictly past some intermediate
-    distance value. Back-edges (d(u) + w > d(v)) come first, then
-    layer-skipping forward edges; both lists are sorted by edge ids.
+    A back-edge (positive `edge_slack`) violates unless it strictly
+    decreases the distance; a forward edge violates when it skips some
+    intermediate distance value. Back-edges come first, then layer-skipping
+    forward edges; both lists are sorted by edge ids.
     """
     values = sorted({d.from_s[u] for u in g.vertices})
     back: list[Edge] = []
     fwd: list[Edge] = []
     for (u, v), w in g.edges.items():
         du, dv = d.from_s[u], d.from_s[v]
-        if du == dv:
-            back.append((u, v))  # positive weight makes any such edge a back-edge
-        elif du < dv:
-            i = bisect.bisect_right(values, du)
-            if i < len(values) and values[i] < du + w:
-                (back if du + w > dv else fwd).append((u, v))
+        if edge_slack(d, u, v, w):
+            if du <= dv:
+                back.append((u, v))
+        elif values[bisect.bisect_right(values, du)] < dv:
+            fwd.append((u, v))
     back.sort()
     fwd.sort()
     return back, fwd
@@ -361,22 +359,9 @@ def layer_assignment(g: WeightedDigraph, d: DistanceTable) -> LayerAssignment:
     """
     if not is_layered(g, d):
         raise ValueError("graph is not (s,t)-layered")
-    values = tuple(sorted({d.from_s[u] for u in g.vertices}))
+    values = sorted({d.from_s[u] for u in g.vertices})
     rank = {val: i + 1 for i, val in enumerate(values)}
-    layer = {u: rank[d.from_s[u]] for u in g.vertices}
-    by_layer: dict[int, list[int]] = {i + 1: [] for i in range(len(values))}
-    for u in sorted(g.vertices):
-        by_layer[layer[u]].append(u)
-    cls = classify_edges(g, d)
-    fwd_by_tail: dict[int, list[Edge]] = {i + 1: [] for i in range(len(values))}
-    for u, v in sorted(cls.forward_edges):
-        fwd_by_tail[layer[u]].append((u, v))
-    return LayerAssignment(
-        layer=layer,
-        values=values,
-        by_layer={k: tuple(v) for k, v in by_layer.items()},
-        forward_by_tail_layer={k: tuple(v) for k, v in fwd_by_tail.items()},
-    )
+    return LayerAssignment(layer={u: rank[d.from_s[u]] for u in g.vertices})
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +371,14 @@ def layer_assignment(g: WeightedDigraph, d: DistanceTable) -> LayerAssignment:
 #   then m lines:     u v w          (w a positive decimal, <= 9 fraction digits)
 #   '#' starts a comment; blank lines are ignored.
 # ---------------------------------------------------------------------------
+
+
+def parse_int(field: str) -> int:
+    """An ASCII integer `-?[0-9]+`. Raises ValueError on anything else,
+    including the '+', '_' and non-ASCII digits that int() alone accepts."""
+    if not (field.isascii() and field.lstrip("-").isdigit()):
+        raise ValueError(f"not an integer: {field!r}")
+    return int(field)  # rejects a repeated '-'
 
 
 def parse_graph(text: str | bytes) -> WeightedDigraph:
@@ -408,7 +401,7 @@ def parse_graph(text: str | bytes) -> WeightedDigraph:
             if len(fields) != 4:
                 raise GraphFormatError("expected header 'n m s t'", lineno)
             try:
-                n, m, s, t = (int(f) for f in fields)
+                n, m, s, t = (parse_int(f) for f in fields)
             except ValueError:
                 raise GraphFormatError("non-integer header field", lineno) from None
             if n < 2:
@@ -424,7 +417,7 @@ def parse_graph(text: str | bytes) -> WeightedDigraph:
         if len(fields) != 3:
             raise GraphFormatError("expected edge line 'u v w'", lineno)
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = parse_int(fields[0]), parse_int(fields[1])
         except ValueError:
             raise GraphFormatError("non-integer vertex id", lineno) from None
         n = header[0]

@@ -25,6 +25,7 @@ from .graph import (
     layering_violations,
     path_weight,
     shortest_distances,
+    straightness_violations,
 )
 
 
@@ -312,11 +313,7 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     if dst is None:
         raise ValueError("no s-to-t path exists")
     trace = ReductionTrace()
-    off = [
-        u
-        for u in sorted(g.vertices)
-        if from_s[u] is None or to_t[u] is None or from_s[u] + to_t[u] != dst
-    ]
+    off = straightness_violations(g, d)
     if not off:
         return g, trace
     out, inn = _working_graph(g)

@@ -19,12 +19,14 @@ from typing import Iterator
 from .disjoint import DisjointPathPair, ForwardDag, two_disjoint_paths
 from .graph import (
     DistanceTable,
+    Edge,
     InternalInvariantError,
     Path,
     SolveOutcome,
     WeightedDigraph,
     classify_edges,
     dijkstra,
+    edge_slack,
     layer_assignment,
     path_weight,
     shortest_distances,
@@ -66,9 +68,7 @@ def back_edge_decomposition(
     if not check.simple or path[0] != g.s or path[-1] != g.t:
         raise ValueError("decomposition needs a simple s-to-t path")
     backs = [
-        i
-        for i, (u, v) in enumerate(zip(path, path[1:]))
-        if d.from_s[u] + g.edges[(u, v)] > d.from_s[v]
+        i for i, (u, v) in enumerate(zip(path, path[1:])) if edge_slack(d, u, v, g.edges[(u, v)])
     ]
     if not backs:
         return None
@@ -79,22 +79,24 @@ def back_edge_decomposition(
 
 
 class _LayeredSearch:
-    """State for one solve: distances, layers, the forward DAG, and memoized
-    disjoint-pair queries for the outer paths."""
+    """State for one solve: distances, layers, the forward DAG with its edges
+    grouped by tail layer, and memoized disjoint-pair queries for the outer
+    paths."""
 
     def __init__(self, g: WeightedDigraph):
         self.g = g
         self.d = shortest_distances(g)
-        self.layers = layer_assignment(g, self.d)  # rejects non-layered input
+        self.lam = layer_assignment(g, self.d).layer  # rejects non-layered input
         self.cls = classify_edges(g, self.d)
         self.dst: int = self.d.from_s[g.t]
         self.dag = ForwardDag.forward_subgraph(g, self.cls)
-        self.lam = self.layers.layer
+        self.forward_by_tail_layer: dict[int, list[Edge]] = {}
+        for u, v in sorted(self.cls.forward_edges):
+            self.forward_by_tail_layer.setdefault(self.lam[u], []).append((u, v))
         # Smallest possible excess of any not-shortest path over d(s,t):
         # every back-edge contributes its own slack, forward edges none.
         self.floor = self.dst + min(
-            (self.d.from_s[u] + w - self.d.from_s[v] for (u, v), w in g.edges.items()
-             if (u, v) in self.cls.back_edges),
+            (edge_slack(self.d, u, v, g.edges[(u, v)]) for u, v in self.cls.back_edges),
             default=0,
         )
         self._pairs: dict[tuple[tuple[int, int], ...], DisjointPathPair | None] = {}
@@ -116,6 +118,27 @@ class _LayeredSearch:
         if key not in self._pairs:
             self._pairs[key] = two_disjoint_paths(self.dag, pair1, pair2)
         return self._pairs[key]
+
+    def waypoint_split(
+        self, a: int, b: int, xp: int, x: int, yp: int, y: int
+    ) -> DisjointPathPair | None:
+        """Disjoint forward paths s -> xp -> x -> a and b -> yp -> y -> t,
+        where (xp, x) and (yp, y) are forward edges whose tails share one
+        layer in range(layer(b), layer(a)).
+
+        Splits at that layer boundary into two disjoint-pair queries: the
+        prefix (s -> xp, b -> yp) lives in layers up to layer(xp), and the
+        suffix (x -> a, y -> t) in layers from layer(x) on, because forward
+        edges advance the layer by exactly one. The halves cannot collide,
+        so concatenating them is sound.
+        """
+        prefix = self.disjoint_pair((self.g.s, xp), (b, yp))
+        if prefix is None:
+            return None
+        suffix = self.disjoint_pair((x, a), (y, self.g.t))
+        if suffix is None:
+            return None
+        return DisjointPathPair(prefix.p1 + suffix.p1, prefix.p2 + suffix.p2)
 
     def middle_endpoint_pairs(self) -> list[tuple[int, int]]:
         """Candidate (a, b) pairs in enumeration order: both incident to a
@@ -160,7 +183,7 @@ class _LayeredSearch:
         """Completed routes of pair (a, b) with their weights, in tuple
         enumeration order; each is checked before it is yielded."""
         g, lam, dag = self.g, self.lam, self.dag
-        by_layer = self.layers.forward_by_tail_layer
+        by_layer = self.forward_by_tail_layer
         for layer in range(lam[b], lam[a]):
             edges_here = by_layer.get(layer, ())
             for xp, x in edges_here:
@@ -171,20 +194,15 @@ class _LayeredSearch:
                         continue
                     if not dag.reaches(b, yp):
                         continue
-                    prefix = self.disjoint_pair((g.s, xp), (b, yp))
-                    if prefix is None:
+                    outer = self.waypoint_split(a, b, xp, x, yp, y)
+                    if outer is None:
                         continue
-                    suffix = self.disjoint_pair((x, a), (y, g.t))
-                    if suffix is None:
-                        continue
-                    p1 = prefix.p1 + suffix.p1
-                    p2 = prefix.p2 + suffix.p2
-                    blocked = (set(p1) | set(p2)) - {a, b}
+                    blocked = (set(outer.p1) | set(outer.p2)) - {a, b}
                     p0 = shortest_path_avoiding(g, blocked, a, b)
                     if p0 is None:
                         continue
                     weight = base + path_weight(g, p0)
-                    full = p1 + p0[1:] + p2[1:]
+                    full = outer.p1 + p0[1:] + outer.p2[1:]
                     _check_candidate(g, self.d, full, weight, self.dst)
                     yield weight, full
 

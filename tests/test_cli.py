@@ -102,6 +102,14 @@ def test_check_shortest_path(capsys, triangle_file, tmp_path):
     assert code == 0 and out.splitlines()[-1] == "SHORTEST"
 
 
+def test_check_rejects_non_ascii_integer_path_ids(capsys, triangle_file, tmp_path):
+    path_file = tmp_path / "p.txt"
+    path_file.write_text("0 1\n+2\n")
+    code, _, err = run(capsys, "check", triangle_file, str(path_file))
+    assert code == 2
+    assert "line 2" in err and "integer vertex ids" in err
+
+
 def test_check_missing_edge(capsys, triangle_file, tmp_path):
     path_file = tmp_path / "p.txt"
     path_file.write_text("2 0\n")
@@ -174,6 +182,18 @@ def test_stats_non_straight_instance(capsys, triangle_file):
     lines = dict(line.split(": ") for line in out.splitlines())
     assert lines["straight"] == "no"
     assert "layering-violations" not in lines
+
+
+def test_stats_counts_edges_with_an_unreachable_tail_as_unclassified(capsys, tmp_path):
+    # 0->2 has slack 2 (back), 0->1 and 1->2 are tight, 3 is cut off from s
+    f = tmp_path / "cut.txt"
+    f.write_text("4 4 0 2\n0 1 1\n1 2 1\n0 2 4\n3 1 1\n")
+    code, out, _ = run(capsys, "stats", str(f))
+    assert code == 0
+    lines = dict(line.split(": ") for line in out.splitlines())
+    assert lines["back-edges"] == "1" and lines["forward-edges"] == "2"
+    assert lines["unclassified-edges"] == "1"
+    assert lines["straight"] == "no"
 
 
 def test_dump_trace_goes_to_stderr(capsys, triangle_file):

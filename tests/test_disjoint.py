@@ -1,4 +1,5 @@
-"""dag-2vdp: pair DP for two vertex-disjoint paths, plus waypoint queries."""
+"""dag-2vdp: pair DP for two vertex-disjoint paths, and the solver's
+waypoint split built on it."""
 from __future__ import annotations
 
 import random
@@ -11,13 +12,12 @@ from nextpath import (
     ForwardDag,
     SharedTerminalError,
     classify_edges,
-    layer_assignment,
     layered_digraph,
     shortest_distances,
     two_disjoint_paths,
-    waypoint_disjoint_paths,
 )
 from nextpath.oracle import exhaustive_two_disjoint_paths
+from nextpath.solver import _LayeredSearch
 
 
 def dag_of(edges, n):
@@ -28,8 +28,7 @@ def dag_of(edges, n):
 
 
 def forward_dag(g):
-    d = shortest_distances(g)
-    return ForwardDag.forward_subgraph(g, classify_edges(g, d)), layer_assignment(g, d)
+    return ForwardDag.forward_subgraph(g, classify_edges(g, shortest_distances(g)))
 
 
 def assert_valid_pair(dag, pair, q1, q2):
@@ -100,14 +99,13 @@ def test_agrees_with_exhaustive_search(trial):
                 assert_valid_pair(dag, got, q[0], q[1])
 
 
-# --- waypoint-constrained queries ---------------------------------------------
+# --- the solver's waypoint split ----------------------------------------------
 
 
 def test_waypoint_parallel_chains():
     g = build_graph(6, PARALLEL_CHAINS, s=0, t=5)
-    dag, lam = forward_dag(g)
     # middle endpoints a=4, b=1; waypoints (3,4) on route 1 and (1,2) on route 2
-    pair = waypoint_disjoint_paths(dag, lam, 4, 1, 3, 4, 1, 2)
+    pair = _LayeredSearch(g).waypoint_split(4, 1, 3, 4, 1, 2)
     assert pair.p1 == (0, 3, 4)
     assert pair.p2 == (1, 2, 5)
 
@@ -116,28 +114,16 @@ def test_waypoint_empty_fragments_at_terminals():
     # prefix query degenerates to an identity-endpoint pair: p1's prefix
     # fragment is the empty path at s
     g = build_graph(6, PARALLEL_CHAINS, s=0, t=5)
-    dag, _ = forward_dag(g)
-    pair = two_disjoint_paths(dag, (0, 0), (1, 1))
+    pair = two_disjoint_paths(forward_dag(g), (0, 0), (1, 1))
     assert pair.p1 == (0,) and pair.p2 == (1,)
-
-
-def test_waypoint_precondition_validation():
-    g = build_graph(6, PARALLEL_CHAINS, s=0, t=5)
-    dag, lam = forward_dag(g)
-    with pytest.raises(ValueError, match="forward edges"):
-        waypoint_disjoint_paths(dag, lam, 4, 1, 3, 5, 1, 2)
-    with pytest.raises(ValueError, match="layer"):
-        waypoint_disjoint_paths(dag, lam, 4, 1, 0, 1, 1, 2)
 
 
 def test_waypoint_prefix_suffix_regions_are_disjoint():
     hits = 0
     for seed in range(12):
         g = layered_digraph(5, 3, 4, seed)
-        d = shortest_distances(g)
-        cls = classify_edges(g, d)
-        dag = ForwardDag.forward_subgraph(g, cls)
-        lam = layer_assignment(g, d)
+        search = _LayeredSearch(g)
+        d, cls, dag, lam = search.d, search.cls, search.dag, search.lam
         vb = sorted(cls.back_vertices)
         fwd = sorted(cls.forward_edges)
         for a in vb:
@@ -146,23 +132,21 @@ def test_waypoint_prefix_suffix_regions_are_disjoint():
                     continue
                 for xp, x in fwd:
                     for yp, y in fwd:
-                        if xp == yp or x == y or lam.layer[xp] != lam.layer[yp]:
+                        if xp == yp or x == y or lam[xp] != lam[yp]:
                             continue
-                        if not (lam.layer[b] <= lam.layer[yp] and lam.layer[x] <= lam.layer[a]):
+                        if not (lam[b] <= lam[yp] and lam[x] <= lam[a]):
                             continue
                         if {xp, x, a} & {b, yp, y}:
                             continue
-                        pair = waypoint_disjoint_paths(dag, lam, a, b, xp, x, yp, y)
+                        pair = search.waypoint_split(a, b, xp, x, yp, y)
                         if pair is None:
                             continue
                         hits += 1
                         assert_valid_pair(dag, pair, (g.s, a), (b, g.t))
-                        cut = lam.layer[x]
-                        p1_pre = [u for u in pair.p1 if lam.layer[u] < cut]
-                        p1_suf = [u for u in pair.p1 if lam.layer[u] >= cut]
-                        assert max(lam.layer[u] for u in p1_pre) < min(
-                            lam.layer[u] for u in p1_suf
-                        )
+                        cut = lam[x]
+                        p1_pre = [u for u in pair.p1 if lam[u] < cut]
+                        p1_suf = [u for u in pair.p1 if lam[u] >= cut]
+                        assert max(lam[u] for u in p1_pre) < min(lam[u] for u in p1_suf)
                         assert xp in p1_pre and x in p1_suf
                         assert yp in pair.p2 and y in pair.p2
     assert hits > 20
@@ -173,12 +157,12 @@ def test_waypoint_feasibility_matches_exhaustive_pair_search():
     b->t paths through (yp, y); feasible iff some pair is disjoint."""
     from nextpath.oracle import _dag_paths
 
-    def exhaustive_waypoint(dag, a, b, xp, x, yp, y):
-        for p1 in _dag_paths(dag, dag.s, a, frozenset()):
+    def exhaustive_waypoint(g, dag, a, b, xp, x, yp, y):
+        for p1 in _dag_paths(dag, g.s, a, frozenset()):
             hops = set(zip(p1, p1[1:]))
             if (xp, x) not in hops:
                 continue
-            for p2 in _dag_paths(dag, b, dag.t, frozenset(p1)):
+            for p2 in _dag_paths(dag, b, g.t, frozenset(p1)):
                 if (yp, y) in set(zip(p2, p2[1:])):
                     return True
         return False
@@ -186,10 +170,8 @@ def test_waypoint_feasibility_matches_exhaustive_pair_search():
     agreements = feasible = 0
     for seed in range(14):
         g = layered_digraph(4 + seed % 3, 2 + seed % 2, 3 + seed % 3, seed * 5 + 1)
-        d = shortest_distances(g)
-        cls = classify_edges(g, d)
-        dag = ForwardDag.forward_subgraph(g, cls)
-        lam = layer_assignment(g, d)
+        search = _LayeredSearch(g)
+        d, cls, dag, lam = search.d, search.cls, search.dag, search.lam
         vb = sorted(cls.back_vertices)
         fwd = sorted(cls.forward_edges)
         for a in vb:
@@ -198,14 +180,14 @@ def test_waypoint_feasibility_matches_exhaustive_pair_search():
                     continue
                 for xp, x in fwd:
                     for yp, y in fwd:
-                        if xp == yp or x == y or lam.layer[xp] != lam.layer[yp]:
+                        if xp == yp or x == y or lam[xp] != lam[yp]:
                             continue
-                        if lam.layer[b] > lam.layer[yp] or lam.layer[x] > lam.layer[a]:
+                        if lam[b] > lam[yp] or lam[x] > lam[a]:
                             continue
                         if {xp, x, a} & {b, yp, y}:
                             continue
-                        got = waypoint_disjoint_paths(dag, lam, a, b, xp, x, yp, y)
-                        want = exhaustive_waypoint(dag, a, b, xp, x, yp, y)
+                        got = search.waypoint_split(a, b, xp, x, yp, y)
+                        want = exhaustive_waypoint(g, dag, a, b, xp, x, yp, y)
                         assert (got is not None) == want, (seed, a, b, xp, x, yp, y)
                         agreements += 1
                         feasible += got is not None

@@ -26,7 +26,7 @@ from nextpath import (
     shortest_path_avoiding,
     validate_path,
 )
-from nextpath.graph import dijkstra
+from nextpath.graph import dijkstra, straightness_violations
 from nextpath.oracle import simple_paths
 
 
@@ -58,6 +58,10 @@ def test_parse_accepts_comments_blank_lines_and_bytes():
         ("1 0 0 0\n", 1, "two vertices"),
         ("2 1 0 1\n0 1 1.1234567891\n", 2, "fractional"),
         ("2 1 0 1\n0 1 9999999999999999999\n", 2, "overflow"),
+        ("1_1 2 0 2\n0 1 1\n1 2 1\n", 1, "non-integer header"),
+        ("3 2 0 +2\n0 1 1\n1 2 1\n", 1, "non-integer header"),
+        ("2 1 0 1\n+0 1 1\n", 2, "non-integer vertex id"),
+        ("2 1 0 1\n0 1 \u0661\n", 2, "positive decimal"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -301,6 +305,14 @@ def test_straight_and_layered_examples():
     assert is_layered(path_graph, d)
 
 
+def test_straightness_violations_lists_vertices_off_every_shortest_path():
+    # 1 lies only on a longer path, 3 is cut off from s, 4 cannot reach t
+    g = build_graph(5, {(0, 1): 2, (1, 2): 1, (0, 2): 2, (3, 2): 1, (0, 4): 1}, s=0, t=2)
+    assert straightness_violations(g, shortest_distances(g)) == [1, 3, 4]
+    no_route = build_graph(3, {(1, 0): 1}, s=0, t=2)
+    assert straightness_violations(no_route, shortest_distances(no_route)) == [0, 1, 2]
+
+
 def test_layered_rejects_skipping_edge():
     g = build_graph(4, {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1}, s=0, t=3)
     d = shortest_distances(g)
@@ -321,7 +333,6 @@ def test_layer_assignment_parallel_chains_share_layers():
     lam = layer_assignment(g, shortest_distances(g))
     assert lam.layer[1] == lam.layer[3] == 2
     assert lam.layer[2] == lam.layer[4] == 3
-    assert lam.by_layer[2] == (1, 3)
 
 
 def test_layer_assignment_rejects_non_layered():

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PARALLEL_CHAINS, TRIANGLE, build_graph
 from nextpath import (
@@ -81,3 +83,29 @@ def test_matches_oracle_including_none_cases():
         assert want.found == got.found
         if want.found:
             assert want.weight == got.weight
+
+
+@st.composite
+def small_instances(draw):
+    """A digraph on 2..7 vertices with weights 1..3 (many ties), s = 0 and
+    t = n - 1. Up to three edges get a reverse twin, forming 2-cycles; the
+    sparse draws leave parts cut off from s or from t."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 3), max_size=14))
+    if edges:
+        for u, v in draw(st.lists(st.sampled_from(sorted(edges)), max_size=3)):
+            edges.setdefault((v, u), draw(st.integers(1, 3)))
+    return build_graph(n, edges)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_instances())
+def test_solve_matches_oracle_on_small_graphs(g):
+    got, want = solve(g), exhaustive_next_to_shortest(g)
+    assert (got.found, got.weight) == (want.found, want.weight)
+    if got.found:
+        check = validate_path(g, got.path)
+        assert (got.path[0], got.path[-1]) == (g.s, g.t)
+        assert check.simple and check.weight == got.weight
+        assert got.weight > shortest_distances(g).from_s[g.t]

@@ -64,6 +64,20 @@ def test_solver_worked_instance():
     assert shortest_distances(g).from_s[5] == 3
 
 
+def test_solver_classifies_edges_once(monkeypatch):
+    calls = []
+
+    def counting(g, d):
+        calls.append(g)
+        return classify_edges(g, d)
+
+    monkeypatch.setattr("nextpath.graph.classify_edges", counting)
+    monkeypatch.setattr("nextpath.solver.classify_edges", counting)
+    g = layered_digraph(5, 3, 4, 1)
+    assert solve_layered(g).found
+    assert calls == [g]
+
+
 def test_solver_rejects_non_layered_input():
     g = build_graph(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, s=0, t=2)
     with pytest.raises(ValueError, match="layered"):
