@@ -49,11 +49,9 @@ from .reduction import (
     TraceError,
     VertexDeletion,
     apply_step,
-    eliminate_vertex,
     layering_potential,
     layerize,
     lift_path,
-    lift_through_elimination,
     straighten,
 )
 from .solver import (

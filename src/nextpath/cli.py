@@ -79,8 +79,9 @@ def _dump_trace(result, g: WeightedDigraph) -> None:
             if isinstance(step, VertexDeletion):
                 print(f"delete {step.vertex}", file=sys.stderr)
             elif isinstance(step, EliminationRecord):
+                removed = " ".join(str(v) for v in sorted(step.vertices))
                 shortcuts = " ".join(f"{u}->{v}" for u, v in sorted(step.shortcut_edges))
-                print(f"eliminate {step.vertex} shortcuts[{shortcuts}]", file=sys.stderr)
+                print(f"eliminate {removed} shortcuts[{shortcuts}]", file=sys.stderr)
             elif isinstance(step, BackEdgeRemoval):
                 print(f"remove-back-edge {step.edge[0]}->{step.edge[1]}", file=sys.stderr)
             elif isinstance(step, SubdivisionRecord):

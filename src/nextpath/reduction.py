@@ -1,26 +1,34 @@
-"""Graph reductions: vertex elimination to a straight graph, then back-edge
+"""Graph reductions: an overlay step to a straight graph, then back-edge
 removal / forward-edge subdivision to a layered graph.
+
+Straightening removes every vertex off all shortest s-to-t paths at once.
+Eliminating a set of vertices is Gaussian elimination in the (min,+)
+semiring (Carré 1971), so the reduced graph has a closed form: the weight
+left on (x, y) between two survivors is min(w(x, y), lightest x-to-y
+detour whose inner vertices are all eliminated) -- the boundary clique of
+a Customizable Route Planning overlay. One Dijkstra per boundary vertex
+(a survivor with an edge into the eliminated set) finds those detours,
+and lifting splices them back in.
 
 Every transformation is logged in a ReductionTrace so that any path in the
 reduced graph can be lifted back to the original graph, and so that
 candidate next-to-shortest paths generated mid-reduction survive in
 original-graph coordinates. Replaying a trace against the original graph
 (`apply_step`, one step at a time) reproduces the reduced graph exactly;
-the reductions themselves make one pass over a mutable working graph and
-never replay.
+the reductions themselves make one pass and never replay.
 """
 from __future__ import annotations
 
 import bisect
-import heapq
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Mapping, Union
 
 from .graph import (
     DistanceTable,
     Edge,
     Path,
     WeightedDigraph,
+    dijkstra,
     is_straight,
     layering_violations,
     path_weight,
@@ -42,19 +50,16 @@ class VertexDeletion:
 
 @dataclass(frozen=True)
 class EliminationRecord:
-    """One vertex elimination: the removed vertex, its neighborhoods, and the
-    shortcut edges that now encode detours through it.
+    """The overlay step: the eliminated vertices, and for each shortcut edge
+    (x, y) between survivors the inner vertices of the detour it encodes.
 
-    An in/out pair (x, y) becomes a shortcut edge when the edge was absent
-    before, or when the detour weight w(x,u)+w(u,y) strictly undercuts the
-    old weight (old weights kept in `replaced_weights`).
+    (x, y) is a shortcut when the edge was absent or heavier than the
+    lightest x-to-y detour through eliminated vertices only; its weight is
+    then that detour's.
     """
 
-    vertex: int
-    in_neighbors: frozenset[int]
-    out_neighbors: frozenset[int]
-    shortcut_edges: frozenset[Edge]
-    replaced_weights: dict[Edge, int] = field(default_factory=dict)
+    vertices: frozenset[int]
+    shortcut_edges: Mapping[Edge, Path]
 
 
 @dataclass(frozen=True)
@@ -81,90 +86,23 @@ class ReductionTrace:
     """Ordered transformation log plus candidate paths found along the way.
 
     Candidates are stored in the coordinates of the graph the reduction
-    started from (lifted eagerly at creation), with weights measured there.
+    started from, with weights measured there.
     """
 
     steps: list[Step] = field(default_factory=list)
     candidates: list[tuple[Path, int]] = field(default_factory=list)
 
 
-def eliminate_vertex(
-    g: WeightedDigraph, u: int, d: DistanceTable | None = None
-) -> tuple[WeightedDigraph, EliminationRecord]:
-    """Remove u, wiring its in-neighbors to its out-neighbors.
-
-    A new edge (x, y) gets weight w(x,u)+w(u,y); an existing one keeps
-    min(old, detour). Distances between surviving vertices are unchanged.
-    Requires u off every shortest s-to-t path but on some s-to-t walk:
-    d(s,u) + d(u,t) must be finite and exceed d(s,t).
-    """
-    if u not in g.vertices:
-        raise ValueError(f"vertex {u} not in graph")
-    if u in (g.s, g.t):
-        raise ValueError("cannot eliminate a terminal")
-    if d is None:
-        d = shortest_distances(g)
-    du, ut, dst = d.from_s[u], d.to_t[u], d.from_s[g.t]
-    if du is None or ut is None:
-        raise ValueError(f"vertex {u} is not on any s-to-t walk")
-    if dst is not None and du + ut <= dst:
-        raise ValueError(f"vertex {u} lies on a shortest path; elimination would lose it")
-    g2, rec = _eliminate(g, u)
-    return g2, rec
-
-
-def _eliminate(g: WeightedDigraph, u: int) -> tuple[WeightedDigraph, EliminationRecord]:
-    in_nbrs = frozenset(x for x, _ in g.adj_in[u])
-    out_nbrs = frozenset(y for y, _ in g.adj_out[u])
-    edges = {e: w for e, w in g.edges.items() if u not in e}
-    shortcuts: set[Edge] = set()
-    replaced: dict[Edge, int] = {}
-    for x in in_nbrs:
-        wxu = g.edges[(x, u)]
-        for y in out_nbrs:
-            if x == y:
-                continue
-            detour = wxu + g.edges[(u, y)]
-            old = edges.get((x, y))
-            if old is None:
-                edges[(x, y)] = detour
-                shortcuts.add((x, y))
-            elif detour < old:
-                edges[(x, y)] = detour
-                shortcuts.add((x, y))
-                replaced[(x, y)] = old
-    g2 = g.replace(vertices=g.vertices - {u}, edges=edges)
-    return g2, EliminationRecord(u, in_nbrs, out_nbrs, frozenset(shortcuts), replaced)
-
-
-def lift_through_elimination(rec: EliminationRecord, path: Path) -> Path:
-    """Map a path of the reduced graph back before the elimination.
-
-    If the path crosses no shortcut edge it is already valid. Otherwise the
-    whole stretch from the first shortcut edge to the last is replaced by
-    the detour through the removed vertex; the result is a simple path of
-    weight at most the reduced path's weight.
-    """
-    hits = [
-        i for i, e in enumerate(zip(path, path[1:])) if e in rec.shortcut_edges
-    ]
-    if not hits:
-        return path
-    first, last = hits[0], hits[-1]
-    return path[: first + 1] + (rec.vertex,) + path[last + 1 :]
-
-
 def apply_step(g: WeightedDigraph, step: Step) -> WeightedDigraph:
     """Replay one recorded transformation step (the reference the one-pass
     reductions are tested against; they do not call it)."""
     if isinstance(step, VertexDeletion):
-        u = step.vertex
-        return g.replace(
-            vertices=g.vertices - {u},
-            edges={e: w for e, w in g.edges.items() if u not in e},
-        )
+        step = EliminationRecord(frozenset({step.vertex}), {})
     if isinstance(step, EliminationRecord):
-        return _eliminate(g, step.vertex)[0]
+        edges = {e: w for e, w in g.edges.items() if step.vertices.isdisjoint(e)}
+        for (x, y), inner in step.shortcut_edges.items():
+            edges[(x, y)] = path_weight(g, (x, *inner, y))
+        return g.replace(vertices=g.vertices - step.vertices, edges=edges)
     if isinstance(step, BackEdgeRemoval):
         edges = dict(g.edges)
         del edges[step.edge]
@@ -185,22 +123,47 @@ def lift_path(trace: ReductionTrace, path: Path) -> Path:
 
     Replays the steps in reverse: subdivision chains contract to their
     original edge (weight-preserving), edge removals and vertex deletions
-    pass the path through unchanged, and each elimination splices the
-    removed vertex back across its shortcut edges. The result is valid in
-    the trace's input graph with weight at most the reduced path's weight.
+    pass the path through unchanged, and an elimination splices each
+    shortcut's detour back in. The result is valid in the trace's input
+    graph with weight at most the reduced path's weight.
     """
     for step in reversed(trace.steps):
         if isinstance(step, (VertexDeletion, BackEdgeRemoval)):
             continue
         if isinstance(step, EliminationRecord):
-            if step.vertex in path:
-                raise TraceError(f"path already contains eliminated vertex {step.vertex}")
-            path = lift_through_elimination(step, path)
+            if not step.vertices.isdisjoint(path):
+                raise TraceError(f"path {path} already contains an eliminated vertex")
+            path = _splice(step, path)
         elif isinstance(step, SubdivisionRecord):
             path = _contract_chain(step, path)
         else:
             raise TypeError(f"unknown step {step!r}")
     return path
+
+
+def _splice(step: EliminationRecord, path: Path) -> Path:
+    """Replace each shortcut edge of `path` by its detour, then cut every
+    loop two detours close, keeping a vertex's first occurrence.
+
+    Positive weights make the cut path no heavier. The path's own vertices
+    are distinct, so a repeated vertex is an eliminated one and the cut
+    keeps it: a lifted path that was not shortest stays not shortest.
+    """
+    walk = [path[0]]
+    for e in zip(path, path[1:]):
+        walk += step.shortcut_edges.get(e, ())
+        walk.append(e[1])
+    out: list[int] = []
+    at: dict[int, int] = {}
+    for v in walk:
+        if v in at:
+            for u in out[at[v] + 1 :]:
+                del at[u]
+            del out[at[v] + 1 :]
+        else:
+            at[v] = len(out)
+            out.append(v)
+    return tuple(out)
 
 
 def _contract_chain(step: SubdivisionRecord, path: Path) -> Path:
@@ -230,38 +193,9 @@ def _contract_chain(step: SubdivisionRecord, path: Path) -> Path:
     return tuple(out)
 
 
-# The working graph of a reduction: out[u][v] == inn[v][u] == w(u, v).
-Adjacency = dict[int, dict[int, int]]
-
-
-def _working_graph(g: WeightedDigraph) -> tuple[Adjacency, Adjacency]:
-    out: Adjacency = {u: {} for u in g.vertices}
-    inn: Adjacency = {u: {} for u in g.vertices}
-    for (u, v), w in g.edges.items():
-        out[u][v] = w
-        inn[v][u] = w
-    return out, inn
-
-
-def _freeze(g: WeightedDigraph, out: Adjacency) -> WeightedDigraph:
-    return g.replace(
-        vertices=out,
-        edges={(u, v): w for u, nbrs in out.items() for v, w in nbrs.items()},
-    )
-
-
-def _unlink(out: Adjacency, inn: Adjacency, u: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Remove u and its edges from the working graph; return its in- and
-    out-edges."""
-    ins, outs = inn.pop(u), out.pop(u)
-    for x in ins:
-        del out[x][u]
-    for y in outs:
-        del inn[y][u]
-    return ins, outs
-
-
-def _tight_walk(adj: Adjacency, dist: dict[int, int | None], v: int, end: int) -> list[int]:
+def _tight_walk(
+    adj: Mapping[int, tuple[tuple[int, int], ...]], dist: Mapping[int, int | None], v: int, end: int
+) -> list[int]:
     """Walk from v to `end`, each time to the smallest-id neighbor z with
     dist[z] + w == dist[current].
 
@@ -272,40 +206,44 @@ def _tight_walk(adj: Adjacency, dist: dict[int, int | None], v: int, end: int) -
     walk = [v]
     while v != end:
         dv = dist[v]
-        v = min(z for z, w in adj[v].items() if dist[z] is not None and dist[z] + w == dv)
+        v = next(z for z, w in adj[v] if dist[z] is not None and dist[z] + w == dv)
         walk.append(v)
     return walk
 
 
-def _tree_path(
-    g: WeightedDigraph, out: Adjacency, inn: Adjacency, d: DistanceTable, x: int, mid: Path, y: int
-) -> Path:
+def _tree_path(g: WeightedDigraph, d: DistanceTable, x: int, mid: Path, y: int) -> Path:
     """s -> x along the smallest-id shortest-path tree from s, then `mid`,
-    then y -> t along the smallest-id shortest-path tree to t."""
-    to_x = _tight_walk(inn, d.from_s, x, g.s)
-    return (*reversed(to_x), *mid, *_tight_walk(out, d.to_t, y, g.t))
+    then y -> t along the smallest-id shortest-path tree to t, all in g.
+
+    The reductions call this on their input graph while they change a copy:
+    they never add, remove or reweigh a tight edge at a vertex of a
+    shortest path, so the trees are the same in both.
+    """
+    to_x = _tight_walk(g.adj_in, d.from_s, x, g.s)
+    return (*reversed(to_x), *mid, *_tight_walk(g.adj_out, d.to_t, y, g.t))
 
 
 def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     """Reduce to a graph where every vertex lies on a shortest s-to-t path.
 
-    Visits the vertices violating straightness once, in ascending id order:
-    those that cannot reach both terminals are deleted, the others are
-    eliminated. When an eliminated vertex's detour (x,u),(u,y) loses to an
-    existing edge (x,y) that sits on a shortest path, the detour path
-    s->x, (x,u,y), y->t along the smallest-id shortest-path trees is
-    recorded as a candidate next-to-shortest path (in original
-    coordinates), because the reduced graph can no longer represent it.
+    The vertices violating straightness that cannot reach both terminals
+    are deleted, in ascending id order; no path between two survivors can
+    use them. The others, the inner set, are eliminated in one overlay
+    step. For each survivor x with an edge into the inner set, one Dijkstra
+    over x's edges into the inner set and the inner vertices' out-edges
+    never expands a survivor, so each survivor y != x it settles comes with
+    its lightest x-to-y detour through inner vertices only. (x, y) becomes
+    a shortcut of that weight when it was absent or heavier. When (x, y)
+    is instead a tight edge lighter than the detour, the path s -> x, the
+    detour, y -> t along the smallest-id shortest-path trees is recorded as
+    a candidate next-to-shortest path, because the reduced graph can no
+    longer represent it. It is simple: the tree paths hold survivors only
+    and lie on either side of the tight edge.
 
-    Distances are computed once, on the input, and the steps mutate a
-    working copy that is frozen once, at the end. This is sound because
-    deleting or eliminating a non-straight vertex keeps d(s,.) and d(.,t) of
-    every vertex on an s-to-t walk; a vertex can lose a finite distance only
-    when its other one is already infinite, and it is deleted either way.
-    So the set of non-straight vertices never changes, and every distance
-    read here is the input's. An elimination adds, replaces or removes no
-    tight edge at a vertex of a shortest path (that would put u on a
-    shortest path), so the trees are the same after it as before.
+    Distances are computed once, on the input. Removing vertices off every
+    shortest path keeps d(s,.) and d(.,t) of each survivor, and leaves the
+    same graph as eliminating the inner vertices one at a time, which is
+    Gaussian elimination in the (min,+) semiring.
     """
     d = shortest_distances(g)
     from_s, to_t = d.from_s, d.to_t
@@ -316,65 +254,40 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     off = straightness_violations(g, d)
     if not off:
         return g, trace
-    out, inn = _working_graph(g)
-    origin: dict[Edge, int] = {}  # edge -> index of the last elimination that set it
-    for u in off:
-        if from_s[u] is None or to_t[u] is None:
-            _unlink(out, inn, u)
-            trace.steps.append(VertexDeletion(u))
-            continue
-        ins, outs = _unlink(out, inn, u)
-        shortcuts: set[Edge] = set()
-        replaced: dict[Edge, int] = {}
-        detours: list[Edge] = []
-        for x, wxu in ins.items():
-            out_x, dx = out[x], from_s[x]
-            for y, wuy in outs.items():
-                if x == y:
+    inner = {u for u in off if from_s[u] is not None and to_t[u] is not None}
+    trace.steps += [VertexDeletion(u) for u in off if u not in inner]
+    gone = frozenset(off)
+    edges = {e: w for e, w in g.edges.items() if gone.isdisjoint(e)}
+    if inner:
+        inner_out = {u: g.adj_out[u] for u in inner}
+        into: dict[int, list[tuple[int, int]]] = {}
+        for u in sorted(inner):
+            for x, w in g.adj_in[u]:
+                if x not in gone:
+                    into.setdefault(x, []).append((u, w))
+        shortcuts: dict[Edge, Path] = {}
+        for x in sorted(into):
+            dist, parent = dijkstra({**inner_out, x: into[x]}, x)
+            for y in sorted(dist):
+                if y == x or y in gone:
                     continue
-                old, detour = out_x.get(y), wxu + wuy
+                old, detour = edges.get((x, y)), dist[y]
                 if old is None or detour < old:
-                    out_x[y] = inn[y][x] = detour
-                    shortcuts.add((x, y))
-                    if old is not None:
-                        replaced[(x, y)] = old
-                elif old < detour:
-                    yt = to_t[y]
-                    if dx is not None and yt is not None and dx + old + yt == dst:
-                        detours.append((x, y))  # (x, y) lies on a shortest path
-        for x, y in sorted(detours):
-            lifted = _lift(trace.steps, origin, _tree_path(g, out, inn, d, x, (u,), y))
-            trace.candidates.append((lifted, path_weight(g, lifted)))
-        origin.update(dict.fromkeys(shortcuts, len(trace.steps)))
-        trace.steps.append(
-            EliminationRecord(u, frozenset(ins), frozenset(outs), frozenset(shortcuts), replaced)
-        )
-    return _freeze(g, out), trace
+                    edges[(x, y)] = detour
+                    shortcuts[(x, y)] = _detour(parent, x, y)
+                elif old < detour and from_s[x] + old + to_t[y] == dst:
+                    candidate = _tree_path(g, d, x, _detour(parent, x, y), y)
+                    trace.candidates.append((candidate, path_weight(g, candidate)))
+        trace.steps.append(EliminationRecord(frozenset(inner), shortcuts))
+    return g.replace(vertices=g.vertices - gone, edges=edges), trace
 
 
-def _lift(steps: list[Step], origin: dict[Edge, int], path: Path) -> Path:
-    """`lift_path` of a path of the current working graph.
-
-    Only an elimination that set one of the path's edges can change it, so
-    only those are visited, highest step first; each splice adds two edges
-    through the restored vertex, whose origins join the queue.
-    """
-    queued = {origin[e] for e in zip(path, path[1:]) if e in origin}
-    heap = [-k for k in queued]
-    heapq.heapify(heap)
-    while heap:
-        rec = steps[-heapq.heappop(heap)]
-        lifted = lift_through_elimination(rec, path)
-        if lifted is path:
-            continue
-        path = lifted
-        i = path.index(rec.vertex)
-        for e in ((path[i - 1], rec.vertex), (rec.vertex, path[i + 1])):
-            k = origin.get(e)
-            if k is not None and k not in queued:
-                queued.add(k)
-                heapq.heappush(heap, -k)
-    return path
+def _detour(parent: dict[int, int], x: int, y: int) -> Path:
+    """The inner vertices of the Dijkstra tree path from x to y."""
+    walk = [parent[y]]
+    while walk[-1] != x:
+        walk.append(parent[walk[-1]])
+    return tuple(reversed(walk[:-1]))
 
 
 def layering_potential(g: WeightedDigraph, d: DistanceTable) -> int:
@@ -399,8 +312,8 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     * a layer-skipping forward edge is subdivided into a chain with one
       fresh vertex per skipped distance value.
 
-    Distances are computed once, on the input, and the violations are
-    listed once. Removing a back-edge and subdividing a forward edge keep
+    Distances are computed once, on the input, the violations are listed
+    once, and the steps edit one copy of the edge map. Removing a back-edge and subdividing a forward edge keep
     d(s,.) and d(.,t) of every vertex and the set of distinct distance
     values; each step fixes exactly one violation and creates none. A
     removed back-edge is never tight, so the trees the candidates follow
@@ -415,22 +328,22 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     if not back and not fwd:
         return g, trace
     from_s = d.from_s
-    out, inn = _working_graph(g)
+    edges = dict(g.edges)
     for u, v in back:
-        candidate = _tree_path(g, out, inn, d, u, (), v)
+        candidate = _tree_path(g, d, u, (), v)
         trace.candidates.append((candidate, path_weight(g, candidate)))
-        del out[u][v], inn[v][u]
+        del edges[(u, v)]
         trace.steps.append(BackEdgeRemoval((u, v)))
     values = sorted(set(from_s.values()))
-    fresh = max(g.vertices) + 1
+    first = fresh = max(g.vertices) + 1
     for u, v in fwd:
         du, dv = from_s[u], from_s[v]
         qs = values[bisect.bisect_right(values, du) : bisect.bisect_left(values, dv)]
         chain = tuple(range(fresh, fresh + len(qs)))
         fresh += len(qs)
-        del out[u][v], inn[v][u]
+        del edges[(u, v)]
         nodes, q_values = (u, *chain, v), (du, *qs, dv)
         for a, b, qa, qb in zip(nodes, nodes[1:], q_values, q_values[1:]):
-            out.setdefault(a, {})[b] = inn.setdefault(b, {})[a] = qb - qa
+            edges[(a, b)] = qb - qa
         trace.steps.append(SubdivisionRecord((u, v), chain, q_values))
-    return _freeze(g, out), trace
+    return g.replace(vertices=g.vertices.union(range(first, fresh)), edges=edges), trace

@@ -74,3 +74,25 @@ def bellman_ford_from(g, source):
         if not changed:
             break
     return dist
+
+
+def edge_bound(g):
+    """min d(s,u) + w(u,v) + d(v,t) over the edges whose sum is finite and
+    exceeds d(s,t), or None when no edge qualifies; distances by
+    Bellman-Ford.
+
+    Every not-shortest simple s-t path uses such an edge and weighs at
+    least its sum, so this bounds the answer from below on any graph. On a
+    DAG every walk is simple and the walk s->u, (u,v), v->t along shortest
+    paths realizes the sum, so there the bound is the answer.
+    """
+    from_s = bellman_ford_from(g, g.s)
+    rev = WeightedDigraph(g.vertices, {(v, u): w for (u, v), w in g.edges.items()}, g.t, g.s)
+    to_t = bellman_ford_from(rev, g.t)
+    dst = from_s[g.t]
+    sums = [
+        from_s[u] + w + to_t[v]
+        for (u, v), w in g.edges.items()
+        if from_s[u] is not None and to_t[v] is not None
+    ]
+    return min((x for x in sums if x > dst), default=None)

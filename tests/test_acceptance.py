@@ -22,7 +22,6 @@ from nextpath import (
     layering_potential,
     layerize,
     lift_path,
-    lift_through_elimination,
     random_digraph,
     shortest_distances,
     solve,
@@ -264,11 +263,8 @@ def _lift_and_flag_shortcuts(tr_l, tr_s, path):
     for trace in (tr_l, tr_s):
         for step in reversed(trace.steps):
             if isinstance(step, EliminationRecord):
-                if any(e in step.shortcut_edges for e in zip(path, path[1:])):
-                    crossed = True
-                path = lift_through_elimination(step, path)
-            else:
-                path = lift_path(ReductionTrace(steps=[step]), path)
+                crossed |= any(e in step.shortcut_edges for e in zip(path, path[1:]))
+            path = lift_path(ReductionTrace(steps=[step]), path)
     return path, crossed
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PARALLEL_CHAINS, TRIANGLE, build_graph
+from conftest import PARALLEL_CHAINS, TRIANGLE, build_graph, edge_bound
 from nextpath import (
     exhaustive_next_to_shortest,
     layered_digraph,
@@ -109,3 +109,34 @@ def test_solve_matches_oracle_on_small_graphs(g):
         assert (got.path[0], got.path[-1]) == (g.s, g.t)
         assert check.simple and check.weight == got.weight
         assert got.weight > shortest_distances(g).from_s[g.t]
+
+
+@st.composite
+def dags(draw):
+    """An acyclic digraph on 2..60 vertices with s = 0 and t = n - 1: every
+    edge (u, v) has u < v <= u + 5, so most draws connect s to t, and
+    weights 1..4 tie often."""
+    n = draw(st.integers(2, 60))
+    edge = st.tuples(st.integers(0, n - 2), st.integers(1, 5), st.integers(1, 4))
+    drawn = draw(st.lists(edge, min_size=2 * n, max_size=3 * n))
+    return build_graph(n, {(u, min(u + k, n - 1)): w for u, k, w in drawn})
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(dags())
+def test_solve_on_a_dag_is_the_edge_bound(g):
+    """Every walk of a DAG is simple, so the lightest not-shortest path is
+    the lightest edge detour."""
+    got, bound = solve(g), edge_bound(g)
+    assert got.weight == bound
+    assert got.found == (bound is not None)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_instances())
+def test_edge_bound_is_a_lower_bound(g):
+    got, bound = solve(g), edge_bound(g)
+    if bound is None:
+        assert not got.found
+    elif got.found:
+        assert got.weight >= bound

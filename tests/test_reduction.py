@@ -1,21 +1,22 @@
-"""reduction: vertex elimination, layerization, traces and lifting."""
+"""reduction: straightening, layerization, traces and lifting."""
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_graph, floyd_warshall, skip_edge_graph
 from nextpath import (
     BackEdgeRemoval,
     EliminationRecord,
-    ReductionTrace,
     SubdivisionRecord,
     TraceError,
     VertexDeletion,
     WeightedDigraph,
     apply_step,
-    eliminate_vertex,
     exhaustive_next_to_shortest,
     is_layered,
     is_straight,
@@ -23,7 +24,6 @@ from nextpath import (
     layered_digraph,
     layerize,
     lift_path,
-    lift_through_elimination,
     path_weight,
     random_digraph,
     shortest_distances,
@@ -32,89 +32,103 @@ from nextpath import (
     validate_path,
 )
 from nextpath import reduction
-from nextpath.graph import layering_violations
+from nextpath.graph import layering_violations, straightness_violations
 from nextpath.oracle import simple_paths
 
 
-# --- vertex elimination -------------------------------------------------------
+# --- the overlay step ----------------------------------------------------------
 
 
 def test_eliminate_keeps_cheaper_existing_edge():
-    # detour through u costs 4, the direct edge costs 1: min rule keeps 1,
+    # detour through 1 costs 4, the direct edge costs 1: min rule keeps 1,
     # and (s, t) is not a shortcut edge
     g = build_graph(3, {(0, 1): 2, (1, 2): 2, (0, 2): 1}, s=0, t=2)
-    g2, rec = eliminate_vertex(g, 1)
+    g2, trace = straighten(g)
     assert g2.edges == {(0, 2): 1}
-    assert rec.shortcut_edges == frozenset()
-    assert rec.in_neighbors == {0} and rec.out_neighbors == {2}
+    assert trace.steps == [EliminationRecord(frozenset({1}), {})]
 
 
 def test_eliminate_creates_shortcut_for_absent_edge():
     # no direct s-t edge; a disjoint shortest route keeps the graph connected
     g = build_graph(4, {(0, 1): 2, (1, 3): 2, (0, 2): 1, (2, 3): 1}, s=0, t=3)
-    g2, rec = eliminate_vertex(g, 1)
-    assert g2.edges[(0, 3)] == 4
-    assert rec.shortcut_edges == {(0, 3)}
-
-
-def test_eliminate_preconditions():
-    g = build_graph(3, {(0, 1): 1, (1, 2): 1}, s=0, t=2)
-    with pytest.raises(ValueError, match="shortest path"):
-        eliminate_vertex(g, 1)  # vertex 1 lies on the only shortest path
-    with pytest.raises(ValueError, match="terminal"):
-        eliminate_vertex(g, 0)
+    g2, trace = straighten(g)
+    assert g2.edges == {(0, 2): 1, (2, 3): 1, (0, 3): 4}
+    assert trace.steps == [EliminationRecord(frozenset({1}), {(0, 3): (1,)})]
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_eliminate_preserves_surviving_distances(seed):
     g = random_digraph(7, 0.45, 4, seed)
-    d = shortest_distances(g)
-    dst = d.from_s[g.t]
-    if dst is None:
+    if shortest_distances(g).from_s[g.t] is None:
         pytest.skip("no s-t path")
-    before = floyd_warshall(g)
-    for u in sorted(g.vertices):
-        du, ut = d.from_s[u], d.to_t[u]
-        if u in (g.s, g.t) or du is None or ut is None or du + ut <= dst:
-            continue
-        g2, _ = eliminate_vertex(g, u, d)
-        after = floyd_warshall(g2)
-        for x in g2.vertices:
-            for y in g2.vertices:
-                assert before[(x, y)] == after[(x, y)], (seed, u, x, y)
+    g2, _ = straighten(g)
+    before, after = floyd_warshall(g), floyd_warshall(g2)
+    for x in g2.vertices:
+        for y in g2.vertices:
+            assert before[(x, y)] == after[(x, y)], (seed, x, y)
 
 
-# --- lifting through one elimination -------------------------------------------
+# --- lifting through the overlay step -------------------------------------------
 
 
 def test_lift_identity_without_shortcuts():
     g = build_graph(3, {(0, 1): 2, (1, 2): 2, (0, 2): 1}, s=0, t=2)
-    _, rec = eliminate_vertex(g, 1)
-    assert lift_through_elimination(rec, (0, 2)) == (0, 2)
+    _, trace = straighten(g)
+    assert lift_path(trace, (0, 2)) == (0, 2)
 
 
 def test_lift_single_shortcut():
     g = build_graph(4, {(0, 1): 2, (1, 3): 2, (0, 2): 1, (2, 3): 1}, s=0, t=3)
-    g2, rec = eliminate_vertex(g, 1)
-    lifted = lift_through_elimination(rec, (0, 3))
+    g2, trace = straighten(g)
+    lifted = lift_path(trace, (0, 3))
     assert lifted == (0, 1, 3)
     assert path_weight(g, lifted) == g2.edges[(0, 3)] == 4
+    with pytest.raises(TraceError):
+        lift_path(trace, (0, 1, 3))  # 1 is eliminated
 
 
 def test_lift_across_two_shortcuts():
-    # frozen by seed search: eliminating 5 yields a reduced path crossing two
-    # shortcut edges; the lift splices 5 between the first and the last
-    g = random_digraph(7, 0.45, 4, 0)
-    d = shortest_distances(g)
-    g2, rec = eliminate_vertex(g, 5, d)
-    reduced = (0, 3, 1, 2, 6)
-    hits = [e for e in zip(reduced, reduced[1:]) if e in rec.shortcut_edges]
-    assert len(hits) == 2
-    assert path_weight(g2, reduced) == 13
-    lifted = lift_through_elimination(rec, reduced)
-    assert lifted == (0, 3, 5, 2, 6)
+    # frozen by seed search: a reduced path crossing two shortcut edges,
+    # each spliced back to its own detour
+    g = random_digraph(8, 0.45, 4, 58)
+    g2, trace = straighten(g)
+    (rec,) = trace.steps
+    reduced = (0, 1, 2, 7)
+    assert [e for e in zip(reduced, reduced[1:]) if e in rec.shortcut_edges] == [(0, 1), (2, 7)]
+    lifted = lift_path(trace, reduced)
+    assert lifted == (0, 4, 1, 2, 5, 7)
+    assert path_weight(g, lifted) == path_weight(g2, reduced) == 12
+
+
+def test_lift_cuts_the_loop_two_detours_close():
+    # frozen by seed search: the detours of (1, 5) and (5, 7) both pass
+    # through 8, so splicing gives 0 1 8 5 8 6 7 4 9; the cut keeps the
+    # first 8 and drops the loop 8 5 8
+    g = random_digraph(10, 0.5, 1, 44)
+    g2, trace = straighten(g)
+    (rec,) = trace.steps
+    assert rec.shortcut_edges[(1, 5)] == (8,) and rec.shortcut_edges[(5, 7)] == (8, 6)
+    lifted = lift_path(trace, (0, 1, 5, 7, 4, 9))
+    assert lifted == (0, 1, 8, 6, 7, 4, 9)
     assert validate_path(g, lifted).simple
-    assert path_weight(g, lifted) == 10 <= 13
+    assert path_weight(g, lifted) < path_weight(g2, (0, 1, 5, 7, 4, 9))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.integers(6, 13), st.integers(1, 4), st.integers(0, 10**6))
+@example(10, 1, 44)
+def test_lift_through_straighten_gives_no_heavier_simple_paths(n, w_max, seed):
+    """Every simple s-t path of the straightened graph lifts to a simple
+    s-t path of the input that weighs no more."""
+    g = random_digraph(n, 0.5, w_max, seed)
+    if shortest_distances(g).from_s[g.t] is None:
+        return
+    g2, trace = straighten(g)
+    for path, w in islice(simple_paths(g2, g2.s, g2.t, budget=None), 60):
+        lifted = lift_path(trace, path)
+        check = validate_path(g, lifted)
+        assert (lifted[0], lifted[-1]) == (g.s, g.t)
+        assert check.simple and check.weight <= w
 
 
 # --- straighten -----------------------------------------------------------------
@@ -230,24 +244,47 @@ def _tree_paths(g, d, x, y):
     return tuple(reversed(head)), tuple(tail)
 
 
-def _detour_candidates(g, cur, u, done):
-    """The candidates of eliminating u from cur, by definition and with fresh
-    distances: in ascending (x, y) order, every edge (x, y) on a shortest
-    path that is cheaper than its detour through u gives the path along the
-    trees through (x, u, y), lifted through the steps `done` before."""
+def _lightest_detour(cur, inner, x, y):
+    """Weight of the lightest x-to-y path of cur whose inner vertices all lie
+    in `inner`, by enumeration, or None."""
+    keep = inner | {x, y}
+    edges = {(u, v): w for (u, v), w in cur.edges.items() if u in keep and v in keep}
+    edges.pop((x, y), None)
+    sub = WeightedDigraph(frozenset(keep), edges, x, y)
+    return min((w for _, w in simple_paths(sub, x, y, budget=None)), default=None)
+
+
+def _check_overlay(g, cur, step, candidates):
+    """The overlay step replayed on cur, by definition and with fresh
+    distances. A pair of survivors (x, y) is a shortcut exactly when the
+    lightest detour through the eliminated vertices undercuts w(x, y) or
+    the edge is absent, and it records such a detour. In ascending (x, y)
+    order, every tight edge lighter than its lightest detour gives one
+    candidate: s -> x, a lightest detour, y -> t along the smallest-id
+    trees."""
     d = shortest_distances(cur)
     dst = d.from_s[cur.t]
-    found = []
-    for x, wxu in cur.adj_in[u]:
-        for y, wuy in cur.adj_out[u]:
-            wxy, dx, yt = cur.edges.get((x, y)), d.from_s[x], d.to_t[y]
-            if wxy is None or wxy >= wxu + wuy or dx is None or yt is None:
+    survivors = sorted(cur.vertices - step.vertices)
+    expected = []
+    for x in survivors:
+        for y in survivors:
+            detour = _lightest_detour(cur, step.vertices, x, y) if x != y else None
+            old = cur.edges.get((x, y))
+            if detour is not None and (old is None or detour < old):
+                inner = step.shortcut_edges[(x, y)]
+                assert set(inner) <= step.vertices
+                assert path_weight(cur, (x, *inner, y)) == detour
                 continue
-            if dx + wxy + yt == dst:
-                head, tail = _tree_paths(cur, d, x, y)
-                lifted = lift_path(ReductionTrace(list(done)), head + (u,) + tail)
-                found.append((lifted, path_weight(g, lifted)))
-    return found
+            assert (x, y) not in step.shortcut_edges
+            if detour is not None and old < detour and d.from_s[x] + old + d.to_t[y] == dst:
+                expected.append((x, y, detour))
+    assert len(candidates) == len(expected)
+    for (path, w), (x, y, detour) in zip(candidates, expected):
+        head, tail = _tree_paths(cur, d, x, y)
+        mid = path[len(head) : len(path) - len(tail)]
+        assert path[: len(head)] == head and path[len(path) - len(tail) :] == tail
+        assert set(mid) <= step.vertices
+        assert w == path_weight(g, path) == d.from_s[x] + detour + d.to_t[y]
 
 
 def test_trace_replay_reproduces_reduced_graphs():
@@ -263,10 +300,19 @@ def test_trace_replay_reproduces_reduced_graphs():
             continue
         solved += 1
         g_s, tr_s = straighten(g)
-        cur, expected = g, []
-        for i, step in enumerate(tr_s.steps):
+        # cut-off vertices are deleted first, then one overlay step
+        # eliminates the rest of the non-straight vertices
+        off = straightness_violations(g, d0)
+        deleted = [u for u in off if d0.from_s[u] is None or d0.to_t[u] is None]
+        inner = frozenset(off) - set(deleted)
+        assert tr_s.steps[: len(deleted)] == [VertexDeletion(u) for u in deleted]
+        assert [step.vertices for step in tr_s.steps[len(deleted) :]] == [inner] * bool(inner)
+        if not inner:
+            assert tr_s.candidates == []
+        cur = g
+        for step in tr_s.steps:
             if isinstance(step, EliminationRecord):
-                expected += _detour_candidates(g, cur, step.vertex, tr_s.steps[:i])
+                _check_overlay(g, cur, step, tr_s.candidates)
             cur = apply_step(cur, step)
             d = shortest_distances(cur)
             for v in cur.vertices:
@@ -276,7 +322,6 @@ def test_trace_replay_reproduces_reduced_graphs():
                 if d0.from_s[v] is not None and d0.to_t[v] is not None:
                     assert (d.from_s[v], d.to_t[v]) == (d0.from_s[v], d0.to_t[v])
         assert cur == g_s
-        assert tr_s.candidates == expected
 
         g_l, tr_l = layerize(g_s)
         d1 = shortest_distances(g_s)
