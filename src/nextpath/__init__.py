@@ -18,7 +18,6 @@ from .graph import (
     GraphFormatError,
     InternalInvariantError,
     InvalidPathError,
-    LayerAssignment,
     Path,
     PathCheck,
     SolveOutcome,
@@ -47,7 +46,6 @@ from .reduction import (
     ReductionTrace,
     SubdivisionRecord,
     TraceError,
-    VertexDeletion,
     apply_step,
     layering_potential,
     layerize,

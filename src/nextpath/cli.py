@@ -11,6 +11,7 @@ Exit codes: 0 success (including a NONE answer and INFEASIBLE queries),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .disjoint import CyclicGraphError, ForwardDag, SharedTerminalError, two_disjoint_paths
@@ -36,7 +37,6 @@ from .reduction import (
     BackEdgeRemoval,
     EliminationRecord,
     SubdivisionRecord,
-    VertexDeletion,
     layering_potential,
     TraceError,
 )
@@ -76,9 +76,7 @@ def _dump_trace(result, g: WeightedDigraph) -> None:
         print(f"# {name}: {len(trace.steps)} steps, {len(trace.candidates)} candidates",
               file=sys.stderr)
         for step in trace.steps:
-            if isinstance(step, VertexDeletion):
-                print(f"delete {step.vertex}", file=sys.stderr)
-            elif isinstance(step, EliminationRecord):
+            if isinstance(step, EliminationRecord):
                 removed = " ".join(str(v) for v in sorted(step.vertices))
                 shortcuts = " ".join(f"{u}->{v}" for u, v in sorted(step.shortcut_edges))
                 print(f"eliminate {removed} shortcuts[{shortcuts}]", file=sys.stderr)
@@ -96,7 +94,7 @@ def _dump_trace(result, g: WeightedDigraph) -> None:
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
-    result = solve_detailed(g, threads=args.threads)
+    result = solve_detailed(g)
     if args.dump_trace:
         _dump_trace(result, g)
     _print_outcome(g, result.outcome.path, result.outcome.weight)
@@ -188,6 +186,7 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so build it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nextpath",
@@ -247,8 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, CyclicGraphError, SharedTerminalError, OSError, ValueError) as exc:

@@ -38,7 +38,6 @@ def layered_digraph(
     seed: int,
     *,
     back_weight_max: int = 3,
-    extra_edge_prob: float = 0.25,
 ) -> WeightedDigraph:
     """A graph that is layered by construction.
 
@@ -75,7 +74,7 @@ def layered_digraph(
                 edges[(u, rng.choice(upper))] = 1
         for u in cur:
             for v in upper:
-                if (u, v) not in edges and rng.random() < extra_edge_prob:
+                if (u, v) not in edges and rng.random() < 0.25:
                     edges[(u, v)] = 1
 
     pool = sorted(

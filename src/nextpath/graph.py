@@ -111,9 +111,6 @@ class WeightedDigraph:
     def weight(self, u: int, v: int) -> int:
         return self.edges[(u, v)]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
     def replace(self, *, vertices=None, edges=None) -> "WeightedDigraph":
         """Copy with a new vertex set and/or edge map (s, t, scale kept)."""
         return WeightedDigraph(
@@ -157,13 +154,6 @@ class PathCheck:
     simple: bool
     weight: int
     uses_back_edge: bool
-
-
-@dataclass(frozen=True)
-class LayerAssignment:
-    """1-based layer indices: layer(u) = rank of d(s,u) among distinct values."""
-
-    layer: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -351,17 +341,18 @@ def layering_violations(g: WeightedDigraph, d: DistanceTable) -> tuple[list[Edge
     return back, fwd
 
 
-def layer_assignment(g: WeightedDigraph, d: DistanceTable) -> LayerAssignment:
-    """Layer function of a layered graph; rejects non-layered input.
+def layer_assignment(g: WeightedDigraph, d: DistanceTable) -> dict[int, int]:
+    """Layer of each vertex of a layered graph: the 1-based rank of d(s,u)
+    among the distinct distances; rejects non-layered input.
 
-    Layers are 1-based; forward edges advance the layer by exactly one and
-    back-edges go strictly backward.
+    Forward edges advance the layer by exactly one and back-edges go
+    strictly backward.
     """
     if not is_layered(g, d):
         raise ValueError("graph is not (s,t)-layered")
     values = sorted({d.from_s[u] for u in g.vertices})
     rank = {val: i + 1 for i, val in enumerate(values)}
-    return LayerAssignment(layer={u: rank[d.from_s[u]] for u in g.vertices})
+    return {u: rank[d.from_s[u]] for u in g.vertices}
 
 
 # ---------------------------------------------------------------------------

@@ -28,20 +28,19 @@ class PipelineResult:
     layered_outcome: SolveOutcome
 
 
-def solve(g: WeightedDigraph, threads: int = 1) -> SolveOutcome:
+def solve(g: WeightedDigraph) -> SolveOutcome:
     """Next-to-shortest s-to-t path of g, or the none-marker."""
-    return solve_detailed(g, threads=threads).outcome
+    return solve_detailed(g).outcome
 
 
-def solve_detailed(g: WeightedDigraph, threads: int = 1) -> PipelineResult:
+def solve_detailed(g: WeightedDigraph) -> PipelineResult:
     """Run the full pipeline and keep the intermediate traces.
 
     The reported path is the minimum-weight entry of the candidate pool:
     detour paths recorded by the reductions (already in original
     coordinates) plus the lifted layered-graph solution, all weighed in the
     original graph. Ties keep the earliest entry, making the output
-    deterministic. `threads` is accepted for compatibility and has no
-    effect: the layered search is sequential.
+    deterministic.
     """
     d = shortest_distances(g)
     dst = d.from_s[g.t]
@@ -52,7 +51,7 @@ def solve_detailed(g: WeightedDigraph, threads: int = 1) -> PipelineResult:
         )
     g_s, tr_s = straighten(g)
     g_l, tr_l = layerize(g_s)
-    layered_sol = solve_layered(g_l, threads=threads)
+    layered_sol = solve_layered(g_l)
 
     pool: list[tuple[Path, int]] = list(tr_s.candidates)
     for p, _w in tr_l.candidates:

@@ -1,7 +1,7 @@
 """Graph reductions: an overlay step to a straight graph, then back-edge
 removal / forward-edge subdivision to a layered graph.
 
-Straightening removes every vertex off all shortest s-to-t paths at once.
+Straightening eliminates every vertex off all shortest s-to-t paths at once.
 Eliminating a set of vertices is Gaussian elimination in the (min,+)
 semiring (Carré 1971), so the reduced graph has a closed form: the weight
 left on (x, y) between two survivors is min(w(x, y), lightest x-to-y
@@ -42,13 +42,6 @@ class TraceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class VertexDeletion:
-    """Removal of a vertex that no s-to-t path can use."""
-
-    vertex: int
-
-
-@dataclass(frozen=True)
 class EliminationRecord:
     """The overlay step: the eliminated vertices, and for each shortcut edge
     (x, y) between survivors the inner vertices of the detour it encodes.
@@ -78,7 +71,7 @@ class SubdivisionRecord:
     q_values: tuple[int, ...]
 
 
-Step = Union[VertexDeletion, EliminationRecord, BackEdgeRemoval, SubdivisionRecord]
+Step = Union[EliminationRecord, BackEdgeRemoval, SubdivisionRecord]
 
 
 @dataclass
@@ -96,8 +89,6 @@ class ReductionTrace:
 def apply_step(g: WeightedDigraph, step: Step) -> WeightedDigraph:
     """Replay one recorded transformation step (the reference the one-pass
     reductions are tested against; they do not call it)."""
-    if isinstance(step, VertexDeletion):
-        step = EliminationRecord(frozenset({step.vertex}), {})
     if isinstance(step, EliminationRecord):
         edges = {e: w for e, w in g.edges.items() if step.vertices.isdisjoint(e)}
         for (x, y), inner in step.shortcut_edges.items():
@@ -122,13 +113,13 @@ def lift_path(trace: ReductionTrace, path: Path) -> Path:
     """Lift a path of the reduced graph back through a whole trace.
 
     Replays the steps in reverse: subdivision chains contract to their
-    original edge (weight-preserving), edge removals and vertex deletions
-    pass the path through unchanged, and an elimination splices each
-    shortcut's detour back in. The result is valid in the trace's input
-    graph with weight at most the reduced path's weight.
+    original edge (weight-preserving), edge removals pass the path through
+    unchanged, and an elimination splices each shortcut's detour back in.
+    The result is valid in the trace's input graph with weight at most the
+    reduced path's weight.
     """
     for step in reversed(trace.steps):
-        if isinstance(step, (VertexDeletion, BackEdgeRemoval)):
+        if isinstance(step, BackEdgeRemoval):
             continue
         if isinstance(step, EliminationRecord):
             if not step.vertices.isdisjoint(path):
@@ -226,24 +217,24 @@ def _tree_path(g: WeightedDigraph, d: DistanceTable, x: int, mid: Path, y: int) 
 def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     """Reduce to a graph where every vertex lies on a shortest s-to-t path.
 
-    The vertices violating straightness that cannot reach both terminals
-    are deleted, in ascending id order; no path between two survivors can
-    use them. The others, the inner set, are eliminated in one overlay
-    step. For each survivor x with an edge into the inner set, one Dijkstra
-    over x's edges into the inner set and the inner vertices' out-edges
-    never expands a survivor, so each survivor y != x it settles comes with
-    its lightest x-to-y detour through inner vertices only. (x, y) becomes
-    a shortcut of that weight when it was absent or heavier. When (x, y)
-    is instead a tight edge lighter than the detour, the path s -> x, the
-    detour, y -> t along the smallest-id shortest-path trees is recorded as
-    a candidate next-to-shortest path, because the reduced graph can no
-    longer represent it. It is simple: the tree paths hold survivors only
-    and lie on either side of the tight edge.
+    Every vertex violating straightness is eliminated in one overlay step.
+    The inner set holds those that reach both terminals; a vertex cut off
+    from s or t lies on no walk between two survivors, so it adds no
+    detour. For each survivor x with an edge into the inner set, one
+    Dijkstra over x's edges into the inner set and the inner vertices'
+    out-edges never expands a survivor, so each survivor y != x it settles
+    comes with its lightest x-to-y detour through inner vertices only.
+    (x, y) becomes a shortcut of the detour's weight when it was absent or
+    heavier. When (x, y) is instead a tight edge lighter than the detour,
+    the path s -> x, the detour, y -> t along the smallest-id shortest-path
+    trees is recorded as a candidate next-to-shortest path, because the
+    reduced graph can no longer represent it. It is simple: the tree paths
+    hold survivors only and lie on either side of the tight edge.
 
     Distances are computed once, on the input. Removing vertices off every
     shortest path keeps d(s,.) and d(.,t) of each survivor, and leaves the
-    same graph as eliminating the inner vertices one at a time, which is
-    Gaussian elimination in the (min,+) semiring.
+    same graph as eliminating the vertices one at a time, which is Gaussian
+    elimination in the (min,+) semiring.
     """
     d = shortest_distances(g)
     from_s, to_t = d.from_s, d.to_t
@@ -254,31 +245,28 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     off = straightness_violations(g, d)
     if not off:
         return g, trace
-    inner = {u for u in off if from_s[u] is not None and to_t[u] is not None}
-    trace.steps += [VertexDeletion(u) for u in off if u not in inner]
     gone = frozenset(off)
     edges = {e: w for e, w in g.edges.items() if gone.isdisjoint(e)}
-    if inner:
-        inner_out = {u: g.adj_out[u] for u in inner}
-        into: dict[int, list[tuple[int, int]]] = {}
-        for u in sorted(inner):
-            for x, w in g.adj_in[u]:
-                if x not in gone:
-                    into.setdefault(x, []).append((u, w))
-        shortcuts: dict[Edge, Path] = {}
-        for x in sorted(into):
-            dist, parent = dijkstra({**inner_out, x: into[x]}, x)
-            for y in sorted(dist):
-                if y == x or y in gone:
-                    continue
-                old, detour = edges.get((x, y)), dist[y]
-                if old is None or detour < old:
-                    edges[(x, y)] = detour
-                    shortcuts[(x, y)] = _detour(parent, x, y)
-                elif old < detour and from_s[x] + old + to_t[y] == dst:
-                    candidate = _tree_path(g, d, x, _detour(parent, x, y), y)
-                    trace.candidates.append((candidate, path_weight(g, candidate)))
-        trace.steps.append(EliminationRecord(frozenset(inner), shortcuts))
+    inner_out = {u: g.adj_out[u] for u in off if from_s[u] is not None and to_t[u] is not None}
+    into: dict[int, list[tuple[int, int]]] = {}
+    for u in inner_out:
+        for x, w in g.adj_in[u]:
+            if x not in gone:
+                into.setdefault(x, []).append((u, w))
+    shortcuts: dict[Edge, Path] = {}
+    for x in sorted(into):
+        dist, parent = dijkstra({**inner_out, x: into[x]}, x)
+        for y in sorted(dist):
+            if y == x or y in gone:
+                continue
+            old, detour = edges.get((x, y)), dist[y]
+            if old is None or detour < old:
+                edges[(x, y)] = detour
+                shortcuts[(x, y)] = _detour(parent, x, y)
+            elif old < detour and from_s[x] + old + to_t[y] == dst:
+                candidate = _tree_path(g, d, x, _detour(parent, x, y), y)
+                trace.candidates.append((candidate, path_weight(g, candidate)))
+    trace.steps.append(EliminationRecord(gone, shortcuts))
     return g.replace(vertices=g.vertices - gone, edges=edges), trace
 
 

@@ -80,19 +80,26 @@ def back_edge_decomposition(
 
 class _LayeredSearch:
     """State for one solve: distances, layers, the forward DAG with its edges
-    grouped by tail layer, and memoized disjoint-pair queries for the outer
-    paths."""
+    grouped by tail layer (only the layers that can hold a waypoint pair),
+    and memoized disjoint-pair queries for the outer paths."""
 
     def __init__(self, g: WeightedDigraph):
         self.g = g
         self.d = shortest_distances(g)
-        self.lam = layer_assignment(g, self.d).layer  # rejects non-layered input
+        self.lam = layer_assignment(g, self.d)  # rejects non-layered input
         self.cls = classify_edges(g, self.d)
         self.dst: int = self.d.from_s[g.t]
         self.dag = ForwardDag.forward_subgraph(g, self.cls)
-        self.forward_by_tail_layer: dict[int, list[Edge]] = {}
+        by_layer: dict[int, list[Edge]] = {}
         for u, v in sorted(self.cls.forward_edges):
-            self.forward_by_tail_layer.setdefault(self.lam[u], []).append((u, v))
+            by_layer.setdefault(self.lam[u], []).append((u, v))
+        # A waypoint pair is two edges with distinct tails and distinct heads,
+        # which a layer holds exactly when its edges have two of each.
+        self.forward_by_tail_layer = {
+            layer: edges
+            for layer, edges in by_layer.items()
+            if len({u for u, _ in edges}) > 1 and len({v for _, v in edges}) > 1
+        }
         # Smallest possible excess of any not-shortest path over d(s,t):
         # every back-edge contributes its own slack, forward edges none.
         self.floor = self.dst + min(
@@ -219,13 +226,12 @@ def _check_candidate(
         )
 
 
-def solve_layered(g: WeightedDigraph, threads: int = 1) -> SolveOutcome:
+def solve_layered(g: WeightedDigraph) -> SolveOutcome:
     """Find a next-to-shortest s-to-t path of a layered graph, or report none.
 
     Deterministic: one sequential scan enumerates tuples with a ascending,
     b ascending, then waypoint-edge pairs in lexicographic order, and ties
-    in weight keep the first-found path. `threads` is accepted for
-    compatibility and has no effect.
+    in weight keep the first-found path.
     """
     search = _LayeredSearch(g)
     if not search.cls.back_edges:

@@ -29,6 +29,30 @@ def skip_edge_graph(seed):
     return WeightedDigraph(base.vertices, edges, base.s, base.t)
 
 
+def bead_graph(wide_layers, width, back_edges, seed):
+    """Layers of `width` vertices alternating with one-vertex cut layers,
+    from {s} to {t}, each vertex joined by a unit edge to every vertex of
+    the next layer, plus `back_edges` edges into strictly earlier layers
+    (weights 1..3).
+
+    A back-edge spans a cut layer that a simple path through it would visit
+    twice, so the answer is NONE; every layer's forward edges share one tail
+    or one head.
+    """
+    tiers = [[0]]
+    for _ in range(wide_layers):
+        nxt = tiers[-1][-1] + 1
+        tiers += [list(range(nxt, nxt + width)), [nxt + width]]
+    layer = {v: i for i, tier in enumerate(tiers) for v in tier}
+    n = len(layer)
+    edges = {(u, v): 1 for lo, hi in zip(tiers, tiers[1:]) for u in lo for v in hi}
+    rng = random.Random(seed)
+    back = [(u, v) for u in range(n) for v in range(n) if layer[v] < layer[u]]
+    for e in rng.sample(back, back_edges):
+        edges[e] = rng.randint(1, 3)
+    return WeightedDigraph(frozenset(range(n)), edges, 0, n - 1)
+
+
 TRIANGLE = "3 3 0 2\n0 1 1\n1 2 1\n0 2 1\n"
 
 # two parallel unit chains 0-1-2-5 and 0-3-4-5 plus back-edge 4->1

@@ -180,7 +180,7 @@ def _layer_stepping_violations(g) -> int:
     d = shortest_distances(g)
     if not is_layered(g, d):
         return 1
-    lam = layer_assignment(g, d).layer
+    lam = layer_assignment(g, d)
     cls = classify_edges(g, d)
     bad = 0
     for u, v in cls.forward_edges:

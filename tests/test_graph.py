@@ -323,7 +323,7 @@ def test_layered_rejects_skipping_edge():
 def test_layer_assignment_path_graph():
     g = build_graph(3, {(0, 1): 1, (1, 2): 1}, s=0, t=2)
     lam = layer_assignment(g, shortest_distances(g))
-    assert [lam.layer[u] for u in range(3)] == [1, 2, 3]
+    assert [lam[u] for u in range(3)] == [1, 2, 3]
 
 
 def test_layer_assignment_parallel_chains_share_layers():
@@ -331,8 +331,8 @@ def test_layer_assignment_parallel_chains_share_layers():
         6, {(0, 1): 1, (1, 2): 1, (2, 5): 1, (0, 3): 1, (3, 4): 1, (4, 5): 1}, s=0, t=5
     )
     lam = layer_assignment(g, shortest_distances(g))
-    assert lam.layer[1] == lam.layer[3] == 2
-    assert lam.layer[2] == lam.layer[4] == 3
+    assert lam[1] == lam[3] == 2
+    assert lam[2] == lam[4] == 3
 
 
 def test_layer_assignment_rejects_non_layered():
@@ -348,12 +348,12 @@ def test_layer_stepping_on_generated_instances(seed):
     lam = layer_assignment(g, d)
     cls = classify_edges(g, d)
     for u, v in cls.forward_edges:
-        assert lam.layer[v] == lam.layer[u] + 1
+        assert lam[v] == lam[u] + 1
     for u, v in cls.back_edges:
-        assert lam.layer[v] < lam.layer[u]
+        assert lam[v] < lam[u]
     for u in g.vertices:
         for v in g.vertices:
-            assert (d.from_s[u] < d.from_s[v]) == (lam.layer[u] < lam.layer[v])
+            assert (d.from_s[u] < d.from_s[v]) == (lam[u] < lam[v])
 
 
 # --- package surface -------------------------------------------------------

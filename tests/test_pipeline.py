@@ -67,12 +67,10 @@ def test_outcome_always_validates():
         assert check.uses_back_edge
 
 
-def test_deterministic_across_runs_and_threads():
+def test_deterministic_across_runs():
     for seed in (2, 8, 21):
         g = random_digraph(9, 0.5, 5, seed)
-        first = solve(g)
-        assert first == solve(g)
-        assert first == solve(g, threads=4)
+        assert solve(g) == solve(g)
 
 
 def test_matches_oracle_including_none_cases():

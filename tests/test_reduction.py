@@ -14,7 +14,6 @@ from nextpath import (
     EliminationRecord,
     SubdivisionRecord,
     TraceError,
-    VertexDeletion,
     WeightedDigraph,
     apply_step,
     exhaustive_next_to_shortest,
@@ -292,7 +291,7 @@ def test_trace_replay_reproduces_reduced_graphs():
     recorded candidates, and every intermediate graph keeps the distances
     the one-pass reductions read off their single distance table."""
     kinds: set[type] = set()
-    solved = 0
+    solved = cut_off = 0
     for g in REPLAY_GRAPHS:
         d0 = shortest_distances(g)
         dst = d0.from_s[g.t]
@@ -300,15 +299,15 @@ def test_trace_replay_reproduces_reduced_graphs():
             continue
         solved += 1
         g_s, tr_s = straighten(g)
-        # cut-off vertices are deleted first, then one overlay step
-        # eliminates the rest of the non-straight vertices
+        # one overlay step eliminates every non-straight vertex; those cut
+        # off from s or t add no shortcut and no candidate
         off = straightness_violations(g, d0)
-        deleted = [u for u in off if d0.from_s[u] is None or d0.to_t[u] is None]
-        inner = frozenset(off) - set(deleted)
-        assert tr_s.steps[: len(deleted)] == [VertexDeletion(u) for u in deleted]
-        assert [step.vertices for step in tr_s.steps[len(deleted) :]] == [inner] * bool(inner)
+        assert [step.vertices for step in tr_s.steps] == [frozenset(off)] * bool(off)
+        inner = [u for u in off if d0.from_s[u] is not None and d0.to_t[u] is not None]
+        cut_off += len(off) > len(inner)
         if not inner:
             assert tr_s.candidates == []
+            assert all(not step.shortcut_edges for step in tr_s.steps)
         cur = g
         for step in tr_s.steps:
             if isinstance(step, EliminationRecord):
@@ -351,8 +350,8 @@ def test_trace_replay_reproduces_reduced_graphs():
                 assert path[0] == g.s and path[-1] == g.t and check.simple
                 assert w == check.weight == path_weight(host, path) > dst
         kinds |= {type(step) for step in tr_s.steps + tr_l.steps}
-    assert solved >= 30
-    assert kinds == {VertexDeletion, EliminationRecord, BackEdgeRemoval, SubdivisionRecord}
+    assert solved >= 30 and cut_off >= 10
+    assert kinds == {EliminationRecord, BackEdgeRemoval, SubdivisionRecord}
 
 
 def test_each_reduction_computes_distances_once(monkeypatch):
@@ -371,8 +370,13 @@ def test_each_reduction_computes_distances_once(monkeypatch):
         counted(name)
     g = random_digraph(10, 0.3, 5, 20)
     g_s, tr_s = straighten(g)
-    assert {type(step) for step in tr_s.steps} == {VertexDeletion, EliminationRecord}
     assert calls == {"shortest_distances": 1}
+    d = shortest_distances(g)
+    [step] = tr_s.steps
+    assert step.vertices == frozenset(straightness_violations(g, d))
+    # the record holds vertices cut off from s or t as well as shortcuts
+    assert None in {d.from_s[u] for u in step.vertices} | {d.to_t[u] for u in step.vertices}
+    assert step.shortcut_edges
     _, tr_l = layerize(g_s)
     assert {type(step) for step in tr_l.steps} == {BackEdgeRemoval, SubdivisionRecord}
     assert calls == {"shortest_distances": 2}

@@ -16,7 +16,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from conftest import skip_edge_graph
+from conftest import bead_graph, skip_edge_graph
 from nextpath import WeightedDigraph, layered_digraph, random_digraph, serialize_graph
 from nextpath.cli import main
 
@@ -25,7 +25,8 @@ DIGESTS = Path(__file__).parent / "data" / "solve_digests.json"
 
 def corpus():
     """(name, graph) pairs: ties everywhere (weights up to 3), back-edges
-    with tied residual paths, skip edges, decimal weights and NONE answers."""
+    with tied residual paths, skip edges, decimal weights and NONE answers
+    (bead graphs: a full scan of the layered search)."""
     for seed in range(22):
         n, p = 6 + seed % 5, (0.25, 0.35, 0.45)[seed % 3]
         yield f"random_digraph({n}, {p}, 3, {seed})", random_digraph(n, p, 3, seed)
@@ -52,6 +53,9 @@ def corpus():
         )
     for seed in range(10):
         yield f"skip_edge_graph({seed})", skip_edge_graph(seed)
+    for seed in range(10):
+        wide, width, back = 2 + seed % 3, 2 + seed % 2, 4 + seed
+        yield f"bead_graph({wide}, {width}, {back}, {seed})", bead_graph(wide, width, back, seed)
     g = random_digraph(8, 0.4, 25, 7)
     yield "random_digraph(8, 0.4, 25, 7) at scale 1", WeightedDigraph(
         g.vertices, g.edges, g.s, g.t, scale=1

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from conftest import PARALLEL_CHAINS, build_graph
+from conftest import PARALLEL_CHAINS, bead_graph, build_graph
 from nextpath import (
+    ForwardDag,
     back_edge_decomposition,
     classify_edges,
     exhaustive_next_to_shortest,
@@ -76,6 +77,23 @@ def test_solver_classifies_edges_once(monkeypatch):
     g = layered_digraph(5, 3, 4, 1)
     assert solve_layered(g).found
     assert calls == [g]
+
+
+def test_solver_skips_layers_without_a_waypoint_pair(monkeypatch):
+    # Every layer of a bead graph has one tail or one head, so no two of its
+    # forward edges can serve as disjoint waypoints: the scan needs no
+    # reachability test at all.
+    calls = []
+    reaches = ForwardDag.reaches
+
+    def counting(dag, u, v):
+        calls.append((u, v))
+        return reaches(dag, u, v)
+
+    monkeypatch.setattr(ForwardDag, "reaches", counting)
+    for seed in range(10):
+        assert not solve_layered(bead_graph(4, 3, 10, seed)).found
+    assert calls == []
 
 
 def test_solver_rejects_non_layered_input():
@@ -152,17 +170,16 @@ def test_solver_outputs_validate_and_satisfy_weight_identities():
             assert d.from_s[dec.middle_end] < d.from_s[u] < d.from_s[dec.middle_start]
 
 
-def test_solver_thread_count_does_not_change_result():
+def test_solver_is_deterministic_and_keeps_the_floor_exit():
     for seed in (0, 3, 9):
         g = layered_digraph(6, 3, 6, seed, back_weight_max=7)
-        assert solve_layered(g, threads=1) == solve_layered(g, threads=4)
-    # Splitting the pair scan into per-thread blocks loses the incumbent and
-    # the floor exit: this instance then takes minutes. Criterion 8 bounds a
-    # solve at 30 s.
+        assert solve_layered(g) == solve_layered(g)
+    # Without the incumbent's pruning and the floor exit this instance takes
+    # minutes. Criterion 8 bounds a solve at 30 s.
     g = layered_digraph(24, 12, 150, 3)
-    want = solve_layered(g, threads=1)
+    want = solve_layered(g)
     start = time.perf_counter()
-    assert solve_layered(g, threads=4) == want
+    assert solve_layered(g) == want
     assert time.perf_counter() - start < 30
 
 
