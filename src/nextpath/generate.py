@@ -54,6 +54,8 @@ def layered_digraph(
         raise ValueError("width must be at least 1")
     if back_edges < 0:
         raise ValueError("back-edge count must be non-negative")
+    if back_weight_max < 1:
+        raise ValueError("maximum back-edge weight must be at least 1")
     rng = random.Random(seed)
     tiers: list[list[int]] = [[0]]
     nxt = 1

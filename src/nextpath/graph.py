@@ -183,11 +183,14 @@ def dijkstra(
     *,
     target: int | None = None,
     blocked: frozenset[int] | set[int] = frozenset(),
+    limit: int | None = None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Exact distances from `source` that never enter `blocked`, and the
     parent that set each reached vertex's distance. `dist` holds settled
     vertices only; with a `target` the search stops once it is settled. Only
-    a strict improvement pushes, so on ties the first parent stays."""
+    a strict improvement pushes, so on ties the first parent stays. A
+    positive `limit` pushes nothing at distance `limit` or more; every vertex
+    closer keeps its distance and parent, and those entries pop in order."""
     dist: dict[int, int] = {}
     best = {source: 0}
     parent: dict[int, int] = {}
@@ -203,6 +206,8 @@ def dijkstra(
             if v in dist or v in blocked:
                 continue
             nd = du + w
+            if limit is not None and nd >= limit:
+                continue
             old = best.get(v)
             if old is None or nd < old:
                 best[v] = nd
@@ -212,12 +217,13 @@ def dijkstra(
 
 
 def shortest_path_avoiding(
-    g: WeightedDigraph, blocked: frozenset[int] | set[int], a: int, b: int
+    g: WeightedDigraph, blocked: frozenset[int] | set[int], a: int, b: int, limit: int | None = None
 ) -> Path | None:
-    """Exact shortest a-to-b path avoiding `blocked`, over all edge types."""
+    """Exact shortest a-to-b path avoiding `blocked`, over all edge types;
+    None also when that path weighs `limit` or more."""
     if a in blocked or b in blocked:
         raise ValueError("endpoints must not be blocked")
-    dist, parent = dijkstra(g.adj_out, a, target=b, blocked=blocked)
+    dist, parent = dijkstra(g.adj_out, a, target=b, blocked=blocked, limit=limit)
     if b not in dist:
         return None
     rev = [b]

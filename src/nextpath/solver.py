@@ -81,7 +81,8 @@ def back_edge_decomposition(
 class _LayeredSearch:
     """State for one solve: distances, layers, the forward DAG with its edges
     grouped by tail layer (only the layers that can hold a waypoint pair),
-    and memoized disjoint-pair queries for the outer paths."""
+    memoized disjoint-pair queries for the outer paths, and the incumbent
+    (the lightest route found so far, as (weight, path))."""
 
     def __init__(self, g: WeightedDigraph):
         self.g = g
@@ -107,15 +108,7 @@ class _LayeredSearch:
             default=0,
         )
         self._pairs: dict[tuple[tuple[int, int], ...], DisjointPathPair | None] = {}
-        self._dist_from: dict[int, dict[int, int]] = {}
-
-    def dist_between(self, a: int, b: int) -> int | None:
-        """Unrestricted a-to-b distance (lower bound for any residual route)."""
-        table = self._dist_from.get(a)
-        if table is None:
-            table, _ = dijkstra(self.g.adj_out, a)
-            self._dist_from[a] = table
-        return table.get(b)
+        self.best: tuple[int, Path] | None = None
 
     def disjoint_pair(
         self, pair1: tuple[int, int], pair2: tuple[int, int]
@@ -147,48 +140,48 @@ class _LayeredSearch:
             return None
         return DisjointPathPair(prefix.p1 + suffix.p1, prefix.p2 + suffix.p2)
 
-    def middle_endpoint_pairs(self) -> list[tuple[int, int]]:
-        """Candidate (a, b) pairs in enumeration order: both incident to a
-        back-edge, d(a) > d(b), and neither colliding with a terminal role."""
-        vb = sorted(self.cls.back_vertices)
-        dfs = self.d.from_s
-        return [
-            (a, b)
-            for a in vb
-            for b in vb
-            if dfs[a] > dfs[b] and b != self.g.s and a != self.g.t
-        ]
-
     def scan(self) -> tuple[int, Path] | None:
-        """Evaluate the tuple space in enumeration order.
+        """Evaluate the tuple space in enumeration order: a, then b, both
+        ascending over the back vertices, then waypoint-edge pairs.
 
         Returns the first minimum-weight candidate as (weight, path), or
-        None. Pruning only drops tuples that cannot strictly beat the
-        incumbent, and the scan stops once a candidate reaches `floor`, so
-        the result equals that of a plain full scan.
+        None. A route of pair (a, b) weighs at least base + dist(a, b), where
+        the integer base = d(s,t) + d(a) - d(b) > d(s,t). So under an incumbent
+        of excess E over d(s,t) only dist(a, b) < E - 1 can win, and a's bound
+        table is that Dijkstra ball, valid for every later b as `best` only
+        decreases.
+        Pruning only drops tuples that cannot strictly beat the incumbent,
+        and the scan stops once a candidate reaches `floor`, so the result
+        equals that of a plain full scan.
         """
-        dfs = self.d.from_s
-        best: tuple[int, Path] | None = None
-        for a, b in self.middle_endpoint_pairs():
-            lower = self.dist_between(a, b)
-            if lower is None:
+        g, dfs, lam = self.g, self.d.from_s, self.lam
+        for a in sorted(self.cls.back_vertices):
+            # A tuple needs a waypoint layer in range(lam(b), lam(a)); `top`
+            # is the last one below a (0 if none), and b must not lie above it.
+            top = max((x for x in self.forward_by_tail_layer if x < lam[a]), default=0)
+            if a == g.t or not top:
                 continue
-            base = dfs[a] - dfs[b] + self.dst
-            # No route of this pair weighs less than base + lower.
-            if best is not None and base + lower >= best[0]:
-                continue
-            for weight, path in self._pair_routes(a, b, base):
-                if best is None or weight < best[0]:
-                    best = (weight, path)
+            radius = None if self.best is None else self.best[0] - self.dst - 1
+            table, _ = dijkstra(g.adj_out, a, limit=radius)
+            for b in sorted(self.cls.back_vertices.intersection(table)):
+                if lam[b] > top or b == g.s:
+                    continue
+                lower = table[b]
+                base = dfs[a] - dfs[b] + self.dst
+                # No route of this pair weighs less than base + lower.
+                if self.best is not None and base + lower >= self.best[0]:
+                    continue
+                for weight, path in self._pair_routes(a, b, base):
+                    self.best = (weight, path)
                     if weight <= self.floor:
-                        return best
+                        return self.best
                     if base + lower >= weight:
                         break
-        return best
+        return self.best
 
     def _pair_routes(self, a: int, b: int, base: int) -> Iterator[tuple[int, Path]]:
-        """Completed routes of pair (a, b) with their weights, in tuple
-        enumeration order; each is checked before it is yielded."""
+        """Completed routes of pair (a, b) lighter than the incumbent, in tuple
+        enumeration order, with their weights; each is checked before it is yielded."""
         g, lam, dag = self.g, self.lam, self.dag
         by_layer = self.forward_by_tail_layer
         for layer in range(lam[b], lam[a]):
@@ -205,7 +198,9 @@ class _LayeredSearch:
                     if outer is None:
                         continue
                     blocked = (set(outer.p1) | set(outer.p2)) - {a, b}
-                    p0 = shortest_path_avoiding(g, blocked, a, b)
+                    # Read now: the incumbent may improve while this generator waits.
+                    limit = None if self.best is None else self.best[0] - base
+                    p0 = shortest_path_avoiding(g, blocked, a, b, limit)
                     if p0 is None:
                         continue
                     weight = base + path_weight(g, p0)
@@ -233,10 +228,7 @@ def solve_layered(g: WeightedDigraph) -> SolveOutcome:
     b ascending, then waypoint-edge pairs in lexicographic order, and ties
     in weight keep the first-found path.
     """
-    search = _LayeredSearch(g)
-    if not search.cls.back_edges:
-        return SolveOutcome.none()
-    best = search.scan()
+    best = _LayeredSearch(g).scan()
     if best is None:
         return SolveOutcome.none()
     return SolveOutcome.of(best[1], best[0])

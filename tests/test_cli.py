@@ -141,6 +141,13 @@ def test_gen_is_reproducible(capsys):
     assert first == second
 
 
+def test_gen_rejects_a_back_weight_max_below_1(capsys):
+    code, out, err = run(capsys, "gen", "layered", "--layers", "3", "--width", "2",
+                         "--back-edges", "1", "--back-weight-max", "0")
+    assert code == 2 and out == ""
+    assert err == "error: maximum back-edge weight must be at least 1\n"
+
+
 def test_vdp_feasible_and_infeasible(capsys, tmp_path):
     f = tmp_path / "dag.txt"
     f.write_text("4 2 0 3\n0 1 1\n2 3 1\n")

@@ -63,6 +63,8 @@ def test_layered_with_too_many_back_edges_rejected():
         layered_digraph(1, 1, 0, seed=0)
     with pytest.raises(ValueError):
         layered_digraph(3, 0, 0, seed=0)
+    with pytest.raises(ValueError, match="back-edge weight must be at least 1"):
+        layered_digraph(3, 2, 1, seed=0, back_weight_max=0)
 
 
 def test_layered_instance_solver_oracle_cross_check():

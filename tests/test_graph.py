@@ -217,6 +217,22 @@ def test_shortest_path_avoiding_is_a_lightest_simple_path(query):
     assert path_weight(g, path) == min(weights)
 
 
+@settings(derandomize=True, database=None)
+@given(blocked_queries(), st.integers(1, 10))
+def test_a_limit_keeps_everything_closer_than_it(query, limit):
+    g, blocked, _rest = query
+    dist, parent = dijkstra(g.adj_out, g.s, blocked=blocked)
+    near = {v: d for v, d in dist.items() if d < limit}
+    assert dijkstra(g.adj_out, g.s, blocked=blocked, limit=limit) == (
+        near,
+        {v: u for v, u in parent.items() if v in near},
+    )
+    path = shortest_path_avoiding(g, blocked, g.s, g.t)
+    if path is not None and path_weight(g, path) >= limit:
+        path = None
+    assert shortest_path_avoiding(g, blocked, g.s, g.t, limit) == path
+
+
 # --- classification ---------------------------------------------------------
 
 

@@ -51,6 +51,17 @@ def corpus():
             f"layered_digraph({layers}, {width}, {back}, {seed}, back_weight_max={bw})",
             layered_digraph(layers, width, back, seed, back_weight_max=bw),
         )
+    # Mid-size graphs on which the incumbent prunes most endpoint pairs; the
+    # (12, 6, 8, 5) and (12, 5, 10, 8) scans never reach the floor.
+    for layers, width, back, seed, bw in (
+        (12, 6, 40, 0, 3), (12, 6, 40, 1, 3), (12, 6, 40, 3, 3), (12, 6, 40, 5, 3),
+        (12, 6, 8, 5, 3), (12, 5, 10, 8, 3), (10, 6, 12, 5, 3),
+        (12, 6, 15, 1, 1), (12, 6, 15, 4, 1), (12, 6, 10, 0, 1),
+    ):
+        yield (
+            f"layered_digraph({layers}, {width}, {back}, {seed}, back_weight_max={bw})",
+            layered_digraph(layers, width, back, seed, back_weight_max=bw),
+        )
     for seed in range(10):
         yield f"skip_edge_graph({seed})", skip_edge_graph(seed)
     for seed in range(10):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import nextpath.solver
 from conftest import PARALLEL_CHAINS, bead_graph, build_graph
 from nextpath import (
     ForwardDag,
@@ -18,6 +19,7 @@ from nextpath import (
     solve_layered,
     validate_path,
 )
+from nextpath.graph import dijkstra
 from nextpath.oracle import simple_paths
 
 
@@ -82,7 +84,7 @@ def test_solver_classifies_edges_once(monkeypatch):
 def test_solver_skips_layers_without_a_waypoint_pair(monkeypatch):
     # Every layer of a bead graph has one tail or one head, so no two of its
     # forward edges can serve as disjoint waypoints: the scan needs no
-    # reachability test at all.
+    # reachability test and no bound table at all.
     calls = []
     reaches = ForwardDag.reaches
 
@@ -91,9 +93,31 @@ def test_solver_skips_layers_without_a_waypoint_pair(monkeypatch):
         return reaches(dag, u, v)
 
     monkeypatch.setattr(ForwardDag, "reaches", counting)
+
+    def bound_table(*args, **kwargs):
+        calls.append(args)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(nextpath.solver, "dijkstra", bound_table)
     for seed in range(10):
         assert not solve_layered(bead_graph(4, 3, 10, seed)).found
     assert calls == []
+
+
+def test_bound_tables_stop_at_the_incumbent_radius(monkeypatch):
+    # A full single-source table per back vertex settles 16,740 vertices
+    # over these five solves.
+    settled = []
+
+    def counting(*args, **kwargs):
+        dist, parent = dijkstra(*args, **kwargs)
+        settled.append(len(dist))
+        return dist, parent
+
+    monkeypatch.setattr(nextpath.solver, "dijkstra", counting)
+    for seed in range(5):
+        assert solve_layered(layered_digraph(24, 12, 150, seed)).found
+    assert len(settled) == 63 and sum(settled) <= 16_740 // 3
 
 
 def test_solver_rejects_non_layered_input():
