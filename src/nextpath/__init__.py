@@ -14,7 +14,6 @@ from .generate import layered_digraph, random_digraph
 from .graph import (
     DistanceTable,
     Edge,
-    EdgeClassification,
     GraphFormatError,
     InternalInvariantError,
     InvalidPathError,
@@ -22,7 +21,6 @@ from .graph import (
     PathCheck,
     SolveOutcome,
     WeightedDigraph,
-    classify_edges,
     format_weight,
     is_layered,
     is_straight,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graph import EdgeClassification, Path, WeightedDigraph
+from .graph import Path, WeightedDigraph
 
 
 class CyclicGraphError(ValueError):
@@ -52,15 +52,6 @@ class ForwardDag:
         """Treat every edge of g as a DAG edge; weights are irrelevant here."""
         adj: dict[int, list[int]] = {u: [] for u in g.vertices}
         for u, v in g.edges:
-            adj[u].append(v)
-        return cls(g.vertices, adj)
-
-    @classmethod
-    def forward_subgraph(cls, g: WeightedDigraph, cls_: EdgeClassification) -> "ForwardDag":
-        """The subgraph of forward edges; acyclic because distance from s
-        strictly increases along every forward edge."""
-        adj: dict[int, list[int]] = {u: [] for u in g.vertices}
-        for u, v in cls_.forward_edges:
             adj[u].append(v)
         return cls(g.vertices, adj)
 

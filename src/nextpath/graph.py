@@ -135,21 +135,6 @@ class DistanceTable:
 
 
 @dataclass(frozen=True)
-class EdgeClassification:
-    """Partition of the edges into back-edges and forward-edges.
-
-    An edge is a back-edge when its `edge_slack` is positive and a
-    forward-edge when it is zero; no third case exists on edges whose tail
-    is reachable from s. `back_vertices` collects every endpoint of a
-    back-edge.
-    """
-
-    back_edges: frozenset[Edge]
-    forward_edges: frozenset[Edge]
-    back_vertices: frozenset[int]
-
-
-@dataclass(frozen=True)
 class PathCheck:
     simple: bool
     weight: int
@@ -245,32 +230,6 @@ def edge_slack(d: DistanceTable, u: int, v: int, w: int) -> int | None:
     if du is None or dv is None:
         return None
     return du + w - dv
-
-
-def classify_edges(g: WeightedDigraph, d: DistanceTable) -> EdgeClassification:
-    """Tag each edge back/forward by the sign of its `edge_slack`.
-
-    Requires every edge tail to be reachable from s; the caller removes
-    unreachable vertices first.
-    """
-    back: set[Edge] = set()
-    forward: set[Edge] = set()
-    touched: set[int] = set()
-    for (u, v), w in g.edges.items():
-        slack = edge_slack(d, u, v, w)
-        # Relaxation guarantees d(s,v) <= d(s,u) + w, so a reachable tail
-        # has a finite head and a non-negative slack.
-        if slack is None or slack < 0:
-            if d.from_s[u] is None:
-                raise ValueError(f"edge ({u}, {v}) has a tail unreachable from s")
-            raise AssertionError(f"distance table inconsistent at edge ({u}, {v})")
-        if slack:
-            back.add((u, v))
-            touched.add(u)
-            touched.add(v)
-        else:
-            forward.add((u, v))
-    return EdgeClassification(frozenset(back), frozenset(forward), frozenset(touched))
 
 
 def path_weight(g: WeightedDigraph, path: Path) -> int:

@@ -58,7 +58,10 @@ def simple_paths(
     g: WeightedDigraph, a: int, b: int, budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[tuple[Path, int]]:
     """Yield every simple a-to-b path with its weight, in DFS order with
-    ascending adjacency. Raises BudgetExceeded past `budget` paths."""
+    ascending adjacency. Raises BudgetExceeded past `budget` paths, and
+    ValueError on a negative budget."""
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be non-negative")
     count = 0
     for path in _dfs_paths(lambda u: (v for v, _w in g.adj_out[u]), a, b, frozenset()):
         count += 1

@@ -14,6 +14,7 @@ middle segment descends from d(a) to d(b) < d(a), which forces a back-edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .disjoint import DisjointPathPair, ForwardDag, two_disjoint_paths
@@ -24,7 +25,6 @@ from .graph import (
     Path,
     SolveOutcome,
     WeightedDigraph,
-    classify_edges,
     dijkstra,
     edge_slack,
     layer_assignment,
@@ -79,21 +79,34 @@ def back_edge_decomposition(
 
 
 class _LayeredSearch:
-    """State for one solve: distances, layers, the forward DAG with its edges
-    grouped by tail layer (only the layers that can hold a waypoint pair),
-    memoized disjoint-pair queries for the outer paths, and the incumbent
-    (the lightest route found so far, as (weight, path))."""
+    """State for one solve: distances, layers, the back vertices, the forward
+    edges by tail and by tail layer (only the layers that can hold a waypoint
+    pair), the forward DAG once a tuple needs it, memoized disjoint-pair
+    queries for the outer paths, and the incumbent (the lightest route found
+    so far, as (weight, path))."""
 
     def __init__(self, g: WeightedDigraph):
         self.g = g
-        self.d = shortest_distances(g)
-        self.lam = layer_assignment(g, self.d)  # rejects non-layered input
-        self.cls = classify_edges(g, self.d)
-        self.dst: int = self.d.from_s[g.t]
-        self.dag = ForwardDag.forward_subgraph(g, self.cls)
+        self.d = d = shortest_distances(g)
+        self.lam = lam = layer_assignment(g, d)  # rejects non-layered input
+        self.dst: int = d.from_s[g.t]
+        # One pass in (tail, head) order, which fixes each layer's edge order
+        # and so the tuple order; the input check above leaves every slack
+        # defined and non-negative.
+        back: set[int] = set()
+        slacks: list[int] = []
+        self.forward: dict[int, list[int]] = {u: [] for u in g.vertices}
         by_layer: dict[int, list[Edge]] = {}
-        for u, v in sorted(self.cls.forward_edges):
-            by_layer.setdefault(self.lam[u], []).append((u, v))
+        for u in sorted(g.vertices):
+            for v, w in g.adj_out[u]:
+                slack = edge_slack(d, u, v, w)
+                if slack:
+                    back.update((u, v))
+                    slacks.append(slack)
+                else:
+                    self.forward[u].append(v)
+                    by_layer.setdefault(lam[u], []).append((u, v))
+        self.back_vertices = frozenset(back)
         # A waypoint pair is two edges with distinct tails and distinct heads,
         # which a layer holds exactly when its edges have two of each.
         self.forward_by_tail_layer = {
@@ -103,12 +116,16 @@ class _LayeredSearch:
         }
         # Smallest possible excess of any not-shortest path over d(s,t):
         # every back-edge contributes its own slack, forward edges none.
-        self.floor = self.dst + min(
-            (edge_slack(self.d, u, v, g.edges[(u, v)]) for u, v in self.cls.back_edges),
-            default=0,
-        )
+        self.floor = self.dst + min(slacks, default=0)
         self._pairs: dict[tuple[tuple[int, int], ...], DisjointPathPair | None] = {}
         self.best: tuple[int, Path] | None = None
+
+    @cached_property
+    def dag(self) -> ForwardDag:
+        """The forward subgraph, acyclic because distance from s strictly
+        increases along every forward edge; built when the scan reaches its
+        first tuple."""
+        return ForwardDag(self.g.vertices, self.forward)
 
     def disjoint_pair(
         self, pair1: tuple[int, int], pair2: tuple[int, int]
@@ -155,7 +172,7 @@ class _LayeredSearch:
         equals that of a plain full scan.
         """
         g, dfs, lam = self.g, self.d.from_s, self.lam
-        for a in sorted(self.cls.back_vertices):
+        for a in sorted(self.back_vertices):
             # A tuple needs a waypoint layer in range(lam(b), lam(a)); `top`
             # is the last one below a (0 if none), and b must not lie above it.
             top = max((x for x in self.forward_by_tail_layer if x < lam[a]), default=0)
@@ -163,7 +180,7 @@ class _LayeredSearch:
                 continue
             radius = None if self.best is None else self.best[0] - self.dst - 1
             table, _ = dijkstra(g.adj_out, a, limit=radius)
-            for b in sorted(self.cls.back_vertices.intersection(table)):
+            for b in sorted(self.back_vertices.intersection(table)):
                 if lam[b] > top or b == g.s:
                     continue
                 lower = table[b]

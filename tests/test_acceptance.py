@@ -13,7 +13,6 @@ from nextpath import (
     ForwardDag,
     ReductionTrace,
     apply_step,
-    classify_edges,
     exhaustive_next_to_shortest,
     exhaustive_two_disjoint_paths,
     is_layered,
@@ -31,6 +30,7 @@ from nextpath import (
     validate_path,
 )
 from nextpath.cli import main as cli_main
+from nextpath.graph import edge_slack
 from nextpath.oracle import simple_paths
 from nextpath.solver import back_edge_decomposition, solve_layered
 
@@ -181,12 +181,13 @@ def _layer_stepping_violations(g) -> int:
     if not is_layered(g, d):
         return 1
     lam = layer_assignment(g, d)
-    cls = classify_edges(g, d)
     bad = 0
-    for u, v in cls.forward_edges:
-        bad += lam[v] != lam[u] + 1
-    for u, v in cls.back_edges:
-        bad += lam[v] >= lam[u]
+    for (u, v), w in g.edges.items():
+        slack = edge_slack(d, u, v, w)
+        if slack == 0:
+            bad += lam[v] != lam[u] + 1
+        else:
+            bad += not slack > 0 or lam[v] >= lam[u]
     return bad
 
 

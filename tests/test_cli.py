@@ -76,6 +76,12 @@ def test_oracle_budget_exit_code(capsys, chains_file):
     assert code == 4 and "budget" in err
 
 
+def test_oracle_negative_budget_exits_2(capsys, triangle_file):
+    code, out, err = run(capsys, "oracle", triangle_file, "--budget", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: budget must be non-negative\n"
+
+
 def test_oracle_on_long_path_graph_answers_none(capsys, tmp_path):
     n = 1200
     f = tmp_path / "long.txt"

@@ -11,11 +11,11 @@ from nextpath import (
     CyclicGraphError,
     ForwardDag,
     SharedTerminalError,
-    classify_edges,
     layered_digraph,
     shortest_distances,
     two_disjoint_paths,
 )
+from nextpath.graph import edge_slack
 from nextpath.oracle import exhaustive_two_disjoint_paths
 from nextpath.solver import _LayeredSearch
 
@@ -28,7 +28,7 @@ def dag_of(edges, n):
 
 
 def forward_dag(g):
-    return ForwardDag.forward_subgraph(g, classify_edges(g, shortest_distances(g)))
+    return _LayeredSearch(g).dag
 
 
 def assert_valid_pair(dag, pair, q1, q2):
@@ -123,9 +123,9 @@ def test_waypoint_prefix_suffix_regions_are_disjoint():
     for seed in range(12):
         g = layered_digraph(5, 3, 4, seed)
         search = _LayeredSearch(g)
-        d, cls, dag, lam = search.d, search.cls, search.dag, search.lam
-        vb = sorted(cls.back_vertices)
-        fwd = sorted(cls.forward_edges)
+        d, dag, lam = search.d, search.dag, search.lam
+        vb = sorted(search.back_vertices)
+        fwd = [(u, v) for u in sorted(g.vertices) for v in search.forward[u]]
         for a in vb:
             for b in vb:
                 if d.from_s[a] <= d.from_s[b] or b == g.s or a == g.t:
@@ -171,9 +171,9 @@ def test_waypoint_feasibility_matches_exhaustive_pair_search():
     for seed in range(14):
         g = layered_digraph(4 + seed % 3, 2 + seed % 2, 3 + seed % 3, seed * 5 + 1)
         search = _LayeredSearch(g)
-        d, cls, dag, lam = search.d, search.cls, search.dag, search.lam
-        vb = sorted(cls.back_vertices)
-        fwd = sorted(cls.forward_edges)
+        d, dag, lam = search.d, search.dag, search.lam
+        vb = sorted(search.back_vertices)
+        fwd = [(u, v) for u in sorted(g.vertices) for v in search.forward[u]]
         for a in vb:
             for b in vb:
                 if d.from_s[a] <= d.from_s[b] or b == g.s or a == g.t:
@@ -200,8 +200,9 @@ def test_forward_paths_between_fixed_vertices_have_equal_weight():
     for seed in range(6):
         g = layered_digraph(5, 2, 2, seed)
         d = shortest_distances(g)
-        cls = classify_edges(g, d)
-        fwd_only = g.replace(edges={e: w for e, w in g.edges.items() if e in cls.forward_edges})
+        fwd_only = g.replace(
+            edges={(u, v): w for (u, v), w in g.edges.items() if edge_slack(d, u, v, w) == 0}
+        )
         for a in sorted(g.vertices)[:4]:
             for b in sorted(g.vertices)[-4:]:
                 if a == b:

@@ -12,7 +12,6 @@ from nextpath import (
     GraphFormatError,
     InvalidPathError,
     WeightedDigraph,
-    classify_edges,
     format_weight,
     is_layered,
     is_straight,
@@ -26,7 +25,7 @@ from nextpath import (
     shortest_path_avoiding,
     validate_path,
 )
-from nextpath.graph import dijkstra, straightness_violations
+from nextpath.graph import dijkstra, edge_slack, straightness_violations
 from nextpath.oracle import simple_paths
 
 
@@ -239,38 +238,17 @@ def test_a_limit_keeps_everything_closer_than_it(query, limit):
 def test_classification_examples():
     g = build_graph(3, {(0, 1): 1, (1, 2): 1, (2, 1): 5}, s=0, t=2)
     d = shortest_distances(g)
-    cls = classify_edges(g, d)
-    assert (2, 1) in cls.back_edges  # 2 + 5 > 1
-    assert (0, 1) in cls.forward_edges  # equality case
-    assert cls.back_vertices == {1, 2}
-
-
-def test_classification_partitions_edges():
-    for seed in range(10):
-        g = random_digraph(7, 0.5, 4, seed)
-        # drop edges with unreachable tails to satisfy the contract
-        d = shortest_distances(g)
-        keep = {e: w for e, w in g.edges.items() if d.from_s[e[0]] is not None}
-        g2 = g.replace(edges=keep)
-        d2 = shortest_distances(g2)
-        cls = classify_edges(g2, d2)
-        assert cls.back_edges | cls.forward_edges == set(g2.edges)
-        assert not cls.back_edges & cls.forward_edges
+    assert edge_slack(d, 2, 1, 5) > 0  # back-edge: 2 + 5 > 1
+    assert edge_slack(d, 0, 1, 1) == 0  # forward edge: the equality case
+    assert edge_slack(d, 1, 2, 1) == 0
 
 
 def test_classification_matches_independent_distances():
     g = layered_digraph(4, 2, 2, seed=7)
     d = shortest_distances(g)
-    cls = classify_edges(g, d)
     dist = bellman_ford_from(g, g.s)
     for (u, v), w in g.edges.items():
-        assert ((u, v) in cls.back_edges) == (dist[u] + w > dist[v])
-
-
-def test_classification_rejects_unreachable_tail():
-    g = build_graph(3, {(1, 2): 1}, s=0, t=2)
-    with pytest.raises(ValueError, match="unreachable"):
-        classify_edges(g, shortest_distances(g))
+        assert (edge_slack(d, u, v, w) > 0) == (dist[u] + w > dist[v])
 
 
 # --- path validation --------------------------------------------------------
@@ -362,11 +340,12 @@ def test_layer_stepping_on_generated_instances(seed):
     g = layered_digraph(4 + seed % 3, 2, 2 + seed % 4, seed)
     d = shortest_distances(g)
     lam = layer_assignment(g, d)
-    cls = classify_edges(g, d)
-    for u, v in cls.forward_edges:
-        assert lam[v] == lam[u] + 1
-    for u, v in cls.back_edges:
-        assert lam[v] < lam[u]
+    for (u, v), w in g.edges.items():
+        slack = edge_slack(d, u, v, w)
+        if slack == 0:
+            assert lam[v] == lam[u] + 1
+        else:
+            assert slack > 0 and lam[v] < lam[u]
     for u in g.vertices:
         for v in g.vertices:
             assert (d.from_s[u] < d.from_s[v]) == (lam[u] < lam[v])

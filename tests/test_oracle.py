@@ -42,6 +42,19 @@ def test_budget_exceeded_is_loud():
         exhaustive_next_to_shortest(g, budget=10)
 
 
+def test_negative_budget_is_rejected_before_any_path():
+    g = random_digraph(8, 0.9, 1, 3)
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        next(simple_paths(g, g.s, g.t, budget=-1))
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        exhaustive_next_to_shortest(g, budget=-5)
+    # A zero budget is valid: it admits no path at all.
+    with pytest.raises(BudgetExceeded):
+        exhaustive_next_to_shortest(g, budget=0)
+    unreachable = build_graph(3, {(0, 1): 1}, s=0, t=2)
+    assert not exhaustive_next_to_shortest(unreachable, budget=0).found
+
+
 def test_oracle_weight_invariant_under_relabeling():
     import random
 

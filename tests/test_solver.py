@@ -4,14 +4,16 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nextpath.solver
 from conftest import PARALLEL_CHAINS, bead_graph, build_graph
 from nextpath import (
     ForwardDag,
     back_edge_decomposition,
-    classify_edges,
     exhaustive_next_to_shortest,
+    layer_assignment,
     layered_digraph,
     path_weight,
     shortest_distances,
@@ -19,8 +21,9 @@ from nextpath import (
     solve_layered,
     validate_path,
 )
-from nextpath.graph import dijkstra
+from nextpath.graph import dijkstra, edge_slack
 from nextpath.oracle import simple_paths
+from nextpath.solver import _LayeredSearch
 
 
 def test_decomposition_of_shortest_path_is_none():
@@ -43,15 +46,19 @@ def test_decomposition_single_back_edge():
 def test_decomposition_outer_fragments_are_forward(seed):
     g = layered_digraph(5, 2, 3, seed)
     d = shortest_distances(g)
-    cls = classify_edges(g, d)
     dst = d.from_s[g.t]
+
+    def slack(u, v):
+        return edge_slack(d, u, v, g.edges[(u, v)])
+
     for path, w in simple_paths(g, g.s, g.t, budget=3000):
         if w == dst:
             continue
         dec = back_edge_decomposition(g, d, path)
         for fragment in (dec.prefix, dec.suffix):
-            for e in zip(fragment, fragment[1:]):
-                assert e in cls.forward_edges
+            for u, v in zip(fragment, fragment[1:]):
+                assert slack(u, v) == 0
+        assert slack(*dec.middle[:2]) > 0 and slack(*dec.middle[-2:]) > 0
 
 
 def test_solver_none_without_back_edges():
@@ -67,18 +74,44 @@ def test_solver_worked_instance():
     assert shortest_distances(g).from_s[5] == 3
 
 
-def test_solver_classifies_edges_once(monkeypatch):
-    calls = []
+def test_solver_builds_no_forward_dag_without_a_waypoint_tuple(monkeypatch):
+    # Bead layers hold no waypoint pair and a graph without back-edges has
+    # no middle segment, so no tuple is reached and no DAG is needed.
+    built = []
+    init = ForwardDag.__init__
 
-    def counting(g, d):
-        calls.append(g)
-        return classify_edges(g, d)
+    def counting(dag, *args):
+        built.append(dag)
+        init(dag, *args)
 
-    monkeypatch.setattr("nextpath.graph.classify_edges", counting)
-    monkeypatch.setattr("nextpath.solver.classify_edges", counting)
-    g = layered_digraph(5, 3, 4, 1)
-    assert solve_layered(g).found
-    assert calls == [g]
+    monkeypatch.setattr(ForwardDag, "__init__", counting)
+    for seed in range(10):
+        assert not solve_layered(bead_graph(4, 3, 10, seed)).found
+        assert not solve_layered(layered_digraph(5, 3, 0, seed)).found
+    assert built == []
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_search_setup_matches_edge_slack(seed):
+    g = layered_digraph(5 + seed % 3, 2 + seed % 3, 3 + seed, seed)
+    d = shortest_distances(g)
+    lam = layer_assignment(g, d)
+    slack = {(u, v): edge_slack(d, u, v, w) for (u, v), w in g.edges.items()}
+    back = [e for e, x in slack.items() if x > 0]
+    forward = sorted(e for e, x in slack.items() if x == 0)
+    assert back and len(back) + len(forward) == g.edge_count
+    by_layer = {}
+    for u, v in forward:
+        by_layer.setdefault(lam[u], []).append((u, v))
+    search = _LayeredSearch(g)
+    assert search.back_vertices == {u for e in back for u in e}
+    assert search.floor == d.from_s[g.t] + min(slack[e] for e in back)
+    assert search.forward_by_tail_layer == {
+        layer: edges
+        for layer, edges in by_layer.items()
+        if len({u for u, _ in edges}) > 1 and len({v for _, v in edges}) > 1
+    }
+    assert search.dag.adj == {u: tuple(v for x, v in forward if x == u) for u in g.vertices}
 
 
 def test_solver_skips_layers_without_a_waypoint_pair(monkeypatch):
@@ -173,6 +206,21 @@ def test_solver_matches_oracle_on_seeded_layered_instances(layers, width, back):
         assert want.found == got.found, seed
         if want.found:
             assert want.weight == got.weight, seed
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.integers(5, 7),
+    st.integers(2, 4),
+    st.integers(0, 14),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+)
+def test_solver_matches_oracle_on_drawn_layered_graphs(layers, width, back, w_max, seed):
+    g = layered_digraph(layers, width, back, seed, back_weight_max=w_max)
+    want = exhaustive_next_to_shortest(g)
+    got = solve_layered(g)
+    assert (got.found, got.weight) == (want.found, want.weight)
 
 
 def test_solver_outputs_validate_and_satisfy_weight_identities():
