@@ -326,6 +326,7 @@ def layer_assignment(g: WeightedDigraph, d: DistanceTable) -> dict[int, int]:
 #   first data line:  n m s t        (counts and 0-based terminal ids)
 #   then m lines:     u v w          (w a positive decimal, <= 9 fraction digits)
 #   '#' starts a comment; blank lines are ignored.
+#   Lines end at LF, CR LF or a lone CR, as in a file opened in text mode.
 # ---------------------------------------------------------------------------
 
 
@@ -341,18 +342,27 @@ def parse_graph(text: str | bytes) -> WeightedDigraph:
     """Parse the edge-list format into a graph with scaled integer weights.
 
     All weights are scaled by one global power of ten (the smallest making
-    every weight integral); errors carry the offending line number.
+    every weight integral). Lines end at LF, CR LF or a lone CR. Errors
+    carry the offending line number: a malformed line first, then a missing
+    header or a wrong edge count, then the first duplicate edge, then an
+    overflow on the first line with the largest weight.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    lines = text.splitlines()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     header: tuple[int, int, int, int] | None = None
-    raw_edges: list[tuple[int, int, int, int, str]] = []  # (line, u, v, int_part, frac)
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+    edges: dict[Edge, int] = {}  # unscaled integer parts until the end
+    fracs: dict[Edge, str] = {}  # fraction digits of the non-integral weights
+    duplicate: tuple[int, int, int] | None = None  # (line, u, v) of the first
+    repeats = 0
+    top_w, top_frac, top_line = 0, "", None  # largest weight, first line with it
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if "#" in line:
+            line = line.partition("#")[0]
+        fields = line.split()
+        if not fields:
             continue
-        fields = stripped.split()
         if header is None:
             if len(fields) != 4:
                 raise GraphFormatError("expected header 'n m s t'", lineno)
@@ -370,47 +380,71 @@ def parse_graph(text: str | bytes) -> WeightedDigraph:
                 raise GraphFormatError("source and sink must differ", lineno)
             header = (n, m, s, t)
             continue
-        if len(fields) != 3:
-            raise GraphFormatError("expected edge line 'u v w'", lineno)
-        try:
-            u, v = parse_int(fields[0]), parse_int(fields[1])
-        except ValueError:
-            raise GraphFormatError("non-integer vertex id", lineno) from None
-        n = header[0]
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"vertex id out of range 0..{n - 1}", lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        match = _WEIGHT_RE.match(fields[2])
-        if match is None:
-            raise GraphFormatError(
-                "weight must be a positive decimal with at most 9 fractional digits", lineno
-            )
-        int_part = int(match.group(1))
-        frac = (match.group(2) or "").rstrip("0")
-        if int_part == 0 and not frac:
-            raise GraphFormatError("non-positive weight", lineno)
-        raw_edges.append((lineno, u, v, int_part, frac))
+        # A plain ASCII-digit line that passes every check skips parse_int
+        # and the weight pattern; any other line takes the checked path.
+        if (
+            len(fields) == 3
+            and line.isascii()
+            and fields[0].isdigit()
+            and fields[1].isdigit()
+            and fields[2].isdigit()
+            and (u := int(fields[0])) < n
+            and (v := int(fields[1])) < n
+            and u != v
+            and (w := int(fields[2]))
+        ):
+            frac = ""
+        else:
+            if len(fields) != 3:
+                raise GraphFormatError("expected edge line 'u v w'", lineno)
+            try:
+                u, v = parse_int(fields[0]), parse_int(fields[1])
+            except ValueError:
+                raise GraphFormatError("non-integer vertex id", lineno) from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"vertex id out of range 0..{n - 1}", lineno)
+            if u == v:
+                raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+            match = _WEIGHT_RE.match(fields[2])
+            if match is None:
+                raise GraphFormatError(
+                    "weight must be a positive decimal with at most 9 fractional digits", lineno
+                )
+            w = int(match.group(1))
+            frac = (match.group(2) or "").rstrip("0")
+            if w == 0 and not frac:
+                raise GraphFormatError("non-positive weight", lineno)
+        key = (u, v)
+        if key in edges:
+            repeats += 1
+            if duplicate is None:
+                duplicate = (lineno, u, v)
+            continue
+        edges[key] = w
+        if frac:
+            fracs[key] = frac
+        # (w, frac) orders like the weight's value, as frac has no trailing zeros.
+        if w >= top_w and (w > top_w or frac > top_frac):
+            top_w, top_frac, top_line = w, frac, lineno
 
     if header is None:
         raise GraphFormatError("empty input: missing header line")
     n, m, s, t = header
-    if len(raw_edges) != m:
-        raise GraphFormatError(f"header declares {m} edges, found {len(raw_edges)}")
-
-    scale = max((len(frac) for (_, _, _, _, frac) in raw_edges), default=0)
-    edges: dict[Edge, int] = {}
-    max_w_line = None
-    max_w = 0
-    for lineno, u, v, int_part, frac in raw_edges:
-        if (u, v) in edges:
-            raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
-        w = int_part * 10**scale + int(frac.ljust(scale, "0") or "0")
-        edges[(u, v)] = w
-        if w > max_w:
-            max_w, max_w_line = w, lineno
-    if max_w and n * max_w > MAX_ACCUMULATOR:
-        raise GraphFormatError("weight overflow after scaling", max_w_line)
+    found = len(edges) + repeats
+    if found != m:
+        raise GraphFormatError(f"header declares {m} edges, found {found}")
+    if duplicate is not None:
+        lineno, u, v = duplicate
+        raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
+    scale = max(map(len, fracs.values()), default=0)
+    if scale:
+        unit = 10**scale
+        edges = {key: w * unit for key, w in edges.items()}
+        for key, frac in fracs.items():
+            edges[key] += int(frac.ljust(scale, "0"))
+        top_w = top_w * unit + int(top_frac.ljust(scale, "0"))
+    if n * top_w > MAX_ACCUMULATOR:
+        raise GraphFormatError("weight overflow after scaling", top_line)
     return WeightedDigraph(frozenset(range(n)), edges, s, t, scale)
 
 

@@ -1,6 +1,7 @@
 """graph-core: parsing, distances, classification, predicates, layers."""
 from __future__ import annotations
 
+from decimal import Decimal
 from types import ModuleType
 
 import pytest
@@ -61,6 +62,7 @@ def test_parse_accepts_comments_blank_lines_and_bytes():
         ("3 2 0 +2\n0 1 1\n1 2 1\n", 1, "non-integer header"),
         ("2 1 0 1\n+0 1 1\n", 2, "non-integer vertex id"),
         ("2 1 0 1\n0 1 \u0661\n", 2, "positive decimal"),
+        ("3 2 0 2\n0 1 1\x0c\n1 2 0\n", 3, "non-positive"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -68,6 +70,41 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
         parse_graph(text)
     assert err.value.line == line
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,line,fragment",
+    [
+        ("3 3 0 2\n0 1 1\n0 1 1\n1 2 x\n", 4, "positive decimal"),
+        ("3 3 0 2\n0 1 1\n0 1 1\n", None, "header declares 3 edges, found 2"),
+        ("3 3 0 2\n0 1 1\n0 1 1\n1 2 9999999999999999999\n", 3, "duplicate edge"),
+        ("3 4 0 2\n0 1 1\n1 2 1\n1 2 2\n0 1 2\n", 4, "duplicate edge (1, 2)"),
+        ("3 2 0 2\n0 1 9999999999999999999\n1 2 9999999999999999999\n", 2, "overflow"),
+        ("3 2 0 2\n0 1 0.5\n1 2 999999999999999999\n", 3, "overflow"),
+        ("3 2 0 2\n0 1 999999999999999999.1\n1 2 999999999999999999.5\n", 3, "overflow"),
+        ("2 1 0 1\n0 1 461168601842738790.4\n", 2, "overflow"),
+        ("2 1 0 1\n-1 1 1\n", 2, "vertex id out of range"),
+    ],
+)
+def test_parse_error_precedence(text, line, fragment):
+    """A malformed line beats the edge count, which beats a duplicate, which
+    beats an overflow; an overflow names the first line with the largest
+    scaled weight."""
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text)
+    assert err.value.line == line
+    assert fragment in str(err.value)
+
+
+def test_parse_reads_minus_zero_as_zero():
+    assert parse_graph("2 1 0 1\n-0 1 1\n").edges == {(0, 1): 1}
+
+
+def test_parse_ends_lines_only_at_lf_crlf_and_cr():
+    g = parse_graph("3 2 0 2\n0 1 1 # a\u2028b\n1 2 1\n")
+    assert g.edges == {(0, 1): 1, (1, 2): 1}
+    assert parse_graph("3 2 0 2\r0 1 1\r1 2 1\r") == g
+    assert parse_graph("3 2 0 2\r\n0 1 1\r\n1 2 1\r\n") == g
 
 
 def test_parse_edge_count_mismatch():
@@ -82,6 +119,9 @@ def test_decimal_weights_share_one_global_scale():
     # trailing zeros do not inflate the scale
     g2 = parse_graph("2 1 0 1\n0 1 0.50\n")
     assert g2.scale == 1 and g2.edges[(0, 1)] == 5
+    # the largest weight a 2-vertex graph accepts: 2 * w <= 2**63 - 1
+    g3 = parse_graph("2 1 0 1\n0 1 461168601842738790.3\n")
+    assert g3.edges[(0, 1)] == 4611686018427387903
 
 
 def test_serialize_round_trip():
@@ -91,6 +131,35 @@ def test_serialize_round_trip():
     for seed in range(5):
         g = random_digraph(6, 0.5, 4, seed)
         assert parse_graph(serialize_graph(g)) == g
+
+
+_DECIMALS = st.one_of(
+    st.integers(1, 10**6).map(str),
+    st.tuples(st.integers(0, 10**6), st.text("0123456789", min_size=1, max_size=9))
+    .filter(lambda p: p[0] or p[1].strip("0"))
+    .map(lambda p: f"{p[0]}.{p[1]}"),
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    n = draw(st.integers(2, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.dictionaries(pairs, _DECIMALS, max_size=12))
+    lines = [f"{n} {len(edges)} 0 {n - 1}"] + [f"{u} {v} {w}" for (u, v), w in edges.items()]
+    return "\n".join(lines) + "\n", edges
+
+
+@settings(derandomize=True, database=None)
+@given(edge_list_texts())
+def test_parse_serialize_round_trip(drawn):
+    text, weights = drawn
+    g = parse_graph(text)
+    for (u, v), w in weights.items():
+        assert Decimal(g.edges[(u, v)]).scaleb(-g.scale) == Decimal(w)
+    out = serialize_graph(g)
+    assert parse_graph(out) == g
+    assert serialize_graph(parse_graph(out)) == out
 
 
 def test_format_weight():
