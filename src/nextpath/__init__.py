@@ -45,7 +45,6 @@ from .reduction import (
     SubdivisionRecord,
     TraceError,
     apply_step,
-    layering_potential,
     layerize,
     lift_path,
     straighten,

@@ -25,6 +25,7 @@ from .graph import (
     format_weight,
     is_layered,
     is_straight,
+    layering_violations,
     parse_graph,
     parse_int,
     serialize_graph,
@@ -37,7 +38,6 @@ from .reduction import (
     BackEdgeRemoval,
     EliminationRecord,
     SubdivisionRecord,
-    layering_potential,
     TraceError,
 )
 
@@ -182,7 +182,8 @@ def _cmd_stats(args) -> int:
     print(f"straight: {'yes' if straight else 'no'}")
     print(f"layered: {'yes' if is_layered(g, d) else 'no'}")
     if straight:
-        print(f"layering-violations: {layering_potential(g, d)}")
+        back_viol, fwd_viol = layering_violations(g, d)
+        print(f"layering-violations: {len(back_viol) + len(fwd_viol)}")
     return 0
 
 

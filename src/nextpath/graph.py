@@ -169,13 +169,20 @@ def dijkstra(
     target: int | None = None,
     blocked: frozenset[int] | set[int] = frozenset(),
     limit: int | None = None,
+    met: set[int] | None = None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Exact distances from `source` that never enter `blocked`, and the
     parent that set each reached vertex's distance. `dist` holds settled
     vertices only; with a `target` the search stops once it is settled. Only
     a strict improvement pushes, so on ties the first parent stays. A
     positive `limit` pushes nothing at distance `limit` or more; every vertex
-    closer keeps its distance and parent, and those entries pop in order."""
+    closer keeps its distance and parent, and those entries pop in order.
+
+    Each blocked vertex that a settled vertex would have pushed below
+    `limit` is added to `met`. When the target is not reached, `met` is a
+    cut: a search whose blocked set contains it fails too, under any limit
+    no larger, because the first vertex of a lighter path that leaves the
+    settled ball is either in `met` or would have been settled."""
     dist: dict[int, int] = {}
     best = {source: 0}
     parent: dict[int, int] = {}
@@ -188,10 +195,14 @@ def dijkstra(
         if u == target:
             break
         for v, w in adj.get(u, ()):
-            if v in dist or v in blocked:
+            if v in dist:
                 continue
             nd = du + w
             if limit is not None and nd >= limit:
+                continue
+            if v in blocked:
+                if met is not None:
+                    met.add(v)
                 continue
             old = best.get(v)
             if old is None or nd < old:
@@ -202,13 +213,19 @@ def dijkstra(
 
 
 def shortest_path_avoiding(
-    g: WeightedDigraph, blocked: frozenset[int] | set[int], a: int, b: int, limit: int | None = None
+    g: WeightedDigraph,
+    blocked: frozenset[int] | set[int],
+    a: int,
+    b: int,
+    limit: int | None = None,
+    met: set[int] | None = None,
 ) -> Path | None:
     """Exact shortest a-to-b path avoiding `blocked`, over all edge types;
-    None also when that path weighs `limit` or more."""
+    None also when that path weighs `limit` or more. On None, `met` holds
+    the search's cut (see `dijkstra`)."""
     if a in blocked or b in blocked:
         raise ValueError("endpoints must not be blocked")
-    dist, parent = dijkstra(g.adj_out, a, target=b, blocked=blocked, limit=limit)
+    dist, parent = dijkstra(g.adj_out, a, target=b, blocked=blocked, limit=limit, met=met)
     if b not in dist:
         return None
     rev = [b]

@@ -103,9 +103,12 @@ def exhaustive_two_disjoint_paths(
     dag: ForwardDag, pair1: tuple[int, int], pair2: tuple[int, int]
 ) -> DisjointPathPair | None:
     """Brute-force search over all path pairs; mirrors two_disjoint_paths'
-    contract, including the shared-terminal rejection."""
+    contract, including the terminal checks."""
     s1, t1 = pair1
     s2, t2 = pair2
+    for x in (s1, t1, s2, t2):
+        if x not in dag.vertices:
+            raise ValueError(f"terminal {x} not in graph")
     if {s1, t1} & {s2, t2}:
         raise SharedTerminalError(f"pairs {pair1} and {pair2} share a terminal")
     if s1 == t1 and s2 == t2:

@@ -278,15 +278,6 @@ def _detour(parent: dict[int, int], x: int, y: int) -> Path:
     return tuple(reversed(walk[:-1]))
 
 
-def layering_potential(g: WeightedDigraph, d: DistanceTable) -> int:
-    """Count of edges violating layeredness in a straight graph (see
-    `layering_violations`)."""
-    if not is_straight(g, d):
-        raise ValueError("graph is not (s,t)-straight")
-    back_viol, fwd_viol = layering_violations(g, d)
-    return len(back_viol) + len(fwd_viol)
-
-
 def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     """Reduce a straight graph to a layered one.
 

@@ -198,9 +198,15 @@ class _LayeredSearch:
 
     def _pair_routes(self, a: int, b: int, base: int) -> Iterator[tuple[int, Path]]:
         """Completed routes of pair (a, b) lighter than the incumbent, in tuple
-        enumeration order, with their weights; each is checked before it is yielded."""
+        enumeration order, with their weights; each is checked before it is yielded.
+
+        Every failed residual search leaves its cut (see `graph.dijkstra`).
+        The limit only shrinks during one visit, as `best` only decreases,
+        so a later tuple whose blocked set contains a cut fails too and is
+        skipped without a search."""
         g, lam, dag = self.g, self.lam, self.dag
         by_layer = self.forward_by_tail_layer
+        cuts: list[set[int]] = []
         for layer in range(lam[b], lam[a]):
             edges_here = by_layer.get(layer, ())
             for xp, x in edges_here:
@@ -215,10 +221,14 @@ class _LayeredSearch:
                     if outer is None:
                         continue
                     blocked = (set(outer.p1) | set(outer.p2)) - {a, b}
+                    if any(cut <= blocked for cut in cuts):
+                        continue
                     # Read now: the incumbent may improve while this generator waits.
                     limit = None if self.best is None else self.best[0] - base
-                    p0 = shortest_path_avoiding(g, blocked, a, b, limit)
+                    met: set[int] = set()
+                    p0 = shortest_path_avoiding(g, blocked, a, b, limit, met)
                     if p0 is None:
+                        cuts.append(met)
                         continue
                     weight = base + path_weight(g, p0)
                     full = outer.p1 + p0[1:] + outer.p2[1:]

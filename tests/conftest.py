@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 from nextpath import WeightedDigraph, layered_digraph, shortest_distances
+from nextpath.graph import layering_violations
 
 
 def build_graph(n, edges, s=0, t=None, scale=0):
@@ -83,6 +84,13 @@ def floyd_warshall(g):
                 if old is None or dik + dkj < old:
                     dist[(i, j)] = dik + dkj
     return dist
+
+
+def violation_count(g, d):
+    """Edges of a straight graph that violate layeredness: the potential
+    that each layerize step lowers by one."""
+    back, fwd = layering_violations(g, d)
+    return len(back) + len(fwd)
 
 
 def bellman_ford_from(g, source):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import floyd_warshall
+from conftest import floyd_warshall, violation_count
 from nextpath import (
     EliminationRecord,
     ForwardDag,
@@ -18,7 +18,6 @@ from nextpath import (
     is_layered,
     layer_assignment,
     layered_digraph,
-    layering_potential,
     layerize,
     lift_path,
     random_digraph,
@@ -140,11 +139,11 @@ def test_criterion_3_reduction_invariants():
         g_l, tr_l = layerize(g_s)
         cur = g_s
         d_cur = shortest_distances(cur)
-        phi = layering_potential(cur, d_cur)
+        phi = violation_count(cur, d_cur)
         for step in tr_l.steps:
             nxt = apply_step(cur, step)
             d_nxt = shortest_distances(nxt)
-            if layering_potential(nxt, d_nxt) != phi - 1:
+            if violation_count(nxt, d_nxt) != phi - 1:
                 violations += 1
             if any(d_cur.from_s[z] != d_nxt.from_s[z] for z in cur.vertices & nxt.vertices):
                 violations += 1

@@ -2,9 +2,12 @@
 waypoint split built on it."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PARALLEL_CHAINS, build_graph
 from nextpath import (
@@ -76,6 +79,43 @@ def test_deterministic_output():
     first = two_disjoint_paths(dag, (0, 5), (1, 4))
     second = two_disjoint_paths(dag, (0, 5), (1, 4))
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "query, missing",
+    [(((0, 9), (1, 2)), 9), (((0, 2), (9, 9)), 9), (((0, 3), (7, 8)), 7)],
+)
+@pytest.mark.parametrize("find", [two_disjoint_paths, exhaustive_two_disjoint_paths])
+def test_terminals_outside_the_dag_are_rejected(find, query, missing):
+    dag = dag_of([(0, 1), (1, 2), (2, 3)], 4)
+    with pytest.raises(ValueError, match=f"^terminal {missing} not in graph$"):
+        find(dag, *query)
+
+
+@st.composite
+def dags(draw):
+    """A DAG on 2..9 vertices whose ids are not in topological order."""
+    n = draw(st.integers(2, 9))
+    order = draw(st.permutations(range(n)))
+    forward = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    return dag_of(draw(st.lists(st.sampled_from(forward), unique=True)), n)
+
+
+@settings(derandomize=True, database=None)
+@given(dags())
+def test_disjoint_pairs_agree_with_exhaustive_search(dag):
+    """Every pair of terminal pairs that share no terminal, degenerate pairs
+    (s == t) included."""
+    verts = sorted(dag.vertices)
+    for s1, t1, s2, t2 in itertools.product(verts, repeat=4):
+        if {s1, t1} & {s2, t2}:
+            continue
+        q = ((s1, t1), (s2, t2))
+        got = two_disjoint_paths(dag, *q)
+        want = exhaustive_two_disjoint_paths(dag, *q)
+        assert (got is None) == (want is None), q
+        if got is not None:
+            assert_valid_pair(dag, got, *q)
 
 
 @pytest.mark.parametrize("trial", range(40))

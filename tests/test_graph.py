@@ -301,6 +301,29 @@ def test_a_limit_keeps_everything_closer_than_it(query, limit):
     assert shortest_path_avoiding(g, blocked, g.s, g.t, limit) == path
 
 
+@settings(derandomize=True, database=None)
+@given(blocked_queries(), st.data())
+def test_a_failed_search_leaves_a_cut_that_decides_wider_searches(query, data):
+    g, blocked, _rest = query
+    dist, _ = dijkstra(g.adj_out, g.s, blocked=blocked)
+    inner = sorted(g.vertices - {g.s, g.t})
+    for limit in (None, *range(1, 11)):
+        met: set[int] = set()
+        if shortest_path_avoiding(g, blocked, g.s, g.t, limit, met) is not None:
+            continue
+        # Exactly the blocked vertices pushed from the settled ball below the limit.
+        assert met == {
+            v
+            for u, du in dist.items()
+            for v, w in g.adj_out[u]
+            if v in blocked and (limit is None or du + w < limit)
+        }, limit
+        # Any superset of the cut blocks every route below any limit no larger.
+        wider = met | (data.draw(st.frozensets(st.sampled_from(inner))) if inner else set())
+        for cap in (None, *range(1, 11)) if limit is None else range(1, limit + 1):
+            assert shortest_path_avoiding(g, wider, g.s, g.t, cap) is None, (limit, wider, cap)
+
+
 # --- classification ---------------------------------------------------------
 
 

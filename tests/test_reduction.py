@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_graph, floyd_warshall, skip_edge_graph
+from conftest import build_graph, floyd_warshall, skip_edge_graph, violation_count
 from nextpath import (
     BackEdgeRemoval,
     EliminationRecord,
@@ -19,7 +19,6 @@ from nextpath import (
     exhaustive_next_to_shortest,
     is_layered,
     is_straight,
-    layering_potential,
     layered_digraph,
     layerize,
     lift_path,
@@ -166,7 +165,7 @@ def test_straighten_output_is_straight_and_bounded():
 def test_layerize_subdivides_layer_skipping_edge():
     g = build_graph(4, {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1}, s=0, t=3)
     d = shortest_distances(g)
-    assert layering_potential(g, d) == 1
+    assert violation_count(g, d) == 1
     g2, trace = layerize(g)
     assert trace.steps == [SubdivisionRecord(edge=(0, 2), chain=(4,), q_values=(0, 1, 2))]
     assert g2.edges == {(0, 1): 1, (1, 2): 1, (0, 4): 1, (4, 2): 1, (2, 3): 1}
@@ -176,15 +175,15 @@ def test_layerize_subdivides_layer_skipping_edge():
 def test_layerize_identity_on_layered_input():
     g = build_graph(3, {(0, 1): 1, (1, 2): 1}, s=0, t=2)
     d = shortest_distances(g)
-    assert layering_potential(g, d) == 0
+    assert violation_count(g, d) == 0
     g2, trace = layerize(g)
     assert g2 == g and trace.steps == []
 
 
-def test_layering_potential_requires_straight():
+def test_layerize_requires_straight():
     g = build_graph(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, s=0, t=2)
     with pytest.raises(ValueError, match="straight"):
-        layering_potential(g, shortest_distances(g))
+        layerize(g)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -198,13 +197,13 @@ def test_layerize_invariants_per_iteration(seed):
     g_l, trace = layerize(g_s)
     cur = g_s
     d = shortest_distances(cur)
-    phi = layering_potential(cur, d)
+    phi = violation_count(cur, d)
     assert len(trace.steps) == phi
     assert is_layered(cur, d) == (phi == 0)
     for step in trace.steps:
         nxt = apply_step(cur, step)
         d_cur, d_nxt = shortest_distances(cur), shortest_distances(nxt)
-        assert layering_potential(nxt, d_nxt) == phi - 1
+        assert violation_count(nxt, d_nxt) == phi - 1
         assert is_layered(nxt, d_nxt) == (phi - 1 == 0)
         for z in cur.vertices & nxt.vertices:
             assert d_cur.from_s[z] == d_nxt.from_s[z]
