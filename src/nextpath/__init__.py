@@ -49,12 +49,7 @@ from .reduction import (
     lift_path,
     straighten,
 )
-from .solver import (
-    BackEdgeDecomposition,
-    back_edge_decomposition,
-    shortest_path_avoiding,
-    solve_layered,
-)
+from .solver import shortest_path_avoiding, solve_layered
 
 __all__ = [
     name

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graph import Path, WeightedDigraph
+from .graph import Path, WeightedDigraph, parent_path
 
 
 class CyclicGraphError(ValueError):
@@ -109,10 +109,7 @@ def _single_path(dag: ForwardDag, a: int, b: int, avoid: frozenset[int]) -> Path
                 continue
             parent[v] = u
             if v == b:
-                rev = [b]
-                while rev[-1] != a:
-                    rev.append(parent[rev[-1]])
-                return tuple(reversed(rev))
+                return parent_path(parent, a, b)
             queue.append(v)
     return None
 

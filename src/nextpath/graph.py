@@ -1,9 +1,9 @@
-"""Core digraph types: exact integer weights, distances, edge classification.
+"""Core digraph types: exact integer weights, distances, edge slack.
 
 Weights are kept as exact scaled integers (a decimal input like "2.5" is
-stored as 25 with scale=1) so that the equality tests behind edge
-classification and the straight/layered predicates are never subject to
-rounding. Graphs are immutable after construction and safe to share.
+stored as 25 with scale=1) so that the equality tests behind edge slack
+and the straight/layered predicates are never subject to rounding.
+Graphs are immutable after construction and safe to share.
 """
 from __future__ import annotations
 
@@ -107,9 +107,6 @@ class WeightedDigraph:
             from_s=MappingProxyType({u: out.get(u) for u in self.vertices}),
             to_t=MappingProxyType({u: into.get(u) for u in self.vertices}),
         )
-
-    def weight(self, u: int, v: int) -> int:
-        return self.edges[(u, v)]
 
     def replace(self, *, vertices=None, edges=None) -> "WeightedDigraph":
         """Copy with a new vertex set and/or edge map (s, t, scale kept)."""
@@ -228,6 +225,11 @@ def shortest_path_avoiding(
     dist, parent = dijkstra(g.adj_out, a, target=b, blocked=blocked, limit=limit, met=met)
     if b not in dist:
         return None
+    return parent_path(parent, a, b)
+
+
+def parent_path(parent: Mapping[int, int], a: int, b: int) -> Path:
+    """The path a -> b that follows `parent` back from b until it reaches a."""
     rev = [b]
     while rev[-1] != a:
         rev.append(parent[rev[-1]])
@@ -260,7 +262,7 @@ def path_weight(g: WeightedDigraph, path: Path) -> int:
     return total
 
 
-def validate_path(g: WeightedDigraph, path: Path, d: DistanceTable | None = None) -> PathCheck:
+def validate_path(g: WeightedDigraph, path: Path) -> PathCheck:
     """Check edge existence, simplicity, exact weight and back-edge usage.
 
     An edge whose tail is unreachable from s cannot be classified and is not
@@ -272,8 +274,7 @@ def validate_path(g: WeightedDigraph, path: Path, d: DistanceTable | None = None
         if u not in g.vertices:
             raise InvalidPathError(f"unknown vertex {u}")
     weight = path_weight(g, path)
-    if d is None:
-        d = shortest_distances(g)
+    d = g.distances
     uses_back = any(edge_slack(d, u, v, g.edges[(u, v)]) for u, v in zip(path, path[1:]))
     return PathCheck(simple=len(set(path)) == len(path), weight=weight, uses_back_edge=uses_back)
 

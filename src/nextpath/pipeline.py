@@ -66,7 +66,7 @@ def solve_detailed(g: WeightedDigraph) -> PipelineResult:
     else:
         weight, idx = min((w, i) for i, (_p, w) in enumerate(pool))
         path = pool[idx][0]
-        check = validate_path(g, path, d)
+        check = validate_path(g, path)
         if not check.simple or check.weight != weight or weight <= dst:
             raise InternalInvariantError(
                 f"pipeline produced an invalid answer {path} (weight {weight})"

@@ -31,6 +31,7 @@ from .graph import (
     dijkstra,
     is_straight,
     layering_violations,
+    parent_path,
     path_weight,
     shortest_distances,
     straightness_violations,
@@ -262,20 +263,12 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
             old, detour = edges.get((x, y)), dist[y]
             if old is None or detour < old:
                 edges[(x, y)] = detour
-                shortcuts[(x, y)] = _detour(parent, x, y)
+                shortcuts[(x, y)] = parent_path(parent, x, y)[1:-1]
             elif old < detour and from_s[x] + old + to_t[y] == dst:
-                candidate = _tree_path(g, d, x, _detour(parent, x, y), y)
+                candidate = _tree_path(g, d, x, parent_path(parent, x, y)[1:-1], y)
                 trace.candidates.append((candidate, path_weight(g, candidate)))
     trace.steps.append(EliminationRecord(gone, shortcuts))
     return g.replace(vertices=g.vertices - gone, edges=edges), trace
-
-
-def _detour(parent: dict[int, int], x: int, y: int) -> Path:
-    """The inner vertices of the Dijkstra tree path from x to y."""
-    walk = [parent[y]]
-    while walk[-1] != x:
-        walk.append(parent[walk[-1]])
-    return tuple(reversed(walk[:-1]))
 
 
 def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:

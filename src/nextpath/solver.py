@@ -13,13 +13,11 @@ middle segment descends from d(a) to d(b) < d(a), which forces a back-edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
 from .disjoint import DisjointPathPair, ForwardDag, two_disjoint_paths
 from .graph import (
-    DistanceTable,
     Edge,
     InternalInvariantError,
     Path,
@@ -33,49 +31,6 @@ from .graph import (
     shortest_path_avoiding,
     validate_path,
 )
-
-
-@dataclass(frozen=True)
-class BackEdgeDecomposition:
-    """Split of a not-shortest path at its first and last back-edges.
-
-    `middle` runs from the tail of the first back-edge to the head of the
-    last one; prefix and suffix contain forward edges only.
-    """
-
-    prefix: Path
-    middle: Path
-    suffix: Path
-
-    @property
-    def middle_start(self) -> int:
-        return self.middle[0]
-
-    @property
-    def middle_end(self) -> int:
-        return self.middle[-1]
-
-    def whole(self) -> Path:
-        return self.prefix + self.middle[1:-1] + self.suffix
-
-
-def back_edge_decomposition(
-    g: WeightedDigraph, d: DistanceTable, path: Path
-) -> BackEdgeDecomposition | None:
-    """Decompose a simple s-to-t path at its back-edges; None when the path
-    has no back-edge (i.e. is shortest)."""
-    check = validate_path(g, path, d)
-    if not check.simple or path[0] != g.s or path[-1] != g.t:
-        raise ValueError("decomposition needs a simple s-to-t path")
-    backs = [
-        i for i, (u, v) in enumerate(zip(path, path[1:])) if edge_slack(d, u, v, g.edges[(u, v)])
-    ]
-    if not backs:
-        return None
-    i, j = backs[0], backs[-1]
-    return BackEdgeDecomposition(
-        prefix=path[: i + 1], middle=path[i : j + 2], suffix=path[j + 1 :]
-    )
 
 
 class _LayeredSearch:
@@ -232,16 +187,14 @@ class _LayeredSearch:
                         continue
                     weight = base + path_weight(g, p0)
                     full = outer.p1 + p0[1:] + outer.p2[1:]
-                    _check_candidate(g, self.d, full, weight, self.dst)
+                    _check_candidate(g, full, weight, self.dst)
                     yield weight, full
 
 
-def _check_candidate(
-    g: WeightedDigraph, d: DistanceTable, path: Path, weight: int, dst: int
-) -> None:
+def _check_candidate(g: WeightedDigraph, path: Path, weight: int, dst: int) -> None:
     """Defensive check, kept in release builds: a constructed candidate that
     fails validation is a solver bug, never an input condition."""
-    check = validate_path(g, path, d)
+    check = validate_path(g, path)
     if not check.simple or check.weight != weight or weight <= dst:
         raise InternalInvariantError(
             f"solver built an invalid candidate {path} (weight {weight})"

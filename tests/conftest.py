@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 
 from nextpath import WeightedDigraph, layered_digraph, shortest_distances
-from nextpath.graph import layering_violations
+from nextpath.graph import edge_slack, layering_violations
 
 
 def build_graph(n, edges, s=0, t=None, scale=0):
@@ -91,6 +91,18 @@ def violation_count(g, d):
     that each layerize step lowers by one."""
     back, fwd = layering_violations(g, d)
     return len(back) + len(fwd)
+
+
+def back_edge_split(g, path):
+    """(prefix, middle, suffix) of an s-t path cut at its first and last
+    back-edges (positive `edge_slack`), or None when it has no back-edge.
+    `middle` runs from the first back-edge's tail to the last one's head."""
+    d = shortest_distances(g)
+    backs = [i for i, e in enumerate(zip(path, path[1:])) if edge_slack(d, *e, g.edges[e])]
+    if not backs:
+        return None
+    i, j = backs[0], backs[-1]
+    return path[: i + 1], path[i : j + 2], path[j + 1 :]
 
 
 def bellman_ford_from(g, source):

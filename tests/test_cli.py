@@ -216,9 +216,3 @@ def test_dump_trace_goes_to_stderr(capsys, triangle_file):
     assert out == plain_out  # stdout contract untouched
     assert "eliminate 1" in err
     assert "candidate weight=2" in err
-
-
-def test_threads_flag_is_output_identical(capsys, chains_file):
-    _, out1, _ = run(capsys, "solve", chains_file, "--threads", "1")
-    _, out4, _ = run(capsys, "solve", chains_file, "--threads", "4")
-    assert out1 == out4

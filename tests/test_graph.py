@@ -265,7 +265,7 @@ def test_dijkstra_matches_relaxation_on_the_unblocked_graph(query):
     dist, parent = dijkstra(g.adj_out, g.s, blocked=blocked)
     assert dist == want
     for v, u in parent.items():
-        assert dist[u] + g.weight(u, v) == dist[v]
+        assert dist[u] + g.edges[(u, v)] == dist[v]
     cut, _ = dijkstra(g.adj_out, g.s, target=g.t, blocked=blocked)
     assert cut.get(g.t) == want.get(g.t)
     assert all(dist[v] == d for v, d in cut.items())
@@ -375,7 +375,7 @@ def test_not_shortest_iff_back_edge(seed):
     if dst is None:
         pytest.skip("no s-t path for this seed")
     for path, w in simple_paths(g, g.s, g.t):
-        assert (w > dst) == validate_path(g, path, d).uses_back_edge
+        assert (w > dst) == validate_path(g, path).uses_back_edge
 
 
 # --- structural predicates ---------------------------------------------------

@@ -61,7 +61,7 @@ def test_outcome_always_validates():
         if not out.found:
             continue
         d = shortest_distances(g)
-        check = validate_path(g, out.path, d)
+        check = validate_path(g, out.path)
         assert check.simple
         assert check.weight == out.weight > d.from_s[g.t]
         assert check.uses_back_edge

@@ -129,6 +129,21 @@ def test_lift_through_straighten_gives_no_heavier_simple_paths(n, w_max, seed):
         assert check.simple and check.weight <= w
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(0, 10**6))
+def test_lift_through_layerize_keeps_simple_paths_and_weights(seed):
+    """Every simple s-t path of layerize's output lifts to a simple s-t
+    path of its input of the same weight, with every chain contracted."""
+    g = skip_edge_graph(seed)
+    g_l, trace = layerize(g)
+    for path, w in islice(simple_paths(g_l, g_l.s, g_l.t, budget=None), 60):
+        lifted = lift_path(trace, path)
+        assert set(lifted) <= g.vertices
+        assert (lifted[0], lifted[-1]) == (g.s, g.t)
+        check = validate_path(g, lifted)
+        assert check.simple and check.weight == w
+
+
 # --- straighten -----------------------------------------------------------------
 
 

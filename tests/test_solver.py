@@ -1,4 +1,4 @@
-"""layered-solver: back-edge decomposition, residual paths, full enumeration."""
+"""layered-solver: back-edge split of answers, residual paths, full enumeration."""
 from __future__ import annotations
 
 import time
@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nextpath.solver
-from conftest import PARALLEL_CHAINS, bead_graph, build_graph
+from conftest import PARALLEL_CHAINS, back_edge_split, bead_graph, build_graph
 from nextpath import (
     ForwardDag,
-    back_edge_decomposition,
     exhaustive_next_to_shortest,
     layer_assignment,
     layered_digraph,
@@ -28,18 +27,16 @@ from nextpath.solver import _LayeredSearch
 
 def test_decomposition_of_shortest_path_is_none():
     g = build_graph(6, PARALLEL_CHAINS, s=0, t=5)
-    d = shortest_distances(g)
-    assert back_edge_decomposition(g, d, (0, 1, 2, 5)) is None
+    assert back_edge_split(g, (0, 1, 2, 5)) is None
 
 
 def test_decomposition_single_back_edge():
     g = build_graph(6, PARALLEL_CHAINS, s=0, t=5)
-    d = shortest_distances(g)
-    dec = back_edge_decomposition(g, d, (0, 3, 4, 1, 2, 5))
-    assert dec.middle == (4, 1)
-    assert dec.middle_start == 4 and dec.middle_end == 1
-    assert dec.prefix == (0, 3, 4) and dec.suffix == (1, 2, 5)
-    assert dec.whole() == (0, 3, 4, 1, 2, 5)
+    prefix, middle, suffix = back_edge_split(g, (0, 3, 4, 1, 2, 5))
+    assert middle == (4, 1)
+    assert middle[0] == 4 and middle[-1] == 1
+    assert prefix == (0, 3, 4) and suffix == (1, 2, 5)
+    assert prefix + middle[1:-1] + suffix == (0, 3, 4, 1, 2, 5)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -54,11 +51,11 @@ def test_decomposition_outer_fragments_are_forward(seed):
     for path, w in simple_paths(g, g.s, g.t, budget=3000):
         if w == dst:
             continue
-        dec = back_edge_decomposition(g, d, path)
-        for fragment in (dec.prefix, dec.suffix):
+        prefix, middle, suffix = back_edge_split(g, path)
+        for fragment in (prefix, suffix):
             for u, v in zip(fragment, fragment[1:]):
                 assert slack(u, v) == 0
-        assert slack(*dec.middle[:2]) > 0 and slack(*dec.middle[-2:]) > 0
+        assert slack(*middle[:2]) > 0 and slack(*middle[-2:]) > 0
 
 
 def test_solver_none_without_back_edges():
@@ -231,15 +228,15 @@ def test_solver_outputs_validate_and_satisfy_weight_identities():
             continue
         d = shortest_distances(g)
         dst = d.from_s[g.t]
-        check = validate_path(g, out.path, d)
+        check = validate_path(g, out.path)
         assert check.simple and check.weight == out.weight > dst
-        dec = back_edge_decomposition(g, d, out.path)
+        prefix, middle, suffix = back_edge_split(g, out.path)
         # outer fragments are forward shortest routes
-        assert path_weight(g, dec.prefix) == d.from_s[dec.middle_start]
-        assert path_weight(g, dec.suffix) == dst - d.from_s[dec.middle_end]
+        assert path_weight(g, prefix) == d.from_s[middle[0]]
+        assert path_weight(g, suffix) == dst - d.from_s[middle[-1]]
         # interior of the middle segment stays strictly between the endpoints
-        for u in dec.middle[1:-1]:
-            assert d.from_s[dec.middle_end] < d.from_s[u] < d.from_s[dec.middle_start]
+        for u in middle[1:-1]:
+            assert d.from_s[middle[-1]] < d.from_s[u] < d.from_s[middle[0]]
 
 
 def test_solver_is_deterministic_and_keeps_the_floor_exit():
@@ -262,6 +259,6 @@ def test_multi_hop_middle_segment():
     out = solve_layered(g)
     assert out.weight == 10 == exhaustive_next_to_shortest(g).weight
     d = shortest_distances(g)
-    dec = back_edge_decomposition(g, d, out.path)
-    assert dec.middle == (10, 4, 1)
-    assert d.from_s[dec.middle_end] < d.from_s[4] < d.from_s[dec.middle_start]
+    _, middle, _ = back_edge_split(g, out.path)
+    assert middle == (10, 4, 1)
+    assert d.from_s[middle[-1]] < d.from_s[4] < d.from_s[middle[0]]
