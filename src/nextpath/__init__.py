@@ -24,7 +24,6 @@ from .graph import (
     format_weight,
     is_layered,
     is_straight,
-    layer_assignment,
     parse_graph,
     path_weight,
     serialize_graph,

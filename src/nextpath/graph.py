@@ -83,20 +83,20 @@ class WeightedDigraph:
         return len(self.edges)
 
     @cached_property
-    def adj_out(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Outgoing adjacency, `u -> ((v, w), ...)` sorted by head id."""
+    def adj_out(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
+        """Outgoing adjacency, `u -> ((v, w), ...)` sorted by head id; read-only."""
         adj: dict[int, list[tuple[int, int]]] = {u: [] for u in self.vertices}
         for (u, v), w in self.edges.items():
             adj[u].append((v, w))
-        return {u: tuple(sorted(nbrs)) for u, nbrs in adj.items()}
+        return MappingProxyType({u: tuple(sorted(nbrs)) for u, nbrs in adj.items()})
 
     @cached_property
-    def adj_in(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Incoming adjacency, `v -> ((u, w), ...)` sorted by tail id."""
+    def adj_in(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
+        """Incoming adjacency, `v -> ((u, w), ...)` sorted by tail id; read-only."""
         adj: dict[int, list[tuple[int, int]]] = {u: [] for u in self.vertices}
         for (u, v), w in self.edges.items():
             adj[v].append((u, w))
-        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        return MappingProxyType({v: tuple(sorted(nbrs)) for v, nbrs in adj.items()})
 
     @cached_property
     def distances(self) -> "DistanceTable":
@@ -184,6 +184,7 @@ def dijkstra(
     best = {source: 0}
     parent: dict[int, int] = {}
     heap = [(0, source)]
+    neighbors = adj.get  # bound once: each call on a read-only view costs a lookup
     while heap:
         du, u = heapq.heappop(heap)
         if u in dist:
@@ -191,7 +192,7 @@ def dijkstra(
         dist[u] = du
         if u == target:
             break
-        for v, w in adj.get(u, ()):
+        for v, w in neighbors(u, ()):
             if v in dist:
                 continue
             nd = du + w
@@ -322,20 +323,6 @@ def layering_violations(g: WeightedDigraph, d: DistanceTable) -> tuple[list[Edge
     back.sort()
     fwd.sort()
     return back, fwd
-
-
-def layer_assignment(g: WeightedDigraph, d: DistanceTable) -> dict[int, int]:
-    """Layer of each vertex of a layered graph: the 1-based rank of d(s,u)
-    among the distinct distances; rejects non-layered input.
-
-    Forward edges advance the layer by exactly one and back-edges go
-    strictly backward.
-    """
-    if not is_layered(g, d):
-        raise ValueError("graph is not (s,t)-layered")
-    values = sorted({d.from_s[u] for u in g.vertices})
-    rank = {val: i + 1 for i, val in enumerate(values)}
-    return {u: rank[d.from_s[u]] for u in g.vertices}
 
 
 # ---------------------------------------------------------------------------

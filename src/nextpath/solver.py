@@ -25,7 +25,7 @@ from .graph import (
     WeightedDigraph,
     dijkstra,
     edge_slack,
-    layer_assignment,
+    is_straight,
     path_weight,
     shortest_distances,
     shortest_path_avoiding,
@@ -43,11 +43,16 @@ class _LayeredSearch:
     def __init__(self, g: WeightedDigraph):
         self.g = g
         self.d = d = shortest_distances(g)
-        self.lam = lam = layer_assignment(g, d)  # rejects non-layered input
+        if not is_straight(g, d):
+            raise ValueError("graph is not (s,t)-layered")
+        # Layer = 1-based rank of d(s,u) among the distinct distances.
+        rank = {x: i for i, x in enumerate(sorted(set(d.from_s.values())), start=1)}
+        self.lam = lam = {u: rank[du] for u, du in d.from_s.items()}
         self.dst: int = d.from_s[g.t]
         # One pass in (tail, head) order, which fixes each layer's edge order
-        # and so the tuple order; the input check above leaves every slack
-        # defined and non-negative.
+        # and so the tuple order. It is also the input check: straightness
+        # leaves every slack defined and non-negative, a back-edge must go
+        # strictly back and a forward edge exactly one layer on.
         back: set[int] = set()
         slacks: list[int] = []
         self.forward: dict[int, list[int]] = {u: [] for u in g.vertices}
@@ -56,11 +61,15 @@ class _LayeredSearch:
             for v, w in g.adj_out[u]:
                 slack = edge_slack(d, u, v, w)
                 if slack:
+                    layered = lam[v] < lam[u]
                     back.update((u, v))
                     slacks.append(slack)
                 else:
+                    layered = lam[v] == lam[u] + 1
                     self.forward[u].append(v)
                     by_layer.setdefault(lam[u], []).append((u, v))
+                if not layered:
+                    raise ValueError("graph is not (s,t)-layered")
         self.back_vertices = frozenset(back)
         # A waypoint pair is two edges with distinct tails and distinct heads,
         # which a layer holds exactly when its edges have two of each.

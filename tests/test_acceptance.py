@@ -16,7 +16,6 @@ from nextpath import (
     exhaustive_next_to_shortest,
     exhaustive_two_disjoint_paths,
     is_layered,
-    layer_assignment,
     layered_digraph,
     layerize,
     lift_path,
@@ -31,7 +30,7 @@ from nextpath import (
 from nextpath.cli import main as cli_main
 from nextpath.graph import edge_slack
 from nextpath.oracle import simple_paths
-from nextpath.solver import solve_layered
+from nextpath.solver import _LayeredSearch, solve_layered
 
 RANDOM_GRID = [
     (n, p, w_max)
@@ -179,7 +178,7 @@ def _layer_stepping_violations(g) -> int:
     d = shortest_distances(g)
     if not is_layered(g, d):
         return 1
-    lam = layer_assignment(g, d)
+    lam = _LayeredSearch(g).lam
     bad = 0
     for (u, v), w in g.edges.items():
         slack = edge_slack(d, u, v, w)

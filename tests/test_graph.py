@@ -1,7 +1,10 @@
 """graph-core: parsing, distances, classification, predicates, layers."""
 from __future__ import annotations
 
+import ast
+import sys
 from decimal import Decimal
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -16,7 +19,6 @@ from nextpath import (
     format_weight,
     is_layered,
     is_straight,
-    layer_assignment,
     layered_digraph,
     parse_graph,
     path_weight,
@@ -24,10 +26,12 @@ from nextpath import (
     serialize_graph,
     shortest_distances,
     shortest_path_avoiding,
+    solve,
     validate_path,
 )
 from nextpath.graph import dijkstra, edge_slack, straightness_violations
 from nextpath.oracle import simple_paths
+from nextpath.solver import _LayeredSearch
 
 
 # --- parsing ---------------------------------------------------------------
@@ -189,6 +193,17 @@ def test_edges_are_read_only():
     assert g.adj_out is adj
     assert adj == {0: ((1, 1),), 1: ((2, 1),), 2: ()}
     assert g.replace(edges=g.edges) == g
+
+
+def test_adjacencies_are_read_only():
+    g = parse_graph(TRIANGLE)
+    with pytest.raises(TypeError):
+        g.adj_out[0] = ()
+    with pytest.raises(TypeError):
+        g.adj_in[2] = ()
+    assert g.adj_out == {0: ((1, 1), (2, 1)), 1: ((2, 1),), 2: ()}
+    answer = solve(g)
+    assert (answer.weight, answer.path) == (2, (0, 1, 2))
 
 
 # --- distances ------------------------------------------------------------
@@ -408,7 +423,7 @@ def test_layered_rejects_skipping_edge():
 
 def test_layer_assignment_path_graph():
     g = build_graph(3, {(0, 1): 1, (1, 2): 1}, s=0, t=2)
-    lam = layer_assignment(g, shortest_distances(g))
+    lam = _LayeredSearch(g).lam
     assert [lam[u] for u in range(3)] == [1, 2, 3]
 
 
@@ -416,7 +431,7 @@ def test_layer_assignment_parallel_chains_share_layers():
     g = build_graph(
         6, {(0, 1): 1, (1, 2): 1, (2, 5): 1, (0, 3): 1, (3, 4): 1, (4, 5): 1}, s=0, t=5
     )
-    lam = layer_assignment(g, shortest_distances(g))
+    lam = _LayeredSearch(g).lam
     assert lam[1] == lam[3] == 2
     assert lam[2] == lam[4] == 3
 
@@ -424,14 +439,14 @@ def test_layer_assignment_parallel_chains_share_layers():
 def test_layer_assignment_rejects_non_layered():
     g = parse_graph(TRIANGLE)
     with pytest.raises(ValueError, match="layered"):
-        layer_assignment(g, shortest_distances(g))
+        _LayeredSearch(g)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_layer_stepping_on_generated_instances(seed):
     g = layered_digraph(4 + seed % 3, 2, 2 + seed % 4, seed)
     d = shortest_distances(g)
-    lam = layer_assignment(g, d)
+    lam = _LayeredSearch(g).lam
     for (u, v), w in g.edges.items():
         slack = edge_slack(d, u, v, w)
         if slack == 0:
@@ -452,3 +467,20 @@ def test_all_exports_no_modules():
     modules = [n for n in nextpath.__all__ if isinstance(getattr(nextpath, n), ModuleType)]
     assert modules == []
     assert "solve" in nextpath.__all__ and "WeightedDigraph" in nextpath.__all__
+
+
+def test_runtime_imports_only_the_standard_library():
+    src = Path(__file__).resolve().parents[1] / "src" / "nextpath"
+    files = sorted(src.glob("*.py"))
+    assert len(files) >= 10
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "nextpath" or top in sys.stdlib_module_names, (path.name, name)

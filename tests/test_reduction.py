@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from itertools import islice
 
 import pytest
@@ -366,6 +367,22 @@ def test_trace_replay_reproduces_reduced_graphs():
         kinds |= {type(step) for step in tr_s.steps + tr_l.steps}
     assert solved >= 30 and cut_off >= 10
     assert kinds == {EliminationRecord, BackEdgeRemoval, SubdivisionRecord}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.booleans(), st.integers(0, 10**6))
+def test_trace_replay_reproduces_reduced_graphs_on_drawn_inputs(skip_edges, seed):
+    """Folding `apply_step` over each trace rebuilds the graph that
+    `straighten` or `layerize` returned, edge for edge."""
+    g = skip_edge_graph(seed) if skip_edges else random_digraph(6 + seed % 8, 0.35, 4, seed)
+    if shortest_distances(g).from_s[g.t] is None:
+        return
+    g_s, tr_s = straighten(g)
+    g_l, tr_l = layerize(g_s)
+    for host, trace, out in ((g, tr_s, g_s), (g_s, tr_l, g_l)):
+        replayed = reduce(apply_step, trace.steps, host)
+        assert (replayed.vertices, replayed.s, replayed.t) == (out.vertices, out.s, out.t)
+        assert dict(replayed.edges) == dict(out.edges)
 
 
 def test_each_reduction_computes_distances_once(monkeypatch):

@@ -1,23 +1,31 @@
 """layered-solver: back-edge split of answers, residual paths, full enumeration."""
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nextpath.graph
+import nextpath.reduction
 import nextpath.solver
-from conftest import PARALLEL_CHAINS, back_edge_split, bead_graph, build_graph
+from conftest import PARALLEL_CHAINS, back_edge_split, bead_graph, build_graph, skip_edge_graph
 from nextpath import (
     ForwardDag,
     exhaustive_next_to_shortest,
-    layer_assignment,
+    is_layered,
+    is_straight,
     layered_digraph,
+    layerize,
     path_weight,
+    random_digraph,
     shortest_distances,
     shortest_path_avoiding,
+    solve,
     solve_layered,
+    straighten,
     validate_path,
 )
 from nextpath.graph import dijkstra, edge_slack
@@ -92,7 +100,8 @@ def test_solver_builds_no_forward_dag_without_a_waypoint_tuple(monkeypatch):
 def test_search_setup_matches_edge_slack(seed):
     g = layered_digraph(5 + seed % 3, 2 + seed % 3, 3 + seed, seed)
     d = shortest_distances(g)
-    lam = layer_assignment(g, d)
+    values = sorted(set(d.from_s.values()))
+    lam = {u: values.index(d.from_s[u]) + 1 for u in g.vertices}
     slack = {(u, v): edge_slack(d, u, v, w) for (u, v), w in g.edges.items()}
     back = [e for e, x in slack.items() if x > 0]
     forward = sorted(e for e, x in slack.items() if x == 0)
@@ -101,6 +110,7 @@ def test_search_setup_matches_edge_slack(seed):
     for u, v in forward:
         by_layer.setdefault(lam[u], []).append((u, v))
     search = _LayeredSearch(g)
+    assert search.lam == lam
     assert search.back_vertices == {u for e in back for u in e}
     assert search.floor == d.from_s[g.t] + min(slack[e] for e in back)
     assert search.forward_by_tail_layer == {
@@ -150,10 +160,81 @@ def test_bound_tables_stop_at_the_incumbent_radius(monkeypatch):
     assert len(settled) == 63 and sum(settled) <= 16_740 // 3
 
 
-def test_solver_rejects_non_layered_input():
-    g = build_graph(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, s=0, t=2)
+# The two parallel unit chains without their back-edge, plus one edge.
+@pytest.mark.parametrize(
+    "extra,violations",
+    [
+        pytest.param((1, 3, 1), ([(1, 3)], []), id="same-layer-back-edge"),
+        pytest.param((1, 4, 5), ([(1, 4)], []), id="back-edge-pointing-forward"),
+        pytest.param((0, 2, 2), ([], [(0, 2)]), id="layer-skipping-forward-edge"),
+        pytest.param((0, 5, 2), None, id="vertex-not-straight"),
+    ],
+)
+def test_solver_rejects_non_layered_input(extra, violations):
+    u, v, w = extra
+    edges = {e: x for e, x in PARALLEL_CHAINS.items() if e != (4, 1)}
+    g = build_graph(6, {**edges, (u, v): w}, s=0, t=5)
+    d = shortest_distances(g)
+    if violations is None:
+        assert not is_straight(g, d)
+    else:
+        assert is_straight(g, d) and nextpath.graph.layering_violations(g, d) == violations
     with pytest.raises(ValueError, match="layered"):
         solve_layered(g)
+
+
+def test_layering_is_checked_once_per_solve(monkeypatch):
+    layered, skipping = layered_digraph(5, 3, 4, 1), skip_edge_graph(1)
+    assert is_layered(layered, shortest_distances(layered))
+    assert not is_layered(skipping, shortest_distances(skipping))
+    calls = []
+    for module in (nextpath.graph, nextpath.reduction):
+        check = module.layering_violations
+
+        def counting(g, d, name=module.__name__, check=check):
+            calls.append(name)
+            return check(g, d)
+
+        monkeypatch.setattr(module, "layering_violations", counting)
+    solve_layered(layered)
+    assert calls == []
+    solve(skipping)
+    assert calls == ["nextpath.reduction"]
+
+
+def _drawn_graph(kind, seed):
+    """A small graph of one of the shapes the layered search may be given."""
+    if kind == "random":
+        return random_digraph(4 + seed % 6, 0.4, 3, seed)
+    if kind == "skip-edge":
+        return skip_edge_graph(seed)
+    rng = random.Random(seed)
+    g = layered_digraph(3 + seed % 4, 2 + seed % 3, seed % 6, seed)
+    vs = sorted(g.vertices)
+    u, v = rng.choice([(u, v) for u in vs for v in vs if u != v and (u, v) not in g.edges])
+    g = g.replace(edges={**g.edges, (u, v): rng.randint(1, 4)})
+    if kind == "one-edge":
+        return g
+    g_s, _ = straighten(g if seed % 2 else skip_edge_graph(seed))
+    return g_s if kind == "straightened" else layerize(g_s)[0]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.sampled_from(["random", "one-edge", "skip-edge", "straightened", "layerized"]),
+    st.integers(0, 2**16),
+)
+def test_search_accepts_exactly_the_layered_graphs(kind, seed):
+    g = _drawn_graph(kind, seed)
+    d = shortest_distances(g)
+    try:
+        lam = _LayeredSearch(g).lam
+    except ValueError:
+        assert not is_layered(g, d)
+        return
+    assert is_layered(g, d)
+    values = sorted(set(d.from_s.values()))
+    assert lam == {u: values.index(d.from_s[u]) + 1 for u in g.vertices}
 
 
 def test_residual_path_single_back_edge():
