@@ -1,11 +1,13 @@
 """Two vertex-disjoint paths in a DAG, such as the forward subgraph of a
 layered graph.
 
-The search is a pair-token dynamic program over topological order: a state
-holds one vertex per path, and the token that is earlier in topological
-order is the only one allowed to advance. That schedule rules out the two
-tokens ever occupying one vertex at different times, so a state path to the
-goal yields genuinely vertex-disjoint paths. O(n*m) per query.
+The search is a BFS over token pairs, in the line of Perl and Shiloach
+(JACM 1978): a state holds one vertex per path, and only the token that is
+earlier in topological order may advance (a token parked at its target
+never moves). That schedule rules out the two tokens ever occupying one
+vertex at different times. The BFS keeps each state's first parent, and each
+path is one token's coordinate of the state walk from start to goal.
+O(n*m) per query.
 """
 from __future__ import annotations
 
@@ -50,12 +52,11 @@ class ForwardDag:
     @classmethod
     def from_graph(cls, g: WeightedDigraph) -> "ForwardDag":
         """Treat every edge of g as a DAG edge; weights are irrelevant here."""
-        adj: dict[int, list[int]] = {u: [] for u in g.vertices}
-        for u, v in g.edges:
-            adj[u].append(v)
-        return cls(g.vertices, adj)
+        return cls(g.vertices, {u: [v for v, _w in out] for u, out in g.adj_out.items()})
 
     def _topological_rank(self) -> dict[int, int]:
+        """Kahn's order, smallest id first among the ready vertices; the
+        rank decides which token of the pair search moves."""
         indeg = {u: 0 for u in self.vertices}
         for u in self.vertices:
             for v in self.adj[u]:
@@ -75,37 +76,30 @@ class ForwardDag:
         return rank
 
     @cached_property
-    def _bit_index(self) -> dict[int, int]:
-        return {u: i for i, u in enumerate(sorted(self.vertices))}
-
-    @cached_property
     def _descendants(self) -> dict[int, int]:
-        """Reachability closure as bitmasks, computed bottom-up."""
-        idx = self._bit_index
-        desc = {u: 1 << idx[u] for u in self.vertices}
-        for u in sorted(self.vertices, key=self.rank.get, reverse=True):
-            acc = desc[u]
+        """Reachability closure as bitmasks indexed by rank, built in
+        reverse topological order."""
+        desc: dict[int, int] = {}
+        for u in reversed(self.rank):
+            acc = 1 << self.rank[u]
             for v in self.adj[u]:
                 acc |= desc[v]
             desc[u] = acc
         return desc
 
     def reaches(self, u: int, v: int) -> bool:
-        return bool(self._descendants[u] >> self._bit_index[v] & 1)
+        return bool(self._descendants[u] >> self.rank[v] & 1)
 
 
-def _single_path(dag: ForwardDag, a: int, b: int, avoid: frozenset[int]) -> Path | None:
-    """Deterministic BFS path a -> b avoiding a vertex set."""
-    if a in avoid or b in avoid:
-        return None
-    if a == b:
-        return (a,)
+def _single_path(dag: ForwardDag, a: int, b: int, avoid: int) -> Path | None:
+    """Deterministic BFS path a -> b around the vertex `avoid`, for a != b
+    and avoid not in {a, b}."""
     parent: dict[int, int] = {a: a}
     queue = deque([a])
     while queue:
         u = queue.popleft()
         for v in dag.adj[u]:
-            if v in avoid or v in parent:
+            if v == avoid or v in parent:
                 continue
             parent[v] = u
             if v == b:
@@ -133,54 +127,36 @@ def two_disjoint_paths(
     if s1 == t1 and s2 == t2:
         return DisjointPathPair((s1,), (s2,))
     if s1 == t1:
-        p2 = _single_path(dag, s2, t2, frozenset((s1,)))
+        p2 = _single_path(dag, s2, t2, s1)
         return DisjointPathPair((s1,), p2) if p2 is not None else None
     if s2 == t2:
-        p1 = _single_path(dag, s1, t1, frozenset((s2,)))
+        p1 = _single_path(dag, s1, t1, s2)
         return DisjointPathPair(p1, (s2,)) if p1 is not None else None
     if not dag.reaches(s1, t1) or not dag.reaches(s2, t2):
         return None
 
-    rank = dag.rank
-    start = (s1, s2)
-    goal = (t1, t2)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], int]] = {start: (start, 0)}
+    adj, rank, reaches = dag.adj, dag.rank, dag.reaches
+    start, goal = (s1, s2), (t1, t2)
+    parent = {start: start}
     queue = deque([start])
-    found = False
-    while queue:
+    # The goal is the one state where neither token may move, and its
+    # parent is fixed when it is first reached.
+    while queue and goal not in parent:
         state = queue.popleft()
-        if state == goal:
-            found = True
-            break
         u, v = state
         if u != t1 and (v == t2 or rank[u] < rank[v]):
-            # token 1 is behind (or token 2 is parked): only it may move
-            for u2 in dag.adj[u]:
-                if u2 != v and dag.reaches(u2, t1):
-                    nxt = (u2, v)
-                    if nxt not in parent:
-                        parent[nxt] = (state, 1)
-                        queue.append(nxt)
-        elif v != t2:
-            for v2 in dag.adj[v]:
-                if v2 != u and dag.reaches(v2, t2):
-                    nxt = (u, v2)
-                    if nxt not in parent:
-                        parent[nxt] = (state, 2)
-                        queue.append(nxt)
-    if not found:
-        return None
-    rev1: list[int] = []
-    rev2: list[int] = []
-    state = goal
-    while state != start:
-        prev, moved = parent[state]
-        if moved == 1:
-            rev1.append(state[0])
+            moves = [(x, v) for x in adj[u] if x != v and reaches(x, t1)]
         else:
-            rev2.append(state[1])
-        state = prev
-    p1 = (s1, *reversed(rev1))
-    p2 = (s2, *reversed(rev2))
-    return DisjointPathPair(p1, p2)
-
+            moves = [(u, y) for y in adj[v] if y != u and reaches(y, t2)]
+        for nxt in moves:
+            if nxt not in parent:
+                parent[nxt] = state
+                queue.append(nxt)
+    if goal not in parent:
+        return None
+    # A state repeats the vertex of the token that waited, and a token never
+    # revisits a vertex of a DAG.
+    walk = parent_path(parent, start, goal)
+    return DisjointPathPair(
+        tuple(dict.fromkeys(u for u, _ in walk)), tuple(dict.fromkeys(v for _, v in walk))
+    )

@@ -68,24 +68,19 @@ def layered_digraph(
     edges: dict[Edge, int] = {}
     for i in range(layers - 1):
         cur, upper = tiers[i], tiers[i + 1]
-        for v in upper:
-            edges[(rng.choice(cur), v)] = 1
-        covered = {u for (u, v) in edges if u in cur}
+        tails = [rng.choice(cur) for _ in upper]
+        edges.update(dict.fromkeys(zip(tails, upper), 1))
         for u in cur:
-            if u not in covered:
+            if u not in tails:
                 edges[(u, rng.choice(upper))] = 1
         for u in cur:
             for v in upper:
                 if (u, v) not in edges and rng.random() < 0.25:
                     edges[(u, v)] = 1
 
-    pool = sorted(
-        (u, v)
-        for i in range(layers)
-        for j in range(i)
-        for u in tiers[i]
-        for v in tiers[j]
-    )
+    # Ids grow with the layer, so this list of (later, earlier) pairs is
+    # already sorted.
+    pool = [(u, v) for tier in tiers for u in tier for v in range(tier[0])]
     if back_edges > len(pool):
         raise ValueError(
             f"at most {len(pool)} back-edges fit these layer parameters"

@@ -159,30 +159,16 @@ def _splice(step: EliminationRecord, path: Path) -> Path:
 
 
 def _contract_chain(step: SubdivisionRecord, path: Path) -> Path:
-    chain_set = set(step.chain)
-    if not chain_set & set(path):
-        return path
-    u, v = step.edge
-    k = len(step.chain)
-    out: list[int] = []
-    i = 0
-    while i < len(path):
-        if path[i] in chain_set:
-            # Chain vertices have unique in/out edges, so a valid path must
-            # traverse the full run u, chain..., v.
-            if (
-                i == 0
-                or path[i - 1] != u
-                or tuple(path[i : i + k]) != step.chain
-                or i + k >= len(path)
-                or path[i + k] != v
-            ):
+    """Drop the chain vertices of `path`. Chain vertices have one in-edge
+    and one out-edge, so each maximal run of them in a valid path is the
+    whole chain, entered from u and left to v."""
+    chain = set(step.chain)
+    run = (step.edge[0], *step.chain, step.edge[1])
+    for i, x in enumerate(path):
+        if x in chain and (i == 0 or path[i - 1] not in chain):
+            if i == 0 or path[i - 1 : i - 1 + len(run)] != run:
                 raise TraceError(f"path enters subdivision chain of {step.edge} mid-way")
-            i += k  # skip to v, appended by the normal branch
-        else:
-            out.append(path[i])
-            i += 1
-    return tuple(out)
+    return tuple(x for x in path if x not in chain)
 
 
 def _tight_walk(

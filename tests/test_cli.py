@@ -1,9 +1,15 @@
 """CLI: subcommands, output contracts, exit codes."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import TRIANGLE
+from nextpath import InternalInvariantError, TraceError
 from nextpath.cli import main
 
 PARALLEL_CHAINS_TEXT = "6 7 0 5\n0 1 1\n1 2 1\n2 5 1\n0 3 1\n3 4 1\n4 5 1\n4 1 1\n"
@@ -60,6 +66,42 @@ def test_parse_error_exits_2(capsys, tmp_path):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/graph.txt")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("3 3 0\n0 1 1\n", "error: line 1: expected header 'n m s t'\n"),
+        ("# a comment\n3 -1 0 2\n", "error: line 2: negative edge count\n"),
+        ("3 0 0 3\n", "error: line 1: source/sink id out of range\n"),
+        ("3 0 -1 2\n", "error: line 1: source/sink id out of range\n"),
+        ("# only a comment\n\n", "error: empty input: missing header line\n"),
+    ],
+)
+def test_header_errors_exit_2(capsys, tmp_path, text, err):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    assert run(capsys, "solve", str(f)) == (2, "", err)
+
+
+@pytest.mark.parametrize("exc", [InternalInvariantError, TraceError])
+def test_internal_errors_exit_3_without_a_traceback(capsys, monkeypatch, triangle_file, exc):
+    def fail(g):
+        raise exc("broken invariant")
+
+    monkeypatch.setattr("nextpath.cli.solve_detailed", fail)
+    assert run(capsys, "solve", triangle_file) == (3, "", "internal error: broken invariant\n")
+
+
+def test_module_entry_point_solves_the_readme_triangle(triangle_file):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-m", "nextpath", "solve", triangle_file],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "2\n0 1 2\n", "")
 
 
 def test_oracle_agrees_with_solve(capsys, chains_file):
@@ -124,6 +166,38 @@ def test_check_missing_edge(capsys, triangle_file, tmp_path):
     assert out.startswith("INVALID: missing edge")
 
 
+@pytest.mark.parametrize(
+    "graph, path, verdict",
+    [
+        (TRIANGLE, "0 1\n", "NOT-AN-S-T-PATH"),
+        ("3 4 0 2\n0 1 1\n1 0 1\n1 2 1\n0 2 1\n", "0 1 0 1 2\n", "NOT-SIMPLE"),
+    ],
+)
+def test_check_verdicts_on_walks_that_are_not_simple_s_t_paths(
+    capsys, tmp_path, graph, path, verdict
+):
+    graph_file, path_file = tmp_path / "g.txt", tmp_path / "p.txt"
+    graph_file.write_text(graph)
+    path_file.write_text(path)
+    code, out, err = run(capsys, "check", str(graph_file), str(path_file))
+    assert (code, out.splitlines()[-1], err) == (0, verdict, "")
+
+
+def test_check_unknown_vertex_is_invalid(capsys, triangle_file, tmp_path):
+    path_file = tmp_path / "p.txt"
+    path_file.write_text("0 7 2\n")
+    assert run(capsys, "check", triangle_file, str(path_file)) == (
+        0, "INVALID: unknown vertex 7\n", ""
+    )
+
+
+def test_check_empty_path_file_exits_2(capsys, triangle_file, tmp_path):
+    path_file = tmp_path / "p.txt"
+    path_file.write_text("# no ids\n\n")
+    code, out, err = run(capsys, "check", triangle_file, str(path_file))
+    assert (code, out, err) == (2, "", "error: empty path file\n")
+
+
 def test_gen_solve_oracle_loop(capsys, tmp_path):
     out_file = tmp_path / "gen.txt"
     code, _, _ = run(
@@ -152,6 +226,12 @@ def test_gen_rejects_a_back_weight_max_below_1(capsys):
                          "--back-edges", "1", "--back-weight-max", "0")
     assert code == 2 and out == ""
     assert err == "error: maximum back-edge weight must be at least 1\n"
+
+
+def test_gen_rejects_a_negative_back_edge_count(capsys):
+    assert run(capsys, "gen", "layered", "--layers", "3", "--width", "2", "--back-edges", "-1") == (
+        2, "", "error: back-edge count must be non-negative\n"
+    )
 
 
 def test_vdp_feasible_and_infeasible(capsys, tmp_path):

@@ -1,7 +1,15 @@
 """dag-2vdp: pair DP for two vertex-disjoint paths, and the solver's
-waypoint split built on it."""
+waypoint split built on it.
+
+`test_exact_paths_match_recorded_digest` pins the DP's answer paths, not
+only their feasibility. When a change to the paths is intended, say why in
+the change and print the new digest from the repository root with
+
+    PYTHONPATH=src python tests/test_disjoint.py
+"""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -139,6 +147,35 @@ def test_agrees_with_exhaustive_search(trial):
                 assert_valid_pair(dag, got, q[0], q[1])
 
 
+PAIR_DIGEST = "96514e0a8c651054298bce6cf9ba3d725c0b5a988da59f36fd357d9bac5d13d2"
+
+
+def pair_digest():
+    """sha256 of every two_disjoint_paths answer, over 120 seeded DAGs on 2..7
+    vertices (ids not in topological order) and every pairing of terminals
+    that shares no terminal: 45,920 queries."""
+    h = hashlib.sha256()
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = 2 + seed % 6
+        order = rng.sample(range(n), n)
+        p = rng.uniform(0.2, 0.8)
+        dag = dag_of(
+            [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p],
+            n,
+        )
+        for s1, t1, s2, t2 in itertools.product(range(n), repeat=4):
+            if {s1, t1} & {s2, t2}:
+                continue
+            pair = two_disjoint_paths(dag, (s1, t1), (s2, t2))
+            h.update(repr((s1, t1, s2, t2, pair and (pair.p1, pair.p2))).encode())
+    return h.hexdigest()
+
+
+def test_exact_paths_match_recorded_digest():
+    assert pair_digest() == PAIR_DIGEST
+
+
 # --- the solver's waypoint split ----------------------------------------------
 
 
@@ -249,3 +286,7 @@ def test_forward_paths_between_fixed_vertices_have_equal_weight():
                     continue
                 weights = {w for _p, w in simple_paths(fwd_only, a, b, budget=2000)}
                 assert len(weights) <= 1
+
+
+if __name__ == "__main__":
+    print(pair_digest())

@@ -25,6 +25,7 @@ from nextpath import (
     lift_path,
     path_weight,
     random_digraph,
+    serialize_graph,
     shortest_distances,
     solve,
     straighten,
@@ -435,6 +436,37 @@ def test_lift_path_rejects_partial_chain_use():
     _, trace = layerize(g)
     with pytest.raises(TraceError):
         lift_path(trace, (4, 2, 3))  # enters the chain without its tail vertex
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        (0, 4, 3),  # leaves the chain to a vertex other than its head
+        (1, 4, 2, 3),  # enters the chain from a vertex other than its tail
+        (0, 4),  # ends inside the chain
+        (0, 4, 2, 4),  # enters the chain a second time without its tail
+    ],
+)
+def test_lift_path_rejects_each_run_that_is_not_the_whole_chain(path):
+    g = build_graph(4, {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1}, s=0, t=3)
+    _, trace = layerize(g)
+    with pytest.raises(TraceError, match=r"^path enters subdivision chain of \(0, 2\) mid-way$"):
+        lift_path(trace, path)
+
+
+def test_straighten_rejects_a_graph_without_an_s_t_path():
+    with pytest.raises(ValueError, match="^no s-to-t path exists$"):
+        straighten(build_graph(3, {(0, 1): 1}, s=0, t=2))
+
+
+def test_layerize_output_with_gaps_in_its_ids_does_not_serialize():
+    # straighten drops the isolated vertex 2; layerize then numbers the chain
+    # of the skip edge 0->3 from 5, so the ids are 0, 1, 3, 4, 5.
+    g = build_graph(5, {(0, 1): 1, (1, 3): 1, (3, 4): 1, (0, 3): 2}, s=0, t=4)
+    g_l, _ = layerize(straighten(g)[0])
+    assert sorted(g_l.vertices) == [0, 1, 3, 4, 5]
+    with pytest.raises(ValueError, match="^only graphs with contiguous vertex ids serialize$"):
+        serialize_graph(g_l)
 
 
 @pytest.mark.parametrize("seed", range(10))
