@@ -100,7 +100,9 @@ class WeightedDigraph:
 
     @cached_property
     def distances(self) -> "DistanceTable":
-        """Exact distances from s and to t, computed once; read-only, so shared."""
+        """Exact distances from s and to t, computed once; read-only, so shared.
+        A graph that `straighten` or `layerize` returns already holds its
+        table, handed on from the reduction's input (see `_seed_distances`)."""
         out, _ = dijkstra(self.adj_out, self.s)
         into, _ = dijkstra(self.adj_in, self.t)
         return DistanceTable(
@@ -238,8 +240,22 @@ def parent_path(parent: Mapping[int, int], a: int, b: int) -> Path:
 
 
 def shortest_distances(g: WeightedDigraph) -> DistanceTable:
-    """Distances from s and to t: the graph's own `distances`, cached."""
+    """Distances from s and to t: the graph's own `distances`, computed on
+    first use or seeded by the reduction that made the graph."""
     return g.distances
+
+
+def _seed_distances(
+    g: WeightedDigraph, from_s: Mapping[int, int | None], to_t: Mapping[int, int | None]
+) -> WeightedDigraph:
+    """`g`, with its cached `distances` set to `from_s` and `to_t` restricted
+    to its vertices, so that no Dijkstra runs for it. The caller vouches that
+    these are g's own distances; only a reduction that keeps them may call it."""
+    g.__dict__["distances"] = DistanceTable(
+        from_s=MappingProxyType({u: from_s[u] for u in g.vertices}),
+        to_t=MappingProxyType({u: to_t[u] for u in g.vertices}),
+    )
+    return g
 
 
 def edge_slack(d: DistanceTable, u: int, v: int, w: int) -> int | None:

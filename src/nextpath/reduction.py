@@ -28,6 +28,7 @@ from .graph import (
     Edge,
     Path,
     WeightedDigraph,
+    _seed_distances,
     dijkstra,
     is_straight,
     layering_violations,
@@ -218,10 +219,12 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     reduced graph can no longer represent it. It is simple: the tree paths
     hold survivors only and lie on either side of the tight edge.
 
-    Distances are computed once, on the input. Removing vertices off every
-    shortest path keeps d(s,.) and d(.,t) of each survivor, and leaves the
-    same graph as eliminating the vertices one at a time, which is Gaussian
-    elimination in the (min,+) semiring.
+    The input's distance table is read once. Removing vertices off every
+    shortest path keeps d(s,.) and d(.,t) of each survivor, so the returned
+    graph's table is the input's, restricted to the survivors, and is
+    handed on rather than computed again. The result is the same graph as
+    eliminating the vertices one at a time, which is Gaussian elimination in
+    the (min,+) semiring.
     """
     d = shortest_distances(g)
     from_s, to_t = d.from_s, d.to_t
@@ -254,7 +257,8 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
                 candidate = _tree_path(g, d, x, parent_path(parent, x, y)[1:-1], y)
                 trace.candidates.append((candidate, path_weight(g, candidate)))
     trace.steps.append(EliminationRecord(gone, shortcuts))
-    return g.replace(vertices=g.vertices - gone, edges=edges), trace
+    out = g.replace(vertices=g.vertices - gone, edges=edges)
+    return _seed_distances(out, from_s, to_t), trace
 
 
 def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
@@ -270,13 +274,16 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     * a layer-skipping forward edge is subdivided into a chain with one
       fresh vertex per skipped distance value.
 
-    Distances are computed once, on the input, the violations are listed
-    once, and the steps edit one copy of the edge map. Removing a back-edge and subdividing a forward edge keep
-    d(s,.) and d(.,t) of every vertex and the set of distinct distance
-    values; each step fixes exactly one violation and creates none. A
-    removed back-edge is never tight, so the trees the candidates follow
-    do not change either, and the candidates need no lifting: only
-    back-edge removals precede them.
+    The input's distance table is read once, the violations are listed
+    once, and the steps edit one copy of the edge map. Removing a back-edge
+    and subdividing a forward edge keep d(s,.) and d(.,t) of every vertex
+    and the set of distinct distance values; each step fixes exactly one
+    violation and creates none. So the returned graph's distance table is
+    the input's plus, for each chain vertex, d(s,.) = its q-value and
+    d(.,t) = d(s,t) - q (a layered graph is straight), handed on rather than
+    computed again. A removed back-edge is never tight, so the trees the
+    candidates follow do not change either, and the candidates need no
+    lifting: only back-edge removals precede them.
     """
     d = shortest_distances(g)
     if not is_straight(g, d):
@@ -285,7 +292,7 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     back, fwd = layering_violations(g, d)
     if not back and not fwd:
         return g, trace
-    from_s = d.from_s
+    from_s = dict(d.from_s)
     edges = dict(g.edges)
     for u, v in back:
         candidate = _tree_path(g, d, u, (), v)
@@ -304,4 +311,7 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
         for a, b, qa, qb in zip(nodes, nodes[1:], q_values, q_values[1:]):
             edges[(a, b)] = qb - qa
         trace.steps.append(SubdivisionRecord((u, v), chain, q_values))
-    return g.replace(vertices=g.vertices.union(range(first, fresh)), edges=edges), trace
+        from_s.update(zip(chain, qs))
+    out = g.replace(vertices=g.vertices.union(range(first, fresh)), edges=edges)
+    dst = from_s[g.t]
+    return _seed_distances(out, from_s, {u: dst - du for u, du in from_s.items()}), trace

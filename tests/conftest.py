@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 
 from nextpath import WeightedDigraph, layered_digraph, shortest_distances
-from nextpath.graph import edge_slack, layering_violations
+from nextpath.graph import dijkstra, edge_slack, layering_violations
 
 
 def build_graph(n, edges, s=0, t=None, scale=0):
@@ -62,6 +62,14 @@ PARALLEL_CHAINS = {
     (0, 3): 1, (3, 4): 1, (4, 5): 1,
     (4, 1): 1,
 }
+
+
+def fresh_distances(g):
+    """(from_s, to_t) of g as plain dicts, by a fresh Dijkstra each way
+    rather than g's cached table."""
+    from_s, _ = dijkstra(g.adj_out, g.s)
+    to_t, _ = dijkstra(g.adj_in, g.t)
+    return {u: from_s.get(u) for u in g.vertices}, {u: to_t.get(u) for u in g.vertices}
 
 
 def floyd_warshall(g):

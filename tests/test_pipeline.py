@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PARALLEL_CHAINS, TRIANGLE, build_graph, edge_bound
+from conftest import PARALLEL_CHAINS, TRIANGLE, bead_graph, build_graph, edge_bound, skip_edge_graph
 from nextpath import (
+    WeightedDigraph,
     exhaustive_next_to_shortest,
     layered_digraph,
     parse_graph,
     random_digraph,
+    serialize_graph,
     shortest_distances,
     solve,
     solve_detailed,
@@ -52,6 +54,33 @@ def test_layered_input_shares_one_distance_table(monkeypatch, seed):
     g = layered_digraph(6, 3, 0, seed)
     assert not solve(g).found
     assert sorted(calls) == sorted([g.s, g.t])
+
+
+@pytest.mark.parametrize(
+    "make,reduced",
+    [
+        pytest.param(lambda: random_digraph(14, 0.3, 5, 3), (True, True), id="random"),
+        pytest.param(lambda: skip_edge_graph(2), (False, True), id="skip-edge"),
+        pytest.param(lambda: layered_digraph(5, 3, 4, 1), (False, False), id="layered"),
+        pytest.param(lambda: bead_graph(3, 3, 4, 1), (False, False), id="beads"),
+    ],
+)
+def test_solve_computes_one_distance_table(monkeypatch, make, reduced):
+    """`straighten` and `layerize` hand their input's distances on to the
+    graph they return, so a solve of a freshly parsed graph computes that
+    graph's table and no other. `reduced` says which reductions change it."""
+    g = parse_graph(serialize_graph(make()))
+    computed = []
+    prop = WeightedDigraph.__dict__["distances"]
+
+    def counting(graph, compute=prop.func):
+        computed.append(graph)
+        return compute(graph)
+
+    monkeypatch.setattr(prop, "func", counting)
+    result = solve_detailed(g)
+    assert (bool(result.straighten_trace.steps), bool(result.layerize_trace.steps)) == reduced
+    assert len(computed) == 1 and computed[0] is g
 
 
 def test_outcome_always_validates():

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_graph, floyd_warshall, skip_edge_graph, violation_count
+from conftest import (
+    build_graph,
+    floyd_warshall,
+    fresh_distances,
+    skip_edge_graph,
+    violation_count,
+)
 from nextpath import (
     BackEdgeRemoval,
     EliminationRecord,
@@ -384,6 +390,23 @@ def test_trace_replay_reproduces_reduced_graphs_on_drawn_inputs(skip_edges, seed
         replayed = reduce(apply_step, trace.steps, host)
         assert (replayed.vertices, replayed.s, replayed.t) == (out.vertices, out.s, out.t)
         assert dict(replayed.edges) == dict(out.edges)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.booleans(), st.integers(0, 10**6))
+def test_reductions_hand_on_their_inputs_distances(skip_edges, seed):
+    """The table each reduction stores on the graph it returns equals a
+    fresh Dijkstra on that graph's vertices and edges, chain vertices
+    included; a reduction that changes nothing returns its input."""
+    g = skip_edge_graph(seed) if skip_edges else random_digraph(6 + seed % 8, 0.35, 4, seed)
+    if shortest_distances(g).from_s[g.t] is None:
+        return
+    g_s, tr_s = straighten(g)
+    g_l, tr_l = layerize(g_s)
+    for host, trace, out in ((g, tr_s, g_s), (g_s, tr_l, g_l)):
+        assert (out is host) == (not trace.steps)
+        assert "distances" in out.__dict__
+        assert (dict(out.distances.from_s), dict(out.distances.to_t)) == fresh_distances(out)
 
 
 def test_each_reduction_computes_distances_once(monkeypatch):

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 import nextpath.graph
 import nextpath.reduction
 import nextpath.solver
-from conftest import PARALLEL_CHAINS, back_edge_split, bead_graph, build_graph, skip_edge_graph
+from conftest import (
+    PARALLEL_CHAINS,
+    back_edge_split,
+    bead_graph,
+    build_graph,
+    fresh_distances,
+    skip_edge_graph,
+)
 from nextpath import (
     ForwardDag,
     exhaustive_next_to_shortest,
@@ -181,6 +188,29 @@ def test_solver_rejects_non_layered_input(extra, violations):
         assert is_straight(g, d) and nextpath.graph.layering_violations(g, d) == violations
     with pytest.raises(ValueError, match="layered"):
         solve_layered(g)
+
+
+def test_a_graph_built_from_a_layerize_output_computes_its_own_table():
+    """`layerize` hands its table on to the graph it returns, but a graph
+    made from that one with `replace` starts without a table, so the layered
+    search checks it against its own distances."""
+    g_l, tr_l = layerize(skip_edge_graph(1))
+    assert tr_l.steps and "distances" in g_l.__dict__
+    d = g_l.distances
+    rank = {x: i for i, x in enumerate(sorted(set(d.from_s.values())))}
+    # One edge from s that skips layers and is lighter than the span it skips.
+    v = min(u for u in g_l.vertices if rank[d.from_s[u]] == 3)
+    skipping = g_l.replace(edges={**g_l.edges, (g_l.s, v): 1})
+    # Every out-edge of one vertex gone: it reaches t no more, which a table
+    # carried over from g_l would not show, and each edge left is layered.
+    x = min(u for u in g_l.vertices if rank[d.from_s[u]] == 2)
+    cut_off = g_l.replace(edges={e: w for e, w in g_l.edges.items() if e[0] != x})
+    for h in (skipping, cut_off):
+        assert "distances" not in h.__dict__
+        assert (dict(h.distances.from_s), dict(h.distances.to_t)) == fresh_distances(h)
+        assert h.distances != d
+        with pytest.raises(ValueError, match="layered"):
+            _LayeredSearch(h)
 
 
 def test_layering_is_checked_once_per_solve(monkeypatch):
