@@ -41,7 +41,6 @@ from .reduction import (
     BackEdgeRemoval,
     EliminationRecord,
     ReductionTrace,
-    SubdivisionRecord,
     TraceError,
     apply_step,
     layerize,

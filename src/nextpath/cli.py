@@ -5,7 +5,8 @@ edge-list text format (see graph.parse_graph); path files hold one line of
 space-separated vertex ids.
 
 Exit codes: 0 success (including a NONE answer and INFEASIBLE queries),
-2 unreadable or malformed input, 3 internal invariant failure,
+2 unreadable or malformed input, or out of memory (one line,
+`error: out of memory`, never a traceback), 3 internal invariant failure,
 4 oracle budget exceeded.
 """
 from __future__ import annotations
@@ -33,12 +34,7 @@ from .graph import (
 )
 from .oracle import BudgetExceeded, DEFAULT_BUDGET, exhaustive_next_to_shortest
 from .pipeline import solve_detailed
-from .reduction import (
-    BackEdgeRemoval,
-    EliminationRecord,
-    SubdivisionRecord,
-    TraceError,
-)
+from .reduction import BackEdgeRemoval, EliminationRecord, TraceError
 
 
 def _load_graph(path: str) -> WeightedDigraph:
@@ -81,10 +77,6 @@ def _dump_trace(result, g: WeightedDigraph) -> None:
                 print(f"eliminate {removed} shortcuts[{shortcuts}]", file=sys.stderr)
             elif isinstance(step, BackEdgeRemoval):
                 print(f"remove-back-edge {step.edge[0]}->{step.edge[1]}", file=sys.stderr)
-            elif isinstance(step, SubdivisionRecord):
-                chain = " ".join(str(c) for c in step.chain)
-                print(f"subdivide {step.edge[0]}->{step.edge[1]} chain[{chain}]",
-                      file=sys.stderr)
         for path, weight in trace.candidates:
             ids = " ".join(str(v) for v in path)
             print(f"candidate weight={format_weight(weight, g.scale)}: {ids}",
@@ -257,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

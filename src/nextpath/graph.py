@@ -46,10 +46,10 @@ class InternalInvariantError(RuntimeError):
 class WeightedDigraph:
     """Simple directed graph with strictly positive integer edge weights.
 
-    `vertices` need not be contiguous: reductions delete vertices and
-    subdivisions allocate fresh ids past the current maximum, keeping the
-    surviving ids stable. `scale` is the power of ten by which the original
-    decimal weights were multiplied; it only matters when formatting output.
+    `vertices` need not be contiguous: reductions delete vertices and never
+    add one, so the surviving ids stay stable. `scale` is the power of ten
+    by which the original decimal weights were multiplied; it only matters
+    when formatting output.
     `edges` is a read-only view of a private copy of the map passed in, so
     the cached adjacencies can never go stale.
     """

@@ -58,7 +58,9 @@ def solve_detailed(g: WeightedDigraph) -> PipelineResult:
         lifted = lift_path(tr_s, p)
         pool.append((lifted, path_weight(g, lifted)))
     if layered_sol.found:
-        lifted = lift_path(tr_s, lift_path(tr_l, layered_sol.path))
+        # Removing back-edges keeps every vertex and the surviving edges'
+        # weights, so the layered answer is already a path of g_s.
+        lifted = lift_path(tr_s, layered_sol.path)
         pool.append((lifted, path_weight(g, lifted)))
 
     if not pool:

@@ -1,5 +1,5 @@
 """Graph reductions: an overlay step to a straight graph, then back-edge
-removal / forward-edge subdivision to a layered graph.
+removal to the graph the layered search takes.
 
 Straightening eliminates every vertex off all shortest s-to-t paths at once.
 Eliminating a set of vertices is Gaussian elimination in the (min,+)
@@ -19,7 +19,6 @@ the reductions themselves make one pass and never replay.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -30,8 +29,8 @@ from .graph import (
     WeightedDigraph,
     _seed_distances,
     dijkstra,
+    edge_slack,
     is_straight,
-    layering_violations,
     parent_path,
     path_weight,
     shortest_distances,
@@ -62,18 +61,15 @@ class BackEdgeRemoval:
     edge: Edge
 
 
+# Never produced; perfbench/tracing.py imports it until ROADMAP item 5 drops that import.
 @dataclass(frozen=True)
 class SubdivisionRecord:
-    """A forward edge replaced by a chain of fresh vertices, one per distance
-    value the edge used to skip. q_values runs d(s,u) = q0 < ... < qk+1 = d(s,v);
-    chain edge weights are the consecutive differences."""
-
     edge: Edge
     chain: tuple[int, ...]
     q_values: tuple[int, ...]
 
 
-Step = Union[EliminationRecord, BackEdgeRemoval, SubdivisionRecord]
+Step = Union[EliminationRecord, BackEdgeRemoval]
 
 
 @dataclass
@@ -100,22 +96,13 @@ def apply_step(g: WeightedDigraph, step: Step) -> WeightedDigraph:
         edges = dict(g.edges)
         del edges[step.edge]
         return g.replace(edges=edges)
-    if isinstance(step, SubdivisionRecord):
-        edges = dict(g.edges)
-        del edges[step.edge]
-        u, v = step.edge
-        nodes = (u,) + step.chain + (v,)
-        for i in range(len(nodes) - 1):
-            edges[(nodes[i], nodes[i + 1])] = step.q_values[i + 1] - step.q_values[i]
-        return g.replace(vertices=g.vertices | set(step.chain), edges=edges)
     raise TypeError(f"unknown step {step!r}")
 
 
 def lift_path(trace: ReductionTrace, path: Path) -> Path:
     """Lift a path of the reduced graph back through a whole trace.
 
-    Replays the steps in reverse: subdivision chains contract to their
-    original edge (weight-preserving), edge removals pass the path through
+    Replays the steps in reverse: edge removals pass the path through
     unchanged, and an elimination splices each shortcut's detour back in.
     The result is valid in the trace's input graph with weight at most the
     reduced path's weight.
@@ -123,14 +110,11 @@ def lift_path(trace: ReductionTrace, path: Path) -> Path:
     for step in reversed(trace.steps):
         if isinstance(step, BackEdgeRemoval):
             continue
-        if isinstance(step, EliminationRecord):
-            if not step.vertices.isdisjoint(path):
-                raise TraceError(f"path {path} already contains an eliminated vertex")
-            path = _splice(step, path)
-        elif isinstance(step, SubdivisionRecord):
-            path = _contract_chain(step, path)
-        else:
+        if not isinstance(step, EliminationRecord):
             raise TypeError(f"unknown step {step!r}")
+        if not step.vertices.isdisjoint(path):
+            raise TraceError(f"path {path} already contains an eliminated vertex")
+        path = _splice(step, path)
     return path
 
 
@@ -157,19 +141,6 @@ def _splice(step: EliminationRecord, path: Path) -> Path:
             at[v] = len(out)
             out.append(v)
     return tuple(out)
-
-
-def _contract_chain(step: SubdivisionRecord, path: Path) -> Path:
-    """Drop the chain vertices of `path`. Chain vertices have one in-edge
-    and one out-edge, so each maximal run of them in a valid path is the
-    whole chain, entered from u and left to v."""
-    chain = set(step.chain)
-    run = (step.edge[0], *step.chain, step.edge[1])
-    for i, x in enumerate(path):
-        if x in chain and (i == 0 or path[i - 1] not in chain):
-            if i == 0 or path[i - 1 : i - 1 + len(run)] != run:
-                raise TraceError(f"path enters subdivision chain of {step.edge} mid-way")
-    return tuple(x for x in path if x not in chain)
 
 
 def _tight_walk(
@@ -262,56 +233,39 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
 
 
 def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
-    """Reduce a straight graph to a layered one.
+    """Reduce a straight graph to one the layered search takes: every
+    back-edge goes strictly back.
 
-    Fixes every violating edge once, back-edge violations before forward
-    ones, smallest ids first:
+    Each back-edge (u,v) that does not, with d(s,u) <= d(s,v), is removed,
+    smallest ids first, after recording the candidate path s->u, (u,v),
+    v->t built from the smallest-id shortest-path trees -- the cheapest
+    path through that edge, which the reduced graph loses. Forward edges
+    stay as they are: weights are positive, so each one already goes
+    strictly up a layer, and the search takes an edge that spans several
+    layers whole.
 
-    * a violating back-edge (u,v) is removed, after recording the candidate
-      path s->u, (u,v), v->t built from the smallest-id shortest-path trees
-      -- the cheapest path through that edge, which the reduced graph
-      loses;
-    * a layer-skipping forward edge is subdivided into a chain with one
-      fresh vertex per skipped distance value.
-
-    The input's distance table is read once, the violations are listed
-    once, and the steps edit one copy of the edge map. Removing a back-edge
-    and subdividing a forward edge keep d(s,.) and d(.,t) of every vertex
-    and the set of distinct distance values; each step fixes exactly one
-    violation and creates none. So the returned graph's distance table is
-    the input's plus, for each chain vertex, d(s,.) = its q-value and
-    d(.,t) = d(s,t) - q (a layered graph is straight), handed on rather than
-    computed again. A removed back-edge is never tight, so the trees the
-    candidates follow do not change either, and the candidates need no
-    lifting: only back-edge removals precede them.
+    The input's distance table is read once and the removals edit one copy
+    of the edge map. A removed back-edge is never tight, so every distance
+    stays and the returned graph carries the input's table, handed on
+    rather than computed again; the trees the candidates follow do not
+    change either, so the candidates need no lifting.
     """
     d = shortest_distances(g)
     if not is_straight(g, d):
         raise ValueError("graph is not (s,t)-straight")
     trace = ReductionTrace()
-    back, fwd = layering_violations(g, d)
-    if not back and not fwd:
+    from_s = d.from_s
+    back = sorted(
+        (u, v)
+        for (u, v), w in g.edges.items()
+        if edge_slack(d, u, v, w) and from_s[u] <= from_s[v]
+    )
+    if not back:
         return g, trace
-    from_s = dict(d.from_s)
     edges = dict(g.edges)
     for u, v in back:
         candidate = _tree_path(g, d, u, (), v)
         trace.candidates.append((candidate, path_weight(g, candidate)))
         del edges[(u, v)]
         trace.steps.append(BackEdgeRemoval((u, v)))
-    values = sorted(set(from_s.values()))
-    first = fresh = max(g.vertices) + 1
-    for u, v in fwd:
-        du, dv = from_s[u], from_s[v]
-        qs = values[bisect.bisect_right(values, du) : bisect.bisect_left(values, dv)]
-        chain = tuple(range(fresh, fresh + len(qs)))
-        fresh += len(qs)
-        del edges[(u, v)]
-        nodes, q_values = (u, *chain, v), (du, *qs, dv)
-        for a, b, qa, qb in zip(nodes, nodes[1:], q_values, q_values[1:]):
-            edges[(a, b)] = qb - qa
-        trace.steps.append(SubdivisionRecord((u, v), chain, q_values))
-        from_s.update(zip(chain, qs))
-    out = g.replace(vertices=g.vertices.union(range(first, fresh)), edges=edges)
-    dst = from_s[g.t]
-    return _seed_distances(out, from_s, {u: dst - du for u, du in from_s.items()}), trace
+    return _seed_distances(g.replace(edges=edges), from_s, d.to_t), trace

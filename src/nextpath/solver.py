@@ -1,12 +1,18 @@
-"""Next-to-shortest path search on a layered graph.
+"""Next-to-shortest path search on a layered graph: a straight graph in
+which every back-edge goes strictly back. A forward edge may span several
+layers.
 
 The solver enumerates endpoint pairs (a, b) of a potential middle segment
 (both incident to back-edges, with d(a) > d(b)) together with a pair of
-same-layer forward waypoint edges. For each tuple it builds two disjoint
-forward paths s -> a and b -> t through the waypoints, removes their
-vertices, and completes the route with an exact shortest a -> b path on the
-residual graph. The minimum-weight completed route over all tuples is the
-answer; if no tuple completes, no not-shortest path exists.
+forward waypoint edges that cross one layer boundary. For each tuple it
+builds two disjoint forward paths s -> a and b -> t through the waypoints,
+removes their vertices, and completes the route with an exact shortest
+a -> b path on the residual graph. The minimum-weight completed route over
+all tuples is the answer; if no tuple completes, no not-shortest path
+exists. An edge that spans several layers stands for the chain of one-layer
+steps the paper's layered graph would hold in its place: an outer path used
+such a chain whole or not at all, so blocking the edge's two ends blocks the
+same routes.
 
 Any completed route is automatically a simple not-shortest s -> t path: the
 middle segment descends from d(a) to d(b) < d(a), which forces a back-edge.
@@ -35,10 +41,10 @@ from .graph import (
 
 class _LayeredSearch:
     """State for one solve: distances, layers, the back vertices, the forward
-    edges by tail and by tail layer (only the layers that can hold a waypoint
-    pair), the forward DAG once a tuple needs it, memoized disjoint-pair
-    queries for the outer paths, and the incumbent (the lightest route found
-    so far, as (weight, path))."""
+    edges by tail and by the layer boundaries they cross (only the
+    boundaries that can hold a waypoint pair), the forward DAG once a tuple
+    needs it, memoized disjoint-pair queries for the outer paths, and the
+    incumbent (the lightest route found so far, as (weight, path))."""
 
     def __init__(self, g: WeightedDigraph):
         self.g = g
@@ -49,31 +55,37 @@ class _LayeredSearch:
         rank = {x: i for i, x in enumerate(sorted(set(d.from_s.values())), start=1)}
         self.lam = lam = {u: rank[du] for u, du in d.from_s.items()}
         self.dst: int = d.from_s[g.t]
-        # One pass in (tail, head) order, which fixes each layer's edge order
-        # and so the tuple order. It is also the input check: straightness
-        # leaves every slack defined and non-negative, a back-edge must go
-        # strictly back and a forward edge exactly one layer on.
+        # One pass in (tail, head) order, which fixes each boundary's edge
+        # order and so the tuple order. It is also the input check:
+        # straightness leaves every slack defined and non-negative, and a
+        # back-edge must go strictly back. Weights are positive, so a forward
+        # edge goes up at least one layer; it is filed under every boundary
+        # l|l+1 it crosses, a one-layer edge with a single append.
         back: set[int] = set()
         slacks: list[int] = []
         self.forward: dict[int, list[int]] = {u: [] for u in g.vertices}
         by_layer: dict[int, list[Edge]] = {}
         for u in sorted(g.vertices):
+            lu = lam[u]
             for v, w in g.adj_out[u]:
                 slack = edge_slack(d, u, v, w)
                 if slack:
-                    layered = lam[v] < lam[u]
+                    if lam[v] >= lu:
+                        raise ValueError("graph is not (s,t)-layered")
                     back.update((u, v))
                     slacks.append(slack)
+                    continue
+                self.forward[u].append(v)
+                lv = lam[v]
+                if lv == lu + 1:
+                    by_layer.setdefault(lu, []).append((u, v))
                 else:
-                    layered = lam[v] == lam[u] + 1
-                    self.forward[u].append(v)
-                    by_layer.setdefault(lam[u], []).append((u, v))
-                if not layered:
-                    raise ValueError("graph is not (s,t)-layered")
+                    for layer in range(lu, lv):
+                        by_layer.setdefault(layer, []).append((u, v))
         self.back_vertices = frozenset(back)
         # A waypoint pair is two edges with distinct tails and distinct heads,
-        # which a layer holds exactly when its edges have two of each.
-        self.forward_by_tail_layer = {
+        # which a boundary holds exactly when its edges have two of each.
+        self.forward_by_boundary = {
             layer: edges
             for layer, edges in by_layer.items()
             if len({u for u, _ in edges}) > 1 and len({v for _, v in edges}) > 1
@@ -104,14 +116,14 @@ class _LayeredSearch:
         self, a: int, b: int, xp: int, x: int, yp: int, y: int
     ) -> DisjointPathPair | None:
         """Disjoint forward paths s -> xp -> x -> a and b -> yp -> y -> t,
-        where (xp, x) and (yp, y) are forward edges whose tails share one
-        layer in range(layer(b), layer(a)).
+        where (xp, x) and (yp, y) are forward edges that both cross one
+        boundary l|l+1 with l in range(layer(b), layer(a)).
 
-        Splits at that layer boundary into two disjoint-pair queries: the
-        prefix (s -> xp, b -> yp) lives in layers up to layer(xp), and the
-        suffix (x -> a, y -> t) in layers from layer(x) on, because forward
-        edges advance the layer by exactly one. The halves cannot collide,
-        so concatenating them is sound.
+        Splits at that boundary into two disjoint-pair queries: the prefix
+        (s -> xp, b -> yp) lives in layers up to l, and the suffix
+        (x -> a, y -> t) in layers from l + 1 on, because every forward edge
+        raises the layer. The halves cannot collide, so concatenating them
+        is sound.
         """
         prefix = self.disjoint_pair((self.g.s, xp), (b, yp))
         if prefix is None:
@@ -137,9 +149,10 @@ class _LayeredSearch:
         """
         g, dfs, lam = self.g, self.d.from_s, self.lam
         for a in sorted(self.back_vertices):
-            # A tuple needs a waypoint layer in range(lam(b), lam(a)); `top`
-            # is the last one below a (0 if none), and b must not lie above it.
-            top = max((x for x in self.forward_by_tail_layer if x < lam[a]), default=0)
+            # A tuple needs a waypoint boundary l|l+1 with l in
+            # range(lam(b), lam(a)); `top` is the last l below a (0 if none),
+            # and b must not lie above it.
+            top = max((x for x in self.forward_by_boundary if x < lam[a]), default=0)
             if a == g.t or not top:
                 continue
             radius = None if self.best is None else self.best[0] - self.dst - 1
@@ -169,7 +182,7 @@ class _LayeredSearch:
         so a later tuple whose blocked set contains a cut fails too and is
         skipped without a search."""
         g, lam, dag = self.g, self.lam, self.dag
-        by_layer = self.forward_by_tail_layer
+        by_layer = self.forward_by_boundary
         cuts: list[set[int]] = []
         for layer in range(lam[b], lam[a]):
             edges_here = by_layer.get(layer, ())

@@ -17,7 +17,7 @@ def build_graph(n, edges, s=0, t=None, scale=0):
 def skip_edge_graph(seed):
     """A layered graph without back-edges plus extra edges that shorten no
     distance: same-layer edges and layer-skipping edges that weigh their
-    span (subdivided) or more (removed as back-edges)."""
+    span (kept whole) or more (removed as back-edges)."""
     base = layered_digraph(8, 3, 0, seed)
     dist = shortest_distances(base).from_s
     rng = random.Random(seed)
@@ -28,6 +28,41 @@ def skip_edge_graph(seed):
         if u != v and (u, v) not in edges:
             edges[(u, v)] = max(dist[v] - dist[u], 1) + rng.choice((0, 0, 1, 2))
     return WeightedDigraph(base.vertices, edges, base.s, base.t)
+
+
+def with_span_edges(g, count, seed):
+    """`g`, a layered graph, plus up to `count` forward edges that each skip
+    at least one distance value and weigh exactly the distance they span,
+    so that no distance changes and the edges stay whole in `layerize`."""
+    dist = shortest_distances(g).from_s
+    rng = random.Random(f"span:{seed}")
+    edges = dict(g.edges)
+    vs = sorted(g.vertices)
+    for _ in range(count):
+        u, v = rng.choice(vs), rng.choice(vs)
+        if (u, v) not in edges and dist[v] - dist[u] >= 2:
+            edges[(u, v)] = dist[v] - dist[u]
+    return g.replace(edges=edges)
+
+
+def skip_path_graph(n, back_edges, seed):
+    """The unit path 0 -> 1 -> ... -> n-1 plus n distinct edges (u, v) with
+    v >= u + 2 that weigh v - u, plus `back_edges` edges (u, v) with v < u
+    and weights 1..3. Without back-edges the answer is NONE, as every s-t
+    path is a shortest one."""
+    rng = random.Random(seed)
+    edges = {(i, i + 1): 1 for i in range(n - 1)}
+    while len(edges) < 2 * n - 1:
+        u, v = sorted(rng.sample(range(n), 2))
+        if v - u >= 2 and (u, v) not in edges:
+            edges[(u, v)] = v - u
+    rng = random.Random(f"back:{seed}")
+    total = len(edges) + back_edges
+    while len(edges) < total:
+        v, u = sorted(rng.sample(range(n), 2))
+        if (u, v) not in edges:
+            edges[(u, v)] = rng.randint(1, 3)
+    return WeightedDigraph(frozenset(range(n)), edges, 0, n - 1)
 
 
 def bead_graph(wide_layers, width, back_edges, seed):

@@ -93,6 +93,14 @@ def test_internal_errors_exit_3_without_a_traceback(capsys, monkeypatch, triangl
     assert run(capsys, "solve", triangle_file) == (3, "", "internal error: broken invariant\n")
 
 
+def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch, triangle_file):
+    def fail(g):
+        raise MemoryError
+
+    monkeypatch.setattr("nextpath.cli.solve_detailed", fail)
+    assert run(capsys, "solve", triangle_file) == (2, "", "error: out of memory\n")
+
+
 def test_module_entry_point_solves_the_readme_triangle(triangle_file):
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src, os.environ.get("PYTHONPATH")]
@@ -296,3 +304,19 @@ def test_dump_trace_goes_to_stderr(capsys, triangle_file):
     assert out == plain_out  # stdout contract untouched
     assert "eliminate 1" in err
     assert "candidate weight=2" in err
+
+
+def test_dump_trace_layerize_section_lists_removals_then_candidates(capsys, tmp_path):
+    # 1->4 and 4->1 join one layer; 0->2 skips a layer and stays whole.
+    f = tmp_path / "skip.txt"
+    f.write_text("5 8 0 3\n0 1 1\n1 2 1\n0 2 2\n2 3 1\n0 4 1\n4 2 1\n1 4 1\n4 1 2\n")
+    code, out, err = run(capsys, "solve", str(f), "--dump-trace")
+    assert code == 0 and out == "4\n0 1 4 2 3\n"
+    assert err.splitlines() == [
+        "# straighten: 0 steps, 0 candidates",
+        "# layerize: 2 steps, 2 candidates",
+        "remove-back-edge 1->4",
+        "remove-back-edge 4->1",
+        "candidate weight=4: 0 1 4 2 3",
+        "candidate weight=5: 0 4 1 2 3",
+    ]

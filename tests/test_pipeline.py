@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PARALLEL_CHAINS, TRIANGLE, bead_graph, build_graph, edge_bound, skip_edge_graph
+from conftest import (
+    PARALLEL_CHAINS,
+    TRIANGLE,
+    bead_graph,
+    build_graph,
+    edge_bound,
+    skip_edge_graph,
+    skip_path_graph,
+)
 from nextpath import (
     WeightedDigraph,
     exhaustive_next_to_shortest,
@@ -167,3 +175,23 @@ def test_edge_bound_is_a_lower_bound(g):
         assert not got.found
     elif got.found:
         assert got.weight >= bound
+
+
+def test_many_long_skip_edges_add_no_vertex():
+    """A unit path of 800 vertices plus 800 edges that each weigh the span
+    they skip: the search gets the input's own vertices, where subdividing
+    each skip edge into unit steps would make about 209,000."""
+    g = skip_path_graph(800, 0, 1)
+    result = solve_detailed(g)
+    assert not result.outcome.found
+    assert result.layered_graph.vertex_count <= g.vertex_count
+
+
+def test_long_skip_edges_with_back_edges_keep_their_weight():
+    # 300 vertices, 300 skip edges and 15 back-edges; the weight was pinned
+    # when each skip edge was still subdivided into unit steps (30,956
+    # layered vertices then).
+    g = skip_path_graph(300, 15, 1)
+    result = solve_detailed(g)
+    assert result.outcome.weight == 304
+    assert result.layered_graph.vertex_count <= g.vertex_count

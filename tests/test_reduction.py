@@ -19,7 +19,6 @@ from conftest import (
 from nextpath import (
     BackEdgeRemoval,
     EliminationRecord,
-    SubdivisionRecord,
     TraceError,
     WeightedDigraph,
     apply_step,
@@ -140,13 +139,13 @@ def test_lift_through_straighten_gives_no_heavier_simple_paths(n, w_max, seed):
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(st.integers(0, 10**6))
 def test_lift_through_layerize_keeps_simple_paths_and_weights(seed):
-    """Every simple s-t path of layerize's output lifts to a simple s-t
-    path of its input of the same weight, with every chain contracted."""
+    """Every simple s-t path of layerize's output is one of its input, and
+    lifting leaves it as it is: layerize only removes edges."""
     g = skip_edge_graph(seed)
     g_l, trace = layerize(g)
     for path, w in islice(simple_paths(g_l, g_l.s, g_l.t, budget=None), 60):
         lifted = lift_path(trace, path)
-        assert set(lifted) <= g.vertices
+        assert lifted == path
         assert (lifted[0], lifted[-1]) == (g.s, g.t)
         check = validate_path(g, lifted)
         assert check.simple and check.weight == w
@@ -185,14 +184,20 @@ def test_straighten_output_is_straight_and_bounded():
 # --- layerize --------------------------------------------------------------------
 
 
-def test_layerize_subdivides_layer_skipping_edge():
+def test_layerize_keeps_layer_skipping_edge_whole():
     g = build_graph(4, {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1}, s=0, t=3)
     d = shortest_distances(g)
-    assert violation_count(g, d) == 1
+    assert layering_violations(g, d) == ([], [(0, 2)])
     g2, trace = layerize(g)
-    assert trace.steps == [SubdivisionRecord(edge=(0, 2), chain=(4,), q_values=(0, 1, 2))]
-    assert g2.edges == {(0, 1): 1, (1, 2): 1, (0, 4): 1, (4, 2): 1, (2, 3): 1}
-    assert is_layered(g2, shortest_distances(g2))
+    assert g2 is g and trace.steps == [] and trace.candidates == []
+    # With a same-layer back-edge beside it, only the back-edge goes.
+    g = build_graph(5, {**g.edges, (0, 4): 1, (4, 2): 1, (1, 4): 1, (4, 1): 2}, s=0, t=3)
+    g2, trace = layerize(g)
+    assert trace.steps == [BackEdgeRemoval((1, 4)), BackEdgeRemoval((4, 1))]
+    assert trace.candidates == [((0, 1, 4, 2, 3), 4), ((0, 4, 1, 2, 3), 5)]
+    assert g2.vertices == g.vertices
+    assert dict(g2.edges) == {e: w for e, w in g.edges.items() if e not in {(1, 4), (4, 1)}}
+    assert layering_violations(g2, shortest_distances(g2)) == ([], [(0, 2)])
 
 
 def test_layerize_identity_on_layered_input():
@@ -211,8 +216,9 @@ def test_layerize_requires_straight():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_layerize_invariants_per_iteration(seed):
-    """Replaying the trace: the violation count drops by exactly one per step
-    while distances from s and the distinct-distance count are preserved."""
+    """Replaying the trace: each step removes one back-edge that does not go
+    strictly back, and keeps every vertex, every distance and every
+    layer-skipping forward edge; none of the first kind is left at the end."""
     g = random_digraph(8, 0.5, 5, seed)
     if shortest_distances(g).from_s[g.t] is None:
         pytest.skip("no s-t path")
@@ -220,22 +226,19 @@ def test_layerize_invariants_per_iteration(seed):
     g_l, trace = layerize(g_s)
     cur = g_s
     d = shortest_distances(cur)
-    phi = violation_count(cur, d)
-    assert len(trace.steps) == phi
-    assert is_layered(cur, d) == (phi == 0)
+    back, fwd = layering_violations(cur, d)
+    assert len(trace.steps) == len(back)
     for step in trace.steps:
         nxt = apply_step(cur, step)
-        d_cur, d_nxt = shortest_distances(cur), shortest_distances(nxt)
-        assert violation_count(nxt, d_nxt) == phi - 1
-        assert is_layered(nxt, d_nxt) == (phi - 1 == 0)
-        for z in cur.vertices & nxt.vertices:
-            assert d_cur.from_s[z] == d_nxt.from_s[z]
-        assert len({d_cur.from_s[z] for z in cur.vertices}) == len(
-            {d_nxt.from_s[z] for z in nxt.vertices}
-        )
-        cur, phi = nxt, phi - 1
-    assert cur == g_l
-    assert phi == 0 and is_layered(g_l, shortest_distances(g_l))
+        d_nxt = shortest_distances(nxt)
+        assert nxt.vertices == cur.vertices
+        assert (dict(d_nxt.from_s), dict(d_nxt.to_t)) == (dict(d.from_s), dict(d.to_t))
+        back = back[1:]
+        assert layering_violations(nxt, d_nxt) == (back, fwd)
+        assert violation_count(nxt, d_nxt) == violation_count(cur, d) - 1
+        cur, d = nxt, d_nxt
+    assert cur == g_l and back == []
+    assert is_layered(g_l, d) == (not fwd)
 
 
 REPLAY_GRAPHS = (
@@ -313,7 +316,7 @@ def test_trace_replay_reproduces_reduced_graphs():
     recorded candidates, and every intermediate graph keeps the distances
     the one-pass reductions read off their single distance table."""
     kinds: set[type] = set()
-    solved = cut_off = 0
+    solved = cut_off = spanning = 0
     for g in REPLAY_GRAPHS:
         d0 = shortest_distances(g)
         dst = d0.from_s[g.t]
@@ -347,8 +350,9 @@ def test_trace_replay_reproduces_reduced_graphs():
         g_l, tr_l = layerize(g_s)
         d1 = shortest_distances(g_s)
         back, fwd = layering_violations(g_s, d1)
-        # each violation listed once is fixed by exactly one step, in order
-        assert [step.edge for step in tr_l.steps] == back + fwd
+        # each back-edge violation listed once is fixed by exactly one step,
+        # in order, and the layer-skipping forward edges stay
+        assert [step.edge for step in tr_l.steps] == back
         cur, expected = g_s, []
         for i, step in enumerate(tr_l.steps):
             if isinstance(step, BackEdgeRemoval):
@@ -356,15 +360,13 @@ def test_trace_replay_reproduces_reduced_graphs():
                 expected.append((head + tail, path_weight(g_s, head + tail)))
             cur = apply_step(cur, step)
             d = shortest_distances(cur)
+            assert cur.vertices == g_s.vertices
             for v in g_s.vertices:
                 assert (d.from_s[v], d.to_t[v]) == (d1.from_s[v], d1.to_t[v])
-            if isinstance(step, SubdivisionRecord):
-                assert [d.from_s[c] for c in step.chain] == list(step.q_values[1:-1])
-            assert {d.from_s[v] for v in cur.vertices} == set(d1.from_s.values())
-            b, f = layering_violations(cur, d)
-            assert b + f == (back + fwd)[i + 1 :]
+            assert layering_violations(cur, d) == (back[i + 1 :], fwd)
         assert cur == g_l
         assert tr_l.candidates == expected
+        spanning += bool(fwd)
 
         for host, trace in ((g, tr_s), (g_s, tr_l)):
             for path, w in trace.candidates:
@@ -373,7 +375,8 @@ def test_trace_replay_reproduces_reduced_graphs():
                 assert w == check.weight == path_weight(host, path) > dst
         kinds |= {type(step) for step in tr_s.steps + tr_l.steps}
     assert solved >= 30 and cut_off >= 10
-    assert kinds == {EliminationRecord, BackEdgeRemoval, SubdivisionRecord}
+    assert kinds == {EliminationRecord, BackEdgeRemoval}
+    assert spanning >= 5
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -396,8 +399,8 @@ def test_trace_replay_reproduces_reduced_graphs_on_drawn_inputs(skip_edges, seed
 @given(st.booleans(), st.integers(0, 10**6))
 def test_reductions_hand_on_their_inputs_distances(skip_edges, seed):
     """The table each reduction stores on the graph it returns equals a
-    fresh Dijkstra on that graph's vertices and edges, chain vertices
-    included; a reduction that changes nothing returns its input."""
+    fresh Dijkstra on that graph's vertices and edges; a reduction that
+    changes nothing returns its input."""
     g = skip_edge_graph(seed) if skip_edges else random_digraph(6 + seed % 8, 0.35, 4, seed)
     if shortest_distances(g).from_s[g.t] is None:
         return
@@ -433,7 +436,7 @@ def test_each_reduction_computes_distances_once(monkeypatch):
     assert None in {d.from_s[u] for u in step.vertices} | {d.to_t[u] for u in step.vertices}
     assert step.shortcut_edges
     _, tr_l = layerize(g_s)
-    assert {type(step) for step in tr_l.steps} == {BackEdgeRemoval, SubdivisionRecord}
+    assert {type(step) for step in tr_l.steps} == {BackEdgeRemoval}
     assert calls == {"shortest_distances": 2}
 
 
@@ -446,35 +449,14 @@ def test_lift_path_identity_when_untouched():
     assert lift_path(trace, (0, 1, 2, 3)) == (0, 1, 2, 3)
 
 
-def test_lift_path_contracts_subdivision_chain():
-    g = build_graph(4, {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1}, s=0, t=3)
+def test_lift_path_keeps_a_layer_skipping_edge():
+    # layerize leaves the skip edge 0->2 whole and removes the back-edge
+    # 1->3, so lifting changes no path of its output.
+    g = build_graph(4, {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1, (1, 3): 3}, s=0, t=3)
     g_l, trace = layerize(g)
-    lifted = lift_path(trace, (0, 4, 2, 3))
-    assert lifted == (0, 2, 3)
-    assert path_weight(g, lifted) == path_weight(g_l, (0, 4, 2, 3))
-
-
-def test_lift_path_rejects_partial_chain_use():
-    g = build_graph(4, {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1}, s=0, t=3)
-    _, trace = layerize(g)
-    with pytest.raises(TraceError):
-        lift_path(trace, (4, 2, 3))  # enters the chain without its tail vertex
-
-
-@pytest.mark.parametrize(
-    "path",
-    [
-        (0, 4, 3),  # leaves the chain to a vertex other than its head
-        (1, 4, 2, 3),  # enters the chain from a vertex other than its tail
-        (0, 4),  # ends inside the chain
-        (0, 4, 2, 4),  # enters the chain a second time without its tail
-    ],
-)
-def test_lift_path_rejects_each_run_that_is_not_the_whole_chain(path):
-    g = build_graph(4, {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1}, s=0, t=3)
-    _, trace = layerize(g)
-    with pytest.raises(TraceError, match=r"^path enters subdivision chain of \(0, 2\) mid-way$"):
-        lift_path(trace, path)
+    assert trace.steps == [BackEdgeRemoval((1, 3))]
+    assert lift_path(trace, (0, 2, 3)) == (0, 2, 3)
+    assert path_weight(g, (0, 2, 3)) == path_weight(g_l, (0, 2, 3))
 
 
 def test_straighten_rejects_a_graph_without_an_s_t_path():
@@ -483,11 +465,11 @@ def test_straighten_rejects_a_graph_without_an_s_t_path():
 
 
 def test_layerize_output_with_gaps_in_its_ids_does_not_serialize():
-    # straighten drops the isolated vertex 2; layerize then numbers the chain
-    # of the skip edge 0->3 from 5, so the ids are 0, 1, 3, 4, 5.
+    # straighten drops the isolated vertex 2, and layerize adds no vertex,
+    # so the ids are 0, 1, 3, 4.
     g = build_graph(5, {(0, 1): 1, (1, 3): 1, (3, 4): 1, (0, 3): 2}, s=0, t=4)
     g_l, _ = layerize(straighten(g)[0])
-    assert sorted(g_l.vertices) == [0, 1, 3, 4, 5]
+    assert sorted(g_l.vertices) == [0, 1, 3, 4]
     with pytest.raises(ValueError, match="^only graphs with contiguous vertex ids serialize$"):
         serialize_graph(g_l)
 

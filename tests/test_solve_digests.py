@@ -6,6 +6,9 @@ recorded candidate shows up here. When an output change is intended, say
 why in the change and regenerate the file from the repository root with
 
     PYTHONPATH=src python tests/test_solve_digests.py
+
+which prints the name of each entry whose digest changed, so that the
+change can list them.
 """
 from __future__ import annotations
 
@@ -92,6 +95,11 @@ def test_solve_output_matches_recorded_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        DIGESTS.parent.mkdir(exist_ok=True)
-        DIGESTS.write_text(json.dumps(digests(Path(tmp)), indent=1) + "\n")
+        new = digests(Path(tmp))
+    for name, digest in new.items():
+        if old.get(name) != digest:
+            print(name)
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(new, indent=1) + "\n")

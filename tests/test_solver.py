@@ -18,6 +18,7 @@ from conftest import (
     build_graph,
     fresh_distances,
     skip_edge_graph,
+    with_span_edges,
 )
 from nextpath import (
     ForwardDag,
@@ -31,6 +32,7 @@ from nextpath import (
     shortest_distances,
     shortest_path_avoiding,
     solve,
+    solve_detailed,
     solve_layered,
     straighten,
     validate_path,
@@ -105,7 +107,10 @@ def test_solver_builds_no_forward_dag_without_a_waypoint_tuple(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_search_setup_matches_edge_slack(seed):
+    """Each forward edge is filed under every boundary l|l+1 it crosses; odd
+    seeds add edges that span several layers."""
     g = layered_digraph(5 + seed % 3, 2 + seed % 3, 3 + seed, seed)
+    g = with_span_edges(g, 6 * (seed % 2), seed)
     d = shortest_distances(g)
     values = sorted(set(d.from_s.values()))
     lam = {u: values.index(d.from_s[u]) + 1 for u in g.vertices}
@@ -113,14 +118,16 @@ def test_search_setup_matches_edge_slack(seed):
     back = [e for e, x in slack.items() if x > 0]
     forward = sorted(e for e, x in slack.items() if x == 0)
     assert back and len(back) + len(forward) == g.edge_count
+    assert any(lam[v] > lam[u] + 1 for u, v in forward) == bool(seed % 2)
     by_layer = {}
     for u, v in forward:
-        by_layer.setdefault(lam[u], []).append((u, v))
+        for layer in range(lam[u], lam[v]):
+            by_layer.setdefault(layer, []).append((u, v))
     search = _LayeredSearch(g)
     assert search.lam == lam
     assert search.back_vertices == {u for e in back for u in e}
     assert search.floor == d.from_s[g.t] + min(slack[e] for e in back)
-    assert search.forward_by_tail_layer == {
+    assert search.forward_by_boundary == {
         layer: edges
         for layer, edges in by_layer.items()
         if len({u for u, _ in edges}) > 1 and len({v for _, v in edges}) > 1
@@ -173,7 +180,6 @@ def test_bound_tables_stop_at_the_incumbent_radius(monkeypatch):
     [
         pytest.param((1, 3, 1), ([(1, 3)], []), id="same-layer-back-edge"),
         pytest.param((1, 4, 5), ([(1, 4)], []), id="back-edge-pointing-forward"),
-        pytest.param((0, 2, 2), ([], [(0, 2)]), id="layer-skipping-forward-edge"),
         pytest.param((0, 5, 2), None, id="vertex-not-straight"),
     ],
 )
@@ -188,6 +194,18 @@ def test_solver_rejects_non_layered_input(extra, violations):
         assert is_straight(g, d) and nextpath.graph.layering_violations(g, d) == violations
     with pytest.raises(ValueError, match="layered"):
         solve_layered(g)
+
+
+def test_solver_takes_a_layer_skipping_forward_edge():
+    # The two parallel unit chains with their back-edge, plus the edge 0->2
+    # that skips a layer: the search takes it whole and matches the oracle.
+    g = build_graph(6, {**PARALLEL_CHAINS, (0, 2): 2}, s=0, t=5)
+    d = shortest_distances(g)
+    assert is_straight(g, d) and nextpath.graph.layering_violations(g, d) == ([], [(0, 2)])
+    search = _LayeredSearch(g)
+    assert search.forward_by_boundary[2] == [(0, 2), (1, 2), (3, 4)]
+    want = exhaustive_next_to_shortest(g)
+    assert want.found and solve_layered(g).weight == want.weight == 5
 
 
 def test_a_graph_built_from_a_layerize_output_computes_its_own_table():
@@ -213,23 +231,27 @@ def test_a_graph_built_from_a_layerize_output_computes_its_own_table():
             _LayeredSearch(h)
 
 
-def test_layering_is_checked_once_per_solve(monkeypatch):
+def test_a_solve_never_runs_the_unit_step_layering_check(monkeypatch):
+    """`layerize` lists only the back-edges to remove and the search checks
+    its input in its set-up pass, so a solve needs no `layering_violations`,
+    which also lists every layer-skipping forward edge."""
     layered, skipping = layered_digraph(5, 3, 4, 1), skip_edge_graph(1)
     assert is_layered(layered, shortest_distances(layered))
     assert not is_layered(skipping, shortest_distances(skipping))
     calls = []
-    for module in (nextpath.graph, nextpath.reduction):
-        check = module.layering_violations
+    check = nextpath.graph.layering_violations
 
-        def counting(g, d, name=module.__name__, check=check):
-            calls.append(name)
-            return check(g, d)
+    def counting(g, d):
+        calls.append(g)
+        return check(g, d)
 
-        monkeypatch.setattr(module, "layering_violations", counting)
+    monkeypatch.setattr(nextpath.graph, "layering_violations", counting)
+    # An imported name would bypass the patch.
+    assert not hasattr(nextpath.reduction, "layering_violations")
+    assert not hasattr(nextpath.solver, "layering_violations")
     solve_layered(layered)
-    assert calls == []
     solve(skipping)
-    assert calls == ["nextpath.reduction"]
+    assert calls == []
 
 
 def _drawn_graph(kind, seed):
@@ -254,15 +276,20 @@ def _drawn_graph(kind, seed):
     st.sampled_from(["random", "one-edge", "skip-edge", "straightened", "layerized"]),
     st.integers(0, 2**16),
 )
-def test_search_accepts_exactly_the_layered_graphs(kind, seed):
+def test_search_accepts_exactly_straight_graphs_whose_back_edges_go_back(kind, seed):
+    """The search takes a straight graph whose back-edges all go strictly
+    back, with or without layer-skipping forward edges, and rejects every
+    other graph; `layerize` always returns one it takes."""
     g = _drawn_graph(kind, seed)
     d = shortest_distances(g)
     try:
         lam = _LayeredSearch(g).lam
     except ValueError:
-        assert not is_layered(g, d)
+        assert kind != "layerized"
+        assert not is_straight(g, d) or nextpath.graph.layering_violations(g, d)[0]
         return
-    assert is_layered(g, d)
+    assert is_straight(g, d)
+    assert nextpath.graph.layering_violations(g, d)[0] == []
     values = sorted(set(d.from_s.values()))
     assert lam == {u: values.index(d.from_s[u]) + 1 for u in g.vertices}
 
@@ -329,6 +356,45 @@ def test_solver_matches_oracle_on_drawn_layered_graphs(layers, width, back, w_ma
     want = exhaustive_next_to_shortest(g)
     got = solve_layered(g)
     assert (got.found, got.weight) == (want.found, want.weight)
+
+
+def _check_span_edge_instance(layers, width, back, skips, seed):
+    """Checks `solve_detailed` on a layered graph with span-weight skip
+    edges, and `solve_layered` on what `layerize` makes of it, against the
+    oracle; returns whether the searched graph keeps an edge that spans
+    more than one layer."""
+    g = with_span_edges(layered_digraph(layers, width, back, seed), skips, seed)
+    want = exhaustive_next_to_shortest(g)
+    got = solve_detailed(g).outcome
+    assert (got.found, got.weight) == (want.found, want.weight)
+    g_l, _ = layerize(g)
+    want_l = want if g_l is g else exhaustive_next_to_shortest(g_l)
+    got_l = solve_layered(g_l)
+    assert (got_l.found, got_l.weight) == (want_l.found, want_l.weight)
+    search = _LayeredSearch(g_l)
+    return any(search.lam[v] > search.lam[u] + 1 for u in g_l.vertices for v in search.forward[u])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.integers(4, 7),
+    st.integers(2, 3),
+    st.integers(0, 8),
+    st.integers(1, 8),
+    st.integers(0, 2**16),
+)
+def test_solver_matches_oracle_with_layer_spanning_edges(layers, width, back, skips, seed):
+    _check_span_edge_instance(layers, width, back, skips, seed)
+
+
+def test_layer_spanning_edges_reach_the_search():
+    """The property above draws from a family in which the search does get
+    edges that span layers: most fixed draws keep one."""
+    kept = sum(
+        _check_span_edge_instance(4 + seed % 4, 2 + seed % 2, seed % 9, 1 + seed % 8, seed)
+        for seed in range(40)
+    )
+    assert kept >= 20
 
 
 def test_solver_outputs_validate_and_satisfy_weight_identities():
