@@ -42,9 +42,11 @@ from .graph import (
 class _LayeredSearch:
     """State for one solve: distances, layers, the back vertices, the forward
     edges by tail and by the layer boundaries they cross (only the
-    boundaries that can hold a waypoint pair), the forward DAG once a tuple
-    needs it, memoized disjoint-pair queries for the outer paths, and the
-    incumbent (the lightest route found so far, as (weight, path))."""
+    boundaries that can hold a waypoint pair), the start vertices a with the
+    last such boundary below each, the forward DAG once a tuple needs it,
+    memoized disjoint-pair queries for the outer paths, and the current
+    scan's `bound` (the weight a route must stay under to count). The
+    set-up and the memo serve every scan of the same search."""
 
     def __init__(self, g: WeightedDigraph):
         self.g = g
@@ -93,8 +95,18 @@ class _LayeredSearch:
         # Smallest possible excess of any not-shortest path over d(s,t):
         # every back-edge contributes its own slack, forward edges none.
         self.floor = self.dst + min(slacks, default=0)
+        # A tuple needs a waypoint boundary l|l+1 with l in
+        # range(lam(b), lam(a)). tops[l] is the last waypoint boundary below
+        # layer l (0 if none), a running maximum over the layers; a vertex a
+        # with tops[lam(a)] = 0 starts no tuple, and b must not lie above it.
+        tops = [0] * (len(rank) + 1)
+        for layer in range(1, len(rank)):
+            tops[layer + 1] = layer if layer in self.forward_by_boundary else tops[layer]
+        self.starts = [
+            (a, tops[lam[a]]) for a in sorted(back) if a != g.t and tops[lam[a]]
+        ]
         self._pairs: dict[tuple[tuple[int, int], ...], DisjointPathPair | None] = {}
-        self.best: tuple[int, Path] | None = None
+        self.bound: int | None = None
 
     @cached_property
     def dag(self) -> ForwardDag:
@@ -133,29 +145,28 @@ class _LayeredSearch:
             return None
         return DisjointPathPair(prefix.p1 + suffix.p1, prefix.p2 + suffix.p2)
 
-    def scan(self) -> tuple[int, Path] | None:
+    def scan(self, ceiling: int | None) -> tuple[int, Path] | None:
         """Evaluate the tuple space in enumeration order: a, then b, both
         ascending over the back vertices, then waypoint-edge pairs.
 
-        Returns the first minimum-weight candidate as (weight, path), or
-        None. A route of pair (a, b) weighs at least base + dist(a, b), where
-        the integer base = d(s,t) + d(a) - d(b) > d(s,t). So under an incumbent
-        of excess E over d(s,t) only dist(a, b) < E - 1 can win, and a's bound
-        table is that Dijkstra ball, valid for every later b as `best` only
-        decreases.
-        Pruning only drops tuples that cannot strictly beat the incumbent,
-        and the scan stops once a candidate reaches `floor`, so the result
-        equals that of a plain full scan.
+        Returns the first minimum-weight candidate lighter than `ceiling`
+        (None: no ceiling) as (weight, path), or None. The ceiling is the
+        first `bound`, and every route found, the incumbent, lowers it to its
+        own weight. A route of pair (a, b) weighs at least base + dist(a, b),
+        where the integer base = d(s,t) + d(a) - d(b) > d(s,t). So under a
+        bound of excess E over d(s,t) only dist(a, b) < E - 1 can count, and
+        a's bound table is that Dijkstra ball, valid for every later b as
+        `bound` only decreases. Pruning only drops tuples that cannot weigh
+        less than `bound`, and the scan stops once a candidate reaches
+        `floor`. So without a ceiling the result equals that of a plain full
+        scan, and under a ceiling above `floor` it is the same route whenever
+        that route weighs `floor` (see `solve_layered`).
         """
         g, dfs, lam = self.g, self.d.from_s, self.lam
-        for a in sorted(self.back_vertices):
-            # A tuple needs a waypoint boundary l|l+1 with l in
-            # range(lam(b), lam(a)); `top` is the last l below a (0 if none),
-            # and b must not lie above it.
-            top = max((x for x in self.forward_by_boundary if x < lam[a]), default=0)
-            if a == g.t or not top:
-                continue
-            radius = None if self.best is None else self.best[0] - self.dst - 1
+        best: tuple[int, Path] | None = None
+        self.bound = ceiling
+        for a, top in self.starts:
+            radius = None if self.bound is None else self.bound - self.dst - 1
             table, _ = dijkstra(g.adj_out, a, limit=radius)
             for b in sorted(self.back_vertices.intersection(table)):
                 if lam[b] > top or b == g.s:
@@ -163,22 +174,22 @@ class _LayeredSearch:
                 lower = table[b]
                 base = dfs[a] - dfs[b] + self.dst
                 # No route of this pair weighs less than base + lower.
-                if self.best is not None and base + lower >= self.best[0]:
+                if self.bound is not None and base + lower >= self.bound:
                     continue
                 for weight, path in self._pair_routes(a, b, base):
-                    self.best = (weight, path)
+                    best, self.bound = (weight, path), weight
                     if weight <= self.floor:
-                        return self.best
+                        return best
                     if base + lower >= weight:
                         break
-        return self.best
+        return best
 
     def _pair_routes(self, a: int, b: int, base: int) -> Iterator[tuple[int, Path]]:
-        """Completed routes of pair (a, b) lighter than the incumbent, in tuple
+        """Completed routes of pair (a, b) lighter than `bound`, in tuple
         enumeration order, with their weights; each is checked before it is yielded.
 
         Every failed residual search leaves its cut (see `graph.dijkstra`).
-        The limit only shrinks during one visit, as `best` only decreases,
+        The limit only shrinks during one visit, as `bound` only decreases,
         so a later tuple whose blocked set contains a cut fails too and is
         skipped without a search."""
         g, lam, dag = self.g, self.lam, self.dag
@@ -200,8 +211,8 @@ class _LayeredSearch:
                     blocked = (set(outer.p1) | set(outer.p2)) - {a, b}
                     if any(cut <= blocked for cut in cuts):
                         continue
-                    # Read now: the incumbent may improve while this generator waits.
-                    limit = None if self.best is None else self.best[0] - base
+                    # Read now: the bound may fall while this generator waits.
+                    limit = None if self.bound is None else self.bound - base
                     met: set[int] = set()
                     p0 = shortest_path_avoiding(g, blocked, a, b, limit, met)
                     if p0 is None:
@@ -226,11 +237,30 @@ def _check_candidate(g: WeightedDigraph, path: Path, weight: int, dst: int) -> N
 def solve_layered(g: WeightedDigraph) -> SolveOutcome:
     """Find a next-to-shortest s-to-t path of a layered graph, or report none.
 
-    Deterministic: one sequential scan enumerates tuples with a ascending,
-    b ascending, then waypoint-edge pairs in lexicographic order, and ties
-    in weight keep the first-found path.
+    Deterministic: a scan enumerates tuples with a ascending, b ascending,
+    then waypoint-edge pairs in lexicographic order, and ties in weight keep
+    the first-found path.
+
+    No route weighs less than `floor`, so the search first scans under the
+    ceiling floor + 1 (iterative deepening), with bound tables, pair prunes
+    and residual limits all at the floor radius from the start; only if
+    that finds nothing does the full scan follow, reusing the memoized
+    disjoint pairs. The answer is the full scan's:
+    - pruning under the ceiling drops only tuples that cannot weigh exactly
+      `floor`;
+    - a cut stays sound under any limit no larger than the one it failed
+      under;
+    - a limited Dijkstra keeps every closer vertex's distance and parent,
+      so a tuple's residual path does not depend on the limit it meets;
+    - a full scan prunes no floor tuple before its first floor route, and
+      stops there.
+    So when a route weighs `floor`, both scans return the first such route
+    in enumeration order, and when none does, the ceiling scan returns None.
     """
-    best = _LayeredSearch(g).scan()
+    search = _LayeredSearch(g)
+    best = search.scan(search.floor + 1)
+    if best is None:
+        best = search.scan(None)
     if best is None:
         return SolveOutcome.none()
     return SolveOutcome.of(best[1], best[0])

@@ -421,13 +421,13 @@ def test_layered_rejects_skipping_edge():
     assert not is_layered(g, d)  # edge (0,2) spans past distance value 1
 
 
-def test_layer_assignment_path_graph():
+def test_search_layers_path_graph():
     g = build_graph(3, {(0, 1): 1, (1, 2): 1}, s=0, t=2)
     lam = _LayeredSearch(g).lam
     assert [lam[u] for u in range(3)] == [1, 2, 3]
 
 
-def test_layer_assignment_parallel_chains_share_layers():
+def test_search_layers_parallel_chains_share_layers():
     g = build_graph(
         6, {(0, 1): 1, (1, 2): 1, (2, 5): 1, (0, 3): 1, (3, 4): 1, (4, 5): 1}, s=0, t=5
     )
@@ -436,7 +436,7 @@ def test_layer_assignment_parallel_chains_share_layers():
     assert lam[2] == lam[4] == 3
 
 
-def test_layer_assignment_rejects_non_layered():
+def test_search_rejects_non_layered():
     g = parse_graph(TRIANGLE)
     with pytest.raises(ValueError, match="layered"):
         _LayeredSearch(g)

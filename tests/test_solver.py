@@ -35,6 +35,7 @@ from nextpath import (
     solve_detailed,
     solve_layered,
     straighten,
+    two_disjoint_paths,
     validate_path,
 )
 from nextpath.graph import dijkstra, edge_slack
@@ -133,6 +134,13 @@ def test_search_setup_matches_edge_slack(seed):
         if len({u for u, _ in edges}) > 1 and len({v for _, v in edges}) > 1
     }
     assert search.dag.adj == {u: tuple(v for x, v in forward if x == u) for u in g.vertices}
+    top = {
+        a: max((x for x in search.forward_by_boundary if x < lam[a]), default=0)
+        for a in search.back_vertices
+    }
+    assert search.starts == [
+        (a, top[a]) for a in sorted(search.back_vertices) if a != g.t and top[a]
+    ]
 
 
 def test_solver_skips_layers_without_a_waypoint_pair(monkeypatch):
@@ -172,6 +180,66 @@ def test_bound_tables_stop_at_the_incumbent_radius(monkeypatch):
     for seed in range(5):
         assert solve_layered(layered_digraph(24, 12, 150, seed)).found
     assert len(settled) == 63 and sum(settled) <= 16_740 // 3
+
+
+def test_floor_first_search_returns_the_full_scans_route():
+    """`solve_layered` scans under the ceiling floor + 1 first and falls back
+    to the full scan only if that finds nothing; either way the route is the
+    full scan's. The draws reach all three exits: a route at the floor, a
+    route above it (the fallback's), and NONE."""
+    exits = set()
+
+    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    @given(
+        st.integers(4, 7),
+        st.integers(2, 4),
+        st.integers(0, 10),
+        st.integers(1, 7),
+        st.integers(0, 6),
+        st.integers(0, 2**16),
+    )
+    def check(layers, width, back, w_max, skips, seed):
+        g = layered_digraph(layers, width, back, seed, back_weight_max=w_max)
+        g = with_span_edges(g, skips, seed)
+        search = _LayeredSearch(g)
+        full = search.scan(None)
+        got = solve_layered(g)
+        assert (got.found, got.weight, got.path) == (
+            (False, None, None) if full is None else (True, *full)
+        )
+        exits.add("none" if full is None else "floor" if full[0] == search.floor else "above")
+
+    check()
+    assert exits == {"floor", "above", "none"}
+
+
+def test_floor_first_search_skips_the_full_scan_on_seed_41(monkeypatch):
+    """The full scan of this instance runs 1,533 residual searches and 5,890
+    disjoint-pair queries before it reaches a route at the floor; under the
+    floor ceiling every bound table and residual search starts at the floor
+    radius."""
+    calls = {"bound": [], "residual": 0, "pair": 0}
+
+    def bound_table(*args, **kwargs):
+        calls["bound"].append(kwargs.get("limit"))
+        return dijkstra(*args, **kwargs)
+
+    def residual(*args):
+        calls["residual"] += 1
+        return shortest_path_avoiding(*args)
+
+    def pair(*args):
+        calls["pair"] += 1
+        return two_disjoint_paths(*args)
+
+    monkeypatch.setattr(nextpath.solver, "dijkstra", bound_table)
+    monkeypatch.setattr(nextpath.solver, "shortest_path_avoiding", residual)
+    monkeypatch.setattr(nextpath.solver, "two_disjoint_paths", pair)
+    g = layered_digraph(36, 18, 200, 41)
+    out = solve_layered(g)
+    assert out.weight == _LayeredSearch(g).floor == 37
+    assert (calls["residual"], calls["pair"]) == (1, 2)
+    assert calls["bound"] and None not in calls["bound"]
 
 
 # The two parallel unit chains without their back-edge, plus one edge.
