@@ -15,7 +15,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graph import Path, WeightedDigraph, parent_path
 
@@ -39,15 +39,31 @@ class ForwardDag:
     """An acyclic digraph with a certified topological order.
 
     Adjacency lists are kept sorted by head id so every search here is
-    deterministic.
+    deterministic. `ForwardDag(vertices, adj)` sorts them and finds Kahn's
+    smallest-id-first order; `from_order` takes both as they are given.
     """
 
     def __init__(self, vertices: Iterable[int], adj: Mapping[int, Iterable[int]]):
         self.vertices = frozenset(vertices)
-        self.adj: dict[int, tuple[int, ...]] = {
-            u: tuple(sorted(adj.get(u, ()))) for u in self.vertices
-        }
+        self.adj = {u: tuple(sorted(adj.get(u, ()))) for u in self.vertices}
         self.rank = self._topological_rank()
+
+    @classmethod
+    def from_order(cls, order: Sequence[int], adj: Mapping[int, Sequence[int]]) -> "ForwardDag":
+        """The DAG whose topological order is `order`, which lists every
+        vertex once, and whose adjacency is `adj`, a list per vertex already
+        sorted by head id; both are used as they are. The order is certified:
+        an edge that does not go later in it raises CyclicGraphError."""
+        dag = cls.__new__(cls)
+        dag.vertices = frozenset(order)
+        dag.adj = adj
+        dag.rank = rank = {u: i for i, u in enumerate(order)}
+        for u in order:
+            ru = rank[u]
+            for v in adj[u]:
+                if rank[v] <= ru:
+                    raise CyclicGraphError(f"edge ({u}, {v}) goes against the order")
+        return dag
 
     @classmethod
     def from_graph(cls, g: WeightedDigraph) -> "ForwardDag":

@@ -41,9 +41,9 @@ from .graph import (
 
 class _LayeredSearch:
     """State for one solve: distances, layers, the back vertices, the forward
-    edges by tail and by the layer boundaries they cross (only the
-    boundaries that can hold a waypoint pair), the start vertices a with the
-    last such boundary below each, the forward DAG once a tuple needs it,
+    edges by tail, the layer boundaries that can hold a waypoint pair, the
+    start vertices a with the last such boundary below each, the forward
+    edges that cross a boundary and the forward DAG once a tuple needs them,
     memoized disjoint-pair queries for the outer paths, and the current
     scan's `bound` (the weight a route must stay under to count). The
     set-up and the memo serve every scan of the same search."""
@@ -57,18 +57,20 @@ class _LayeredSearch:
         rank = {x: i for i, x in enumerate(sorted(set(d.from_s.values())), start=1)}
         self.lam = lam = {u: rank[du] for u, du in d.from_s.items()}
         self.dst: int = d.from_s[g.t]
-        # One pass in (tail, head) order, which fixes each boundary's edge
-        # order and so the tuple order. It is also the input check:
-        # straightness leaves every slack defined and non-negative, and a
-        # back-edge must go strictly back. Weights are positive, so a forward
-        # edge goes up at least one layer; it is filed under every boundary
-        # l|l+1 it crosses, a one-layer edge with a single append.
+        # One pass in id order. It is also the input check: straightness
+        # leaves every slack defined and non-negative, and a back-edge must go
+        # strictly back. Weights are positive, so a forward edge goes up at
+        # least one layer; `spans` lists in (tail, head) order the forward
+        # edges that go up more than one.
         back: set[int] = set()
         slacks: list[int] = []
-        self.forward: dict[int, list[int]] = {u: [] for u in g.vertices}
-        by_layer: dict[int, list[Edge]] = {}
+        self.forward: dict[int, list[int]] = {}
+        self.layers: list[list[int]] = [[] for _ in range(len(rank) + 1)]
+        self.spans: list[Edge] = []
         for u in sorted(g.vertices):
             lu = lam[u]
+            self.layers[lu].append(u)
+            out = self.forward[u] = []
             for v, w in g.adj_out[u]:
                 slack = edge_slack(d, u, v, w)
                 if slack:
@@ -76,44 +78,65 @@ class _LayeredSearch:
                         raise ValueError("graph is not (s,t)-layered")
                     back.update((u, v))
                     slacks.append(slack)
-                    continue
-                self.forward[u].append(v)
-                lv = lam[v]
-                if lv == lu + 1:
-                    by_layer.setdefault(lu, []).append((u, v))
                 else:
-                    for layer in range(lu, lv):
-                        by_layer.setdefault(layer, []).append((u, v))
+                    out.append(v)
+                    if lam[v] > lu + 1:
+                        self.spans.append((u, v))
         self.back_vertices = frozenset(back)
-        # A waypoint pair is two edges with distinct tails and distinct heads,
-        # which a boundary holds exactly when its edges have two of each.
-        self.forward_by_boundary = {
-            layer: edges
-            for layer, edges in by_layer.items()
-            if len({u for u, _ in edges}) > 1 and len({v for _, v in edges}) > 1
-        }
         # Smallest possible excess of any not-shortest path over d(s,t):
         # every back-edge contributes its own slack, forward edges none.
         self.floor = self.dst + min(slacks, default=0)
+        # A waypoint pair is two forward edges across one boundary l|l+1 with
+        # distinct tails and distinct heads. In a straight graph every vertex
+        # of layer l has a forward out-edge across it and every vertex of
+        # layer l+1 a forward in-edge, so the boundary has two tails exactly
+        # when layer l has two vertices or a span from below passes over
+        # layer l, and two heads exactly when layer l+1 has two vertices or a
+        # span across it ends above layer l+1. `passing` is the highest layer
+        # that a span from the layers so far reaches.
+        reach = [0] * (len(rank) + 1)
+        for u, v in self.spans:
+            reach[lam[u]] = max(reach[lam[u]], lam[v])
         # A tuple needs a waypoint boundary l|l+1 with l in
         # range(lam(b), lam(a)). tops[l] is the last waypoint boundary below
         # layer l (0 if none), a running maximum over the layers; a vertex a
         # with tops[lam(a)] = 0 starts no tuple, and b must not lie above it.
+        self.waypoints: set[int] = set()
         tops = [0] * (len(rank) + 1)
+        passing = 0
         for layer in range(1, len(rank)):
-            tops[layer + 1] = layer if layer in self.forward_by_boundary else tops[layer]
+            tails = len(self.layers[layer]) > 1 or passing > layer
+            passing = max(passing, reach[layer])
+            if tails and (len(self.layers[layer + 1]) > 1 or passing > layer + 1):
+                self.waypoints.add(layer)
+            tops[layer + 1] = layer if layer in self.waypoints else tops[layer]
         self.starts = [
             (a, tops[lam[a]]) for a in sorted(back) if a != g.t and tops[lam[a]]
         ]
+        self._crossing: dict[int, list[Edge]] = {}
         self._pairs: dict[tuple[tuple[int, int], ...], DisjointPathPair | None] = {}
         self.bound: int | None = None
 
     @cached_property
     def dag(self) -> ForwardDag:
-        """The forward subgraph, acyclic because distance from s strictly
-        increases along every forward edge; built when the scan reaches its
-        first tuple."""
-        return ForwardDag(self.g.vertices, self.forward)
+        """The forward subgraph, built when the scan reaches its first tuple.
+        Distance from s strictly increases along every forward edge, so the
+        vertices by (d(s,u), u), the layers in turn, are a topological order."""
+        return ForwardDag.from_order([u for layer in self.layers for u in layer], self.forward)
+
+    def crossing(self, layer: int) -> list[Edge]:
+        """The forward edges that cross boundary layer|layer+1, in (tail,
+        head) order: the out-edges of the layer's vertices and the edges
+        that pass over it from below. Built on the first call."""
+        edges = self._crossing.get(layer)
+        if edges is None:
+            edges = [(u, v) for u in self.layers[layer] for v in self.forward[u]]
+            lam = self.lam
+            over = [(u, v) for u, v in self.spans if lam[u] < layer < lam[v]]
+            if over:
+                edges = sorted(edges + over)
+            self._crossing[layer] = edges
+        return edges
 
     def disjoint_pair(
         self, pair1: tuple[int, int], pair2: tuple[int, int]
@@ -193,10 +216,11 @@ class _LayeredSearch:
         so a later tuple whose blocked set contains a cut fails too and is
         skipped without a search."""
         g, lam, dag = self.g, self.lam, self.dag
-        by_layer = self.forward_by_boundary
         cuts: list[set[int]] = []
         for layer in range(lam[b], lam[a]):
-            edges_here = by_layer.get(layer, ())
+            if layer not in self.waypoints:
+                continue
+            edges_here = self.crossing(layer)
             for xp, x in edges_here:
                 if xp == b or x == b or not dag.reaches(x, a):
                     continue

@@ -45,6 +45,17 @@ def with_span_edges(g, count, seed):
     return g.replace(edges=edges)
 
 
+def relabelled(g, seed):
+    """`g` with its vertex ids, s and t included, permuted by a seeded
+    shuffle, so that ids no longer grow with the distance from s."""
+    ids = sorted(g.vertices)
+    new = ids[:]
+    random.Random(f"relabel:{seed}").shuffle(new)
+    m = dict(zip(ids, new))
+    edges = {(m[u], m[v]): w for (u, v), w in g.edges.items()}
+    return WeightedDigraph(g.vertices, edges, m[g.s], m[g.t], g.scale)
+
+
 def skip_path_graph(n, back_edges, seed):
     """The unit path 0 -> 1 -> ... -> n-1 plus n distinct edges (u, v) with
     v >= u + 2 that weigh v - u, plus `back_edges` edges (u, v) with v < u

@@ -14,10 +14,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PARALLEL_CHAINS, build_graph
+from conftest import PARALLEL_CHAINS, build_graph, relabelled, with_span_edges
 from nextpath import (
     CyclicGraphError,
     ForwardDag,
@@ -80,6 +80,15 @@ def test_cyclic_input_rejected():
     g = build_graph(3, {(0, 1): 1, (1, 0): 1, (0, 2): 1}, s=0, t=2)
     with pytest.raises(CyclicGraphError):
         ForwardDag.from_graph(g)
+
+
+def test_supplied_order_is_certified():
+    adj = {0: [1, 2], 1: [3], 2: [3], 3: []}
+    assert ForwardDag.from_order([0, 2, 1, 3], adj).rank == {0: 0, 2: 1, 1: 2, 3: 3}
+    with pytest.raises(CyclicGraphError):
+        ForwardDag.from_order([0, 3, 1, 2], adj)
+    with pytest.raises(CyclicGraphError):
+        ForwardDag.from_order([0, 1], {0: [1], 1: [0]})
 
 
 def test_deterministic_output():
@@ -269,6 +278,47 @@ def test_waypoint_feasibility_matches_exhaustive_pair_search():
                         agreements += 1
                         feasible += got is not None
     assert agreements > 100 and feasible > 10
+
+
+def test_layer_order_and_kahn_order_agree_on_waypoint_queries():
+    """The search's DAG ranks vertices by (d(s,u), u); `ForwardDag(vertices,
+    adj)` by Kahn's smallest-id-first order. On relabelled layered graphs,
+    drawn until the two orders differ, both give a disjoint pair for the
+    same waypoint-split queries, and every pair is valid in its DAG."""
+    queries = []
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        st.integers(4, 6),
+        st.integers(2, 3),
+        st.integers(1, 6),
+        st.integers(0, 6),
+        st.integers(0, 2**16),
+    )
+    def check(layers, width, back, skips, seed):
+        g = with_span_edges(layered_digraph(layers, width, back, seed), skips, seed)
+        search = _LayeredSearch(relabelled(g, seed))
+        ours, kahn = search.dag, ForwardDag(search.g.vertices, search.forward)
+        assume(list(ours.rank) != list(kahn.rank))
+        s, t, lam = search.g.s, search.g.t, search.lam
+        for a, b in itertools.permutations(sorted(search.back_vertices), 2):
+            for layer in search.waypoints.intersection(range(lam[b], lam[a])):
+                edges = search.crossing(layer)
+                for (xp, x), (yp, y) in itertools.product(edges, repeat=2):
+                    if xp == yp or x == y:
+                        continue
+                    for q in (((s, xp), (b, yp)), ((x, a), (y, t))):
+                        if set(q[0]) & set(q[1]):
+                            continue
+                        got = [two_disjoint_paths(dag, *q) for dag in (ours, kahn)]
+                        assert (got[0] is None) == (got[1] is None), q
+                        for dag, pair in zip((ours, kahn), got):
+                            if pair is not None:
+                                assert_valid_pair(dag, pair, *q)
+                        queries.append(got[0] is not None)
+
+    check()
+    assert sum(queries) > 3000 and len(queries) - sum(queries) > 3000
 
 
 def test_forward_paths_between_fixed_vertices_have_equal_weight():

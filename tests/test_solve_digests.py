@@ -19,7 +19,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from conftest import bead_graph, skip_edge_graph
+from conftest import bead_graph, relabelled, skip_edge_graph, with_span_edges
 from nextpath import WeightedDigraph, layered_digraph, random_digraph, serialize_graph
 from nextpath.cli import main
 
@@ -70,6 +70,15 @@ def corpus():
     for seed in range(10):
         wide, width, back = 2 + seed % 3, 2 + seed % 2, 4 + seed
         yield f"bead_graph({wide}, {width}, {back}, {seed})", bead_graph(wide, width, back, seed)
+    # Ids that do not grow with the layer: the answer path depends on the
+    # forward DAG's topological order, which ranks by (d(s,u), u).
+    for seed, layers, width, back, bw, skips in ((419, 8, 3, 2, 3, 5), (1913, 8, 5, 2, 2, 4)):
+        g = layered_digraph(layers, width, back, seed, back_weight_max=bw)
+        yield (
+            f"relabelled(with_span_edges(layered_digraph({layers}, {width}, {back}, {seed}, "
+            f"back_weight_max={bw}), {skips}, {seed}), {seed})",
+            relabelled(with_span_edges(g, skips, seed), seed),
+        )
     g = random_digraph(8, 0.4, 25, 7)
     yield "random_digraph(8, 0.4, 25, 7) at scale 1", WeightedDigraph(
         g.vertices, g.edges, g.s, g.t, scale=1

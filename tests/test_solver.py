@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from conftest import (
     bead_graph,
     build_graph,
     fresh_distances,
+    relabelled,
     skip_edge_graph,
     with_span_edges,
 )
@@ -89,37 +91,45 @@ def test_solver_worked_instance():
     assert shortest_distances(g).from_s[5] == 3
 
 
+def record_searches(monkeypatch):
+    """Patch `_LayeredSearch.__init__` to keep every search that solves make."""
+    made = []
+    init = _LayeredSearch.__init__
+
+    def keeping(search, g):
+        init(search, g)
+        made.append(search)
+
+    monkeypatch.setattr(_LayeredSearch, "__init__", keeping)
+    return made
+
+
 def test_solver_builds_no_forward_dag_without_a_waypoint_tuple(monkeypatch):
-    # Bead layers hold no waypoint pair and a graph without back-edges has
-    # no middle segment, so no tuple is reached and no DAG is needed.
-    built = []
-    init = ForwardDag.__init__
-
-    def counting(dag, *args):
-        built.append(dag)
-        init(dag, *args)
-
-    monkeypatch.setattr(ForwardDag, "__init__", counting)
+    # A graph without back-edges has no middle segment, so no tuple is
+    # reached and neither the DAG nor a boundary's crossing edges are needed.
+    made = record_searches(monkeypatch)
     for seed in range(10):
-        assert not solve_layered(bead_graph(4, 3, 10, seed)).found
-        assert not solve_layered(layered_digraph(5, 3, 0, seed)).found
-    assert built == []
+        g = layered_digraph(5, 3, 0, seed)
+        assert not solve_layered(g).found
+        assert not solve_layered(relabelled(with_span_edges(g, 4, seed), seed)).found
+    assert len(made) == 20
+    assert not any("dag" in search.__dict__ or search._crossing for search in made)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_search_setup_matches_edge_slack(seed):
-    """Each forward edge is filed under every boundary l|l+1 it crosses; odd
-    seeds add edges that span several layers."""
-    g = layered_digraph(5 + seed % 3, 2 + seed % 3, 3 + seed, seed)
-    g = with_span_edges(g, 6 * (seed % 2), seed)
+def assert_search_setup(g):
+    """`_LayeredSearch(g)`'s set-up against definitions from scratch. Eager
+    filing lists each forward edge under every boundary l|l+1 it crosses, in
+    (tail, head) order; a boundary holds a waypoint pair when its edges have
+    two distinct tails and two distinct heads, and a start's top is the last
+    such boundary below it. Returns the search, the layers and the forward
+    edges."""
     d = shortest_distances(g)
     values = sorted(set(d.from_s.values()))
     lam = {u: values.index(d.from_s[u]) + 1 for u in g.vertices}
     slack = {(u, v): edge_slack(d, u, v, w) for (u, v), w in g.edges.items()}
     back = [e for e, x in slack.items() if x > 0]
     forward = sorted(e for e, x in slack.items() if x == 0)
-    assert back and len(back) + len(forward) == g.edge_count
-    assert any(lam[v] > lam[u] + 1 for u, v in forward) == bool(seed % 2)
+    assert len(back) + len(forward) == g.edge_count
     by_layer = {}
     for u, v in forward:
         for layer in range(lam[u], lam[v]):
@@ -127,20 +137,70 @@ def test_search_setup_matches_edge_slack(seed):
     search = _LayeredSearch(g)
     assert search.lam == lam
     assert search.back_vertices == {u for e in back for u in e}
-    assert search.floor == d.from_s[g.t] + min(slack[e] for e in back)
-    assert search.forward_by_boundary == {
-        layer: edges
+    assert search.floor == d.from_s[g.t] + min((slack[e] for e in back), default=0)
+    assert search.waypoints == {
+        layer
         for layer, edges in by_layer.items()
         if len({u for u, _ in edges}) > 1 and len({v for _, v in edges}) > 1
     }
-    assert search.dag.adj == {u: tuple(v for x, v in forward if x == u) for u in g.vertices}
     top = {
-        a: max((x for x in search.forward_by_boundary if x < lam[a]), default=0)
+        a: max((x for x in search.waypoints if x < lam[a]), default=0)
         for a in search.back_vertices
     }
     assert search.starts == [
         (a, top[a]) for a in sorted(search.back_vertices) if a != g.t and top[a]
     ]
+    assert search._crossing == {}
+    assert {layer: search.crossing(layer) for layer in by_layer} == by_layer
+    assert search.dag.adj == {u: [v for x, v in forward if x == u] for u in g.vertices}
+    assert list(search.dag.rank) == sorted(g.vertices, key=lambda u: (lam[u], u))
+    return search, lam, forward
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_search_setup_matches_edge_slack(seed):
+    """Odd seeds add edges that span several layers; seeds 2, 3, 6 and 7
+    relabel the vertices, so that ids do not grow with the layer."""
+    g = layered_digraph(5 + seed % 3, 2 + seed % 3, 3 + seed, seed)
+    g = with_span_edges(g, 6 * (seed % 2), seed)
+    if seed & 2:
+        g = relabelled(g, seed)
+    search, lam, forward = assert_search_setup(g)
+    assert search.back_vertices and search.waypoints
+    assert any(lam[v] > lam[u] + 1 for u, v in forward) == bool(seed % 2)
+
+
+def test_waypoint_boundaries_follow_from_layer_sizes():
+    """The set-up finds the waypoint boundaries from the layer sizes and the
+    edges that skip a layer, without filing any edge per boundary. Bead
+    graphs alternate wide layers with one-vertex cut layers; a boundary next
+    to a cut layer holds a pair only through an edge that passes over it."""
+    thin = []
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        st.booleans(),
+        st.integers(3, 5),
+        st.integers(1, 4),
+        st.integers(0, 8),
+        st.integers(0, 10),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    def check(beads, layers, width, back, skips, relabel, seed):
+        if beads:
+            g = bead_graph(layers, width, back, seed)
+        else:
+            g = layered_digraph(2 * layers, width, back, seed)
+        g = with_span_edges(g, skips, seed)
+        if relabel:
+            g = relabelled(g, seed)
+        search, lam, _ = assert_search_setup(g)
+        sizes = Counter(lam.values())
+        thin.append(any(sizes[x] == 1 or sizes[x + 1] == 1 for x in search.waypoints))
+
+    check()
+    assert 20 <= sum(thin) <= len(thin) - 20
 
 
 def test_solver_skips_layers_without_a_waypoint_pair(monkeypatch):
@@ -161,9 +221,13 @@ def test_solver_skips_layers_without_a_waypoint_pair(monkeypatch):
         return dijkstra(*args, **kwargs)
 
     monkeypatch.setattr(nextpath.solver, "dijkstra", bound_table)
+    made = record_searches(monkeypatch)
     for seed in range(10):
         assert not solve_layered(bead_graph(4, 3, 10, seed)).found
     assert calls == []
+    # No start vertex, so no boundary's crossing edges and no DAG either.
+    assert len(made) == 10
+    assert not any(search.starts or search._crossing or "dag" in search.__dict__ for search in made)
 
 
 def test_bound_tables_stop_at_the_incumbent_radius(monkeypatch):
@@ -242,6 +306,28 @@ def test_floor_first_search_skips_the_full_scan_on_seed_41(monkeypatch):
     assert calls["bound"] and None not in calls["bound"]
 
 
+def test_seed_41_builds_one_boundary_list_and_no_kahn_order(monkeypatch):
+    """The solve visits one pair, (a, b) = (588, 569), which spans the one
+    boundary 33|34. Of the 33 waypoint boundaries it files the crossing
+    edges of that one only, and its DAG takes the layer order, so Kahn's
+    order never runs."""
+    made = record_searches(monkeypatch)
+    kahn, visited = [], []
+    monkeypatch.setattr(ForwardDag, "_topological_rank", lambda dag: kahn.append(dag))
+    routes = _LayeredSearch._pair_routes
+
+    def visiting(search, a, b, base):
+        visited.append((a, b))
+        return routes(search, a, b, base)
+
+    monkeypatch.setattr(_LayeredSearch, "_pair_routes", visiting)
+    assert solve_layered(layered_digraph(36, 18, 200, 41)).weight == 37
+    [search] = made
+    assert visited == [(588, 569)] and (search.lam[588], search.lam[569]) == (34, 33)
+    assert len(search.waypoints) == 33 and list(search._crossing) == [33]
+    assert "dag" in search.__dict__ and kahn == []
+
+
 # The two parallel unit chains without their back-edge, plus one edge.
 @pytest.mark.parametrize(
     "extra,violations",
@@ -271,7 +357,7 @@ def test_solver_takes_a_layer_skipping_forward_edge():
     d = shortest_distances(g)
     assert is_straight(g, d) and nextpath.graph.layering_violations(g, d) == ([], [(0, 2)])
     search = _LayeredSearch(g)
-    assert search.forward_by_boundary[2] == [(0, 2), (1, 2), (3, 4)]
+    assert search.waypoints == {2} and search.crossing(2) == [(0, 2), (1, 2), (3, 4)]
     want = exhaustive_next_to_shortest(g)
     assert want.found and solve_layered(g).weight == want.weight == 5
 
