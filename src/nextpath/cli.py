@@ -164,8 +164,8 @@ def _cmd_stats(args) -> int:
     back = len(slacks) - unclassified - forward
     dst = d.from_s[g.t]
     straight = is_straight(g, d)
-    # layering_violations needs every distance defined, which straight implies.
-    violations = sum(map(len, layering_violations(g, d))) if straight else None
+    # Only a straight graph has a layering.
+    violations = sum(map(len, layering_violations(g))) if straight else None
     print(f"vertices: {g.vertex_count}")
     print(f"edges: {g.edge_count}")
     print(f"back-edges: {back}")

@@ -109,7 +109,10 @@ class ForwardDag:
 
 def _single_path(dag: ForwardDag, a: int, b: int, avoid: int) -> Path | None:
     """Deterministic BFS path a -> b around the vertex `avoid`, for a != b
-    and avoid not in {a, b}."""
+    and avoid not in {a, b}. The pair search below returns the same path
+    when one token is parked at `avoid`, but its pair states cost several
+    times as much, and most of the layered search's queries are of this
+    kind."""
     parent: dict[int, int] = {a: a}
     queue = deque([a])
     while queue:

@@ -1,4 +1,4 @@
-"""Core digraph types: exact integer weights, distances, edge slack.
+"""Core digraph types: exact integer weights, distances, edge slack, layers.
 
 Weights are kept as exact scaled integers (a decimal input like "2.5" is
 stored as 25 with scale=1) so that the equality tests behind edge slack
@@ -7,7 +7,6 @@ Graphs are immutable after construction and safe to share.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import re
 from dataclasses import dataclass
@@ -110,6 +109,39 @@ class WeightedDigraph:
             to_t=MappingProxyType({u: into.get(u) for u in self.vertices}),
         )
 
+    @cached_property
+    def layering(self) -> "Layering":
+        """Layers and edge kinds of a straight graph (see `Layering`), built
+        once in one pass over the edges in (tail, head) order, or handed on
+        by `layerize`; read-only, so shared. Raises ValueError when the graph
+        is not straight, which leaves every slack defined and non-negative."""
+        d = self.distances
+        if not is_straight(self, d):
+            raise ValueError("graph is not (s,t)-straight")
+        rank = {x: i for i, x in enumerate(sorted(set(d.from_s.values())), start=1)}
+        lam = {u: rank[du] for u, du in d.from_s.items()}
+        layers: list[list[int]] = [[] for _ in range(len(rank) + 1)]
+        forward, back, spans, against = {}, {}, [], []
+        for u in sorted(self.vertices):
+            lu = lam[u]
+            layers[lu].append(u)
+            heads = []
+            for v, w in self.adj_out[u]:
+                slack = edge_slack(d, u, v, w)
+                if not slack:
+                    heads.append(v)
+                    if lam[v] > lu + 1:
+                        spans.append((u, v))
+                elif lam[v] < lu:
+                    back[(u, v)] = slack
+                else:
+                    against.append((u, v))
+            forward[u] = tuple(heads)
+        return Layering(
+            MappingProxyType(lam), tuple(map(tuple, layers)), MappingProxyType(forward),
+            tuple(spans), MappingProxyType(back), tuple(against),
+        )
+
     def replace(self, *, vertices=None, edges=None) -> "WeightedDigraph":
         """Copy with a new vertex set and/or edge map (s, t, scale kept)."""
         return WeightedDigraph(
@@ -131,6 +163,27 @@ class DistanceTable:
 
     from_s: Mapping[int, int | None]
     to_t: Mapping[int, int | None]
+
+
+@dataclass(frozen=True)
+class Layering:
+    """The distance layers of a straight graph, and the kind of each edge.
+
+    Layer l >= 1 holds the vertices with the l-th smallest distinct d(s,u):
+    `lam` maps a vertex to its layer, and `layers[l]` lists the layer in id
+    order. A forward edge (zero `edge_slack`) climbs at least one layer, as
+    weights are positive: `forward` maps each tail to its heads in head
+    order, and `spans` lists those that climb more than one. A back-edge
+    goes strictly back (`back`, edge to slack) or not (`against`). Edge lists
+    are in (tail, head) order, and every field is read-only.
+    """
+
+    lam: Mapping[int, int]
+    layers: tuple[tuple[int, ...], ...]
+    forward: Mapping[int, tuple[int, ...]]
+    spans: tuple[Edge, ...]
+    back: Mapping[Edge, int]
+    against: tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
@@ -246,15 +299,18 @@ def shortest_distances(g: WeightedDigraph) -> DistanceTable:
 
 
 def _seed_distances(
-    g: WeightedDigraph, from_s: Mapping[int, int | None], to_t: Mapping[int, int | None]
+    g: WeightedDigraph, d: DistanceTable, layering: Layering | None = None
 ) -> WeightedDigraph:
-    """`g`, with its cached `distances` set to `from_s` and `to_t` restricted
-    to its vertices, so that no Dijkstra runs for it. The caller vouches that
-    these are g's own distances; only a reduction that keeps them may call it."""
+    """`g`, with its cached `distances` set to `d` restricted to its vertices
+    and, when given, its cached `layering` set to `layering`, so that
+    neither a Dijkstra nor an edge pass runs for it. The caller vouches that
+    these are g's own; only a reduction that keeps them may call it."""
     g.__dict__["distances"] = DistanceTable(
-        from_s=MappingProxyType({u: from_s[u] for u in g.vertices}),
-        to_t=MappingProxyType({u: to_t[u] for u in g.vertices}),
+        from_s=MappingProxyType({u: d.from_s[u] for u in g.vertices}),
+        to_t=MappingProxyType({u: d.to_t[u] for u in g.vertices}),
     )
+    if layering is not None:
+        g.__dict__["layering"] = layering
     return g
 
 
@@ -315,30 +371,14 @@ def is_straight(g: WeightedDigraph, d: DistanceTable) -> bool:
 def is_layered(g: WeightedDigraph, d: DistanceTable) -> bool:
     """True when the graph is straight and no edge violates layeredness
     (see `layering_violations`)."""
-    return is_straight(g, d) and layering_violations(g, d) == ([], [])
+    return is_straight(g, d) and layering_violations(g) == ([], [])
 
 
-def layering_violations(g: WeightedDigraph, d: DistanceTable) -> tuple[list[Edge], list[Edge]]:
-    """Edges of a straight graph that violate layeredness, split by kind.
-
-    A back-edge (positive `edge_slack`) violates unless it strictly
-    decreases the distance; a forward edge violates when it skips some
-    intermediate distance value. Back-edges come first, then layer-skipping
-    forward edges; both lists are sorted by edge ids.
-    """
-    values = sorted({d.from_s[u] for u in g.vertices})
-    back: list[Edge] = []
-    fwd: list[Edge] = []
-    for (u, v), w in g.edges.items():
-        du, dv = d.from_s[u], d.from_s[v]
-        if edge_slack(d, u, v, w):
-            if du <= dv:
-                back.append((u, v))
-        elif values[bisect.bisect_right(values, du)] < dv:
-            fwd.append((u, v))
-    back.sort()
-    fwd.sort()
-    return back, fwd
+def layering_violations(g: WeightedDigraph) -> tuple[list[Edge], list[Edge]]:
+    """Edges of a straight graph that violate layeredness, split by kind:
+    the back-edges that do not go strictly back, then the forward edges
+    that skip a layer, both in (tail, head) order (see `Layering`)."""
+    return list(g.layering.against), list(g.layering.spans)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ the reductions themselves make one pass and never replay.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Union
 
 from .graph import (
@@ -29,8 +29,6 @@ from .graph import (
     WeightedDigraph,
     _seed_distances,
     dijkstra,
-    edge_slack,
-    is_straight,
     parent_path,
     path_weight,
     shortest_distances,
@@ -229,43 +227,39 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
                 trace.candidates.append((candidate, path_weight(g, candidate)))
     trace.steps.append(EliminationRecord(gone, shortcuts))
     out = g.replace(vertices=g.vertices - gone, edges=edges)
-    return _seed_distances(out, from_s, to_t), trace
+    return _seed_distances(out, d), trace
 
 
 def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     """Reduce a straight graph to one the layered search takes: every
     back-edge goes strictly back.
 
-    Each back-edge (u,v) that does not, with d(s,u) <= d(s,v), is removed,
-    smallest ids first, after recording the candidate path s->u, (u,v),
-    v->t built from the smallest-id shortest-path trees -- the cheapest
-    path through that edge, which the reduced graph loses. Forward edges
-    stay as they are: weights are positive, so each one already goes
+    Each back-edge (u,v) that does not, the graph's `layering.against`, is
+    removed, smallest ids first, after recording the candidate path s->u,
+    (u,v), v->t built from the smallest-id shortest-path trees -- the
+    cheapest path through that edge, which the reduced graph loses. Forward
+    edges stay as they are: weights are positive, so each one already goes
     strictly up a layer, and the search takes an edge that spans several
     layers whole.
 
-    The input's distance table is read once and the removals edit one copy
-    of the edge map. A removed back-edge is never tight, so every distance
-    stays and the returned graph carries the input's table, handed on
-    rather than computed again; the trees the candidates follow do not
-    change either, so the candidates need no lifting.
+    The input's distance table and layering are read once and the removals
+    edit one copy of the edge map. A removed back-edge is never tight, so
+    every distance stays, and no layer and no other edge's kind changes:
+    the returned graph carries the input's table and layering (with no
+    `against` edges), handed on rather than computed again. The trees the
+    candidates follow do not change either, so the candidates need no
+    lifting.
     """
     d = shortest_distances(g)
-    if not is_straight(g, d):
-        raise ValueError("graph is not (s,t)-straight")
+    layering = g.layering
     trace = ReductionTrace()
-    from_s = d.from_s
-    back = sorted(
-        (u, v)
-        for (u, v), w in g.edges.items()
-        if edge_slack(d, u, v, w) and from_s[u] <= from_s[v]
-    )
-    if not back:
+    if not layering.against:
         return g, trace
     edges = dict(g.edges)
-    for u, v in back:
+    for u, v in layering.against:
         candidate = _tree_path(g, d, u, (), v)
         trace.candidates.append((candidate, path_weight(g, candidate)))
         del edges[(u, v)]
         trace.steps.append(BackEdgeRemoval((u, v)))
-    return _seed_distances(g.replace(edges=edges), from_s, d.to_t), trace
+    out = g.replace(edges=edges)
+    return _seed_distances(out, d, replace(layering, against=())), trace

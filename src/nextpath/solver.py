@@ -20,7 +20,6 @@ middle segment descends from d(a) to d(b) < d(a), which forces a back-edge.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator
 
 from .disjoint import DisjointPathPair, ForwardDag, two_disjoint_paths
 from .graph import (
@@ -30,7 +29,6 @@ from .graph import (
     SolveOutcome,
     WeightedDigraph,
     dijkstra,
-    edge_slack,
     is_straight,
     path_weight,
     shortest_distances,
@@ -40,52 +38,27 @@ from .graph import (
 
 
 class _LayeredSearch:
-    """State for one solve: distances, layers, the back vertices, the forward
-    edges by tail, the layer boundaries that can hold a waypoint pair, the
-    start vertices a with the last such boundary below each, the forward
-    edges that cross a boundary and the forward DAG once a tuple needs them,
-    memoized disjoint-pair queries for the outer paths, and the current
-    scan's `bound` (the weight a route must stay under to count). The
-    set-up and the memo serve every scan of the same search."""
+    """State for one solve: distances, the graph's layering, the back
+    vertices, the layer boundaries that can hold a waypoint pair, the start
+    vertices a with the last such boundary below each, the forward edges
+    that cross a boundary and the forward DAG once a tuple needs them, and
+    memoized disjoint-pair queries for the outer paths. The set-up and the
+    memo serve every scan of the same search."""
 
     def __init__(self, g: WeightedDigraph):
         self.g = g
         self.d = d = shortest_distances(g)
-        if not is_straight(g, d):
+        # The input check: straight, with every back-edge going strictly back.
+        if not is_straight(g, d) or g.layering.against:
             raise ValueError("graph is not (s,t)-layered")
-        # Layer = 1-based rank of d(s,u) among the distinct distances.
-        rank = {x: i for i, x in enumerate(sorted(set(d.from_s.values())), start=1)}
-        self.lam = lam = {u: rank[du] for u, du in d.from_s.items()}
+        layering = g.layering
+        self.lam = lam = layering.lam
+        self.layers, self.forward, self.spans = layering.layers, layering.forward, layering.spans
         self.dst: int = d.from_s[g.t]
-        # One pass in id order. It is also the input check: straightness
-        # leaves every slack defined and non-negative, and a back-edge must go
-        # strictly back. Weights are positive, so a forward edge goes up at
-        # least one layer; `spans` lists in (tail, head) order the forward
-        # edges that go up more than one.
-        back: set[int] = set()
-        slacks: list[int] = []
-        self.forward: dict[int, list[int]] = {}
-        self.layers: list[list[int]] = [[] for _ in range(len(rank) + 1)]
-        self.spans: list[Edge] = []
-        for u in sorted(g.vertices):
-            lu = lam[u]
-            self.layers[lu].append(u)
-            out = self.forward[u] = []
-            for v, w in g.adj_out[u]:
-                slack = edge_slack(d, u, v, w)
-                if slack:
-                    if lam[v] >= lu:
-                        raise ValueError("graph is not (s,t)-layered")
-                    back.update((u, v))
-                    slacks.append(slack)
-                else:
-                    out.append(v)
-                    if lam[v] > lu + 1:
-                        self.spans.append((u, v))
-        self.back_vertices = frozenset(back)
+        self.back_vertices = frozenset(x for edge in layering.back for x in edge)
         # Smallest possible excess of any not-shortest path over d(s,t):
         # every back-edge contributes its own slack, forward edges none.
-        self.floor = self.dst + min(slacks, default=0)
+        self.floor = self.dst + min(layering.back.values(), default=0)
         # A waypoint pair is two forward edges across one boundary l|l+1 with
         # distinct tails and distinct heads. In a straight graph every vertex
         # of layer l has a forward out-edge across it and every vertex of
@@ -94,7 +67,7 @@ class _LayeredSearch:
         # layer l, and two heads exactly when layer l+1 has two vertices or a
         # span across it ends above layer l+1. `passing` is the highest layer
         # that a span from the layers so far reaches.
-        reach = [0] * (len(rank) + 1)
+        reach = [0] * len(self.layers)
         for u, v in self.spans:
             reach[lam[u]] = max(reach[lam[u]], lam[v])
         # A tuple needs a waypoint boundary l|l+1 with l in
@@ -102,20 +75,19 @@ class _LayeredSearch:
         # layer l (0 if none), a running maximum over the layers; a vertex a
         # with tops[lam(a)] = 0 starts no tuple, and b must not lie above it.
         self.waypoints: set[int] = set()
-        tops = [0] * (len(rank) + 1)
+        tops = [0] * len(self.layers)
         passing = 0
-        for layer in range(1, len(rank)):
+        for layer in range(1, len(self.layers) - 1):
             tails = len(self.layers[layer]) > 1 or passing > layer
             passing = max(passing, reach[layer])
             if tails and (len(self.layers[layer + 1]) > 1 or passing > layer + 1):
                 self.waypoints.add(layer)
             tops[layer + 1] = layer if layer in self.waypoints else tops[layer]
         self.starts = [
-            (a, tops[lam[a]]) for a in sorted(back) if a != g.t and tops[lam[a]]
+            (a, tops[lam[a]]) for a in sorted(self.back_vertices) if a != g.t and tops[lam[a]]
         ]
         self._crossing: dict[int, list[Edge]] = {}
         self._pairs: dict[tuple[tuple[int, int], ...], DisjointPathPair | None] = {}
-        self.bound: int | None = None
 
     @cached_property
     def dag(self) -> ForwardDag:
@@ -187,9 +159,9 @@ class _LayeredSearch:
         """
         g, dfs, lam = self.g, self.d.from_s, self.lam
         best: tuple[int, Path] | None = None
-        self.bound = ceiling
+        bound = ceiling
         for a, top in self.starts:
-            radius = None if self.bound is None else self.bound - self.dst - 1
+            radius = None if bound is None else bound - self.dst - 1
             table, _ = dijkstra(g.adj_out, a, limit=radius)
             for b in sorted(self.back_vertices.intersection(table)):
                 if lam[b] > top or b == g.s:
@@ -197,25 +169,30 @@ class _LayeredSearch:
                 lower = table[b]
                 base = dfs[a] - dfs[b] + self.dst
                 # No route of this pair weighs less than base + lower.
-                if self.bound is not None and base + lower >= self.bound:
+                if bound is not None and base + lower >= bound:
                     continue
-                for weight, path in self._pair_routes(a, b, base):
-                    best, self.bound = (weight, path), weight
-                    if weight <= self.floor:
+                route = self._pair_route(a, b, base, lower, bound)
+                if route is not None:
+                    best, bound = route, route[0]
+                    if bound <= self.floor:
                         return best
-                    if base + lower >= weight:
-                        break
         return best
 
-    def _pair_routes(self, a: int, b: int, base: int) -> Iterator[tuple[int, Path]]:
-        """Completed routes of pair (a, b) lighter than `bound`, in tuple
-        enumeration order, with their weights; each is checked before it is yielded.
+    def _pair_route(
+        self, a: int, b: int, base: int, lower: int, bound: int | None
+    ) -> tuple[int, Path] | None:
+        """The first lightest completed route of pair (a, b) lighter than
+        `bound`, in tuple enumeration order, with its weight, or None. Each
+        route found is checked and lowers the bound; the visit ends at a
+        route that weighs `floor` or base + `lower`, which no later one
+        beats.
 
         Every failed residual search leaves its cut (see `graph.dijkstra`).
         The limit only shrinks during one visit, as `bound` only decreases,
         so a later tuple whose blocked set contains a cut fails too and is
         skipped without a search."""
         g, lam, dag = self.g, self.lam, self.dag
+        best: tuple[int, Path] | None = None
         cuts: list[set[int]] = []
         for layer in range(lam[b], lam[a]):
             if layer not in self.waypoints:
@@ -235,8 +212,7 @@ class _LayeredSearch:
                     blocked = (set(outer.p1) | set(outer.p2)) - {a, b}
                     if any(cut <= blocked for cut in cuts):
                         continue
-                    # Read now: the bound may fall while this generator waits.
-                    limit = None if self.bound is None else self.bound - base
+                    limit = None if bound is None else bound - base
                     met: set[int] = set()
                     p0 = shortest_path_avoiding(g, blocked, a, b, limit, met)
                     if p0 is None:
@@ -245,7 +221,10 @@ class _LayeredSearch:
                     weight = base + path_weight(g, p0)
                     full = outer.p1 + p0[1:] + outer.p2[1:]
                     _check_candidate(g, full, weight, self.dst)
-                    yield weight, full
+                    best, bound = (weight, full), weight
+                    if weight <= self.floor or base + lower >= weight:
+                        return best
+        return best
 
 
 def _check_candidate(g: WeightedDigraph, path: Path, weight: int, dst: int) -> None:

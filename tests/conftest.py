@@ -140,10 +140,10 @@ def floyd_warshall(g):
     return dist
 
 
-def violation_count(g, d):
+def violation_count(g):
     """Edges of a straight graph that violate layeredness: the potential
     that each layerize step lowers by one."""
-    back, fwd = layering_violations(g, d)
+    back, fwd = layering_violations(g)
     return len(back) + len(fwd)
 
 

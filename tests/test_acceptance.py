@@ -138,11 +138,11 @@ def test_criterion_3_reduction_invariants():
         g_l, tr_l = layerize(g_s)
         cur = g_s
         d_cur = shortest_distances(cur)
-        phi = violation_count(cur, d_cur)
+        phi = violation_count(cur)
         for step in tr_l.steps:
             nxt = apply_step(cur, step)
             d_nxt = shortest_distances(nxt)
-            if violation_count(nxt, d_nxt) != phi - 1:
+            if violation_count(nxt) != phi - 1:
                 violations += 1
             if any(d_cur.from_s[z] != d_nxt.from_s[z] for z in cur.vertices & nxt.vertices):
                 violations += 1

@@ -255,6 +255,50 @@ def test_distance_table_is_read_only():
         d.to_t[0] = 1
 
 
+def test_layering_classifies_each_edge_once():
+    g = build_graph(
+        5,
+        {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1, (0, 4): 1, (4, 2): 1,
+         (1, 4): 1, (4, 1): 2, (2, 1): 3},
+        s=0,
+        t=3,
+    )
+    layering = g.layering
+    assert layering is g.layering
+    assert dict(layering.lam) == {0: 1, 1: 2, 4: 2, 2: 3, 3: 4}
+    assert layering.layers == ((), (0,), (1, 4), (2,), (3,))
+    assert dict(layering.forward) == {0: (1, 2, 4), 1: (2,), 2: (3,), 3: (), 4: (2,)}
+    assert layering.spans == ((0, 2),)
+    assert dict(layering.back) == {(2, 1): 4}
+    assert layering.against == ((1, 4), (4, 1))
+    with pytest.raises(ValueError, match="straight"):
+        build_graph(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, s=0, t=2).layering
+
+
+def test_layering_is_read_only():
+    """No field of the cached layering can be changed, so a later solve
+    sees the layering the graph was built with."""
+    g = layered_digraph(5, 3, 6, 2)
+    answer = solve(g)
+    layering = g.layering
+    u = max(g.vertices)
+    for view, key in (
+        (layering.lam, u),
+        (layering.forward, u),
+        (layering.back, next(iter(layering.back))),
+        (layering.layers, 1),
+    ):
+        with pytest.raises(TypeError):
+            view[key] = ()
+    for name in ("lam", "layers", "forward", "spans", "back", "against"):
+        with pytest.raises(AttributeError):
+            setattr(layering, name, ())
+    with pytest.raises(AttributeError):
+        g.layering = layering
+    assert g.layering is layering
+    assert solve(g) == answer
+
+
 @st.composite
 def blocked_queries(draw):
     """A digraph on 2..7 vertices with weights 1..3 (many ties), distinct

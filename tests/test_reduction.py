@@ -196,8 +196,7 @@ def test_straighten_output_is_straight_and_bounded():
 
 def test_layerize_keeps_layer_skipping_edge_whole():
     g = build_graph(4, {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1}, s=0, t=3)
-    d = shortest_distances(g)
-    assert layering_violations(g, d) == ([], [(0, 2)])
+    assert layering_violations(g) == ([], [(0, 2)])
     g2, trace = layerize(g)
     assert g2 is g and trace.steps == [] and trace.candidates == []
     # With a same-layer back-edge beside it, only the back-edge goes.
@@ -207,13 +206,12 @@ def test_layerize_keeps_layer_skipping_edge_whole():
     assert trace.candidates == [((0, 1, 4, 2, 3), 4), ((0, 4, 1, 2, 3), 5)]
     assert g2.vertices == g.vertices
     assert dict(g2.edges) == {e: w for e, w in g.edges.items() if e not in {(1, 4), (4, 1)}}
-    assert layering_violations(g2, shortest_distances(g2)) == ([], [(0, 2)])
+    assert layering_violations(g2) == ([], [(0, 2)])
 
 
 def test_layerize_identity_on_layered_input():
     g = build_graph(3, {(0, 1): 1, (1, 2): 1}, s=0, t=2)
-    d = shortest_distances(g)
-    assert violation_count(g, d) == 0
+    assert violation_count(g) == 0
     g2, trace = layerize(g)
     assert g2 == g and trace.steps == []
 
@@ -236,7 +234,7 @@ def test_layerize_invariants_per_iteration(seed):
     g_l, trace = layerize(g_s)
     cur = g_s
     d = shortest_distances(cur)
-    back, fwd = layering_violations(cur, d)
+    back, fwd = layering_violations(cur)
     assert len(trace.steps) == len(back)
     for step in trace.steps:
         nxt = apply_step(cur, step)
@@ -244,8 +242,8 @@ def test_layerize_invariants_per_iteration(seed):
         assert nxt.vertices == cur.vertices
         assert (dict(d_nxt.from_s), dict(d_nxt.to_t)) == (dict(d.from_s), dict(d.to_t))
         back = back[1:]
-        assert layering_violations(nxt, d_nxt) == (back, fwd)
-        assert violation_count(nxt, d_nxt) == violation_count(cur, d) - 1
+        assert layering_violations(nxt) == (back, fwd)
+        assert violation_count(nxt) == violation_count(cur) - 1
         cur, d = nxt, d_nxt
     assert cur == g_l and back == []
     assert is_layered(g_l, d) == (not fwd)
@@ -359,7 +357,7 @@ def test_trace_replay_reproduces_reduced_graphs():
 
         g_l, tr_l = layerize(g_s)
         d1 = shortest_distances(g_s)
-        back, fwd = layering_violations(g_s, d1)
+        back, fwd = layering_violations(g_s)
         # each back-edge violation listed once is fixed by exactly one step,
         # in order, and the layer-skipping forward edges stay
         assert [step.edge for step in tr_l.steps] == back
@@ -373,7 +371,7 @@ def test_trace_replay_reproduces_reduced_graphs():
             assert cur.vertices == g_s.vertices
             for v in g_s.vertices:
                 assert (d.from_s[v], d.to_t[v]) == (d1.from_s[v], d1.to_t[v])
-            assert layering_violations(cur, d) == (back[i + 1 :], fwd)
+            assert layering_violations(cur) == (back[i + 1 :], fwd)
         assert cur == g_l
         assert tr_l.candidates == expected
         spanning += bool(fwd)
@@ -420,6 +418,10 @@ def test_reductions_hand_on_their_inputs_distances(skip_edges, seed):
         assert (out is host) == (not trace.steps)
         assert "distances" in out.__dict__
         assert (dict(out.distances.from_s), dict(out.distances.to_t)) == fresh_distances(out)
+    # layerize hands its input's layering on, too: the same as a fresh pass.
+    assert "layering" in g_l.__dict__
+    assert g_l.layering == g_l.replace().layering
+    assert g_l.layering.against == ()
 
 
 def test_each_reduction_computes_distances_once(monkeypatch):

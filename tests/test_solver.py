@@ -1,6 +1,7 @@
 """layered-solver: back-edge split of answers, residual paths, full enumeration."""
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from collections import Counter
@@ -152,7 +153,9 @@ def assert_search_setup(g):
     ]
     assert search._crossing == {}
     assert {layer: search.crossing(layer) for layer in by_layer} == by_layer
-    assert search.dag.adj == {u: [v for x, v in forward if x == u] for u in g.vertices}
+    assert {u: list(heads) for u, heads in search.dag.adj.items()} == {
+        u: [v for x, v in forward if x == u] for u in g.vertices
+    }
     assert list(search.dag.rank) == sorted(g.vertices, key=lambda u: (lam[u], u))
     return search, lam, forward
 
@@ -314,13 +317,13 @@ def test_seed_41_builds_one_boundary_list_and_no_kahn_order(monkeypatch):
     made = record_searches(monkeypatch)
     kahn, visited = [], []
     monkeypatch.setattr(ForwardDag, "_topological_rank", lambda dag: kahn.append(dag))
-    routes = _LayeredSearch._pair_routes
+    route = _LayeredSearch._pair_route
 
-    def visiting(search, a, b, base):
+    def visiting(search, a, b, *args):
         visited.append((a, b))
-        return routes(search, a, b, base)
+        return route(search, a, b, *args)
 
-    monkeypatch.setattr(_LayeredSearch, "_pair_routes", visiting)
+    monkeypatch.setattr(_LayeredSearch, "_pair_route", visiting)
     assert solve_layered(layered_digraph(36, 18, 200, 41)).weight == 37
     [search] = made
     assert visited == [(588, 569)] and (search.lam[588], search.lam[569]) == (34, 33)
@@ -345,7 +348,7 @@ def test_solver_rejects_non_layered_input(extra, violations):
     if violations is None:
         assert not is_straight(g, d)
     else:
-        assert is_straight(g, d) and nextpath.graph.layering_violations(g, d) == violations
+        assert is_straight(g, d) and nextpath.graph.layering_violations(g) == violations
     with pytest.raises(ValueError, match="layered"):
         solve_layered(g)
 
@@ -355,7 +358,7 @@ def test_solver_takes_a_layer_skipping_forward_edge():
     # that skips a layer: the search takes it whole and matches the oracle.
     g = build_graph(6, {**PARALLEL_CHAINS, (0, 2): 2}, s=0, t=5)
     d = shortest_distances(g)
-    assert is_straight(g, d) and nextpath.graph.layering_violations(g, d) == ([], [(0, 2)])
+    assert is_straight(g, d) and nextpath.graph.layering_violations(g) == ([], [(0, 2)])
     search = _LayeredSearch(g)
     assert search.waypoints == {2} and search.crossing(2) == [(0, 2), (1, 2), (3, 4)]
     want = exhaustive_next_to_shortest(g)
@@ -386,18 +389,19 @@ def test_a_graph_built_from_a_layerize_output_computes_its_own_table():
 
 
 def test_a_solve_never_runs_the_unit_step_layering_check(monkeypatch):
-    """`layerize` lists only the back-edges to remove and the search checks
-    its input in its set-up pass, so a solve needs no `layering_violations`,
-    which also lists every layer-skipping forward edge."""
+    """`layerize` and the search read the graph's `layering` directly: the
+    back-edges to remove and the search's input check are its `against`
+    edges. So a solve needs no `layering_violations`, which also lists
+    every layer-skipping forward edge."""
     layered, skipping = layered_digraph(5, 3, 4, 1), skip_edge_graph(1)
     assert is_layered(layered, shortest_distances(layered))
     assert not is_layered(skipping, shortest_distances(skipping))
     calls = []
     check = nextpath.graph.layering_violations
 
-    def counting(g, d):
+    def counting(g):
         calls.append(g)
-        return check(g, d)
+        return check(g)
 
     monkeypatch.setattr(nextpath.graph, "layering_violations", counting)
     # An imported name would bypass the patch.
@@ -406,6 +410,33 @@ def test_a_solve_never_runs_the_unit_step_layering_check(monkeypatch):
     solve_layered(layered)
     solve(skipping)
     assert calls == []
+
+
+def test_a_solve_builds_one_layering_on_the_straightened_graph(monkeypatch):
+    """`layerize` builds the straightened graph's layering and hands it on
+    to the graph it returns, which the search reads."""
+    built = []
+    layering = nextpath.graph.Layering
+
+    def counting(*fields):
+        built.append(fields)
+        return layering(*fields)
+
+    monkeypatch.setattr(nextpath.graph, "Layering", counting)
+    removals = 0
+    for seed in range(12):
+        g = skip_edge_graph(seed) if seed % 2 else random_digraph(8, 0.4, 4, seed)
+        built.clear()
+        result = solve_detailed(g)
+        if shortest_distances(g).from_s[g.t] is None:
+            assert built == []
+            continue
+        assert len(built) == 1
+        made = layering(*built[0])
+        assert result.layered_graph.layering == dataclasses.replace(made, against=())
+        assert made == straighten(g)[0].layering
+        removals += len(result.layerize_trace.steps)
+    assert removals
 
 
 def _drawn_graph(kind, seed):
@@ -440,10 +471,10 @@ def test_search_accepts_exactly_straight_graphs_whose_back_edges_go_back(kind, s
         lam = _LayeredSearch(g).lam
     except ValueError:
         assert kind != "layerized"
-        assert not is_straight(g, d) or nextpath.graph.layering_violations(g, d)[0]
+        assert not is_straight(g, d) or nextpath.graph.layering_violations(g)[0]
         return
     assert is_straight(g, d)
-    assert nextpath.graph.layering_violations(g, d)[0] == []
+    assert nextpath.graph.layering_violations(g)[0] == []
     values = sorted(set(d.from_s.values()))
     assert lam == {u: values.index(d.from_s[u]) + 1 for u in g.vertices}
 
