@@ -8,6 +8,7 @@ Graphs are immutable after construction and safe to share.
 from __future__ import annotations
 
 import heapq
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +24,9 @@ Path = tuple[int, ...]
 MAX_ACCUMULATOR = 2**63 - 1
 
 _WEIGHT_RE = re.compile(r"^(\d+)(?:\.(\d{1,9}))?$", re.ASCII)
+# A plain edge list: a header and `u v w` lines of ASCII digits, single
+# spaces and LF endings ([0-9] matches no other digit).
+_PLAIN_RE = re.compile(r"[0-9]+ [0-9]+ [0-9]+ [0-9]+\n(?:[0-9]+ [0-9]+ [0-9]+\n)*")
 
 
 class GraphFormatError(ValueError):
@@ -239,9 +243,10 @@ def dijkstra(
     best = {source: 0}
     parent: dict[int, int] = {}
     heap = [(0, source)]
-    neighbors = adj.get  # bound once: each call on a read-only view costs a lookup
+    # bound once: each call on a read-only view or a module costs a lookup
+    neighbors, push, pop = adj.get, heapq.heappush, heapq.heappop
     while heap:
-        du, u = heapq.heappop(heap)
+        du, u = pop(heap)
         if u in dist:
             continue
         dist[u] = du
@@ -261,7 +266,7 @@ def dijkstra(
             if old is None or nd < old:
                 best[v] = nd
                 parent[v] = u
-                heapq.heappush(heap, (nd, v))
+                push(heap, (nd, v))
     return dist, parent
 
 
@@ -402,14 +407,56 @@ def parse_int(field: str) -> int:
 def parse_graph(text: str | bytes) -> WeightedDigraph:
     """Parse the edge-list format into a graph with scaled integer weights.
 
-    All weights are scaled by one global power of ten (the smallest making
-    every weight integral). Lines end at LF, CR LF or a lone CR. Errors
-    carry the offending line number: a malformed line first, then a missing
-    header or a wrong edge count, then the first duplicate edge, then an
-    overflow on the first line with the largest weight.
+    A plain edge list that passes every check is read in one pass over the
+    whole text (see `_parse_plain`); any other text is read line by line,
+    which gives the same graph or raises the error. All weights are scaled
+    by one global power of ten (the smallest making every weight integral).
+    Lines end at LF, CR LF or a lone CR. Errors carry the offending line
+    number: a malformed line first, then a missing header or a wrong edge
+    count, then the first duplicate edge, then an overflow on the first line
+    with the largest weight.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    return _parse_plain(text) or _parse_lines(text)
+
+
+def _parse_plain(text: str) -> WeightedDigraph | None:
+    """The graph of a plain edge list, as `serialize_graph` writes one: the
+    header and one `u v w` line per edge, ASCII digits and single spaces,
+    every line ended by LF. None for any other text and for one that fails
+    a check of `_parse_lines`, which then reads it. One regex match proves
+    the shape; each distinct token is converted once, and the checks run
+    over whole columns."""
+    if not _PLAIN_RE.fullmatch(text):
+        return None
+    toks = text.split()
+    distinct = set(toks)
+    try:
+        value = dict(zip(distinct, map(int, distinct)))
+    except ValueError:  # a token longer than int() converts
+        return None
+    vals = list(map(value.__getitem__, toks))
+    del toks, distinct, value
+    n, m, s, t = vals[:4]
+    us, vs, ws = vals[4::3], vals[5::3], vals[6::3]
+    del vals
+    edges = dict(zip(zip(us, vs), ws))
+    if not (s < n and t < n and s != t and len(ws) == m == len(edges)):
+        return None  # a bad header (n < 2 too), a wrong edge count or a duplicate
+    if m and not (
+        max(us) < n
+        and max(vs) < n
+        and min(ws) > 0
+        and n * max(ws) <= MAX_ACCUMULATOR
+        and not any(map(operator.eq, us, vs))
+    ):
+        return None
+    return WeightedDigraph(frozenset(range(n)), edges, s, t)
+
+
+def _parse_lines(text: str) -> WeightedDigraph:
+    """`parse_graph` on any text, one line at a time."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     header: tuple[int, int, int, int] | None = None
@@ -441,40 +488,25 @@ def parse_graph(text: str | bytes) -> WeightedDigraph:
                 raise GraphFormatError("source and sink must differ", lineno)
             header = (n, m, s, t)
             continue
-        # A plain ASCII-digit line that passes every check skips parse_int
-        # and the weight pattern; any other line takes the checked path.
-        if (
-            len(fields) == 3
-            and line.isascii()
-            and fields[0].isdigit()
-            and fields[1].isdigit()
-            and fields[2].isdigit()
-            and (u := int(fields[0])) < n
-            and (v := int(fields[1])) < n
-            and u != v
-            and (w := int(fields[2]))
-        ):
-            frac = ""
-        else:
-            if len(fields) != 3:
-                raise GraphFormatError("expected edge line 'u v w'", lineno)
-            try:
-                u, v = parse_int(fields[0]), parse_int(fields[1])
-            except ValueError:
-                raise GraphFormatError("non-integer vertex id", lineno) from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"vertex id out of range 0..{n - 1}", lineno)
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-            match = _WEIGHT_RE.match(fields[2])
-            if match is None:
-                raise GraphFormatError(
-                    "weight must be a positive decimal with at most 9 fractional digits", lineno
-                )
-            w = int(match.group(1))
-            frac = (match.group(2) or "").rstrip("0")
-            if w == 0 and not frac:
-                raise GraphFormatError("non-positive weight", lineno)
+        if len(fields) != 3:
+            raise GraphFormatError("expected edge line 'u v w'", lineno)
+        try:
+            u, v = parse_int(fields[0]), parse_int(fields[1])
+        except ValueError:
+            raise GraphFormatError("non-integer vertex id", lineno) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"vertex id out of range 0..{n - 1}", lineno)
+        if u == v:
+            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
+        match = _WEIGHT_RE.match(fields[2])
+        if match is None:
+            raise GraphFormatError(
+                "weight must be a positive decimal with at most 9 fractional digits", lineno
+            )
+        w = int(match.group(1))
+        frac = (match.group(2) or "").rstrip("0")
+        if w == 0 and not frac:
+            raise GraphFormatError("non-positive weight", lineno)
         key = (u, v)
         if key in edges:
             repeats += 1

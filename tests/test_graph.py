@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TRIANGLE, bellman_ford_from, build_graph
+from nextpath import graph
 from nextpath import (
     GraphFormatError,
     InvalidPathError,
@@ -29,7 +30,7 @@ from nextpath import (
     solve,
     validate_path,
 )
-from nextpath.graph import dijkstra, edge_slack, straightness_violations
+from nextpath.graph import MAX_ACCUMULATOR, dijkstra, edge_slack, straightness_violations
 from nextpath.oracle import simple_paths
 from nextpath.solver import _LayeredSearch
 
@@ -81,6 +82,7 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
     [
         ("3 3 0 2\n0 1 1\n0 1 1\n1 2 x\n", 4, "positive decimal"),
         ("3 3 0 2\n0 1 1\n0 1 1\n", None, "header declares 3 edges, found 2"),
+        ("3 1 0 2\n0 1 1\n0 1 2\n", None, "header declares 1 edges, found 2"),
         ("3 3 0 2\n0 1 1\n0 1 1\n1 2 9999999999999999999\n", 3, "duplicate edge"),
         ("3 4 0 2\n0 1 1\n1 2 1\n1 2 2\n0 1 2\n", 4, "duplicate edge (1, 2)"),
         ("3 2 0 2\n0 1 9999999999999999999\n1 2 9999999999999999999\n", 2, "overflow"),
@@ -164,6 +166,98 @@ def test_parse_serialize_round_trip(drawn):
     out = serialize_graph(g)
     assert parse_graph(out) == g
     assert serialize_graph(parse_graph(out)) == out
+
+
+# Each sends a plain edge list to the line loop: the last two change its
+# format, the rest fail a check and must raise the line loop's error.
+_FALLBACKS = (
+    "duplicate edge", "id >= n", "self-loop", "weight 0", "count off by one",
+    "overflow", "no final newline", "CR LF",
+)
+
+
+@st.composite
+def plain_texts(draw):
+    """A plain edge list whose integers may carry leading zeros, with a
+    drawn set of fallbacks injected; (text, fallbacks)."""
+    n = draw(st.integers(2, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.dictionaries(pairs, st.integers(1, 10**6), max_size=10))
+    lines = [[u, v, w] for (u, v), w in edges.items()]
+    fallbacks = draw(st.sets(st.sampled_from(_FALLBACKS)))
+    vertex = st.integers(0, n - 1)
+
+    def insert(u, v, w):
+        lines.insert(draw(st.integers(0, len(lines))), [u, v, w])
+
+    if "duplicate edge" in fallbacks:
+        if not lines:
+            insert(0, 1, 1)
+        u, v, _ = draw(st.sampled_from(lines))
+        insert(u, v, draw(st.integers(1, 9)))
+    if "id >= n" in fallbacks:
+        insert(*draw(st.permutations([draw(vertex), draw(st.integers(n, n + 3))])), 1)
+    if "self-loop" in fallbacks:
+        u = draw(vertex)
+        insert(u, u, 1)
+    if "weight 0" in fallbacks:
+        insert(0, 1, 0)
+    if "overflow" in fallbacks:
+        insert(1, 0, MAX_ACCUMULATOR // n + draw(st.integers(1, 10**6)))
+    m = len(lines)
+    if "count off by one" in fallbacks:
+        m += draw(st.sampled_from((-1, 1))) if m else 1
+    rows = [[n, m, 0, n - 1]] + lines
+    zeros = st.text("0", max_size=2)
+    text = "".join(" ".join(draw(zeros) + str(x) for x in row) + "\n" for row in rows)
+    if "no final newline" in fallbacks:
+        text = text[:-1]
+    if "CR LF" in fallbacks:
+        text = text.replace("\n", "\r\n")
+    return text, fallbacks
+
+
+def parse_outcome(text):
+    """The graph that `parse_graph` reads, or the line and message it raises."""
+    try:
+        return parse_graph(text)
+    except GraphFormatError as err:
+        return err.line, str(err)
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(plain_texts())
+def test_the_whole_text_path_reads_like_the_line_loop(drawn):
+    """A plain text that passes every check is read whole; any other gives
+    the same graph or error as the line loop. A trailing comment sends the
+    reference to the line loop without moving a line number."""
+    text, fallbacks = drawn
+    reference = text + "# end\n"
+    assert graph._parse_plain(reference) is None
+    assert (graph._parse_plain(text) is None) == bool(fallbacks)
+    assert parse_outcome(text) == parse_outcome(reference)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: layered_digraph(36, 18, 200, seed),
+        lambda seed: random_digraph(100, 0.045, 10, seed),
+    ],
+    ids=["layered-dense", "random-general"],
+)
+def test_serialized_graphs_take_the_whole_text_path(monkeypatch, make):
+    """What `serialize_graph` writes, as every benchmark file is, never
+    enters the line loop."""
+    line_loop = graph._parse_lines
+    calls = []
+    monkeypatch.setattr(graph, "_parse_lines", lambda text: calls.append(text) or line_loop(text))
+    for seed in range(3):
+        g = make(seed)
+        text = serialize_graph(g)
+        assert parse_graph(text) == g
+        assert calls == []
+        assert line_loop(text) == g
 
 
 def test_format_weight():
