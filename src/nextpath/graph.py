@@ -7,13 +7,14 @@ Graphs are immutable after construction and safe to share.
 """
 from __future__ import annotations
 
+import decimal
 import heapq
 import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
 Path = tuple[int, ...]
@@ -407,14 +408,15 @@ def parse_int(field: str) -> int:
 def parse_graph(text: str | bytes) -> WeightedDigraph:
     """Parse the edge-list format into a graph with scaled integer weights.
 
-    A plain edge list that passes every check is read in one pass over the
-    whole text (see `_parse_plain`); any other text is read line by line,
-    which gives the same graph or raises the error. All weights are scaled
-    by one global power of ten (the smallest making every weight integral).
-    Lines end at LF, CR LF or a lone CR. Errors carry the offending line
-    number: a malformed line first, then a missing header or a wrong edge
-    count, then the first duplicate edge, then an overflow on the first line
-    with the largest weight.
+    A plain edge list is read in one pass over the whole text (see
+    `_parse_plain`), any other text line by line (`_parse_lines`). Both end
+    in `_edge_list`, the one place for the checks on the whole list, so both
+    give the same graph or the same error. All weights are scaled by one
+    global power of ten (the smallest making every weight integral), and a
+    weight may have any number of digits. Lines end at LF, CR LF or a lone
+    CR. Errors carry the offending line number: a malformed line first, then
+    a missing header or a wrong edge count, then the first duplicate edge,
+    then an overflow on the first line with the largest weight.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -422,12 +424,12 @@ def parse_graph(text: str | bytes) -> WeightedDigraph:
 
 
 def _parse_plain(text: str) -> WeightedDigraph | None:
-    """The graph of a plain edge list, as `serialize_graph` writes one: the
-    header and one `u v w` line per edge, ASCII digits and single spaces,
-    every line ended by LF. None for any other text and for one that fails
-    a check of `_parse_lines`, which then reads it. One regex match proves
-    the shape; each distinct token is converted once, and the checks run
-    over whole columns."""
+    """The graph of a plain edge list, as `serialize_graph` writes one:
+    ASCII digits, single spaces and LF endings; edge k is on line k + 2.
+    None for any other text, for a token too long for int() and for a line
+    that fails its check, whose error `_parse_lines` then raises. One regex
+    match proves the shape; each distinct token is converted once, and the
+    line checks run over whole columns."""
     if not _PLAIN_RE.fullmatch(text):
         return None
     toks = text.split()
@@ -441,30 +443,22 @@ def _parse_plain(text: str) -> WeightedDigraph | None:
     n, m, s, t = vals[:4]
     us, vs, ws = vals[4::3], vals[5::3], vals[6::3]
     del vals
-    edges = dict(zip(zip(us, vs), ws))
-    if not (s < n and t < n and s != t and len(ws) == m == len(edges)):
-        return None  # a bad header (n < 2 too), a wrong edge count or a duplicate
-    if m and not (
-        max(us) < n
-        and max(vs) < n
-        and min(ws) > 0
-        and n * max(ws) <= MAX_ACCUMULATOR
+    if not (
+        s < n and t < n and s != t  # so n >= 2
+        and max(us, default=0) < n and max(vs, default=0) < n and min(ws, default=1) > 0
         and not any(map(operator.eq, us, vs))
     ):
         return None
-    return WeightedDigraph(frozenset(range(n)), edges, s, t)
+    return _edge_list(n, m, s, t, us, vs, ws, 0, range(2, m + 2))
 
 
 def _parse_lines(text: str) -> WeightedDigraph:
-    """`parse_graph` on any text, one line at a time."""
+    """`parse_graph` on any text: a loop checks each line and keeps its edge,
+    then the weights are scaled and `_edge_list` checks the whole list."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     header: tuple[int, int, int, int] | None = None
-    edges: dict[Edge, int] = {}  # unscaled integer parts until the end
-    fracs: dict[Edge, str] = {}  # fraction digits of the non-integral weights
-    duplicate: tuple[int, int, int] | None = None  # (line, u, v) of the first
-    repeats = 0
-    top_w, top_frac, top_line = 0, "", None  # largest weight, first line with it
+    lines, us, vs, digits, fracs = [], [], [], [], []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if "#" in line:
             line = line.partition("#")[0]
@@ -503,41 +497,46 @@ def _parse_lines(text: str) -> WeightedDigraph:
             raise GraphFormatError(
                 "weight must be a positive decimal with at most 9 fractional digits", lineno
             )
-        w = int(match.group(1))
-        frac = (match.group(2) or "").rstrip("0")
-        if w == 0 and not frac:
+        w, frac = match.group(1).lstrip("0"), (match.group(2) or "").rstrip("0")
+        if not (w or frac):
             raise GraphFormatError("non-positive weight", lineno)
-        key = (u, v)
-        if key in edges:
-            repeats += 1
-            if duplicate is None:
-                duplicate = (lineno, u, v)
-            continue
-        edges[key] = w
-        if frac:
-            fracs[key] = frac
-        # (w, frac) orders like the weight's value, as frac has no trailing zeros.
-        if w >= top_w and (w > top_w or frac > top_frac):
-            top_w, top_frac, top_line = w, frac, lineno
+        lines.append(lineno)
+        us.append(u)
+        vs.append(v)
+        digits.append(w)
+        fracs.append(frac)
 
     if header is None:
         raise GraphFormatError("empty input: missing header line")
-    n, m, s, t = header
-    found = len(edges) + repeats
-    if found != m:
-        raise GraphFormatError(f"header declares {m} edges, found {found}")
-    if duplicate is not None:
-        lineno, u, v = duplicate
-        raise GraphFormatError(f"duplicate edge ({u}, {v})", lineno)
-    scale = max(map(len, fracs.values()), default=0)
+    scale = max(map(len, fracs), default=0)
     if scale:
-        unit = 10**scale
-        edges = {key: w * unit for key, w in edges.items()}
-        for key, frac in fracs.items():
-            edges[key] += int(frac.ljust(scale, "0"))
-        top_w = top_w * unit + int(top_frac.ljust(scale, "0"))
-    if n * top_w > MAX_ACCUMULATOR:
-        raise GraphFormatError("weight overflow after scaling", top_line)
+        digits = [w + frac.ljust(scale, "0") for w, frac in zip(digits, fracs)]
+    try:
+        ws = list(map(int, digits))
+    except ValueError:  # a weight past int()'s 4,300-digit limit; a Decimal has none
+        ws = [int(decimal.Decimal(w)) for w in digits]
+    return _edge_list(*header, us, vs, ws, scale, lines)
+
+
+def _edge_list(
+    n: int, m: int, s: int, t: int, us: list[int], vs: list[int], ws: list[int],
+    scale: int, lines: Sequence[int],
+) -> WeightedDigraph:
+    """The graph of a checked header and edge columns, edge k from line
+    `lines[k]` with scaled weight `ws[k]`. Raises, in order, a wrong edge
+    count, the first duplicate edge, an overflow at the first largest weight."""
+    if len(ws) != m:
+        raise GraphFormatError(f"header declares {m} edges, found {len(ws)}")
+    edges = dict(zip(zip(us, vs), ws))
+    if len(edges) != m:
+        seen: set[Edge] = set()
+        for edge, lineno in zip(zip(us, vs), lines):
+            if edge in seen:
+                raise GraphFormatError(f"duplicate edge {edge}", lineno)
+            seen.add(edge)
+    top = max(ws, default=0)
+    if n * top > MAX_ACCUMULATOR:
+        raise GraphFormatError("weight overflow after scaling", lines[ws.index(top)])
     return WeightedDigraph(frozenset(range(n)), edges, s, t, scale)
 
 

@@ -118,7 +118,7 @@ def dags(draw):
     return dag_of(draw(st.lists(st.sampled_from(forward), unique=True)), n)
 
 
-@settings(derandomize=True, database=None)
+@settings(derandomize=True, database=None, deadline=None)
 @given(dags())
 def test_disjoint_pairs_agree_with_exhaustive_search(dag):
     """Every pair of terminal pairs that share no terminal, degenerate pairs

@@ -77,6 +77,10 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
     assert fragment in str(err.value)
 
 
+# A weight longer than the 4,300 digits that int() converts from a string.
+_HUGE = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "text,line,fragment",
     [
@@ -90,12 +94,22 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
         ("3 2 0 2\n0 1 999999999999999999.1\n1 2 999999999999999999.5\n", 3, "overflow"),
         ("2 1 0 1\n0 1 461168601842738790.4\n", 2, "overflow"),
         ("2 1 0 1\n-1 1 1\n", 2, "vertex id out of range"),
+        pytest.param(f"2 1 0 1\n0 1 {_HUGE}\n", 2, "weight overflow", id="huge-overflow"),
+        pytest.param(
+            f"3 3 0 2\n0 1 1\n1 2 1\n0 1 {_HUGE}\n", 4, "duplicate edge (0, 1)",
+            id="huge-duplicate",
+        ),
+        pytest.param(f"3 2 0 2\n0 1 {_HUGE}\n1 2 x\n", 3, "positive decimal", id="huge-malformed"),
+        pytest.param(
+            f"# a comment\n2 1 0 1\n\n0 1 {_HUGE}.5  # heavy\n", 4, "weight overflow",
+            id="huge-commented",
+        ),
     ],
 )
 def test_parse_error_precedence(text, line, fragment):
     """A malformed line beats the edge count, which beats a duplicate, which
     beats an overflow; an overflow names the first line with the largest
-    scaled weight."""
+    scaled weight, however many digits it has."""
     with pytest.raises(GraphFormatError) as err:
         parse_graph(text)
     assert err.value.line == line
@@ -168,12 +182,11 @@ def test_parse_serialize_round_trip(drawn):
     assert serialize_graph(parse_graph(out)) == out
 
 
-# Each sends a plain edge list to the line loop: the last two change its
-# format, the rest fail a check and must raise the line loop's error.
-_FALLBACKS = (
-    "duplicate edge", "id >= n", "self-loop", "weight 0", "count off by one",
-    "overflow", "no final newline", "CR LF",
-)
+# Each sends a plain edge list to the line loop: a line fails its check, a
+# weight is too long for int(), or the text leaves the plain format.
+_LINE_FALLBACKS = {"id >= n", "self-loop", "weight 0", "huge weight", "no final newline", "CR LF"}
+# The rest fail a check of the whole list, which the whole-text pass raises.
+_FALLBACKS = (*sorted(_LINE_FALLBACKS), "duplicate edge", "count off by one", "overflow")
 
 
 @st.composite
@@ -204,6 +217,8 @@ def plain_texts(draw):
         insert(0, 1, 0)
     if "overflow" in fallbacks:
         insert(1, 0, MAX_ACCUMULATOR // n + draw(st.integers(1, 10**6)))
+    if "huge weight" in fallbacks:
+        insert(0, 1, draw(st.sampled_from("123456789")) * draw(st.integers(4301, 5000)))
     m = len(lines)
     if "count off by one" in fallbacks:
         m += draw(st.sampled_from((-1, 1))) if m else 1
@@ -228,13 +243,21 @@ def parse_outcome(text):
 @settings(derandomize=True, database=None, max_examples=400)
 @given(plain_texts())
 def test_the_whole_text_path_reads_like_the_line_loop(drawn):
-    """A plain text that passes every check is read whole; any other gives
-    the same graph or error as the line loop. A trailing comment sends the
-    reference to the line loop without moving a line number."""
+    """A plain text whose lines pass their checks is read whole, and raises
+    the line loop's error if the whole list fails one; any other text goes
+    to the line loop. A trailing comment sends the reference to the line
+    loop without moving a line number."""
     text, fallbacks = drawn
     reference = text + "# end\n"
     assert graph._parse_plain(reference) is None
-    assert (graph._parse_plain(text) is None) == bool(fallbacks)
+    if fallbacks & _LINE_FALLBACKS:
+        assert graph._parse_plain(text) is None
+    elif fallbacks:
+        with pytest.raises(GraphFormatError) as err:
+            graph._parse_plain(text)
+        assert (err.value.line, str(err.value)) == parse_outcome(reference)
+    else:
+        assert graph._parse_plain(text) is not None
     assert parse_outcome(text) == parse_outcome(reference)
 
 
