@@ -68,7 +68,8 @@ class ForwardDag:
     @classmethod
     def from_graph(cls, g: WeightedDigraph) -> "ForwardDag":
         """Treat every edge of g as a DAG edge; weights are irrelevant here."""
-        return cls(g.vertices, {u: [v for v, _w in out] for u, out in g.adj_out.items()})
+        ids = g.index.ids
+        return cls(ids, {u: [ids[j] for j, _w in out] for u, out in zip(ids, g.index.out)})
 
     def _topological_rank(self) -> dict[int, int]:
         """Kahn's order, smallest id first among the ready vertices; the

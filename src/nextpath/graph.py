@@ -55,7 +55,9 @@ class WeightedDigraph:
     by which the original decimal weights were multiplied; it only matters
     when formatting output.
     `edges` is a read-only view of a private copy of the map passed in, so
-    the cached adjacencies can never go stale.
+    the cached `index` can never go stale. The hot paths keep per-vertex
+    state in lists by the slots of `index`; every public function takes and
+    returns vertex ids.
     """
 
     vertices: frozenset[int]
@@ -87,31 +89,38 @@ class WeightedDigraph:
         return len(self.edges)
 
     @cached_property
-    def adj_out(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
-        """Outgoing adjacency, `u -> ((v, w), ...)` sorted by head id; read-only."""
-        adj: dict[int, list[tuple[int, int]]] = {u: [] for u in self.vertices}
+    def index(self) -> "VertexIndex":
+        """The vertices by rank and both adjacencies by slot (see
+        `VertexIndex`), built in one pass over the edges; read-only, so
+        shared."""
+        ids = tuple(sorted(self.vertices))
+        slot = dict(zip(ids, range(len(ids))))
+        out: list[list[tuple[int, int]]] = [[] for _ in ids]
+        into: list[list[tuple[int, int]]] = [[] for _ in ids]
         for (u, v), w in self.edges.items():
-            adj[u].append((v, w))
-        return MappingProxyType({u: tuple(sorted(nbrs)) for u, nbrs in adj.items()})
-
-    @cached_property
-    def adj_in(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
-        """Incoming adjacency, `v -> ((u, w), ...)` sorted by tail id; read-only."""
-        adj: dict[int, list[tuple[int, int]]] = {u: [] for u in self.vertices}
-        for (u, v), w in self.edges.items():
-            adj[v].append((u, w))
-        return MappingProxyType({v: tuple(sorted(nbrs)) for v, nbrs in adj.items()})
+            i, j = slot[u], slot[v]
+            out[i].append((j, w))
+            into[j].append((i, w))
+        for nbrs in out:
+            nbrs.sort()
+        for nbrs in into:
+            nbrs.sort()
+        return VertexIndex(
+            ids, MappingProxyType(slot), tuple(map(tuple, out)), tuple(map(tuple, into))
+        )
 
     @cached_property
     def distances(self) -> "DistanceTable":
         """Exact distances from s and to t, computed once; read-only, so shared.
         A graph that `straighten` or `layerize` returns already holds its
         table, handed on from the reduction's input (see `_seed_distances`)."""
-        out, _ = dijkstra(self.adj_out, self.s)
-        into, _ = dijkstra(self.adj_in, self.t)
+        ix = self.index
+        out, _ = dijkstra(ix.out, ix.slot[self.s])
+        into, _ = dijkstra(ix.into, ix.slot[self.t])
+        slots = range(len(ix.ids))
         return DistanceTable(
-            from_s=MappingProxyType({u: out.get(u) for u in self.vertices}),
-            to_t=MappingProxyType({u: into.get(u) for u in self.vertices}),
+            from_s=MappingProxyType(dict(zip(ix.ids, map(out.get, slots)))),
+            to_t=MappingProxyType(dict(zip(ix.ids, map(into.get, slots)))),
         )
 
     @cached_property
@@ -119,32 +128,36 @@ class WeightedDigraph:
         """Layers and edge kinds of a straight graph (see `Layering`), built
         once in one pass over the edges in (tail, head) order, or handed on
         by `layerize`; read-only, so shared. Raises ValueError when the graph
-        is not straight, which leaves every slack defined and non-negative."""
+        is not straight, which leaves every slack defined and non-negative.
+        The pass keeps d(s,.) and the layers in lists by slot and computes
+        each `edge_slack` inline."""
         d = self.distances
         if not is_straight(self, d):
             raise ValueError("graph is not (s,t)-straight")
-        rank = {x: i for i, x in enumerate(sorted(set(d.from_s.values())), start=1)}
-        lam = {u: rank[du] for u, du in d.from_s.items()}
+        ix = self.index
+        ids = ix.ids
+        ds = list(map(d.from_s.__getitem__, ids))
+        rank = {x: i for i, x in enumerate(sorted(set(ds)), start=1)}
+        lam = list(map(rank.__getitem__, ds))
         layers: list[list[int]] = [[] for _ in range(len(rank) + 1)]
         forward, back, spans, against = {}, {}, [], []
-        for u in sorted(self.vertices):
-            lu = lam[u]
+        for u, du, lu, nbrs in zip(ids, ds, lam, ix.out):
             layers[lu].append(u)
             heads = []
-            for v, w in self.adj_out[u]:
-                slack = edge_slack(d, u, v, w)
+            for j, w in nbrs:
+                slack = du + w - ds[j]
                 if not slack:
-                    heads.append(v)
-                    if lam[v] > lu + 1:
-                        spans.append((u, v))
-                elif lam[v] < lu:
-                    back[(u, v)] = slack
+                    heads.append(ids[j])
+                    if lam[j] > lu + 1:
+                        spans.append((u, ids[j]))
+                elif lam[j] < lu:
+                    back[(u, ids[j])] = slack
                 else:
-                    against.append((u, v))
+                    against.append((u, ids[j]))
             forward[u] = tuple(heads)
         return Layering(
-            MappingProxyType(lam), tuple(map(tuple, layers)), MappingProxyType(forward),
-            tuple(spans), MappingProxyType(back), tuple(against),
+            MappingProxyType(dict(zip(ids, lam))), tuple(map(tuple, layers)),
+            MappingProxyType(forward), tuple(spans), MappingProxyType(back), tuple(against),
         )
 
     def replace(self, *, vertices=None, edges=None) -> "WeightedDigraph":
@@ -156,6 +169,23 @@ class WeightedDigraph:
             t=self.t,
             scale=self.scale,
         )
+
+
+@dataclass(frozen=True)
+class VertexIndex:
+    """A graph's vertices numbered by rank: slot i holds the i-th smallest
+    id, so memory grows with the vertex count, never with the largest id,
+    and slot order is id order, which keeps every smallest-id-first tie.
+
+    `slot` maps an id to its slot. `out[i]` lists slot i's out-edges as
+    (head slot, weight) in head order, `into[i]` its in-edges as (tail
+    slot, weight) in tail order. Every field is read-only.
+    """
+
+    ids: tuple[int, ...]
+    slot: Mapping[int, int]
+    out: tuple[tuple[tuple[int, int], ...], ...]
+    into: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -220,7 +250,7 @@ class SolveOutcome:
 
 
 def dijkstra(
-    adj: Mapping[int, Iterable[tuple[int, int]]],
+    adj: Sequence[Iterable[tuple[int, int]]],
     source: int,
     *,
     target: int | None = None,
@@ -229,11 +259,13 @@ def dijkstra(
     met: set[int] | None = None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Exact distances from `source` that never enter `blocked`, and the
-    parent that set each reached vertex's distance. `dist` holds settled
-    vertices only; with a `target` the search stops once it is settled. Only
-    a strict improvement pushes, so on ties the first parent stays. A
-    positive `limit` pushes nothing at distance `limit` or more; every vertex
-    closer keeps its distance and parent, and those entries pop in order.
+    parent that set each reached vertex's distance, over the vertices
+    0..len(adj)-1, where `adj[u]` lists u's out-edges as (v, w): the slots of
+    a `VertexIndex`. `dist` holds settled vertices only; with a `target` the
+    search stops once it is settled. Only a strict improvement pushes, so on
+    ties the first parent stays. A positive `limit` pushes nothing at
+    distance `limit` or more; every vertex closer keeps its distance and
+    parent, and those entries pop in order.
 
     Each blocked vertex that a settled vertex would have pushed below
     `limit` is added to `met`. When the target is not reached, `met` is a
@@ -241,11 +273,13 @@ def dijkstra(
     no larger, because the first vertex of a lighter path that leaves the
     settled ball is either in `met` or would have been settled."""
     dist: dict[int, int] = {}
-    best = {source: 0}
+    # best[v] is the lightest distance pushed for v, so it is dist[v] once v
+    # is settled; weights are positive, so one test skips settled vertices.
+    best: list[int | None] = [None] * len(adj)
+    best[source] = 0
     parent: dict[int, int] = {}
     heap = [(0, source)]
-    # bound once: each call on a read-only view or a module costs a lookup
-    neighbors, push, pop = adj.get, heapq.heappush, heapq.heappop
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
         du, u = pop(heap)
         if u in dist:
@@ -253,21 +287,20 @@ def dijkstra(
         dist[u] = du
         if u == target:
             break
-        for v, w in neighbors(u, ()):
-            if v in dist:
-                continue
+        for v, w in adj[u]:
             nd = du + w
+            old = best[v]
+            if old is not None and nd >= old:
+                continue
             if limit is not None and nd >= limit:
                 continue
             if v in blocked:
                 if met is not None:
                     met.add(v)
                 continue
-            old = best.get(v)
-            if old is None or nd < old:
-                best[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
+            best[v] = nd
+            parent[v] = u
+            push(heap, (nd, v))
     return dist, parent
 
 
@@ -284,10 +317,17 @@ def shortest_path_avoiding(
     the search's cut (see `dijkstra`)."""
     if a in blocked or b in blocked:
         raise ValueError("endpoints must not be blocked")
-    dist, parent = dijkstra(g.adj_out, a, target=b, blocked=blocked, limit=limit, met=met)
-    if b not in dist:
+    ix = g.index
+    ids, sa, sb = ix.ids, ix.slot[a], ix.slot[b]
+    cut: set[int] | None = None if met is None else set()
+    # An id outside the graph maps to None, which blocks nothing.
+    stop = set(map(ix.slot.get, blocked))
+    dist, parent = dijkstra(ix.out, sa, target=sb, blocked=stop, limit=limit, met=cut)
+    if cut:
+        met.update(map(ids.__getitem__, cut))
+    if sb not in dist:
         return None
-    return parent_path(parent, a, b)
+    return tuple(map(ids.__getitem__, parent_path(parent, sa, sb)))
 
 
 def parent_path(parent: Mapping[int, int], a: int, b: int) -> Path:
@@ -537,7 +577,23 @@ def _edge_list(
     top = max(ws, default=0)
     if n * top > MAX_ACCUMULATOR:
         raise GraphFormatError("weight overflow after scaling", lines[ws.index(top)])
-    return WeightedDigraph(frozenset(range(n)), edges, s, t, scale)
+    # Built without `WeightedDigraph.__post_init__`, whose work is done:
+    # - `edges` is made here and shared with no one, so it needs no copy;
+    # - s != t: `_parse_plain`'s `s != t`, `_parse_lines`' "source and sink
+    #   must differ";
+    # - s and t are vertices: `s < n and t < n` (the plain regex admits no
+    #   sign), "source/sink id out of range";
+    # - no self-loop: `not any(map(operator.eq, us, vs))`, "self-loop at
+    #   vertex";
+    # - every edge within the vertex set: `max(us) < n and max(vs) < n`,
+    #   "vertex id out of range";
+    # - positive weights: `min(ws) > 0`, "non-positive weight" (a scaled
+    #   weight is positive when its digits are not all zero).
+    g = object.__new__(WeightedDigraph)
+    g.__dict__.update(
+        vertices=frozenset(range(n)), edges=MappingProxyType(edges), s=s, t=t, scale=scale
+    )
+    return g
 
 
 def format_weight(w: int, scale: int) -> str:

@@ -63,7 +63,9 @@ def simple_paths(
     if budget is not None and budget < 0:
         raise ValueError("budget must be non-negative")
     count = 0
-    for path in _dfs_paths(lambda u: (v for v, _w in g.adj_out[u]), a, b, frozenset()):
+    ix = g.index
+    paths = _dfs_paths(lambda u: (ix.ids[j] for j, _w in ix.out[ix.slot[u]]), a, b, frozenset())
+    for path in paths:
         count += 1
         if budget is not None and count > budget:
             raise BudgetExceeded(f"more than {budget} simple paths")

@@ -20,12 +20,13 @@ the reductions themselves make one pass and never replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .graph import (
     DistanceTable,
     Edge,
     Path,
+    VertexIndex,
     WeightedDigraph,
     _seed_distances,
     dijkstra,
@@ -142,19 +143,23 @@ def _splice(step: EliminationRecord, path: Path) -> Path:
 
 
 def _tight_walk(
-    adj: Mapping[int, tuple[tuple[int, int], ...]], dist: Mapping[int, int | None], v: int, end: int
+    ix: VertexIndex, adj: Sequence[tuple[tuple[int, int], ...]],
+    dist: Mapping[int, int | None], v: int, end: int,
 ) -> list[int]:
-    """Walk from v to `end`, each time to the smallest-id neighbor z with
-    dist[z] + w == dist[current].
+    """Walk from v to `end`, each time to the smallest-id neighbor z in
+    `adj`, one of `ix`'s adjacencies, with dist[z] + w == dist[current].
 
     Over in-edges with d(s,.) this is the smallest-id predecessor tree path
     from s to v, reversed; over out-edges with d(.,t) it is the smallest-id
     successor tree path from v to t.
     """
+    ids, slot = ix.ids, ix.slot
     walk = [v]
     while v != end:
         dv = dist[v]
-        v = next(z for z, w in adj[v] if dist[z] is not None and dist[z] + w == dv)
+        v = next(
+            ids[j] for j, w in adj[slot[v]] if dist[ids[j]] is not None and dist[ids[j]] + w == dv
+        )
         walk.append(v)
     return walk
 
@@ -167,8 +172,9 @@ def _tree_path(g: WeightedDigraph, d: DistanceTable, x: int, mid: Path, y: int) 
     they never add, remove or reweigh a tight edge at a vertex of a
     shortest path, so the trees are the same in both.
     """
-    to_x = _tight_walk(g.adj_in, d.from_s, x, g.s)
-    return (*reversed(to_x), *mid, *_tight_walk(g.adj_out, d.to_t, y, g.t))
+    ix = g.index
+    to_x = _tight_walk(ix, ix.into, d.from_s, x, g.s)
+    return (*reversed(to_x), *mid, *_tight_walk(ix, ix.out, d.to_t, y, g.t))
 
 
 def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
@@ -206,24 +212,38 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
         return g, trace
     gone = frozenset(off)
     edges = {e: w for e, w in g.edges.items() if gone.isdisjoint(e)}
-    inner_out = {u: g.adj_out[u] for u in off if from_s[u] is not None and to_t[u] is not None}
+    # The overlay, by slot: each inner vertex keeps its out-edges, and each
+    # survivor has none but, in its own Dijkstra, its edges into the inner set.
+    ix = g.index
+    ids = ix.ids
+    left = frozenset(map(ix.slot.__getitem__, off))
+    overlay: list[Sequence[tuple[int, int]]] = [()] * len(ids)
     into: dict[int, list[tuple[int, int]]] = {}
-    for u in inner_out:
-        for x, w in g.adj_in[u]:
-            if x not in gone:
-                into.setdefault(x, []).append((u, w))
+    for u in off:
+        if from_s[u] is None or to_t[u] is None:
+            continue
+        i = ix.slot[u]
+        overlay[i] = ix.out[i]
+        for j, w in ix.into[i]:
+            if j not in left:
+                into.setdefault(j, []).append((i, w))
     shortcuts: dict[Edge, Path] = {}
-    for x in sorted(into):
-        dist, parent = dijkstra({**inner_out, x: into[x]}, x)
-        for y in sorted(dist):
-            if y == x or y in gone:
+    for i in sorted(into):
+        overlay[i] = into[i]
+        dist, parent = dijkstra(overlay, i)
+        overlay[i] = ()
+        x = ids[i]
+        for j in sorted(dist):
+            if j == i or j in left:
                 continue
-            old, detour = edges.get((x, y)), dist[y]
+            y = ids[j]
+            old, detour = edges.get((x, y)), dist[j]
             if old is None or detour < old:
                 edges[(x, y)] = detour
-                shortcuts[(x, y)] = parent_path(parent, x, y)[1:-1]
+                shortcuts[(x, y)] = tuple(map(ids.__getitem__, parent_path(parent, i, j)[1:-1]))
             elif old < detour and from_s[x] + old + to_t[y] == dst:
-                candidate = _tree_path(g, d, x, parent_path(parent, x, y)[1:-1], y)
+                mid = tuple(map(ids.__getitem__, parent_path(parent, i, j)[1:-1]))
+                candidate = _tree_path(g, d, x, mid, y)
                 trace.candidates.append((candidate, path_weight(g, candidate)))
     trace.steps.append(EliminationRecord(gone, shortcuts))
     out = g.replace(vertices=g.vertices - gone, edges=edges)

@@ -96,6 +96,12 @@ class _LayeredSearch:
         vertices by (d(s,u), u), the layers in turn, are a topological order."""
         return ForwardDag.from_order([u for layer in self.layers for u in layer], self.forward)
 
+    @cached_property
+    def back_slots(self) -> frozenset[int]:
+        """The back vertices' slots in the graph's index, built when the scan
+        needs its first bound table."""
+        return frozenset(map(self.g.index.slot.__getitem__, self.back_vertices))
+
     def crossing(self, layer: int) -> list[Edge]:
         """The forward edges that cross boundary layer|layer+1, in (tail,
         head) order: the out-edges of the layer's vertices and the edges
@@ -162,11 +168,13 @@ class _LayeredSearch:
         bound = ceiling
         for a, top in self.starts:
             radius = None if bound is None else bound - self.dst - 1
-            table, _ = dijkstra(g.adj_out, a, limit=radius)
-            for b in sorted(self.back_vertices.intersection(table)):
+            ix = g.index
+            table, _ = dijkstra(ix.out, ix.slot[a], limit=radius)
+            for j in sorted(self.back_slots.intersection(table)):
+                b = ix.ids[j]
                 if lam[b] > top or b == g.s:
                     continue
-                lower = table[b]
+                lower = table[j]
                 base = dfs[a] - dfs[b] + self.dst
                 # No route of this pair weighs less than base + lower.
                 if bound is not None and base + lower >= bound:

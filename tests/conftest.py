@@ -113,9 +113,13 @@ PARALLEL_CHAINS = {
 def fresh_distances(g):
     """(from_s, to_t) of g as plain dicts, by a fresh Dijkstra each way
     rather than g's cached table."""
-    from_s, _ = dijkstra(g.adj_out, g.s)
-    to_t, _ = dijkstra(g.adj_in, g.t)
-    return {u: from_s.get(u) for u in g.vertices}, {u: to_t.get(u) for u in g.vertices}
+    ix = g.index
+    from_s, _ = dijkstra(ix.out, ix.slot[g.s])
+    to_t, _ = dijkstra(ix.into, ix.slot[g.t])
+    return (
+        {u: from_s.get(i) for i, u in enumerate(ix.ids)},
+        {u: to_t.get(i) for i, u in enumerate(ix.ids)},
+    )
 
 
 def floyd_warshall(g):

@@ -2,16 +2,17 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from decimal import Decimal
 from pathlib import Path
-from types import ModuleType
+from types import MappingProxyType, ModuleType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TRIANGLE, bellman_ford_from, build_graph
+from conftest import TRIANGLE, bellman_ford_from, build_graph, relabelled, skip_edge_graph
 from nextpath import graph
 from nextpath import (
     GraphFormatError,
@@ -28,6 +29,7 @@ from nextpath import (
     shortest_distances,
     shortest_path_avoiding,
     solve,
+    straighten,
     validate_path,
 )
 from nextpath.graph import MAX_ACCUMULATOR, dijkstra, edge_slack, straightness_violations
@@ -259,6 +261,21 @@ def test_the_whole_text_path_reads_like_the_line_loop(drawn):
     else:
         assert graph._parse_plain(text) is not None
     assert parse_outcome(text) == parse_outcome(reference)
+    if not fallbacks - {"no final newline", "CR LF"}:
+        assert_built_as_public(parse_graph(text))
+        assert_built_as_public(parse_graph(reference))
+
+
+def assert_built_as_public(g):
+    """`g`, which `_edge_list` built without `__post_init__`, is the graph
+    the public constructor builds from its fields, in every derived view."""
+    public = WeightedDigraph(g.vertices, dict(g.edges), g.s, g.t, g.scale)
+    assert isinstance(g.edges, MappingProxyType)
+    assert g == public and g.edges == public.edges
+    assert g.index == public.index
+    assert g.distances == public.distances
+    if is_straight(g, g.distances):
+        assert g.layering == public.layering
 
 
 @pytest.mark.parametrize(
@@ -283,6 +300,22 @@ def test_serialized_graphs_take_the_whole_text_path(monkeypatch, make):
         assert line_loop(text) == g
 
 
+@pytest.mark.parametrize(
+    "workload", ["random-general", "layer-skip", "layered-dense", "layered-none"]
+)
+def test_parsed_graphs_equal_publicly_built_ones(monkeypatch, workload):
+    """`_edge_list` trusts the parse checks in place of `__post_init__`'s;
+    on the benchmark's four families the graph it builds is the one the
+    public constructor builds."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    build = importlib.import_module("workloads").WORKLOADS[workload].build
+    for seed in range(3):
+        built = build(seed)
+        g = parse_graph(serialize_graph(built))
+        assert g == built
+        assert_built_as_public(g)
+
+
 def test_format_weight():
     assert format_weight(2, 0) == "2"
     assert format_weight(25, 1) == "2.5"
@@ -291,10 +324,18 @@ def test_format_weight():
 
 
 def test_graph_invariants_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="self-loop"):
         build_graph(3, {(0, 0): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-positive"):
         build_graph(3, {(0, 1): 0})
+    with pytest.raises(ValueError, match="non-positive"):
+        build_graph(3, {(0, 1): 1, (1, 2): -2})
+    with pytest.raises(ValueError, match="leaves the vertex set"):
+        build_graph(3, {(0, 1): 1, (1, 3): 1})
+    with pytest.raises(ValueError, match="leaves the vertex set"):
+        build_graph(3, {(-1, 2): 1})
+    with pytest.raises(ValueError, match="must be graph vertices"):
+        WeightedDigraph(frozenset({0, 1}), {}, 0, 2)
     with pytest.raises(ValueError):
         WeightedDigraph(frozenset({0, 1}), {}, 0, 0)
 
@@ -302,23 +343,23 @@ def test_graph_invariants_enforced():
 def test_edges_are_read_only():
     src = {(0, 1): 1, (1, 2): 1}
     g = WeightedDigraph(frozenset(range(3)), src, 0, 2)
-    adj = g.adj_out
+    adj = g.index.out
     with pytest.raises(TypeError):
         g.edges[(0, 2)] = 5
     src[(0, 2)] = 5  # the graph holds its own copy of the map it was given
     assert g.edges == {(0, 1): 1, (1, 2): 1}
-    assert g.adj_out is adj
-    assert adj == {0: ((1, 1),), 1: ((2, 1),), 2: ()}
+    assert g.index.out is adj
+    assert adj == (((1, 1),), ((2, 1),), ())
     assert g.replace(edges=g.edges) == g
 
 
 def test_adjacencies_are_read_only():
     g = parse_graph(TRIANGLE)
     with pytest.raises(TypeError):
-        g.adj_out[0] = ()
+        g.index.out[0] = ()
     with pytest.raises(TypeError):
-        g.adj_in[2] = ()
-    assert g.adj_out == {0: ((1, 1), (2, 1)), 1: ((2, 1),), 2: ()}
+        g.index.into[2] = ()
+    assert g.index.out == (((1, 1), (2, 1)), ((2, 1),), ())
     answer = solve(g)
     assert (answer.weight, answer.path) == (2, (0, 1, 2))
 
@@ -392,6 +433,46 @@ def test_layering_classifies_each_edge_once():
         build_graph(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, s=0, t=2).layering
 
 
+def _straight_graphs():
+    """Seeded straight graphs: layered ones and relabelled copies, skip-edge
+    graphs, whose same-layer and heavy skip edges go against the layers,
+    and straightened random graphs, whose ids have gaps."""
+    for seed in range(6):
+        g = layered_digraph(6, 3, 6, seed, back_weight_max=2)
+        yield g
+        yield relabelled(g, seed)
+        yield skip_edge_graph(seed)
+        yield relabelled(skip_edge_graph(seed), seed)
+        yield straighten(random_digraph(12, 0.3, 5, seed))[0]
+
+
+def test_layering_agrees_with_edge_slack():
+    """`layering` computes each edge's slack inline; `edge_slack` stays the
+    definition of an edge's kind, and of a back-edge's slack."""
+    kinds = set()
+    for g in _straight_graphs():
+        d, layering = g.distances, g.layering
+        lam = layering.lam
+        values = sorted(set(d.from_s.values()))
+        assert dict(lam) == {u: values.index(d.from_s[u]) + 1 for u in g.vertices}
+        want = {}
+        for (u, v), w in g.edges.items():
+            slack = edge_slack(d, u, v, w)
+            if slack == 0:
+                want[(u, v)] = "span" if lam[v] > lam[u] + 1 else "forward"
+            elif lam[v] < lam[u]:
+                want[(u, v)] = ("back", slack)
+            else:
+                want[(u, v)] = "against"
+        got = {(u, v): "forward" for u, heads in layering.forward.items() for v in heads}
+        got.update(dict.fromkeys(layering.spans, "span"))
+        got.update({e: ("back", slack) for e, slack in layering.back.items()})
+        got.update(dict.fromkeys(layering.against, "against"))
+        assert got == want
+        kinds.update(k if isinstance(k, str) else k[0] for k in want.values())
+    assert kinds == {"forward", "span", "back", "against"}
+
+
 def test_layering_is_read_only():
     """No field of the cached layering can be changed, so a later solve
     sees the layering the graph was built with."""
@@ -419,7 +500,8 @@ def test_layering_is_read_only():
 @st.composite
 def blocked_queries(draw):
     """A digraph on 2..7 vertices with weights 1..3 (many ties), distinct
-    endpoints a = s and b = t, and a set of other vertices to avoid."""
+    endpoints a = s and b = t, and a set of other vertices to avoid. Its ids
+    are 0..n-1, so each is its own slot and `dijkstra` takes them as they are."""
     n = draw(st.integers(2, 7))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     edges = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, 3)))
@@ -438,11 +520,11 @@ def blocked_queries(draw):
 def test_dijkstra_matches_relaxation_on_the_unblocked_graph(query):
     g, blocked, rest = query
     want = {v: d for v, d in bellman_ford_from(rest, g.s).items() if d is not None}
-    dist, parent = dijkstra(g.adj_out, g.s, blocked=blocked)
+    dist, parent = dijkstra(g.index.out, g.s, blocked=blocked)
     assert dist == want
     for v, u in parent.items():
         assert dist[u] + g.edges[(u, v)] == dist[v]
-    cut, _ = dijkstra(g.adj_out, g.s, target=g.t, blocked=blocked)
+    cut, _ = dijkstra(g.index.out, g.s, target=g.t, blocked=blocked)
     assert cut.get(g.t) == want.get(g.t)
     assert all(dist[v] == d for v, d in cut.items())
 
@@ -465,9 +547,9 @@ def test_shortest_path_avoiding_is_a_lightest_simple_path(query):
 @given(blocked_queries(), st.integers(1, 10))
 def test_a_limit_keeps_everything_closer_than_it(query, limit):
     g, blocked, _rest = query
-    dist, parent = dijkstra(g.adj_out, g.s, blocked=blocked)
+    dist, parent = dijkstra(g.index.out, g.s, blocked=blocked)
     near = {v: d for v, d in dist.items() if d < limit}
-    assert dijkstra(g.adj_out, g.s, blocked=blocked, limit=limit) == (
+    assert dijkstra(g.index.out, g.s, blocked=blocked, limit=limit) == (
         near,
         {v: u for v, u in parent.items() if v in near},
     )
@@ -481,7 +563,7 @@ def test_a_limit_keeps_everything_closer_than_it(query, limit):
 @given(blocked_queries(), st.data())
 def test_a_failed_search_leaves_a_cut_that_decides_wider_searches(query, data):
     g, blocked, _rest = query
-    dist, _ = dijkstra(g.adj_out, g.s, blocked=blocked)
+    dist, _ = dijkstra(g.index.out, g.s, blocked=blocked)
     inner = sorted(g.vertices - {g.s, g.t})
     for limit in (None, *range(1, 11)):
         met: set[int] = set()
@@ -491,7 +573,7 @@ def test_a_failed_search_leaves_a_cut_that_decides_wider_searches(query, data):
         assert met == {
             v
             for u, du in dist.items()
-            for v, w in g.adj_out[u]
+            for v, w in g.index.out[u]
             if v in blocked and (limit is None or du + w < limit)
         }, limit
         # Any superset of the cut blocks every route below any limit no larger.

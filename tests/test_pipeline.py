@@ -1,6 +1,8 @@
 """End-to-end pipeline behavior beyond what the CLI tests cover."""
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,7 +53,7 @@ def test_layered_answer_survives_lifting():
 def test_layered_input_shares_one_distance_table(monkeypatch, seed):
     """Both reductions return a layered input unchanged, so the pipeline,
     both reductions and the layered search read one table: two Dijkstras,
-    from s and to t."""
+    from s's slot and to t's slot."""
     calls = []
 
     def counting(adj, source, **kwargs):
@@ -61,7 +63,46 @@ def test_layered_input_shares_one_distance_table(monkeypatch, seed):
     monkeypatch.setattr("nextpath.graph.dijkstra", counting)
     g = layered_digraph(6, 3, 0, seed)
     assert not solve(g).found
-    assert sorted(calls) == sorted([g.s, g.t])
+    assert sorted(calls) == sorted([g.index.slot[g.s], g.index.slot[g.t]])
+
+
+def _solve_peak(g):
+    """solve(g) and the peak bytes it allocated, traced in this process."""
+    tracemalloc.start()
+    try:
+        answer = solve(g)
+        return answer, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "make",
+    [lambda seed: layered_digraph(8, 4, 10, seed), lambda seed: random_digraph(12, 0.3, 5, seed)],
+    ids=["layered", "random"],
+)
+def test_sparse_ids_solve_like_their_ranks(make, seed):
+    """A vertex's slot is its rank, so ids u * 10**12 + 7 solve to the mapped
+    answer, and no table grows with the largest id: the solve allocates no
+    more than that of the same graph on ids 0..n-1."""
+    g = make(seed)
+
+    def big(u):
+        return u * 10**12 + 7
+
+    sparse = WeightedDigraph(
+        frozenset(map(big, g.vertices)),
+        {(big(u), big(v)): w for (u, v), w in g.edges.items()},
+        big(g.s),
+        big(g.t),
+        g.scale,
+    )
+    want, dense_peak = _solve_peak(g)
+    got, sparse_peak = _solve_peak(sparse)
+    assert got.weight == want.weight
+    assert got.path == (None if want.path is None else tuple(map(big, want.path)))
+    assert sparse_peak < 2 * dense_peak
 
 
 @pytest.mark.parametrize(

@@ -266,13 +266,17 @@ def _on_shortest_path(d, v, dst):
 def _tree_paths(g, d, x, y):
     """s -> x and y -> t, each along the smallest-id tight edges of g."""
     def tight(adj, dist, v):
-        return next(z for z, w in adj[v] if dist[z] is not None and dist[z] + w == dist[v])
+        return min(z for z, w in adj[v] if dist[z] is not None and dist[z] + w == dist[v])
 
+    preds, succs = {v: [] for v in g.vertices}, {v: [] for v in g.vertices}
+    for (u, v), w in g.edges.items():
+        preds[v].append((u, w))
+        succs[u].append((v, w))
     head, tail = [x], [y]
     while head[-1] != g.s:
-        head.append(tight(g.adj_in, d.from_s, head[-1]))
+        head.append(tight(preds, d.from_s, head[-1]))
     while tail[-1] != g.t:
-        tail.append(tight(g.adj_out, d.to_t, tail[-1]))
+        tail.append(tight(succs, d.to_t, tail[-1]))
     return tuple(reversed(head)), tuple(tail)
 
 
