@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 
 from .disjoint import CyclicGraphError, ForwardDag, SharedTerminalError, two_disjoint_paths
@@ -238,6 +239,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # A command builds no reference cycles, so reference counting frees all
+    # it allocates and the cyclic collector's passes would only cost time.
+    # The caller's collector state comes back whatever the command does.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (GraphFormatError, CyclicGraphError, SharedTerminalError, OSError, ValueError) as exc:
@@ -252,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ the reductions themselves make one pass and never replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .graph import (
     DistanceTable,
@@ -144,37 +144,51 @@ def _splice(step: EliminationRecord, path: Path) -> Path:
 
 def _tight_walk(
     ix: VertexIndex, adj: Sequence[tuple[tuple[int, int], ...]],
-    dist: Mapping[int, int | None], v: int, end: int,
+    dist: Mapping[int, int | None], v: int, end: int, step: dict[int, int],
 ) -> list[int]:
     """Walk from v to `end`, each time to the smallest-id neighbor z in
     `adj`, one of `ix`'s adjacencies, with dist[z] + w == dist[current].
 
     Over in-edges with d(s,.) this is the smallest-id predecessor tree path
     from s to v, reversed; over out-edges with d(.,t) it is the smallest-id
-    successor tree path from v to t.
+    successor tree path from v to t. `step` memoizes each vertex's next one
+    for this adjacency and table, so a walk that meets a vertex an earlier
+    walk passed follows parents from there.
     """
     ids, slot = ix.ids, ix.slot
     walk = [v]
     while v != end:
-        dv = dist[v]
-        v = next(
-            ids[j] for j, w in adj[slot[v]] if dist[ids[j]] is not None and dist[ids[j]] + w == dv
-        )
+        nxt = step.get(v)
+        if nxt is None:
+            dv = dist[v]
+            nxt = step[v] = next(
+                ids[j] for j, w in adj[slot[v]]
+                if dist[ids[j]] is not None and dist[ids[j]] + w == dv
+            )
+        v = nxt
         walk.append(v)
     return walk
 
 
-def _tree_path(g: WeightedDigraph, d: DistanceTable, x: int, mid: Path, y: int) -> Path:
-    """s -> x along the smallest-id shortest-path tree from s, then `mid`,
-    then y -> t along the smallest-id shortest-path tree to t, all in g.
+def _tree_paths(g: WeightedDigraph, d: DistanceTable) -> Callable[[int, Path, int], Path]:
+    """`path(x, mid, y)`: s -> x along the smallest-id shortest-path tree
+    from s, then `mid`, then y -> t along the smallest-id shortest-path tree
+    to t, all in g. One reduction call shares one memo of each vertex's tree
+    parent and tree successor over all its candidates.
 
     The reductions call this on their input graph while they change a copy:
     they never add, remove or reweigh a tight edge at a vertex of a
     shortest path, so the trees are the same in both.
     """
     ix = g.index
-    to_x = _tight_walk(ix, ix.into, d.from_s, x, g.s)
-    return (*reversed(to_x), *mid, *_tight_walk(ix, ix.out, d.to_t, y, g.t))
+    parents: dict[int, int] = {}
+    successors: dict[int, int] = {}
+
+    def path(x: int, mid: Path, y: int) -> Path:
+        to_x = _tight_walk(ix, ix.into, d.from_s, x, g.s, parents)
+        return (*reversed(to_x), *mid, *_tight_walk(ix, ix.out, d.to_t, y, g.t, successors))
+
+    return path
 
 
 def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
@@ -228,6 +242,7 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
             if j not in left:
                 into.setdefault(j, []).append((i, w))
     shortcuts: dict[Edge, Path] = {}
+    tree_path = _tree_paths(g, d)
     for i in sorted(into):
         overlay[i] = into[i]
         dist, parent = dijkstra(overlay, i)
@@ -243,7 +258,7 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
                 shortcuts[(x, y)] = tuple(map(ids.__getitem__, parent_path(parent, i, j)[1:-1]))
             elif old < detour and from_s[x] + old + to_t[y] == dst:
                 mid = tuple(map(ids.__getitem__, parent_path(parent, i, j)[1:-1]))
-                candidate = _tree_path(g, d, x, mid, y)
+                candidate = tree_path(x, mid, y)
                 trace.candidates.append((candidate, path_weight(g, candidate)))
     trace.steps.append(EliminationRecord(gone, shortcuts))
     out = g.replace(vertices=g.vertices - gone, edges=edges)
@@ -276,8 +291,9 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     if not layering.against:
         return g, trace
     edges = dict(g.edges)
+    tree_path = _tree_paths(g, d)
     for u, v in layering.against:
-        candidate = _tree_path(g, d, u, (), v)
+        candidate = tree_path(u, (), v)
         trace.candidates.append((candidate, path_weight(g, candidate)))
         del edges[(u, v)]
         trace.steps.append(BackEdgeRemoval((u, v)))

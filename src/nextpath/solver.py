@@ -29,7 +29,6 @@ from .graph import (
     SolveOutcome,
     WeightedDigraph,
     dijkstra,
-    is_straight,
     path_weight,
     shortest_distances,
     shortest_path_avoiding,
@@ -41,17 +40,21 @@ class _LayeredSearch:
     """State for one solve: distances, the graph's layering, the back
     vertices, the layer boundaries that can hold a waypoint pair, the start
     vertices a with the last such boundary below each, the forward edges
-    that cross a boundary and the forward DAG once a tuple needs them, and
-    memoized disjoint-pair queries for the outer paths. The set-up and the
-    memo serve every scan of the same search."""
+    that cross a boundary, the forward DAG and the floor reach once a scan
+    needs them, and memoized disjoint-pair queries for the outer paths. The
+    set-up and the memo serve every scan of the same search."""
 
     def __init__(self, g: WeightedDigraph):
         self.g = g
         self.d = d = shortest_distances(g)
-        # The input check: straight, with every back-edge going strictly back.
-        if not is_straight(g, d) or g.layering.against:
+        # The input check: straight (`layering` raises otherwise), with every
+        # back-edge going strictly back.
+        try:
+            layering = g.layering
+        except ValueError:
+            raise ValueError("graph is not (s,t)-layered") from None
+        if layering.against:
             raise ValueError("graph is not (s,t)-layered")
-        layering = g.layering
         self.lam = lam = layering.lam
         self.layers, self.forward, self.spans = layering.layers, layering.forward, layering.spans
         self.dst: int = d.from_s[g.t]
@@ -101,6 +104,24 @@ class _LayeredSearch:
         """The back vertices' slots in the graph's index, built when the scan
         needs its first bound table."""
         return frozenset(map(self.g.index.slot.__getitem__, self.back_vertices))
+
+    @cached_property
+    def floor_reach(self) -> frozenset[int]:
+        """The slots of the vertices a with dist(a, x) <= least - 2, where
+        least = floor - d(s,t) is the least back-edge slack and x the tail
+        of some back-edge of that slack: the only starts that can pass a
+        pair under a bound of at most floor + 1 (see `scan`). One Dijkstra
+        over the in-edges, from a virtual source with a unit edge to each
+        such tail, cut at `least`; built when the ceiling scan reaches its
+        first start."""
+        ix = self.g.index
+        least = self.floor - self.dst
+        back = self.g.layering.back
+        tails = sorted({ix.slot[u] for (u, _), slack in back.items() if slack == least})
+        virtual = len(ix.ids)
+        reach, _ = dijkstra((*ix.into, tuple((j, 1) for j in tails)), virtual, limit=least)
+        del reach[virtual]
+        return frozenset(reach)
 
     def crossing(self, layer: int) -> list[Edge]:
         """The forward edges that cross boundary layer|layer+1, in (tail,
@@ -162,13 +183,30 @@ class _LayeredSearch:
         `floor`. So without a ceiling the result equals that of a plain full
         scan, and under a ceiling above `floor` it is the same route whenever
         that route weighs `floor` (see `solve_layered`).
+
+        Under a bound of at most floor + 1 a pair counts only if its excess
+        d(a) - d(b) + dist(a, b) is at most least = floor - d(s,t), the least
+        back-edge slack. Slack telescopes: a path weighs d(end) - d(start)
+        plus the slacks of its edges, which are 0 on a forward edge and at
+        least `least` on a back-edge. So the shortest a -> b path has total
+        slack equal to that excess: it descends through exactly one
+        back-edge (x, y), of slack `least`, and climbs from a to x on
+        forward edges. It weighs at most least - 1, as d(a) > d(b), and
+        (x, y) at least 1, so dist(a, x) <= least - 2. A start outside
+        `floor_reach` therefore has no pair that passes `base + lower <
+        bound`, and the scan skips it without a bound table; the result and
+        the memo are those of a scan that visits it. The full scan
+        (`ceiling` None) visits every start.
         """
         g, dfs, lam = self.g, self.d.from_s, self.lam
         best: tuple[int, Path] | None = None
         bound = ceiling
         for a, top in self.starts:
-            radius = None if bound is None else bound - self.dst - 1
             ix = g.index
+            narrow = bound is not None and bound <= self.floor + 1
+            if narrow and ix.slot[a] not in self.floor_reach:
+                continue
+            radius = None if bound is None else bound - self.dst - 1
             table, _ = dijkstra(ix.out, ix.slot[a], limit=radius)
             for j in sorted(self.back_slots.intersection(table)):
                 b = ix.ids[j]
@@ -254,11 +292,12 @@ def solve_layered(g: WeightedDigraph) -> SolveOutcome:
 
     No route weighs less than `floor`, so the search first scans under the
     ceiling floor + 1 (iterative deepening), with bound tables, pair prunes
-    and residual limits all at the floor radius from the start; only if
-    that finds nothing does the full scan follow, reusing the memoized
-    disjoint pairs. The answer is the full scan's:
+    and residual limits all at the floor radius from the start, and bound
+    tables only for the starts in the floor reach; only if that finds
+    nothing does the full scan follow, reusing the memoized disjoint pairs.
+    The answer is the full scan's:
     - pruning under the ceiling drops only tuples that cannot weigh exactly
-      `floor`;
+      `floor`, and a start outside the floor reach has only such tuples;
     - a cut stays sound under any limit no larger than the one it failed
       under;
     - a limited Dijkstra keeps every closer vertex's distance and parent,
@@ -267,6 +306,9 @@ def solve_layered(g: WeightedDigraph) -> SolveOutcome:
       stops there.
     So when a route weighs `floor`, both scans return the first such route
     in enumeration order, and when none does, the ceiling scan returns None.
+
+    Raises ValueError("graph is not (s,t)-layered") when `g` is not
+    straight or has a back-edge that does not go strictly back.
     """
     search = _LayeredSearch(g)
     best = search.scan(search.floor + 1)

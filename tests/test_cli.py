@@ -1,6 +1,7 @@
 """CLI: subcommands, output contracts, exit codes."""
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TRIANGLE
+import nextpath.cli
 from nextpath import InternalInvariantError, TraceError
 from nextpath.cli import main
 
@@ -99,6 +101,47 @@ def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch, triangle
 
     monkeypatch.setattr("nextpath.cli.solve_detailed", fail)
     assert run(capsys, "solve", triangle_file) == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "command,text,code",
+    [
+        pytest.param("solve", TRIANGLE, 0, id="exit-0"),
+        pytest.param("solve", "3 1 0 2\n0 1 x\n", 2, id="exit-2"),
+        pytest.param("solve", TRIANGLE, 3, id="exit-3"),
+        pytest.param("oracle", PARALLEL_CHAINS_TEXT, 4, id="exit-4"),
+    ],
+)
+def test_main_pauses_the_collector_and_restores_it(
+    capsys, monkeypatch, tmp_path, collecting, command, text, code
+):
+    """A command runs with the cyclic collector paused, and `main` leaves it
+    as the caller had it on every exit."""
+    seen = []
+    parse = nextpath.cli.parse_graph
+
+    def watching(text):
+        seen.append(gc.isenabled())
+        return parse(text)
+
+    def fail(g):
+        raise InternalInvariantError("broken invariant")
+
+    monkeypatch.setattr("nextpath.cli.parse_graph", watching)
+    if code == 3:
+        monkeypatch.setattr("nextpath.cli.solve_detailed", fail)
+    f = tmp_path / "g.txt"
+    f.write_text(text)
+    argv = [command, str(f)] + (["--budget", "1"] if command == "oracle" else [])
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == [False]
 
 
 def test_module_entry_point_solves_the_readme_triangle(triangle_file):

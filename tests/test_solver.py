@@ -117,6 +117,22 @@ def test_solver_builds_no_forward_dag_without_a_waypoint_tuple(monkeypatch):
     assert not any("dag" in search.__dict__ or search._crossing for search in made)
 
 
+def test_a_search_without_a_start_builds_no_index():
+    """A graph that `layerize` makes holds its input's distances and
+    layering but no vertex index; a search that visits no start builds
+    none, nor the floor reach."""
+    for seed in range(5):
+        g = layered_digraph(6, 3, 0, seed)
+        lam = g.layering.lam
+        u, v = next((u, v) for u in sorted(lam) for v in sorted(lam) if u != v and lam[u] == lam[v])
+        g_l, trace = layerize(g.replace(edges={**g.edges, (u, v): 1}))
+        assert trace.steps and "index" not in g_l.__dict__
+        search = _LayeredSearch(g_l)
+        assert search.starts == [] and search.scan(search.floor + 1) is None
+        assert search.scan(None) is None and not solve_layered(g_l).found
+        assert "index" not in g_l.__dict__ and "floor_reach" not in search.__dict__
+
+
 def assert_search_setup(g):
     """`_LayeredSearch(g)`'s set-up against definitions from scratch. Eager
     filing lists each forward edge under every boundary l|l+1 it crosses, in
@@ -230,12 +246,17 @@ def test_solver_skips_layers_without_a_waypoint_pair(monkeypatch):
     assert calls == []
     # No start vertex, so no boundary's crossing edges and no DAG either.
     assert len(made) == 10
-    assert not any(search.starts or search._crossing or "dag" in search.__dict__ for search in made)
+    assert not any(
+        search.starts or search._crossing or {"dag", "floor_reach"} & search.__dict__.keys()
+        for search in made
+    )
 
 
 def test_bound_tables_stop_at_the_incumbent_radius(monkeypatch):
     # A full single-source table per back vertex settles 16,740 vertices
-    # over these five solves.
+    # over these five solves. Each ceiling scan runs one floor-reach search
+    # and a floor-radius table only for the starts it settles: 10 Dijkstras
+    # settling 56 vertices, where a table for every start took 63 and 319.
     settled = []
 
     def counting(*args, **kwargs):
@@ -246,7 +267,7 @@ def test_bound_tables_stop_at_the_incumbent_radius(monkeypatch):
     monkeypatch.setattr(nextpath.solver, "dijkstra", counting)
     for seed in range(5):
         assert solve_layered(layered_digraph(24, 12, 150, seed)).found
-    assert len(settled) == 63 and sum(settled) <= 16_740 // 3
+    assert (len(settled), sum(settled)) == (10, 56)
 
 
 def test_floor_first_search_returns_the_full_scans_route():
@@ -278,6 +299,49 @@ def test_floor_first_search_returns_the_full_scans_route():
 
     check()
     assert exits == {"floor", "above", "none"}
+
+
+def test_floor_reach_skips_only_starts_without_a_ceiling_pair():
+    """A start outside `floor_reach` has no pair that the ceiling scan's
+    check `base + lower < floor + 1` passes, in its own floor-radius bound
+    table; so the filtered ceiling scan returns the route of a scan that
+    visits every start, and leaves the same memoized disjoint pairs and
+    boundary lists."""
+    skipped = kept = 0
+
+    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    @given(
+        st.integers(4, 7),
+        st.integers(2, 4),
+        st.integers(0, 10),
+        st.integers(1, 7),
+        st.integers(0, 6),
+        st.integers(0, 2**16),
+    )
+    def check(layers, width, back, w_max, skips, seed):
+        nonlocal skipped, kept
+        g = layered_digraph(layers, width, back, seed, back_weight_max=w_max)
+        g = with_span_edges(g, skips, seed)
+        search = _LayeredSearch(g)
+        ix, dfs, dst, ceiling = g.index, search.d.from_s, search.dst, search.floor + 1
+        for a, top in search.starts:
+            if ix.slot[a] in search.floor_reach:
+                kept += 1
+                continue
+            skipped += 1
+            table, _ = dijkstra(ix.out, ix.slot[a], limit=ceiling - dst - 1)
+            for j, lower in table.items():
+                b = ix.ids[j]
+                if b in search.back_vertices and search.lam[b] <= top and b != g.s:
+                    assert dst + dfs[a] - dfs[b] + lower >= ceiling
+        unfiltered = _LayeredSearch(g)
+        unfiltered.floor_reach = frozenset(range(len(ix.ids)))
+        assert search.scan(ceiling) == unfiltered.scan(ceiling)
+        assert search._pairs == unfiltered._pairs
+        assert search._crossing == unfiltered._crossing
+
+    check()
+    assert skipped > 100 and kept > 100
 
 
 def test_floor_first_search_skips_the_full_scan_on_seed_41(monkeypatch):
@@ -351,6 +415,30 @@ def test_solver_rejects_non_layered_input(extra, violations):
         assert is_straight(g, d) and nextpath.graph.layering_violations(g) == violations
     with pytest.raises(ValueError, match="layered"):
         solve_layered(g)
+
+
+def test_a_graph_that_is_not_straight_gets_the_layered_message(monkeypatch):
+    """The search's input check reads the graph's `layering`, which scans
+    straightness once and raises on a graph that is not straight; the search
+    restates that error in its own words."""
+    edges = {e: x for e, x in PARALLEL_CHAINS.items() if e != (4, 1)}
+    bent = build_graph(6, {**edges, (0, 5): 2}, s=0, t=5)
+    assert not is_straight(bent, shortest_distances(bent))
+    with pytest.raises(ValueError) as caught:
+        solve_layered(bent)
+    assert str(caught.value) == "graph is not (s,t)-layered"
+    # A copy, so that the generator's own layering check is not cached.
+    g = layered_digraph(5, 3, 4, 1).replace()
+    scans = []
+    violations = nextpath.graph.straightness_violations
+
+    def counting(g, d):
+        scans.append(g)
+        return violations(g, d)
+
+    monkeypatch.setattr(nextpath.graph, "straightness_violations", counting)
+    _LayeredSearch(g)
+    assert scans == [g]
 
 
 def test_solver_takes_a_layer_skipping_forward_edge():
