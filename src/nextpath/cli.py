@@ -4,16 +4,18 @@ Subcommands: solve, check, oracle, gen, vdp, stats. Graphs travel in the
 edge-list text format (see graph.parse_graph); path files hold one line of
 space-separated vertex ids.
 
-Exit codes: 0 success (including a NONE answer and INFEASIBLE queries),
-2 unreadable or malformed input, or out of memory (one line,
-`error: out of memory`, never a traceback), 3 internal invariant failure,
-4 oracle budget exceeded.
+Exit codes: 0 success (including a NONE answer and INFEASIBLE queries,
+and a reader that closes stdout early, as `| head -c 1` does: the rest of
+the output is dropped, and nothing goes to stderr), 2 unreadable or
+malformed input, or out of memory (one line, `error: out of memory`, never
+a traceback), 3 internal invariant failure, 4 oracle budget exceeded.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import gc
+import os
 import sys
 
 from .disjoint import CyclicGraphError, ForwardDag, SharedTerminalError, two_disjoint_paths
@@ -245,7 +247,15 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout, so no one reads the rest of the output:
+        # a success. What is left in the buffer goes to os.devnull, so that
+        # the interpreter's flush at shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (GraphFormatError, CyclicGraphError, SharedTerminalError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

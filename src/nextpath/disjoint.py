@@ -52,17 +52,15 @@ class ForwardDag:
     def from_order(cls, order: Sequence[int], adj: Mapping[int, Sequence[int]]) -> "ForwardDag":
         """The DAG whose topological order is `order`, which lists every
         vertex once, and whose adjacency is `adj`, a list per vertex already
-        sorted by head id; both are used as they are. The order is certified:
-        an edge that does not go later in it raises CyclicGraphError."""
+        sorted by head id; both are used as they are. One pass in reverse
+        order certifies the order and builds the reachability closure: an
+        edge that does not go later in it raises CyclicGraphError, a vertex
+        without a list or an edge out of the vertex set ValueError."""
         dag = cls.__new__(cls)
         dag.vertices = frozenset(order)
         dag.adj = adj
-        dag.rank = rank = {u: i for i, u in enumerate(order)}
-        for u in order:
-            ru = rank[u]
-            for v in adj[u]:
-                if rank[v] <= ru:
-                    raise CyclicGraphError(f"edge ({u}, {v}) goes against the order")
+        dag.rank = {u: i for i, u in enumerate(order)}
+        dag._descendants = dag._closure()
         return dag
 
     @classmethod
@@ -77,6 +75,8 @@ class ForwardDag:
         indeg = {u: 0 for u in self.vertices}
         for u in self.vertices:
             for v in self.adj[u]:
+                if v not in indeg:
+                    raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
                 indeg[v] += 1
         heap = [u for u in self.vertices if indeg[u] == 0]
         heapq.heapify(heap)
@@ -94,13 +94,31 @@ class ForwardDag:
 
     @cached_property
     def _descendants(self) -> dict[int, int]:
-        """Reachability closure as bitmasks indexed by rank, built in
-        reverse topological order."""
+        """The closure of a DAG built by Kahn's order, on first use;
+        `from_order` sets it at once."""
+        return self._closure()
+
+    def _closure(self) -> dict[int, int]:
+        """Reachability closure as bitmasks indexed by rank, built in reverse
+        order of `rank`. A head whose closure is not built yet does not go
+        later in the order: the pass raises CyclicGraphError, or ValueError
+        when the head is not a vertex."""
+        rank, adj = self.rank, self.adj
         desc: dict[int, int] = {}
-        for u in reversed(self.rank):
-            acc = 1 << self.rank[u]
-            for v in self.adj[u]:
-                acc |= desc[v]
+        get = desc.get
+        for u in reversed(rank):
+            try:
+                heads = adj[u]
+            except KeyError:
+                raise ValueError(f"vertex {u} has no adjacency list") from None
+            acc = 1 << rank[u]
+            for v in heads:
+                dv = get(v)
+                if dv is None:
+                    if v in rank:
+                        raise CyclicGraphError(f"edge ({u}, {v}) goes against the order")
+                    raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
+                acc |= dv
             desc[u] = acc
         return desc
 

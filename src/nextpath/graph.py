@@ -112,11 +112,16 @@ class WeightedDigraph:
     @cached_property
     def distances(self) -> "DistanceTable":
         """Exact distances from s and to t, computed once; read-only, so shared.
-        A graph that `straighten` or `layerize` returns already holds its
-        table, handed on from the reduction's input (see `_seed_distances`)."""
+        A straight graph takes one Dijkstra, from s: every vertex lies on a
+        shortest s-t path, so d(v,t) = d(s,t) - d(s,v) (see `_straight_to_t`).
+        Any other graph takes a second, to t. A graph that `straighten` or
+        `layerize` returns already holds its table, handed on from the
+        reduction's input (see `_seed_distances`)."""
         ix = self.index
         out, _ = dijkstra(ix.out, ix.slot[self.s])
-        into, _ = dijkstra(ix.into, ix.slot[self.t])
+        into = _straight_to_t(ix.out, out, ix.slot[self.t])
+        if into is None:
+            into, _ = dijkstra(ix.into, ix.slot[self.t])
         slots = range(len(ix.ids))
         return DistanceTable(
             from_s=MappingProxyType(dict(zip(ix.ids, map(out.get, slots)))),
@@ -193,7 +198,9 @@ class DistanceTable:
     """Exact distances from s and to t; None marks unreachable.
 
     Unreachable is a real sentinel, never a large finite stand-in, so it can
-    never leak into weight arithmetic. Both maps are read-only views.
+    never leak into weight arithmetic. Both maps are read-only views. On a
+    straight graph `to_t` is d(s,t) - `from_s`, which its one Dijkstra
+    yields (see `WeightedDigraph.distances`).
     """
 
     from_s: Mapping[int, int | None]
@@ -302,6 +309,36 @@ def dijkstra(
             parent[v] = u
             push(heap, (nd, v))
     return dist, parent
+
+
+def _straight_to_t(
+    out: Sequence[Iterable[tuple[int, int]]], from_s: dict[int, int], t: int
+) -> dict[int, int] | None:
+    """Distances to slot t by slot, d(s,t) - d(s,v), when every slot lies on
+    a shortest s-t path; None otherwise. `from_s` is `dijkstra`'s table from
+    s over `out`, in settle order.
+
+    A slot is on a shortest s-t path iff it is t or has a tight out-edge,
+    d(s,u) + w = d(s,v), to a slot on one. A tight edge strictly raises
+    d(s,.), as weights are positive, so its head settled later: one sweep in
+    reverse settle order decides every slot. It stops at the first that
+    fails, and does not start when a slot is unreachable from s."""
+    if len(from_s) < len(out):
+        return None
+    dst = from_s[t]
+    # on[v] is d(s,v) once v is found on a shortest s-t path, else None,
+    # which no distance equals.
+    on: list[int | None] = [None] * len(out)
+    on[t] = dst
+    for u, du in reversed(from_s.items()):
+        if u != t:
+            for v, w in out[u]:
+                if du + w == on[v]:
+                    on[u] = du
+                    break
+            else:
+                return None
+    return {u: dst - du for u, du in from_s.items()}
 
 
 def shortest_path_avoiding(

@@ -155,6 +155,29 @@ def test_module_entry_point_solves_the_readme_triangle(triangle_file):
     assert (done.returncode, done.stdout, done.stderr) == (0, "2\n0 1 2\n", "")
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_a_success(triangle_file, unbuffered):
+    """A reader that has gone away, as after `| head -c 1`, is not an input
+    error: exit 0 and nothing on stderr, whether the write that fails is a
+    print's or the final flush's."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "nextpath", "solve", triangle_file],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_oracle_agrees_with_solve(capsys, chains_file):
     code, solve_out, _ = run(capsys, "solve", chains_file)
     assert code == 0

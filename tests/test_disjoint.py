@@ -91,6 +91,37 @@ def test_supplied_order_is_certified():
         ForwardDag.from_order([0, 1], {0: [1], 1: [0]})
 
 
+@pytest.mark.parametrize(
+    "adj",
+    [{0: [0, 1], 1: []}, {0: [1], 1: [1]}, {0: [], 1: [2], 2: [0]}],
+    ids=["self-loop-first", "self-loop-last", "edge-to-earlier"],
+)
+def test_supplied_order_rejects_self_loops_and_edges_back(adj):
+    with pytest.raises(CyclicGraphError, match="goes against the order"):
+        ForwardDag.from_order(sorted(adj), adj)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ForwardDag([0, 1], {0: [1, 2]}), "edge (0, 2) leaves the vertex set"),
+        (
+            lambda: ForwardDag.from_order([0, 1], {0: [1, 2], 1: []}),
+            "edge (0, 2) leaves the vertex set",
+        ),
+        (lambda: ForwardDag.from_order([0, 1], {0: [1]}), "vertex 1 has no adjacency list"),
+    ],
+    ids=["kahn-head", "order-head", "order-list"],
+)
+def test_vertices_outside_the_dag_are_value_errors(build, message):
+    """Neither a bare KeyError nor a cycle: the input names a vertex that
+    the DAG does not hold, or holds no list for."""
+    with pytest.raises(ValueError) as info:
+        build()
+    assert info.type is ValueError
+    assert str(info.value) == message
+
+
 def test_deterministic_output():
     dag = dag_of([(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)], 6)
     first = two_disjoint_paths(dag, (0, 5), (1, 4))
@@ -116,6 +147,27 @@ def dags(draw):
     order = draw(st.permutations(range(n)))
     forward = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
     return dag_of(draw(st.lists(st.sampled_from(forward), unique=True)), n)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_reaches_is_bfs_reachability_under_both_constructors(data):
+    """Kahn's order from `ForwardDag(vertices, adj)` and a given order from
+    `from_order`, whose closure the certifying pass builds."""
+    n = data.draw(st.integers(1, 12))
+    order = data.draw(st.permutations(range(n)))
+    forward = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(forward), unique=True)) if forward else []
+    adj = {u: sorted(v for x, v in edges if x == u) for u in range(n)}
+    for dag in (ForwardDag(range(n), adj), ForwardDag.from_order(order, adj)):
+        for u in range(n):
+            seen, stack = {u}, [u]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            assert [dag.reaches(u, v) for v in range(n)] == [v in seen for v in range(n)]
 
 
 @settings(derandomize=True, database=None, deadline=None)

@@ -7,12 +7,21 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 from types import MappingProxyType, ModuleType
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TRIANGLE, bellman_ford_from, build_graph, relabelled, skip_edge_graph
+from conftest import (
+    TRIANGLE,
+    bead_graph,
+    bellman_ford_from,
+    build_graph,
+    fresh_distances,
+    relabelled,
+    skip_edge_graph,
+)
 from nextpath import graph
 from nextpath import (
     GraphFormatError,
@@ -32,7 +41,13 @@ from nextpath import (
     straighten,
     validate_path,
 )
-from nextpath.graph import MAX_ACCUMULATOR, dijkstra, edge_slack, straightness_violations
+from nextpath.graph import (
+    MAX_ACCUMULATOR,
+    DistanceTable,
+    dijkstra,
+    edge_slack,
+    straightness_violations,
+)
 from nextpath.oracle import simple_paths
 from nextpath.solver import _LayeredSearch
 
@@ -398,6 +413,71 @@ def test_distances_agree_with_relaxation_oracle(seed):
     g = random_digraph(7, 0.4, 5, seed)
     d = shortest_distances(g)
     assert d.from_s == bellman_ford_from(g, g.s)
+
+
+def _sparse(g, seed):
+    """`g` relabelled by a seeded shuffle onto the ids u * 1009 + 7."""
+    g = relabelled(g, seed)
+    m = {u: u * 1009 + 7 for u in g.vertices}
+    edges = {(m[u], m[v]): w for (u, v), w in g.edges.items()}
+    return WeightedDigraph(frozenset(m.values()), edges, m[g.s], m[g.t], g.scale)
+
+
+@st.composite
+def table_graphs(draw):
+    """Graphs that compute their own distance table: layered graphs on
+    sparse ids, bead and skip-edge graphs, random graphs, and random graphs
+    straightened and rebuilt through the constructor."""
+    kind = draw(st.sampled_from(["layered", "bead", "skip", "random", "straightened"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "layered":
+        layers = draw(st.integers(2, 8))
+        g = layered_digraph(layers, draw(st.integers(1, 4)), draw(st.integers(0, layers - 1)), seed)
+        return _sparse(g, seed)
+    if kind == "bead":
+        wide, width = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        return bead_graph(wide, width, draw(st.integers(0, 3)), seed)
+    if kind == "skip":
+        return skip_edge_graph(seed)
+    g = random_digraph(draw(st.integers(2, 12)), draw(st.sampled_from([0.1, 0.3, 0.5])), 5, seed)
+    if kind == "straightened" and shortest_distances(g).from_s[g.t] is not None:
+        out = straighten(g)[0]
+        return WeightedDigraph(out.vertices, out.edges, out.s, out.t, out.scale)
+    return WeightedDigraph(g.vertices, g.edges, g.s, g.t, g.scale)
+
+
+def _check_own_table(g):
+    """g's `distances` match a fresh Dijkstra each way, and took one Dijkstra
+    when g is straight, two otherwise."""
+    from_s, to_t = fresh_distances(g)
+    straight = not straightness_violations(g, DistanceTable(from_s, to_t))
+    with mock.patch.object(graph, "dijkstra", wraps=graph.dijkstra) as spy:
+        d = g.distances
+    assert (dict(d.from_s), dict(d.to_t)) == (from_s, to_t)
+    assert spy.call_count == (1 if straight else 2)
+    return straight
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(table_graphs())
+def test_distance_table_matches_fresh_dijkstras(g):
+    _check_own_table(g)
+
+
+@pytest.mark.parametrize(
+    "n, edges, straight",
+    [
+        (3, {(0, 2): 1, (0, 1): 5, (1, 2): 1}, False),  # 1 settles beyond t
+        (3, {(0, 2): 2, (0, 1): 2, (1, 2): 1}, False),  # 1 settles at d(s,t)
+        (3, {(0, 2): 1, (1, 2): 1}, False),  # 1 is unreachable from s
+        (4, {(0, 3): 3, (0, 1): 1, (1, 2): 1, (2, 1): 1}, False),  # 1, 2 cannot reach t
+        (3, {(0, 1): 1, (2, 1): 1}, False),  # t is unreachable
+        (4, {(0, 1): 1, (0, 2): 1, (1, 3): 1, (2, 3): 1, (2, 1): 2}, True),  # tie, back-edge
+    ],
+    ids=["beyond-t", "at-d(s,t)", "unreachable", "dead-end", "no-s-t-path", "straight"],
+)
+def test_distance_table_edge_cases(n, edges, straight):
+    assert _check_own_table(build_graph(n, edges)) == straight
 
 
 def test_distance_table_is_computed_once_per_graph():

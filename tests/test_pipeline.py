@@ -13,6 +13,7 @@ from conftest import (
     bead_graph,
     build_graph,
     edge_bound,
+    fresh_distances,
     skip_edge_graph,
     skip_path_graph,
 )
@@ -28,7 +29,7 @@ from nextpath import (
     solve_detailed,
     validate_path,
 )
-from nextpath.graph import dijkstra
+from nextpath.graph import DistanceTable, dijkstra, straightness_violations
 
 
 def test_triangle_answer():
@@ -52,8 +53,32 @@ def test_layered_answer_survives_lifting():
 @pytest.mark.parametrize("seed", range(3))
 def test_layered_input_shares_one_distance_table(monkeypatch, seed):
     """Both reductions return a layered input unchanged, so the pipeline,
-    both reductions and the layered search read one table: two Dijkstras,
-    from s's slot and to t's slot."""
+    both reductions and the layered search read one table. The input is
+    straight, so the table takes one Dijkstra, from s's slot."""
+    calls = _count_dijkstras(monkeypatch)
+    g = layered_digraph(6, 3, 0, seed)
+    assert not solve(g).found
+    assert calls == [g.index.slot[g.s]]
+
+
+def test_graph_not_straight_takes_a_dijkstra_to_t(monkeypatch):
+    """A graph with a vertex on no shortest s-t path takes a second
+    Dijkstra for its table, from t's slot over the in-edges."""
+    calls = _count_dijkstras(monkeypatch)
+    drawn = 0
+    for seed in range(10):
+        g = random_digraph(12, 0.3, 5, seed)
+        if not straightness_violations(g, DistanceTable(*fresh_distances(g))):
+            continue
+        drawn += 1
+        calls.clear()
+        shortest_distances(g)
+        assert calls == [g.index.slot[g.s], g.index.slot[g.t]]
+    assert drawn >= 5
+
+
+def _count_dijkstras(monkeypatch):
+    """The list of source slots of the `graph.dijkstra` calls from here on."""
     calls = []
 
     def counting(adj, source, **kwargs):
@@ -61,9 +86,7 @@ def test_layered_input_shares_one_distance_table(monkeypatch, seed):
         return dijkstra(adj, source, **kwargs)
 
     monkeypatch.setattr("nextpath.graph.dijkstra", counting)
-    g = layered_digraph(6, 3, 0, seed)
-    assert not solve(g).found
-    assert sorted(calls) == sorted([g.index.slot[g.s], g.index.slot[g.t]])
+    return calls
 
 
 def _solve_peak(g):
