@@ -123,7 +123,11 @@ class ForwardDag:
         return desc
 
     def reaches(self, u: int, v: int) -> bool:
-        return bool(self._descendants[u] >> self.rank[v] & 1)
+        """Whether u reaches v; ValueError for a vertex outside the DAG."""
+        try:
+            return bool(self._descendants[u] >> self.rank[v] & 1)
+        except KeyError as err:
+            raise ValueError(f"vertex {err.args[0]} not in the DAG") from None
 
 
 def _single_path(dag: ForwardDag, a: int, b: int, avoid: int) -> Path | None:

@@ -111,21 +111,25 @@ class WeightedDigraph:
 
     @cached_property
     def distances(self) -> "DistanceTable":
-        """Exact distances from s and to t, computed once; read-only, so shared.
-        A straight graph takes one Dijkstra, from s: every vertex lies on a
-        shortest s-t path, so d(v,t) = d(s,t) - d(s,v) (see `_straight_to_t`).
-        Any other graph takes a second, to t. A graph that `straighten` or
-        `layerize` returns already holds its table, handed on from the
-        reduction's input (see `_seed_distances`)."""
+        """Exact distances and the vertices off every shortest s-t path,
+        computed once; read-only, so shared. A sweep after the Dijkstra from
+        s finds those (`_off_slots`). A straight graph, with none, has
+        d(v,t) = d(s,t) - d(s,v); any other takes a second Dijkstra, to t.
+        A graph that `straighten` or `layerize` returns holds its table,
+        handed on from the reduction's input (see `_seed_distances`)."""
         ix = self.index
         out, _ = dijkstra(ix.out, ix.slot[self.s])
-        into = _straight_to_t(ix.out, out, ix.slot[self.t])
-        if into is None:
+        off = _off_slots(ix.out, out, ix.slot[self.t])
+        if off:
             into, _ = dijkstra(ix.into, ix.slot[self.t])
+        else:
+            dst = out[ix.slot[self.t]]
+            into = {u: dst - du for u, du in out.items()}
         slots = range(len(ix.ids))
         return DistanceTable(
             from_s=MappingProxyType(dict(zip(ix.ids, map(out.get, slots)))),
             to_t=MappingProxyType(dict(zip(ix.ids, map(into.get, slots)))),
+            off=tuple(map(ix.ids.__getitem__, off)),
         )
 
     @cached_property
@@ -137,7 +141,7 @@ class WeightedDigraph:
         The pass keeps d(s,.) and the layers in lists by slot and computes
         each `edge_slack` inline."""
         d = self.distances
-        if not is_straight(self, d):
+        if d.off:
             raise ValueError("graph is not (s,t)-straight")
         ix = self.index
         ids = ix.ids
@@ -195,7 +199,9 @@ class VertexIndex:
 
 @dataclass(frozen=True)
 class DistanceTable:
-    """Exact distances from s and to t; None marks unreachable.
+    """Exact distances from s and to t; None marks unreachable. `off` lists
+    the vertices on no shortest s-t path in id order, all of them when t is
+    unreachable from s; the graph is (s,t)-straight when it is empty.
 
     Unreachable is a real sentinel, never a large finite stand-in, so it can
     never leak into weight arithmetic. Both maps are read-only views. On a
@@ -205,6 +211,7 @@ class DistanceTable:
 
     from_s: Mapping[int, int | None]
     to_t: Mapping[int, int | None]
+    off: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -311,34 +318,29 @@ def dijkstra(
     return dist, parent
 
 
-def _straight_to_t(
+def _off_slots(
     out: Sequence[Iterable[tuple[int, int]]], from_s: dict[int, int], t: int
-) -> dict[int, int] | None:
-    """Distances to slot t by slot, d(s,t) - d(s,v), when every slot lies on
-    a shortest s-t path; None otherwise. `from_s` is `dijkstra`'s table from
-    s over `out`, in settle order.
+) -> list[int]:
+    """The slots on no shortest s-t path, ascending, all of them when slot t
+    is unreachable. `from_s` is `dijkstra`'s table from s over `out`, in
+    settle order. The program's one straightness rule.
 
-    A slot is on a shortest s-t path iff it is t or has a tight out-edge,
-    d(s,u) + w = d(s,v), to a slot on one. A tight edge strictly raises
-    d(s,.), as weights are positive, so its head settled later: one sweep in
-    reverse settle order decides every slot. It stops at the first that
-    fails, and does not start when a slot is unreachable from s."""
-    if len(from_s) < len(out):
-        return None
-    dst = from_s[t]
+    A slot is on a shortest s-t path iff it settled and is either t or has
+    a tight out-edge, d(s,u) + w = d(s,v), to a slot on one. A tight edge
+    strictly raises d(s,.), as weights are positive, so its head settled
+    later: one sweep over every settled slot in reverse settle order decides
+    them all, and a slot that never settled is on no such path."""
     # on[v] is d(s,v) once v is found on a shortest s-t path, else None,
     # which no distance equals.
     on: list[int | None] = [None] * len(out)
-    on[t] = dst
+    on[t] = from_s.get(t)
     for u, du in reversed(from_s.items()):
         if u != t:
             for v, w in out[u]:
                 if du + w == on[v]:
                     on[u] = du
                     break
-            else:
-                return None
-    return {u: dst - du for u, du in from_s.items()}
+    return [u for u, du in enumerate(on) if du is None]
 
 
 def shortest_path_avoiding(
@@ -387,10 +389,12 @@ def _seed_distances(
     """`g`, with its cached `distances` set to `d` restricted to its vertices
     and, when given, its cached `layering` set to `layering`, so that
     neither a Dijkstra nor an edge pass runs for it. The caller vouches that
-    these are g's own; only a reduction that keeps them may call it."""
+    these are g's own and g is straight (empty `off`); only a reduction that
+    keeps them and returns a straight graph may call it."""
     g.__dict__["distances"] = DistanceTable(
         from_s=MappingProxyType({u: d.from_s[u] for u in g.vertices}),
         to_t=MappingProxyType({u: d.to_t[u] for u in g.vertices}),
+        off=(),
     )
     if layering is not None:
         g.__dict__["layering"] = layering
@@ -435,20 +439,10 @@ def validate_path(g: WeightedDigraph, path: Path) -> PathCheck:
     return PathCheck(simple=len(set(path)) == len(path), weight=weight, uses_back_edge=uses_back)
 
 
-def straightness_violations(g: WeightedDigraph, d: DistanceTable) -> list[int]:
-    """Vertices on no shortest s-to-t path, sorted by id; all of them when t
-    is unreachable from s."""
-    from_s, to_t, dst = d.from_s, d.to_t, d.from_s[g.t]
-    return sorted(
-        u
-        for u in g.vertices
-        if from_s[u] is None or to_t[u] is None or from_s[u] + to_t[u] != dst
-    )
-
-
 def is_straight(g: WeightedDigraph, d: DistanceTable) -> bool:
-    """True when every vertex lies on at least one shortest s-to-t path."""
-    return not straightness_violations(g, d)
+    """True when every vertex lies on a shortest s-to-t path: g's table `d`
+    has an empty `off`."""
+    return not d.off
 
 
 def is_layered(g: WeightedDigraph, d: DistanceTable) -> bool:

@@ -33,7 +33,6 @@ from .graph import (
     parent_path,
     path_weight,
     shortest_distances,
-    straightness_violations,
 )
 
 
@@ -194,7 +193,7 @@ def _tree_paths(g: WeightedDigraph, d: DistanceTable) -> Callable[[int, Path, in
 def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     """Reduce to a graph where every vertex lies on a shortest s-to-t path.
 
-    Every vertex violating straightness is eliminated in one overlay step.
+    Each vertex of the input table's `off` is eliminated in one overlay step.
     The inner set holds those that reach both terminals; a vertex cut off
     from s or t lies on no walk between two survivors, so it adds no
     detour. For each survivor x with an edge into the inner set, one
@@ -216,12 +215,11 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     the (min,+) semiring.
     """
     d = shortest_distances(g)
-    from_s, to_t = d.from_s, d.to_t
+    from_s, to_t, off = d.from_s, d.to_t, d.off
     dst = from_s[g.t]
     if dst is None:
         raise ValueError("no s-to-t path exists")
     trace = ReductionTrace()
-    off = straightness_violations(g, d)
     if not off:
         return g, trace
     gone = frozenset(off)

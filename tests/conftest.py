@@ -122,6 +122,19 @@ def fresh_distances(g):
     )
 
 
+def sum_rule_off(g, from_s, to_t):
+    """The vertices of g on no shortest s-t path, in id order, all of them
+    when t is unreachable, by the distance-sum rule d(s,u) + d(u,t) !=
+    d(s,t) over the given (from_s, to_t): the reference for a
+    `DistanceTable`'s `off`, which the program finds by another rule."""
+    dst = from_s[g.t]
+    return tuple(
+        u
+        for u in sorted(g.vertices)
+        if from_s[u] is None or to_t[u] is None or from_s[u] + to_t[u] != dst
+    )
+
+
 def floyd_warshall(g):
     """Independent all-pairs distances (no Dijkstra involved)."""
     verts = sorted(g.vertices)

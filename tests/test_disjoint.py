@@ -122,6 +122,24 @@ def test_vertices_outside_the_dag_are_value_errors(build, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ForwardDag([0, 1], {0: [1]}),
+        lambda: ForwardDag.from_order([0, 1], {0: [1], 1: []}),
+    ],
+    ids=["kahn", "order"],
+)
+@pytest.mark.parametrize("query, missing", [((0, 5), 5), ((7, 1), 7), ((7, 5), 7)])
+def test_reaches_names_a_vertex_outside_the_dag(build, query, missing):
+    """A ValueError that names the vertex, not a bare KeyError."""
+    dag = build()
+    with pytest.raises(ValueError) as info:
+        dag.reaches(*query)
+    assert info.type is ValueError
+    assert str(info.value) == f"vertex {missing} not in the DAG"
+
+
 def test_deterministic_output():
     dag = dag_of([(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)], 6)
     first = two_disjoint_paths(dag, (0, 5), (1, 4))

@@ -21,6 +21,7 @@ from conftest import (
     fresh_distances,
     relabelled,
     skip_edge_graph,
+    sum_rule_off,
 )
 from nextpath import graph
 from nextpath import (
@@ -41,13 +42,7 @@ from nextpath import (
     straighten,
     validate_path,
 )
-from nextpath.graph import (
-    MAX_ACCUMULATOR,
-    DistanceTable,
-    dijkstra,
-    edge_slack,
-    straightness_violations,
-)
+from nextpath.graph import MAX_ACCUMULATOR, dijkstra, edge_slack
 from nextpath.oracle import simple_paths
 from nextpath.solver import _LayeredSearch
 
@@ -447,15 +442,16 @@ def table_graphs(draw):
 
 
 def _check_own_table(g):
-    """g's `distances` match a fresh Dijkstra each way, and took one Dijkstra
-    when g is straight, two otherwise."""
+    """g's `distances` match a fresh Dijkstra each way, its `off` the
+    distance-sum rule over those, and it took one Dijkstra when g is
+    straight, two otherwise."""
     from_s, to_t = fresh_distances(g)
-    straight = not straightness_violations(g, DistanceTable(from_s, to_t))
+    off = sum_rule_off(g, from_s, to_t)
     with mock.patch.object(graph, "dijkstra", wraps=graph.dijkstra) as spy:
         d = g.distances
-    assert (dict(d.from_s), dict(d.to_t)) == (from_s, to_t)
-    assert spy.call_count == (1 if straight else 2)
-    return straight
+    assert (dict(d.from_s), dict(d.to_t), d.off) == (from_s, to_t, off)
+    assert spy.call_count == (2 if off else 1)
+    return not off
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -729,12 +725,12 @@ def test_straight_and_layered_examples():
     assert is_layered(path_graph, d)
 
 
-def test_straightness_violations_lists_vertices_off_every_shortest_path():
+def test_distance_table_off_lists_vertices_off_every_shortest_path():
     # 1 lies only on a longer path, 3 is cut off from s, 4 cannot reach t
     g = build_graph(5, {(0, 1): 2, (1, 2): 1, (0, 2): 2, (3, 2): 1, (0, 4): 1}, s=0, t=2)
-    assert straightness_violations(g, shortest_distances(g)) == [1, 3, 4]
+    assert shortest_distances(g).off == (1, 3, 4)
     no_route = build_graph(3, {(1, 0): 1}, s=0, t=2)
-    assert straightness_violations(no_route, shortest_distances(no_route)) == [0, 1, 2]
+    assert shortest_distances(no_route).off == (0, 1, 2)
 
 
 def test_layered_rejects_skipping_edge():

@@ -14,6 +14,7 @@ from conftest import (
     floyd_warshall,
     fresh_distances,
     skip_edge_graph,
+    sum_rule_off,
     violation_count,
 )
 from nextpath import (
@@ -37,7 +38,7 @@ from nextpath import (
     validate_path,
 )
 from nextpath import reduction
-from nextpath.graph import layering_violations, straightness_violations
+from nextpath.graph import layering_violations
 from nextpath.oracle import simple_paths
 
 
@@ -338,7 +339,7 @@ def test_trace_replay_reproduces_reduced_graphs():
         g_s, tr_s = straighten(g)
         # one overlay step eliminates every non-straight vertex; those cut
         # off from s or t add no shortcut and no candidate
-        off = straightness_violations(g, d0)
+        off = sum_rule_off(g, d0.from_s, d0.to_t)
         assert [step.vertices for step in tr_s.steps] == [frozenset(off)] * bool(off)
         inner = [u for u in off if d0.from_s[u] is not None and d0.to_t[u] is not None]
         cut_off += len(off) > len(inner)
@@ -411,7 +412,8 @@ def test_trace_replay_reproduces_reduced_graphs_on_drawn_inputs(skip_edges, seed
 @given(st.booleans(), st.integers(0, 10**6))
 def test_reductions_hand_on_their_inputs_distances(skip_edges, seed):
     """The table each reduction stores on the graph it returns equals a
-    fresh Dijkstra on that graph's vertices and edges; a reduction that
+    fresh Dijkstra on that graph's vertices and edges, and its empty `off`
+    the one of a copy rebuilt through the constructor; a reduction that
     changes nothing returns its input."""
     g = skip_edge_graph(seed) if skip_edges else random_digraph(6 + seed % 8, 0.35, 4, seed)
     if shortest_distances(g).from_s[g.t] is None:
@@ -422,6 +424,7 @@ def test_reductions_hand_on_their_inputs_distances(skip_edges, seed):
         assert (out is host) == (not trace.steps)
         assert "distances" in out.__dict__
         assert (dict(out.distances.from_s), dict(out.distances.to_t)) == fresh_distances(out)
+        assert out.distances.off == () == out.replace().distances.off
     # layerize hands its input's layering on, too: the same as a fresh pass.
     assert "layering" in g_l.__dict__
     assert g_l.layering == g_l.replace().layering
@@ -447,7 +450,7 @@ def test_each_reduction_computes_distances_once(monkeypatch):
     assert calls == {"shortest_distances": 1}
     d = shortest_distances(g)
     [step] = tr_s.steps
-    assert step.vertices == frozenset(straightness_violations(g, d))
+    assert step.vertices == frozenset(sum_rule_off(g, d.from_s, d.to_t))
     # the record holds vertices cut off from s or t as well as shortcuts
     assert None in {d.from_s[u] for u in step.vertices} | {d.to_t[u] for u in step.vertices}
     assert step.shortcut_edges

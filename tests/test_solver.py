@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 import time
 from collections import Counter
 
@@ -418,9 +419,11 @@ def test_solver_rejects_non_layered_input(extra, violations):
 
 
 def test_a_graph_that_is_not_straight_gets_the_layered_message(monkeypatch):
-    """The search's input check reads the graph's `layering`, which scans
-    straightness once and raises on a graph that is not straight; the search
-    restates that error in its own words."""
+    """The search's input check reads the graph's `layering`, which raises
+    on a graph whose table lists a vertex off every shortest path; the
+    search restates that error in its own words. On a fresh graph the
+    set-up runs the one straightness sweep, inside `distances`, and no
+    other straightness pass."""
     edges = {e: x for e, x in PARALLEL_CHAINS.items() if e != (4, 1)}
     bent = build_graph(6, {**edges, (0, 5): 2}, s=0, t=5)
     assert not is_straight(bent, shortest_distances(bent))
@@ -429,16 +432,18 @@ def test_a_graph_that_is_not_straight_gets_the_layered_message(monkeypatch):
     assert str(caught.value) == "graph is not (s,t)-layered"
     # A copy, so that the generator's own layering check is not cached.
     g = layered_digraph(5, 3, 4, 1).replace()
-    scans = []
-    violations = nextpath.graph.straightness_violations
+    callers = []
+    sweep = nextpath.graph._off_slots
 
-    def counting(g, d):
-        scans.append(g)
-        return violations(g, d)
+    def counting(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return sweep(*args)
 
-    monkeypatch.setattr(nextpath.graph, "straightness_violations", counting)
+    monkeypatch.setattr(nextpath.graph, "_off_slots", counting)
     _LayeredSearch(g)
-    assert scans == [g]
+    assert callers == ["distances"]
+    _LayeredSearch(g)
+    assert callers == ["distances"]
 
 
 def test_solver_takes_a_layer_skipping_forward_edge():
