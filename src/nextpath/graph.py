@@ -7,12 +7,14 @@ Graphs are immutable after construction and safe to share.
 """
 from __future__ import annotations
 
+import bisect
 import decimal
 import heapq
 import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -54,10 +56,12 @@ class WeightedDigraph:
     add one, so the surviving ids stay stable. `scale` is the power of ten
     by which the original decimal weights were multiplied; it only matters
     when formatting output.
-    `edges` is a read-only view of a private copy of the map passed in, so
-    the cached `index` can never go stale. The hot paths keep per-vertex
-    state in lists by the slots of `index`; every public function takes and
-    returns vertex ids.
+    `edges` is a read-only view, so neither it nor the cached `index` can
+    go stale: a view of a private copy of the map passed in or, for a graph
+    parsed from edge lines in (u, v) order, of a map derived from `index` on
+    first read, in (u, v) order (see `_edge_list`). The hot paths keep
+    per-vertex state in lists by the slots of `index`, and read no `edges`;
+    every public function takes and returns vertex ids.
     """
 
     vertices: frozenset[int]
@@ -86,13 +90,14 @@ class WeightedDigraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        edges = self.__dict__.get("edges")  # not derived just to be counted
+        return len(edges) if edges is not None else sum(map(len, self.index.out))
 
     @cached_property
     def index(self) -> "VertexIndex":
         """The vertices by rank and both adjacencies by slot (see
-        `VertexIndex`), built in one pass over the edges; read-only, so
-        shared."""
+        `VertexIndex`), built in one pass over the edges, or by the parser
+        (see `_edge_list`); read-only, so shared."""
         ids = tuple(sorted(self.vertices))
         slot = dict(zip(ids, range(len(ids))))
         out: list[list[tuple[int, int]]] = [[] for _ in ids]
@@ -178,6 +183,20 @@ class WeightedDigraph:
             t=self.t,
             scale=self.scale,
         )
+
+
+def _edge_map(ix: VertexIndex) -> dict[Edge, int]:
+    """A new map from each edge of `ix` to its weight, in (u, v) order."""
+    ids = ix.ids
+    return {(u, ids[j]): w for u, row in zip(ids, ix.out) for j, w in row}
+
+
+# Installed after `@dataclass` has run, so that `edges` stays a required
+# field. A cached_property has no `__set__`, so a graph's own `edges`, set
+# by `__init__`, shadows it; only a graph built with its `index` and no
+# `edges` (see `_edge_list`) derives it, once.
+WeightedDigraph.edges = cached_property(lambda g: MappingProxyType(_edge_map(g.index)))
+WeightedDigraph.edges.__set_name__(WeightedDigraph, "edges")
 
 
 @dataclass(frozen=True)
@@ -413,13 +432,25 @@ def edge_slack(d: DistanceTable, u: int, v: int, w: int) -> int | None:
 
 def path_weight(g: WeightedDigraph, path: Path) -> int:
     """Exact weight of a walk; raises InvalidPathError on a missing edge."""
-    total = 0
+    return sum(_edge_weights(g, path))
+
+
+def _edge_weights(g: WeightedDigraph, path: Path) -> list[int]:
+    """The weights of a walk's edges in walk order, each found by bisection
+    in its tail's `index` row, which is in head order; raises
+    InvalidPathError on a missing edge."""
+    slot, out = g.index.slot, g.index.out
+    weights = []
     for u, v in zip(path, path[1:]):
-        try:
-            total += g.edges[(u, v)]
-        except KeyError:
-            raise InvalidPathError(f"missing edge ({u}, {v})") from None
-    return total
+        i, j = slot.get(u), slot.get(v)
+        if i is not None and j is not None:
+            row = out[i]
+            k = bisect.bisect_left(row, (j,))
+            if k < len(row) and row[k][0] == j:
+                weights.append(row[k][1])
+                continue
+        raise InvalidPathError(f"missing edge ({u}, {v})")
+    return weights
 
 
 def validate_path(g: WeightedDigraph, path: Path) -> PathCheck:
@@ -433,10 +464,12 @@ def validate_path(g: WeightedDigraph, path: Path) -> PathCheck:
     for u in path:
         if u not in g.vertices:
             raise InvalidPathError(f"unknown vertex {u}")
-    weight = path_weight(g, path)
+    weights = _edge_weights(g, path)
     d = g.distances
-    uses_back = any(edge_slack(d, u, v, g.edges[(u, v)]) for u, v in zip(path, path[1:]))
-    return PathCheck(simple=len(set(path)) == len(path), weight=weight, uses_back_edge=uses_back)
+    uses_back = any(map(edge_slack, repeat(d), path, path[1:], weights))
+    return PathCheck(
+        simple=len(set(path)) == len(path), weight=sum(weights), uses_back_edge=uses_back
+    )
 
 
 def is_straight(g: WeightedDigraph, d: DistanceTable) -> bool:
@@ -595,21 +628,31 @@ def _edge_list(
 ) -> WeightedDigraph:
     """The graph of a checked header and edge columns, edge k from line
     `lines[k]` with scaled weight `ws[k]`. Raises, in order, a wrong edge
-    count, the first duplicate edge, an overflow at the first largest weight."""
+    count, the first duplicate edge, an overflow at the first largest weight.
+
+    Edges listed in strictly increasing (u, v) order, as `serialize_graph`
+    writes them, can hold no duplicate: the graph gets its `index` from
+    the columns (`_index_in_order`), and `edges` is derived from it on
+    first read. Any other list builds the `edges` map, and `index` is
+    built from it on first read."""
     if len(ws) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(ws)}")
-    edges = dict(zip(zip(us, vs), ws))
-    if len(edges) != m:
-        seen: set[Edge] = set()
-        for edge, lineno in zip(zip(us, vs), lines):
-            if edge in seen:
-                raise GraphFormatError(f"duplicate edge {edge}", lineno)
-            seen.add(edge)
+    pairs = list(zip(us, vs))
+    in_order = all(map(operator.lt, pairs, islice(pairs, 1, None)))
+    if not in_order:
+        edges = dict(zip(pairs, ws))
+        if len(edges) != m:
+            seen: set[Edge] = set()
+            for edge, lineno in zip(pairs, lines):
+                if edge in seen:
+                    raise GraphFormatError(f"duplicate edge {edge}", lineno)
+                seen.add(edge)
     top = max(ws, default=0)
     if n * top > MAX_ACCUMULATOR:
         raise GraphFormatError("weight overflow after scaling", lines[ws.index(top)])
     # Built without `WeightedDigraph.__post_init__`, whose work is done:
-    # - `edges` is made here and shared with no one, so it needs no copy;
+    # - `edges` or `index` is made here and shared with no one, so it needs
+    #   no copy;
     # - s != t: `_parse_plain`'s `s != t`, `_parse_lines`' "source and sink
     #   must differ";
     # - s and t are vertices: `s < n and t < n` (the plain regex admits no
@@ -621,10 +664,29 @@ def _edge_list(
     # - positive weights: `min(ws) > 0`, "non-positive weight" (a scaled
     #   weight is positive when its digits are not all zero).
     g = object.__new__(WeightedDigraph)
-    g.__dict__.update(
-        vertices=frozenset(range(n)), edges=MappingProxyType(edges), s=s, t=t, scale=scale
-    )
+    g.__dict__.update(vertices=frozenset(range(n)), s=s, t=t, scale=scale)
+    if in_order:
+        g.__dict__["index"] = _index_in_order(n, us, vs, ws)
+    else:
+        g.__dict__["edges"] = MappingProxyType(edges)
     return g
+
+
+def _index_in_order(n: int, us: list[int], vs: list[int], ws: list[int]) -> VertexIndex:
+    """The `index` of the graph on the ids 0..n-1 whose edge k is (us[k],
+    vs[k]) with weight ws[k], the edges in strictly increasing (u, v)
+    order. Slot and id agree, and bucketing the edges in list order leaves
+    each `out` row in head order and each `into` row in tail order, so no
+    row needs a sort."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, w in zip(us, vs, ws):
+        out[u].append((v, w))
+        into[v].append((u, w))
+    ids = tuple(range(n))
+    return VertexIndex(
+        ids, MappingProxyType(dict(zip(ids, ids))), tuple(map(tuple, out)), tuple(map(tuple, into))
+    )
 
 
 def format_weight(w: int, scale: int) -> str:

@@ -53,15 +53,18 @@ def solve_detailed(g: WeightedDigraph) -> PipelineResult:
     g_l, tr_l = layerize(g_s)
     layered_sol = solve_layered(g_l)
 
+    def lifted(path: Path, weight: int) -> tuple[Path, int]:
+        """A path of g_s and its weight there, lifted to g. A path that the
+        lift leaves as it was uses no shortcut, so it weighs the same in g."""
+        out = lift_path(tr_s, path)
+        return out, weight if out == path else path_weight(g, out)
+
     pool: list[tuple[Path, int]] = list(tr_s.candidates)
-    for p, _w in tr_l.candidates:
-        lifted = lift_path(tr_s, p)
-        pool.append((lifted, path_weight(g, lifted)))
+    pool += (lifted(p, w) for p, w in tr_l.candidates)
     if layered_sol.found:
         # Removing back-edges keeps every vertex and the surviving edges'
         # weights, so the layered answer is already a path of g_s.
-        lifted = lift_path(tr_s, layered_sol.path)
-        pool.append((lifted, path_weight(g, lifted)))
+        pool.append(lifted(layered_sol.path, layered_sol.weight))
 
     if not pool:
         outcome = SolveOutcome.none()

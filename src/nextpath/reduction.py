@@ -28,6 +28,7 @@ from .graph import (
     Path,
     VertexIndex,
     WeightedDigraph,
+    _edge_map,
     _seed_distances,
     dijkstra,
     parent_path,
@@ -207,12 +208,13 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     reduced graph can no longer represent it. It is simple: the tree paths
     hold survivors only and lie on either side of the tight edge.
 
-    The input's distance table is read once. Removing vertices off every
-    shortest path keeps d(s,.) and d(.,t) of each survivor, so the returned
-    graph's table is the input's, restricted to the survivors, and is
-    handed on rather than computed again. The result is the same graph as
-    eliminating the vertices one at a time, which is Gaussian elimination in
-    the (min,+) semiring.
+    The input's distance table is read once, and weighs each candidate:
+    d(s,x) + detour + d(y,t). Removing vertices off every shortest path
+    keeps d(s,.) and d(.,t) of each survivor, so the returned graph's table
+    is the input's, restricted to the survivors, and is handed on rather
+    than computed again. The result is the same graph as eliminating the
+    vertices one at a time, which is Gaussian elimination in the (min,+)
+    semiring.
     """
     d = shortest_distances(g)
     from_s, to_t, off = d.from_s, d.to_t, d.off
@@ -223,12 +225,16 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     if not off:
         return g, trace
     gone = frozenset(off)
-    edges = {e: w for e, w in g.edges.items() if gone.isdisjoint(e)}
-    # The overlay, by slot: each inner vertex keeps its out-edges, and each
-    # survivor has none but, in its own Dijkstra, its edges into the inner set.
     ix = g.index
     ids = ix.ids
     left = frozenset(map(ix.slot.__getitem__, off))
+    edges = {
+        (ids[i], ids[j]): w
+        for i, row in enumerate(ix.out) if i not in left
+        for j, w in row if j not in left
+    }
+    # The overlay, by slot: each inner vertex keeps its out-edges, and each
+    # survivor has none but, in its own Dijkstra, its edges into the inner set.
     overlay: list[Sequence[tuple[int, int]]] = [()] * len(ids)
     into: dict[int, list[tuple[int, int]]] = {}
     for u in off:
@@ -256,8 +262,7 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
                 shortcuts[(x, y)] = tuple(map(ids.__getitem__, parent_path(parent, i, j)[1:-1]))
             elif old < detour and from_s[x] + old + to_t[y] == dst:
                 mid = tuple(map(ids.__getitem__, parent_path(parent, i, j)[1:-1]))
-                candidate = tree_path(x, mid, y)
-                trace.candidates.append((candidate, path_weight(g, candidate)))
+                trace.candidates.append((tree_path(x, mid, y), from_s[x] + detour + to_t[y]))
     trace.steps.append(EliminationRecord(gone, shortcuts))
     out = g.replace(vertices=g.vertices - gone, edges=edges)
     return _seed_distances(out, d), trace
@@ -275,25 +280,25 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     strictly up a layer, and the search takes an edge that spans several
     layers whole.
 
-    The input's distance table and layering are read once and the removals
-    edit one copy of the edge map. A removed back-edge is never tight, so
-    every distance stays, and no layer and no other edge's kind changes:
-    the returned graph carries the input's table and layering (with no
-    `against` edges), handed on rather than computed again. The trees the
-    candidates follow do not change either, so the candidates need no
-    lifting.
+    The input's distance table and layering are read once; the table weighs
+    each candidate, d(s,u) + w(u,v) + d(v,t), and the removals edit one
+    copy of the edge map, read off the input's index. A removed back-edge
+    is never tight, so every distance stays, and no layer and no other
+    edge's kind changes: the returned graph carries the input's table and
+    layering (with no `against` edges), handed on rather than computed
+    again. The trees the candidates follow do not change either, so the
+    candidates need no lifting.
     """
     d = shortest_distances(g)
     layering = g.layering
     trace = ReductionTrace()
     if not layering.against:
         return g, trace
-    edges = dict(g.edges)
+    edges = _edge_map(g.index)
     tree_path = _tree_paths(g, d)
     for u, v in layering.against:
-        candidate = tree_path(u, (), v)
-        trace.candidates.append((candidate, path_weight(g, candidate)))
-        del edges[(u, v)]
+        w = edges.pop((u, v))
+        trace.candidates.append((tree_path(u, (), v), d.from_s[u] + w + d.to_t[v]))
         trace.steps.append(BackEdgeRemoval((u, v)))
     out = g.replace(edges=edges)
     return _seed_distances(out, d, replace(layering, against=())), trace

@@ -116,16 +116,26 @@ _HUGE = "9" * 5000
             f"# a comment\n2 1 0 1\n\n0 1 {_HUGE}.5  # heavy\n", 4, "weight overflow",
             id="huge-commented",
         ),
+        # Edge lines in (u, v) order, but for the one that repeats or fails.
+        ("3 3 0 2\n0 1 1\n0 1 2\n1 2 1\n", 3, "duplicate edge (0, 1)"),
+        ("3 3 0 2\n0 1 9999999999999999999\n1 2 1\n1 2 1\n", 4, "duplicate edge (1, 2)"),
+        ("3 2 0 2\n0 1 1\n1 2 9999999999999999999\n", 3, "weight overflow"),
+        ("3 3 0 2\n0 1 9999999999999999999\n0 2 1\n1 2 9999999999999999999\n", 2, "overflow"),
+        ("3 2 0 2\n0 1 1\n1 3 1\n", 3, "vertex id out of range 0..2"),
+        ("3 3 0 2\n0 1 1\n1 1 1\n1 2 1\n1 2 1\n", 3, "self-loop at vertex 1"),
     ],
 )
 def test_parse_error_precedence(text, line, fragment):
     """A malformed line beats the edge count, which beats a duplicate, which
     beats an overflow; an overflow names the first line with the largest
-    scaled weight, however many digits it has."""
-    with pytest.raises(GraphFormatError) as err:
-        parse_graph(text)
-    assert err.value.line == line
-    assert fragment in str(err.value)
+    scaled weight, however many digits it has. Edge lines in (u, v) order
+    raise the same. A trailing comment, which sends a plain text line by
+    line, moves no line number."""
+    for variant in (text, text + "# end\n"):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(variant)
+        assert err.value.line == line
+        assert fragment in str(err.value)
 
 
 def test_parse_reads_minus_zero_as_zero():
@@ -281,7 +291,7 @@ def assert_built_as_public(g):
     the public constructor builds from its fields, in every derived view."""
     public = WeightedDigraph(g.vertices, dict(g.edges), g.s, g.t, g.scale)
     assert isinstance(g.edges, MappingProxyType)
-    assert g == public and g.edges == public.edges
+    assert g == public and g.edges == public.edges and repr(g) == repr(public)
     assert g.index == public.index
     assert g.distances == public.distances
     if is_straight(g, g.distances):
@@ -326,6 +336,57 @@ def test_parsed_graphs_equal_publicly_built_ones(monkeypatch, workload):
         assert_built_as_public(g)
 
 
+# The four renderings of an edge list: the first two are plain and read in
+# one pass, the last two go line by line; "shuffled" and "CR LF with
+# comments" list the edges out of (u, v) order.
+_RENDERINGS = ("sorted", "shuffled", "CR LF with comments", "decimal")
+
+
+@st.composite
+def rendered_graphs(draw):
+    """A generated graph on the ids 0..n-1 and one rendering of its edge
+    list; (graph, text). A "decimal" graph has every weight w replaced by
+    w + 0.25, which scales to 100 w + 25 at scale 2 (0 with no edge)."""
+    kind = draw(st.sampled_from(["layered", "bead", "random", "relabelled"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "layered":
+        layers = draw(st.integers(2, 8))
+        g = layered_digraph(layers, draw(st.integers(1, 4)), draw(st.integers(0, layers - 1)), seed)
+    elif kind == "bead":
+        g = bead_graph(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(0, 3)), seed)
+    else:
+        g = random_digraph(draw(st.integers(2, 12)), draw(st.sampled_from([0.1, 0.3, 0.5])), 5, seed)
+        if kind == "relabelled":
+            g = relabelled(g, seed)
+    rendering = draw(st.sampled_from(_RENDERINGS))
+    if rendering == "decimal":
+        edges = {e: 100 * w + 25 for e, w in g.edges.items()}
+        g = WeightedDigraph(g.vertices, edges, g.s, g.t, 2 if edges else 0)
+    header, *lines = serialize_graph(g).splitlines()
+    if rendering in ("shuffled", "CR LF with comments"):
+        lines = draw(st.permutations(lines))
+    if rendering == "CR LF with comments":
+        return g, "".join(f"{x}  # a comment\r\n" for x in ["# first", header, *lines])
+    return g, "".join(f"{x}\n" for x in [header, *lines])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(rendered_graphs())
+def test_parsed_graphs_equal_publicly_built_ones_in_every_rendering(drawn):
+    """Edge lines in (u, v) order give the graph its `index` at parse time
+    and no `edges`, which it derives on first read; edge lines in any other
+    order give it `edges`, and `index` is built on first read. Either way
+    the graph is the one the public constructor builds."""
+    public, text = drawn
+    g = parse_graph(text)
+    rows = [x.partition("#")[0].split() for x in text.splitlines()]
+    edge_lines = [(int(r[0]), int(r[1])) for r in rows if r][1:]
+    in_order = edge_lines == sorted(set(edge_lines))
+    assert ("index" in vars(g), "edges" in vars(g)) == (in_order, not in_order)
+    assert g == public and list(g.edges) == edge_lines
+    assert_built_as_public(g)
+
+
 def test_format_weight():
     assert format_weight(2, 0) == "2"
     assert format_weight(25, 1) == "2.5"
@@ -361,6 +422,21 @@ def test_edges_are_read_only():
     assert g.index.out is adj
     assert adj == (((1, 1),), ((2, 1),), ())
     assert g.replace(edges=g.edges) == g
+
+
+def test_a_graph_parsed_in_order_derives_its_edges_once():
+    """The parse builds the index of edge lines in (u, v) order, and no
+    `edges`; counting the edges does not derive them, and the first read
+    does, once, as a read-only view in (u, v) order. The class defines no
+    `__getattr__`, which would slow every attribute read on a graph."""
+    g = parse_graph("3 3 0 2\n0 1 1\n0 2 1\n1 2 1\n")
+    assert g.edge_count == 3 and "edges" not in vars(g)
+    edges = g.edges
+    assert isinstance(edges, MappingProxyType) and g.edges is edges
+    assert list(edges.items()) == [((0, 1), 1), ((0, 2), 1), ((1, 2), 1)]
+    with pytest.raises(TypeError):
+        edges[(1, 0)] = 1
+    assert "__getattr__" not in vars(WeightedDigraph)
 
 
 def test_adjacencies_are_read_only():

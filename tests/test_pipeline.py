@@ -30,7 +30,9 @@ from nextpath import (
     solve_detailed,
     validate_path,
 )
-from nextpath.graph import dijkstra
+from nextpath import pipeline
+from nextpath.graph import dijkstra, path_weight
+from nextpath.reduction import lift_path
 
 
 def test_triangle_answer():
@@ -154,6 +156,56 @@ def test_solve_computes_one_distance_table(monkeypatch, make, reduced):
     result = solve_detailed(g)
     assert (bool(result.straighten_trace.steps), bool(result.layerize_trace.steps)) == reduced
     assert len(computed) == 1 and computed[0] is g
+
+
+# Straight and layered, but for the back-edge 1 -> 2 between two vertices of
+# one layer, which `layerize` removes after recording its candidate.
+_AGAINST = "4 5 0 3\n0 1 1\n0 2 1\n1 2 1\n1 3 1\n2 3 1\n"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: random_digraph(14, 0.3, 5, 3), id="random"),
+        pytest.param(lambda: skip_edge_graph(2), id="skip-edge"),
+        pytest.param(lambda: layered_digraph(5, 3, 4, 1), id="layered"),
+        pytest.param(lambda: layered_digraph(36, 18, 200, 11), id="layered-dense"),
+        pytest.param(lambda: parse_graph(_AGAINST), id="against"),
+    ],
+)
+def test_a_parsed_graph_is_solved_from_its_index_alone(make):
+    """A graph parsed from edge lines in (u, v) order holds its `index`
+    and no `edges`; no stage of a solve reads `edges`, so a solve never
+    derives it, whatever the reductions do."""
+    g = parse_graph(serialize_graph(make()))
+    assert "index" in vars(g) and "edges" not in vars(g)
+    result = solve_detailed(g)
+    assert "edges" not in vars(g)
+    assert result.outcome == solve(WeightedDigraph(g.vertices, dict(g.edges), g.s, g.t))
+
+
+def test_the_pipeline_weighs_only_the_paths_a_lift_changes(monkeypatch):
+    """The reductions weigh their candidates off the distance table, and the
+    layered answer comes weighed; the pipeline weighs a path in g again only
+    when lifting it changed it. A path the lift leaves as it was uses no
+    shortcut, so its weight holds in g, and the final check confirms the
+    answer's."""
+    weighed = []
+    monkeypatch.setattr(
+        pipeline, "path_weight", lambda g, path: weighed.append(path) or path_weight(g, path)
+    )
+    kept = changed = 0
+    for seed in range(40):
+        weighed.clear()
+        result = solve_detailed(random_digraph(12, 0.3, 5, seed))
+        paths = [p for p, _w in result.layerize_trace.candidates]
+        if result.layered_outcome.found:
+            paths.append(result.layered_outcome.path)
+        lifts = [lift_path(result.straighten_trace, p) for p in paths]
+        assert weighed == [q for p, q in zip(paths, lifts) if q != p]
+        changed += len(weighed)
+        kept += len(paths) - len(weighed)
+    assert kept and changed
 
 
 def test_outcome_always_validates():
