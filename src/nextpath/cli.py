@@ -161,7 +161,8 @@ def _cmd_vdp(args) -> int:
 def _cmd_stats(args) -> int:
     g = _load_graph(args.graph)
     d = shortest_distances(g)
-    slacks = [edge_slack(d, u, v, w) for (u, v), w in g.edges.items()]
+    ix = g.index  # the edges, without deriving `g.edges`
+    slacks = [edge_slack(d, u, ix.ids[j], w) for u, row in zip(ix.ids, ix.out) for j, w in row]
     unclassified = slacks.count(None)
     forward = slacks.count(0)
     back = len(slacks) - unclassified - forward

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 from .graph import (
     Edge,
@@ -78,15 +80,18 @@ def layered_digraph(
                 if (u, v) not in edges and rng.random() < 0.25:
                     edges[(u, v)] = 1
 
-    # Ids grow with the layer, so this list of (later, earlier) pairs is
-    # already sorted.
-    pool = [(u, v) for tier in tiers for u in tier for v in range(tier[0])]
-    if back_edges > len(pool):
-        raise ValueError(
-            f"at most {len(pool)} back-edges fit these layer parameters"
-        )
-    for u, v in rng.sample(pool, back_edges):
-        edges[(u, v)] = rng.randint(1, back_weight_max)
+    # The (later, earlier) pairs, numbered in (u, v) order: vertex u is the
+    # tail of tier[0] of them, one per id below its layer, the first numbered
+    # offsets[u]. `sample` only indexes its population, so drawing numbers
+    # picks the pairs that drawing from the list of pairs would, with no
+    # list of a size quadratic in the vertex count.
+    offsets = list(accumulate((tier[0] for tier in tiers for _ in tier), initial=0))
+    total = offsets[-1]
+    if back_edges > total:
+        raise ValueError(f"at most {total} back-edges fit these layer parameters")
+    for k in rng.sample(range(total), back_edges):
+        u = bisect_right(offsets, k) - 1
+        edges[(u, k - offsets[u])] = rng.randint(1, back_weight_max)
 
     g = WeightedDigraph(frozenset(range(n)), edges, 0, n - 1)
     if not is_layered(g, shortest_distances(g)):

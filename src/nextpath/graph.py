@@ -409,12 +409,15 @@ def _seed_distances(
     and, when given, its cached `layering` set to `layering`, so that
     neither a Dijkstra nor an edge pass runs for it. The caller vouches that
     these are g's own and g is straight (empty `off`); only a reduction that
-    keeps them and returns a straight graph may call it."""
-    g.__dict__["distances"] = DistanceTable(
-        from_s=MappingProxyType({u: d.from_s[u] for u in g.vertices}),
-        to_t=MappingProxyType({u: d.to_t[u] for u in g.vertices}),
-        off=(),
-    )
+    keeps them and returns a straight graph may call it. A `d` over g's
+    vertex set exactly is handed on as it is."""
+    if len(d.from_s) != len(g.vertices):
+        d = DistanceTable(
+            from_s=MappingProxyType({u: d.from_s[u] for u in g.vertices}),
+            to_t=MappingProxyType({u: d.to_t[u] for u in g.vertices}),
+            off=(),
+        )
+    g.__dict__["distances"] = d
     if layering is not None:
         g.__dict__["layering"] = layering
     return g
@@ -699,10 +702,14 @@ def format_weight(w: int, scale: int) -> str:
 
 
 def serialize_graph(g: WeightedDigraph) -> str:
-    """Exact inverse of parse_graph (edges sorted by endpoint ids)."""
+    """Exact inverse of parse_graph (edges sorted by endpoint ids). The
+    lines are read off the `index` rows: with ids 0..n-1 a slot is its id,
+    and the rows, in head order, list the edges in (u, v) order."""
     if g.vertices != frozenset(range(g.vertex_count)):
         raise ValueError("only graphs with contiguous vertex ids serialize")
+    scale = g.scale
     out = [f"{g.vertex_count} {g.edge_count} {g.s} {g.t}"]
-    for (u, v) in sorted(g.edges):
-        out.append(f"{u} {v} {format_weight(g.edges[(u, v)], g.scale)}")
+    for u, row in enumerate(g.index.out):
+        for v, w in row:
+            out.append(f"{u} {v} {format_weight(w, scale)}")
     return "\n".join(out) + "\n"

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 from conftest import TRIANGLE
+import nextpath
 import nextpath.cli
 from nextpath import InternalInvariantError, TraceError
 from nextpath.cli import main
+from nextpath.graph import edge_slack
 
 PARALLEL_CHAINS_TEXT = "6 7 0 5\n0 1 1\n1 2 1\n2 5 1\n0 3 1\n3 4 1\n4 5 1\n4 1 1\n"
 
@@ -361,6 +363,28 @@ def test_stats_counts_edges_with_an_unreachable_tail_as_unclassified(capsys, tmp
     assert lines["back-edges"] == "1" and lines["forward-edges"] == "2"
     assert lines["unclassified-edges"] == "1"
     assert lines["straight"] == "no"
+
+
+def test_stats_classifies_edges_from_the_index(capsys, monkeypatch, tmp_path):
+    """`stats` reads a graph parsed in (u, v) order off its `index` rows and
+    never derives its `edges`; the counts are those of the edge map."""
+    f = tmp_path / "layered.txt"
+    f.write_text(nextpath.serialize_graph(nextpath.layered_digraph(6, 3, 8, 2)))
+    loaded = []
+
+    def load(path, parse=nextpath.cli._load_graph):
+        loaded.append(parse(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(nextpath.cli, "_load_graph", load)
+    code, out, _ = run(capsys, "stats", str(f))
+    [g] = loaded
+    assert code == 0 and "index" in vars(g) and "edges" not in vars(g)
+    lines = dict(line.split(": ") for line in out.splitlines())
+    d = nextpath.shortest_distances(g)
+    slacks = [edge_slack(d, u, v, w) for (u, v), w in dict(g.edges).items()]
+    assert (lines["back-edges"], lines["forward-edges"]) == ("8", str(slacks.count(0)))
+    assert int(lines["edges"]) == len(slacks) == slacks.count(0) + 8
 
 
 def test_dump_trace_goes_to_stderr(capsys, triangle_file):

@@ -425,6 +425,10 @@ def test_reductions_hand_on_their_inputs_distances(skip_edges, seed):
         assert "distances" in out.__dict__
         assert (dict(out.distances.from_s), dict(out.distances.to_t)) == fresh_distances(out)
         assert out.distances.off == () == out.replace().distances.off
+    # straighten drops vertices and restricts the table to the survivors;
+    # layerize keeps every vertex, so it hands its input's table on as it is.
+    assert (g_s.distances is g.distances) == (not tr_s.steps)
+    assert g_l.distances is g_s.distances
     # layerize hands its input's layering on, too: the same as a fresh pass.
     assert "layering" in g_l.__dict__
     assert g_l.layering == g_l.replace().layering
