@@ -161,7 +161,7 @@ def _cmd_vdp(args) -> int:
 def _cmd_stats(args) -> int:
     g = _load_graph(args.graph)
     d = shortest_distances(g)
-    ix = g.index  # the edges, without deriving `g.edges`
+    ix = g.index  # the edges as stored; reading `g.edges` would derive a map
     slacks = [edge_slack(d, u, ix.ids[j], w) for u, row in zip(ix.ids, ix.out) for j, w in row]
     unclassified = slacks.count(None)
     forward = slacks.count(0)

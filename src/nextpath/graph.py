@@ -56,10 +56,10 @@ class WeightedDigraph:
     add one, so the surviving ids stay stable. `scale` is the power of ten
     by which the original decimal weights were multiplied; it only matters
     when formatting output.
-    `edges` is a read-only view, so neither it nor the cached `index` can
-    go stale: a view of a private copy of the map passed in or, for a graph
-    parsed from edge lines in (u, v) order, of a map derived from `index` on
-    first read, in (u, v) order (see `_edge_list`). The hot paths keep
+    A graph stores its edges in one form, its `index` (see `VertexIndex`),
+    built at construction by `_index` and read-only, so shared. `edges` is
+    a read-only view derived from `index` on first read, in (u, v) order;
+    the map passed in is checked, then not kept. The hot paths keep
     per-vertex state in lists by the slots of `index`, and read no `edges`;
     every public function takes and returns vertex ids.
     """
@@ -71,18 +71,24 @@ class WeightedDigraph:
     scale: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
+        edges = self.__dict__.pop("edges")
         if self.s == self.t:
             raise ValueError("source and sink must differ")
         if self.s not in self.vertices or self.t not in self.vertices:
             raise ValueError("source/sink must be graph vertices")
-        for (u, v), w in self.edges.items():
+        for (u, v), w in edges.items():
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if u not in self.vertices or v not in self.vertices:
                 raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
+            # Exact ints only, so that no weight sum rounds: no float, Decimal,
+            # Fraction or bool.
+            if type(w) is not int:
+                raise ValueError(f"non-integer weight on edge ({u}, {v})")
             if w <= 0:
                 raise ValueError(f"non-positive weight on edge ({u}, {v})")
+        rows = sorted([(u, v, w) for (u, v), w in edges.items()])
+        self.__dict__["index"] = _index(sorted(self.vertices), rows)
 
     @property
     def vertex_count(self) -> int:
@@ -90,29 +96,7 @@ class WeightedDigraph:
 
     @property
     def edge_count(self) -> int:
-        edges = self.__dict__.get("edges")  # not derived just to be counted
-        return len(edges) if edges is not None else sum(map(len, self.index.out))
-
-    @cached_property
-    def index(self) -> "VertexIndex":
-        """The vertices by rank and both adjacencies by slot (see
-        `VertexIndex`), built in one pass over the edges, or by the parser
-        (see `_edge_list`); read-only, so shared."""
-        ids = tuple(sorted(self.vertices))
-        slot = dict(zip(ids, range(len(ids))))
-        out: list[list[tuple[int, int]]] = [[] for _ in ids]
-        into: list[list[tuple[int, int]]] = [[] for _ in ids]
-        for (u, v), w in self.edges.items():
-            i, j = slot[u], slot[v]
-            out[i].append((j, w))
-            into[j].append((i, w))
-        for nbrs in out:
-            nbrs.sort()
-        for nbrs in into:
-            nbrs.sort()
-        return VertexIndex(
-            ids, MappingProxyType(slot), tuple(map(tuple, out)), tuple(map(tuple, into))
-        )
+        return sum(map(len, self.index.out))
 
     @cached_property
     def distances(self) -> "DistanceTable":
@@ -185,17 +169,17 @@ class WeightedDigraph:
         )
 
 
-def _edge_map(ix: VertexIndex) -> dict[Edge, int]:
-    """A new map from each edge of `ix` to its weight, in (u, v) order."""
-    ids = ix.ids
-    return {(u, ids[j]): w for u, row in zip(ids, ix.out) for j, w in row}
+def _edges(g: WeightedDigraph) -> Mapping[Edge, int]:
+    """A read-only map from each edge of `g` to its weight, in (u, v) order."""
+    ids = g.index.ids
+    return MappingProxyType({(u, ids[j]): w for u, row in zip(ids, g.index.out) for j, w in row})
 
 
 # Installed after `@dataclass` has run, so that `edges` stays a required
-# field. A cached_property has no `__set__`, so a graph's own `edges`, set
-# by `__init__`, shadows it; only a graph built with its `index` and no
-# `edges` (see `_edge_list`) derives it, once.
-WeightedDigraph.edges = cached_property(lambda g: MappingProxyType(_edge_map(g.index)))
+# field. A cached_property has no `__set__`; `__post_init__` takes the map
+# that `__init__` set out of the graph's `__dict__`, so the first read
+# derives `edges` from `index`, once.
+WeightedDigraph.edges = cached_property(_edges)
 WeightedDigraph.edges.__set_name__(WeightedDigraph, "edges")
 
 
@@ -207,7 +191,8 @@ class VertexIndex:
 
     `slot` maps an id to its slot. `out[i]` lists slot i's out-edges as
     (head slot, weight) in head order, `into[i]` its in-edges as (tail
-    slot, weight) in tail order. Every field is read-only.
+    slot, weight) in tail order. Every field is read-only. A graph's
+    `index`, its one stored form of its edges, is built by `_index`.
     """
 
     ids: tuple[int, ...]
@@ -376,16 +361,19 @@ def shortest_path_avoiding(
     if a in blocked or b in blocked:
         raise ValueError("endpoints must not be blocked")
     ix = g.index
-    ids, sa, sb = ix.ids, ix.slot[a], ix.slot[b]
+    try:
+        sa, sb = ix.slot[a], ix.slot[b]
+    except KeyError as err:
+        raise ValueError(f"vertex {err.args[0]} not in the graph") from None
     cut: set[int] | None = None if met is None else set()
     # An id outside the graph maps to None, which blocks nothing.
     stop = set(map(ix.slot.get, blocked))
     dist, parent = dijkstra(ix.out, sa, target=sb, blocked=stop, limit=limit, met=cut)
     if cut:
-        met.update(map(ids.__getitem__, cut))
+        met.update(map(ix.ids.__getitem__, cut))
     if sb not in dist:
         return None
-    return tuple(map(ids.__getitem__, parent_path(parent, sa, sb)))
+    return tuple(map(ix.ids.__getitem__, parent_path(parent, sa, sb)))
 
 
 def parent_path(parent: Mapping[int, int], a: int, b: int) -> Path:
@@ -634,28 +622,24 @@ def _edge_list(
     count, the first duplicate edge, an overflow at the first largest weight.
 
     Edges listed in strictly increasing (u, v) order, as `serialize_graph`
-    writes them, can hold no duplicate: the graph gets its `index` from
-    the columns (`_index_in_order`), and `edges` is derived from it on
-    first read. Any other list builds the `edges` map, and `index` is
-    built from it on first read."""
+    writes them, hold no duplicate and go to `_index` as they are; any
+    other list is checked for a duplicate, then sorted once."""
     if len(ws) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(ws)}")
     pairs = list(zip(us, vs))
-    in_order = all(map(operator.lt, pairs, islice(pairs, 1, None)))
-    if not in_order:
-        edges = dict(zip(pairs, ws))
-        if len(edges) != m:
+    edges: Iterable[tuple[int, int, int]] = zip(us, vs, ws)
+    if not all(map(operator.lt, pairs, islice(pairs, 1, None))):
+        if len(set(pairs)) != m:
             seen: set[Edge] = set()
             for edge, lineno in zip(pairs, lines):
                 if edge in seen:
                     raise GraphFormatError(f"duplicate edge {edge}", lineno)
                 seen.add(edge)
+        edges = sorted(edges)
     top = max(ws, default=0)
     if n * top > MAX_ACCUMULATOR:
         raise GraphFormatError("weight overflow after scaling", lines[ws.index(top)])
-    # Built without `WeightedDigraph.__post_init__`, whose work is done:
-    # - `edges` or `index` is made here and shared with no one, so it needs
-    #   no copy;
+    # Built without `WeightedDigraph.__post_init__`, whose checks are made:
     # - s != t: `_parse_plain`'s `s != t`, `_parse_lines`' "source and sink
     #   must differ";
     # - s and t are vertices: `s < n and t < n` (the plain regex admits no
@@ -664,31 +648,38 @@ def _edge_list(
     #   vertex";
     # - every edge within the vertex set: `max(us) < n and max(vs) < n`,
     #   "vertex id out of range";
-    # - positive weights: `min(ws) > 0`, "non-positive weight" (a scaled
-    #   weight is positive when its digits are not all zero).
+    # - positive integer weights: each is int() of its digits, `min(ws) > 0`,
+    #   "non-positive weight" (positive when its digits are not all zero).
+    return _graph(frozenset(range(n)), s, t, scale, _index(range(n), edges))
+
+
+def _graph(
+    vertices: frozenset[int], s: int, t: int, scale: int, index: VertexIndex
+) -> WeightedDigraph:
+    """The graph with these fields and `index`, built without
+    `__post_init__`: the caller vouches for its checks and for `index`."""
     g = object.__new__(WeightedDigraph)
-    g.__dict__.update(vertices=frozenset(range(n)), s=s, t=t, scale=scale)
-    if in_order:
-        g.__dict__["index"] = _index_in_order(n, us, vs, ws)
-    else:
-        g.__dict__["edges"] = MappingProxyType(edges)
+    g.__dict__.update(vertices=vertices, s=s, t=t, scale=scale, index=index)
     return g
 
 
-def _index_in_order(n: int, us: list[int], vs: list[int], ws: list[int]) -> VertexIndex:
-    """The `index` of the graph on the ids 0..n-1 whose edge k is (us[k],
-    vs[k]) with weight ws[k], the edges in strictly increasing (u, v)
-    order. Slot and id agree, and bucketing the edges in list order leaves
-    each `out` row in head order and each `into` row in tail order, so no
-    row needs a sort."""
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, w in zip(us, vs, ws):
-        out[u].append((v, w))
-        into[v].append((u, w))
-    ids = tuple(range(n))
+def _index(ids: Iterable[int], edges: Iterable[tuple[int, int, int]]) -> VertexIndex:
+    """The `index` of the graph on the vertices `ids`, in id order, whose
+    edges are the (u, v, w) rows of `edges`, in strictly increasing (u, v)
+    order: the one builder of index rows. Slot order is id order, so
+    bucketing the edges in list order leaves each `out` row in head order
+    and each `into` row in tail order, and no row needs a sort."""
+    ids = tuple(ids)
+    slot = dict(zip(ids, range(len(ids))))
+    if (ids[0], ids[-1]) != (0, len(ids) - 1):  # ids other than 0..n-1: map to slots
+        edges = ((slot[u], slot[v], w) for u, v, w in edges)
+    out: list[list[tuple[int, int]]] = [[] for _ in ids]
+    into: list[list[tuple[int, int]]] = [[] for _ in ids]
+    for i, j, w in edges:
+        out[i].append((j, w))
+        into[j].append((i, w))
     return VertexIndex(
-        ids, MappingProxyType(dict(zip(ids, ids))), tuple(map(tuple, out)), tuple(map(tuple, into))
+        ids, MappingProxyType(slot), tuple(map(tuple, out)), tuple(map(tuple, into))
     )
 
 

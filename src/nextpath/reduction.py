@@ -28,7 +28,7 @@ from .graph import (
     Path,
     VertexIndex,
     WeightedDigraph,
-    _edge_map,
+    _graph,
     _seed_distances,
     dijkstra,
     parent_path,
@@ -281,8 +281,9 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     layers whole.
 
     The input's distance table and layering are read once; the table weighs
-    each candidate, d(s,u) + w(u,v) + d(v,t), and the removals edit one
-    copy of the edge map, read off the input's index. A removed back-edge
+    each candidate, d(s,u) + w(u,v) + d(v,t). The removals drop each edge
+    from its tail's `out` row and its head's `into` row of the input's
+    index; the returned index shares every other row. A removed back-edge
     is never tight, so every distance stays, and no layer and no other
     edge's kind changes: the returned graph carries the input's table and
     layering (with no `against` edges), handed on rather than computed
@@ -294,11 +295,16 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     trace = ReductionTrace()
     if not layering.against:
         return g, trace
-    edges = _edge_map(g.index)
+    ix = g.index
+    out, into = list(ix.out), list(ix.into)
     tree_path = _tree_paths(g, d)
     for u, v in layering.against:
-        w = edges.pop((u, v))
+        i, j = ix.slot[u], ix.slot[v]
+        w = dict(out[i])[j]
+        out[i] = tuple(pair for pair in out[i] if pair[0] != j)
+        into[j] = tuple(pair for pair in into[j] if pair[0] != i)
         trace.candidates.append((tree_path(u, (), v), d.from_s[u] + w + d.to_t[v]))
         trace.steps.append(BackEdgeRemoval((u, v)))
-    out = g.replace(edges=edges)
-    return _seed_distances(out, d, replace(layering, against=())), trace
+    index = VertexIndex(ix.ids, ix.slot, tuple(out), tuple(into))
+    g_l = _graph(g.vertices, g.s, g.t, g.scale, index)
+    return _seed_distances(g_l, d, replace(layering, against=())), trace

@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import random
+from types import MappingProxyType
 
 from nextpath import WeightedDigraph, layered_digraph, shortest_distances
-from nextpath.graph import dijkstra, edge_slack, layering_violations
+from nextpath.graph import VertexIndex, dijkstra, edge_slack, layering_violations
 
 
 def build_graph(n, edges, s=0, t=None, scale=0):
@@ -119,6 +120,22 @@ def fresh_distances(g):
     return (
         {u: from_s.get(i) for i, u in enumerate(ix.ids)},
         {u: to_t.get(i) for i, u in enumerate(ix.ids)},
+    )
+
+
+def sorted_rows_index(vertices, edges):
+    """The `VertexIndex` of a graph on `vertices` with the {(u, v): w} map
+    `edges`, built from the map in its own order, with a sort per row: the
+    reference for `graph._index`, which sorts no row."""
+    ids = tuple(sorted(vertices))
+    slot = {u: i for i, u in enumerate(ids)}
+    out, into = [[] for _ in ids], [[] for _ in ids]
+    for (u, v), w in edges.items():
+        out[slot[u]].append((slot[v], w))
+        into[slot[v]].append((slot[u], w))
+    return VertexIndex(
+        ids, MappingProxyType(slot), tuple(tuple(sorted(r)) for r in out),
+        tuple(tuple(sorted(r)) for r in into),
     )
 
 

@@ -366,8 +366,8 @@ def test_stats_counts_edges_with_an_unreachable_tail_as_unclassified(capsys, tmp
 
 
 def test_stats_classifies_edges_from_the_index(capsys, monkeypatch, tmp_path):
-    """`stats` reads a graph parsed in (u, v) order off its `index` rows and
-    never derives its `edges`; the counts are those of the edge map."""
+    """`stats` reads a parsed graph off its `index` rows and never derives
+    its `edges`; the counts are those of the edge map."""
     f = tmp_path / "layered.txt"
     f.write_text(nextpath.serialize_graph(nextpath.layered_digraph(6, 3, 8, 2)))
     loaded = []

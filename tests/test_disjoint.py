@@ -24,6 +24,7 @@ from nextpath import (
     SharedTerminalError,
     layered_digraph,
     shortest_distances,
+    shortest_path_avoiding,
     two_disjoint_paths,
 )
 from nextpath.graph import edge_slack
@@ -138,6 +139,16 @@ def test_reaches_names_a_vertex_outside_the_dag(build, query, missing):
         dag.reaches(*query)
     assert info.type is ValueError
     assert str(info.value) == f"vertex {missing} not in the DAG"
+
+
+@pytest.mark.parametrize("a, b, missing", [(0, 9, 9), (9, 5, 9), (7, 9, 7), (-1, 5, -1)])
+def test_shortest_path_avoiding_names_a_vertex_outside_the_graph(a, b, missing):
+    """A ValueError that names the vertex, not a bare KeyError."""
+    g = build_graph(6, PARALLEL_CHAINS, s=0, t=5)
+    with pytest.raises(ValueError) as info:
+        shortest_path_avoiding(g, set(), a, b)
+    assert info.type is ValueError
+    assert str(info.value) == f"vertex {missing} not in the graph"
 
 
 def test_deterministic_output():

@@ -5,6 +5,7 @@ import ast
 import importlib
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType, ModuleType
 from unittest import mock
@@ -21,6 +22,7 @@ from conftest import (
     fresh_distances,
     relabelled,
     skip_edge_graph,
+    sorted_rows_index,
     sum_rule_off,
 )
 from nextpath import graph
@@ -292,7 +294,7 @@ def assert_built_as_public(g):
     public = WeightedDigraph(g.vertices, dict(g.edges), g.s, g.t, g.scale)
     assert isinstance(g.edges, MappingProxyType)
     assert g == public and g.edges == public.edges and repr(g) == repr(public)
-    assert g.index == public.index
+    assert g.index == public.index == sorted_rows_index(g.vertices, g.edges)
     assert g.distances == public.distances
     if is_straight(g, g.distances):
         assert g.layering == public.layering
@@ -373,18 +375,63 @@ def rendered_graphs(draw):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(rendered_graphs())
 def test_parsed_graphs_equal_publicly_built_ones_in_every_rendering(drawn):
-    """Edge lines in (u, v) order give the graph its `index` at parse time
-    and no `edges`, which it derives on first read; edge lines in any other
-    order give it `edges`, and `index` is built on first read. Either way
-    the graph is the one the public constructor builds."""
+    """Edge lines in any order give the graph its `index` at parse time and
+    no `edges`, which it derives on first read, in (u, v) order. The graph
+    is the one the public constructor builds."""
     public, text = drawn
     g = parse_graph(text)
     rows = [x.partition("#")[0].split() for x in text.splitlines()]
     edge_lines = [(int(r[0]), int(r[1])) for r in rows if r][1:]
-    in_order = edge_lines == sorted(set(edge_lines))
-    assert ("index" in vars(g), "edges" in vars(g)) == (in_order, not in_order)
-    assert g == public and list(g.edges) == edge_lines
+    assert "index" in vars(g) and "edges" not in vars(g)
+    assert g == public and list(g.edges) == sorted(edge_lines)
     assert_built_as_public(g)
+
+
+@st.composite
+def mapped_graphs(draw):
+    """(vertices, edges, s, t): ids drawn from -5..40, so rarely 0..n-1,
+    and an edge map whose insertion order is a drawn permutation."""
+    ids = sorted(draw(st.sets(st.integers(-5, 40), min_size=2, max_size=12)))
+    s, t = draw(st.permutations(ids))[:2]
+    pairs = draw(st.sets(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=40))
+    pairs = draw(st.permutations(sorted((u, v) for u, v in pairs if u != v)))
+    return frozenset(ids), {e: draw(st.integers(1, 9)) for e in pairs}, s, t
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mapped_graphs())
+def test_constructed_graphs_hold_the_index_of_sorted_rows(drawn):
+    """The constructor builds `index` at once, with no sort per row, and
+    keeps no `edges`; the index is the one a sort of each row gives, and
+    `edges`, derived on first read, lists the map in (u, v) order."""
+    vertices, edges, s, t = drawn
+    g = WeightedDigraph(vertices, edges, s, t)
+    assert "index" in vars(g) and "edges" not in vars(g)
+    assert g.index == sorted_rows_index(vertices, edges)
+    assert g.edge_count == len(edges) and "edges" not in vars(g)
+    assert list(g.edges.items()) == sorted(edges.items())
+    assert g.replace(edges=edges) == g == WeightedDigraph(vertices, dict(g.edges), s, t)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        {(0, 1): 0.1, (1, 2): 0.2, (0, 2): 0.3},
+        {(0, 1): Decimal("0.1"), (1, 2): Decimal("0.2"), (0, 2): Decimal("0.3")},
+        {(0, 1): Fraction(1, 10), (1, 2): Fraction(2, 10), (0, 2): Fraction(3, 10)},
+        {(0, 1): True, (1, 2): True, (0, 2): 2},
+        {(0, 1): 1.0, (1, 2): 1, (0, 2): 2},
+    ],
+    ids=["float", "Decimal", "Fraction", "bool", "integral float"],
+)
+def test_constructor_rejects_weights_that_are_not_ints(edges):
+    """With float weights 0.1 + 0.2 would outweigh 0.3, and (0, 1, 2) would
+    pass for the triangle's next-to-shortest path; the exact answer, which
+    the parse's scaled integers give, is NONE. A weight whose type is not
+    `int` is refused, with its edge named."""
+    with pytest.raises(ValueError, match=r"^non-integer weight on edge \(0, 1\)$"):
+        WeightedDigraph(frozenset(range(3)), edges, 0, 2)
+    assert not solve(parse_graph("3 3 0 2\n0 1 0.1\n1 2 0.2\n0 2 0.3\n")).found
 
 
 def test_format_weight():
@@ -417,7 +464,7 @@ def test_edges_are_read_only():
     adj = g.index.out
     with pytest.raises(TypeError):
         g.edges[(0, 2)] = 5
-    src[(0, 2)] = 5  # the graph holds its own copy of the map it was given
+    src[(0, 2)] = 5  # the graph keeps nothing of the map it was given
     assert g.edges == {(0, 1): 1, (1, 2): 1}
     assert g.index.out is adj
     assert adj == (((1, 1),), ((2, 1),), ())

@@ -174,9 +174,9 @@ _AGAINST = "4 5 0 3\n0 1 1\n0 2 1\n1 2 1\n1 3 1\n2 3 1\n"
     ],
 )
 def test_a_parsed_graph_is_solved_from_its_index_alone(make):
-    """A graph parsed from edge lines in (u, v) order holds its `index`
-    and no `edges`; no stage of a solve reads `edges`, so a solve never
-    derives it, whatever the reductions do."""
+    """A parsed graph holds its `index` and no `edges`; no stage of a
+    solve reads `edges`, so a solve never derives it, whatever the
+    reductions do."""
     g = parse_graph(serialize_graph(make()))
     assert "index" in vars(g) and "edges" not in vars(g)
     result = solve_detailed(g)

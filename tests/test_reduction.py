@@ -414,12 +414,14 @@ def test_reductions_hand_on_their_inputs_distances(skip_edges, seed):
     """The table each reduction stores on the graph it returns equals a
     fresh Dijkstra on that graph's vertices and edges, and its empty `off`
     the one of a copy rebuilt through the constructor; a reduction that
-    changes nothing returns its input."""
+    changes nothing returns its input. Each graph holds its index and no
+    edge map."""
     g = skip_edge_graph(seed) if skip_edges else random_digraph(6 + seed % 8, 0.35, 4, seed)
     if shortest_distances(g).from_s[g.t] is None:
         return
     g_s, tr_s = straighten(g)
     g_l, tr_l = layerize(g_s)
+    assert all("index" in vars(h) and "edges" not in vars(h) for h in (g, g_s, g_l))
     for host, trace, out in ((g, tr_s, g_s), (g_s, tr_l, g_l)):
         assert (out is host) == (not trace.steps)
         assert "distances" in out.__dict__

@@ -26,6 +26,7 @@ from conftest import (
 )
 from nextpath import (
     ForwardDag,
+    WeightedDigraph,
     exhaustive_next_to_shortest,
     is_layered,
     is_straight,
@@ -118,20 +119,44 @@ def test_solver_builds_no_forward_dag_without_a_waypoint_tuple(monkeypatch):
     assert not any("dag" in search.__dict__ or search._crossing for search in made)
 
 
-def test_a_search_without_a_start_builds_no_index():
-    """A graph that `layerize` makes holds its input's distances and
-    layering but no vertex index; a search that visits no start builds
-    none, nor the floor reach."""
+def layerized_with_a_flat_edge(seed):
+    """(g, layerize(g) of g plus a unit edge inside one layer): a layered
+    graph without back-edges, whose one `against` edge `layerize` removes."""
+    g = layered_digraph(6, 3, 0, seed)
+    lam = g.layering.lam
+    u, v = next((u, v) for u in sorted(lam) for v in sorted(lam) if u != v and lam[u] == lam[v])
+    g = g.replace(edges={**g.edges, (u, v): 1})
+    return g, layerize(g)
+
+
+def test_layerize_shares_every_row_it_does_not_edit():
+    """`layerize` drops each removed edge from two rows of its input's
+    index and shares every other row; the index is the one the public
+    constructor builds from the remaining edges."""
     for seed in range(5):
-        g = layered_digraph(6, 3, 0, seed)
-        lam = g.layering.lam
-        u, v = next((u, v) for u in sorted(lam) for v in sorted(lam) if u != v and lam[u] == lam[v])
-        g_l, trace = layerize(g.replace(edges={**g.edges, (u, v): 1}))
-        assert trace.steps and "index" not in g_l.__dict__
+        g, (g_l, trace) = layerized_with_a_flat_edge(seed)
+        [step] = trace.steps
+        assert "index" in vars(g_l) and "edges" not in vars(g_l)
+        kept = {e: w for e, w in g.edges.items() if e != step.edge}
+        public = WeightedDigraph(g.vertices, kept, g.s, g.t)
+        assert g_l.index == public.index and g_l == public
+        ix, ix_l = g.index, g_l.index
+        i, j = map(ix.slot.__getitem__, step.edge)
+        assert ix_l.ids is ix.ids and ix_l.slot is ix.slot
+        assert [k for k, row in enumerate(ix_l.out) if row is not ix.out[k]] == [i]
+        assert [k for k, row in enumerate(ix_l.into) if row is not ix.into[k]] == [j]
+
+
+def test_a_search_without_a_start_builds_no_floor_reach():
+    """A graph that `layerize` makes holds its input's distances and
+    layering; a search that visits no start builds no floor reach."""
+    for seed in range(5):
+        _, (g_l, trace) = layerized_with_a_flat_edge(seed)
+        assert trace.steps and {"distances", "layering"} <= vars(g_l).keys()
         search = _LayeredSearch(g_l)
         assert search.starts == [] and search.scan(search.floor + 1) is None
         assert search.scan(None) is None and not solve_layered(g_l).found
-        assert "index" not in g_l.__dict__ and "floor_reach" not in search.__dict__
+        assert "floor_reach" not in search.__dict__
 
 
 def assert_search_setup(g):
