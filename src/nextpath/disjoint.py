@@ -56,10 +56,7 @@ class ForwardDag:
         order certifies the order and builds the reachability closure: an
         edge that does not go later in it raises CyclicGraphError, a vertex
         without a list or an edge out of the vertex set ValueError."""
-        dag = cls.__new__(cls)
-        dag.vertices = frozenset(order)
-        dag.adj = adj
-        dag.rank = {u: i for i, u in enumerate(order)}
+        dag = _ordered_dag(order, adj)
         dag._descendants = dag._closure()
         return dag
 
@@ -94,8 +91,7 @@ class ForwardDag:
 
     @cached_property
     def _descendants(self) -> dict[int, int]:
-        """The closure of a DAG built by Kahn's order, on first use;
-        `from_order` sets it at once."""
+        """The closure, on first use; `from_order` sets it at once."""
         return self._closure()
 
     def _closure(self) -> dict[int, int]:
@@ -128,6 +124,17 @@ class ForwardDag:
             return bool(self._descendants[u] >> self.rank[v] & 1)
         except KeyError as err:
             raise ValueError(f"vertex {err.args[0]} not in the DAG") from None
+
+
+def _ordered_dag(order: Sequence[int], adj: Mapping[int, Sequence[int]]) -> ForwardDag:
+    """`ForwardDag.from_order(order, adj)` without its closure: the pass
+    that builds the closure, and certifies `order` as it goes, runs on the
+    first `reaches`. The caller vouches for `order` and `adj`."""
+    dag = ForwardDag.__new__(ForwardDag)
+    dag.vertices = frozenset(order)
+    dag.adj = adj
+    dag.rank = {u: i for i, u in enumerate(order)}
+    return dag
 
 
 def _single_path(dag: ForwardDag, a: int, b: int, avoid: int) -> Path | None:

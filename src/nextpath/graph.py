@@ -48,7 +48,7 @@ class InternalInvariantError(RuntimeError):
     """A structural guarantee failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedDigraph:
     """Simple directed graph with strictly positive integer edge weights.
 
@@ -61,7 +61,9 @@ class WeightedDigraph:
     a read-only view derived from `index` on first read, in (u, v) order;
     the map passed in is checked, then not kept. The hot paths keep
     per-vertex state in lists by the slots of `index`, and read no `edges`;
-    every public function takes and returns vertex ids.
+    every public function takes and returns vertex ids. Two graphs are
+    equal when their vertices, s, t, scale and `index` are, which derives
+    no `edges`; a graph is unhashable.
     """
 
     vertices: frozenset[int]
@@ -89,6 +91,13 @@ class WeightedDigraph:
                 raise ValueError(f"non-positive weight on edge ({u}, {v})")
         rows = sorted([(u, v, w) for (u, v), w in edges.items()])
         self.__dict__["index"] = _index(sorted(self.vertices), rows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.s, self.t, self.scale, self.index) == (
+            other.vertices, other.s, other.t, other.scale, other.index
+        )
 
     @property
     def vertex_count(self) -> int:
@@ -190,15 +199,25 @@ class VertexIndex:
     and slot order is id order, which keeps every smallest-id-first tie.
 
     `slot` maps an id to its slot. `out[i]` lists slot i's out-edges as
-    (head slot, weight) in head order, `into[i]` its in-edges as (tail
-    slot, weight) in tail order. Every field is read-only. A graph's
+    (head slot, weight) in head order. Every field is read-only. A graph's
     `index`, its one stored form of its edges, is built by `_index`.
+    Equality compares the fields and never derives `into`.
     """
 
     ids: tuple[int, ...]
     slot: Mapping[int, int]
     out: tuple[tuple[tuple[int, int], ...], ...]
-    into: tuple[tuple[tuple[int, int], ...], ...]
+
+    @cached_property
+    def into(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """`into[i]` lists slot i's in-edges as (tail slot, weight) in tail
+        order: `out` transposed on first read, in slot order, so no row
+        needs a sort; read-only, so shared."""
+        into: list[list[tuple[int, int]]] = [[] for _ in self.ids]
+        for i, row in enumerate(self.out):
+            for j, w in row:
+                into[j].append((i, w))
+        return tuple(map(tuple, into))
 
 
 @dataclass(frozen=True)
@@ -667,20 +686,16 @@ def _index(ids: Iterable[int], edges: Iterable[tuple[int, int, int]]) -> VertexI
     """The `index` of the graph on the vertices `ids`, in id order, whose
     edges are the (u, v, w) rows of `edges`, in strictly increasing (u, v)
     order: the one builder of index rows. Slot order is id order, so
-    bucketing the edges in list order leaves each `out` row in head order
-    and each `into` row in tail order, and no row needs a sort."""
+    bucketing the edges in list order leaves each `out` row in head order,
+    and no row needs a sort."""
     ids = tuple(ids)
     slot = dict(zip(ids, range(len(ids))))
     if (ids[0], ids[-1]) != (0, len(ids) - 1):  # ids other than 0..n-1: map to slots
         edges = ((slot[u], slot[v], w) for u, v, w in edges)
     out: list[list[tuple[int, int]]] = [[] for _ in ids]
-    into: list[list[tuple[int, int]]] = [[] for _ in ids]
     for i, j, w in edges:
         out[i].append((j, w))
-        into[j].append((i, w))
-    return VertexIndex(
-        ids, MappingProxyType(slot), tuple(map(tuple, out)), tuple(map(tuple, into))
-    )
+    return VertexIndex(ids, MappingProxyType(slot), tuple(map(tuple, out)))
 
 
 def format_weight(w: int, scale: int) -> str:

@@ -29,6 +29,7 @@ from .graph import (
     VertexIndex,
     WeightedDigraph,
     _graph,
+    _index,
     _seed_distances,
     dijkstra,
     parent_path,
@@ -264,7 +265,12 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
                 mid = tuple(map(ids.__getitem__, parent_path(parent, i, j)[1:-1]))
                 trace.candidates.append((tree_path(x, mid, y), from_s[x] + detour + to_t[y]))
     trace.steps.append(EliminationRecord(gone, shortcuts))
-    out = g.replace(vertices=g.vertices - gone, edges=edges)
+    # Built without the constructor, whose checks hold: every kept edge is
+    # the input's, between survivors, and a shortcut joins two distinct
+    # survivors with a sum of the input's weights.
+    kept = g.vertices - gone
+    rows = sorted([(x, y, w) for (x, y), w in edges.items()])
+    out = _graph(kept, g.s, g.t, g.scale, _index(sorted(kept), rows))
     return _seed_distances(out, d), trace
 
 
@@ -282,8 +288,8 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
 
     The input's distance table and layering are read once; the table weighs
     each candidate, d(s,u) + w(u,v) + d(v,t). The removals drop each edge
-    from its tail's `out` row and its head's `into` row of the input's
-    index; the returned index shares every other row. A removed back-edge
+    from its tail's `out` row of the input's index; the returned index
+    shares every other row, and derives its own `into`. A removed back-edge
     is never tight, so every distance stays, and no layer and no other
     edge's kind changes: the returned graph carries the input's table and
     layering (with no `against` edges), handed on rather than computed
@@ -296,15 +302,14 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     if not layering.against:
         return g, trace
     ix = g.index
-    out, into = list(ix.out), list(ix.into)
+    out = list(ix.out)
     tree_path = _tree_paths(g, d)
     for u, v in layering.against:
         i, j = ix.slot[u], ix.slot[v]
         w = dict(out[i])[j]
         out[i] = tuple(pair for pair in out[i] if pair[0] != j)
-        into[j] = tuple(pair for pair in into[j] if pair[0] != i)
         trace.candidates.append((tree_path(u, (), v), d.from_s[u] + w + d.to_t[v]))
         trace.steps.append(BackEdgeRemoval((u, v)))
-    index = VertexIndex(ix.ids, ix.slot, tuple(out), tuple(into))
+    index = VertexIndex(ix.ids, ix.slot, tuple(out))
     g_l = _graph(g.vertices, g.s, g.t, g.scale, index)
     return _seed_distances(g_l, d, replace(layering, against=())), trace

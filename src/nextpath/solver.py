@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .disjoint import DisjointPathPair, ForwardDag, two_disjoint_paths
+from .disjoint import DisjointPathPair, ForwardDag, _ordered_dag, two_disjoint_paths
 from .graph import (
     Edge,
     InternalInvariantError,
@@ -94,10 +94,18 @@ class _LayeredSearch:
 
     @cached_property
     def dag(self) -> ForwardDag:
-        """The forward subgraph, built when the scan reaches its first tuple.
-        Distance from s strictly increases along every forward edge, so the
-        vertices by (d(s,u), u), the layers in turn, are a topological order."""
-        return ForwardDag.from_order([u for layer in self.layers for u in layer], self.forward)
+        """The forward subgraph, built on the scan's first disjoint-pair
+        query or reach that the layers leave open (see `climbs`). Distance
+        from s strictly increases along every forward edge, so the vertices
+        by (d(s,u), u), the layers in turn, are a topological order. Its
+        closure waits for the first such reach or pair-state query."""
+        return _ordered_dag([u for layer in self.layers for u in layer], self.forward)
+
+    def climbs(self, u: int, v: int) -> bool:
+        """Whether u reaches v in the forward DAG. Every forward edge climbs
+        a layer, so only u itself reaches a vertex at or below u's layer,
+        and only a pair whose v lies above u's layer asks the closure."""
+        return u == v or self.lam[u] < self.lam[v] and self.dag.reaches(u, v)
 
     @cached_property
     def back_slots(self) -> frozenset[int]:
@@ -110,14 +118,18 @@ class _LayeredSearch:
         """The slots of the vertices a with dist(a, x) <= least - 2, where
         least = floor - d(s,t) is the least back-edge slack and x the tail
         of some back-edge of that slack: the only starts that can pass a
-        pair under a bound of at most floor + 1 (see `scan`). One Dijkstra
-        over the in-edges, from a virtual source with a unit edge to each
-        such tail, cut at `least`; built when the ceiling scan reaches its
-        first start."""
+        pair under a bound of at most floor + 1 (see `scan`). Built when the
+        ceiling scan reaches its first start. A back-edge goes strictly back
+        and weighs at least 1, so least >= 2; at 2, as weights are positive
+        integers, dist(a, x) <= 0 forces a = x, and the reach is the tails.
+        Otherwise one Dijkstra over the in-edges, from a virtual source with
+        a unit edge to each tail, cut at `least`."""
         ix = self.g.index
         least = self.floor - self.dst
         back = self.g.layering.back
         tails = sorted({ix.slot[u] for (u, _), slack in back.items() if slack == least})
+        if least == 2:
+            return frozenset(tails)
         virtual = len(ix.ids)
         reach, _ = dijkstra((*ix.into, tuple((j, 1) for j in tails)), virtual, limit=least)
         del reach[virtual]
@@ -237,7 +249,7 @@ class _LayeredSearch:
         The limit only shrinks during one visit, as `bound` only decreases,
         so a later tuple whose blocked set contains a cut fails too and is
         skipped without a search."""
-        g, lam, dag = self.g, self.lam, self.dag
+        g, lam, climbs = self.g, self.lam, self.climbs
         best: tuple[int, Path] | None = None
         cuts: list[set[int]] = []
         for layer in range(lam[b], lam[a]):
@@ -245,12 +257,12 @@ class _LayeredSearch:
                 continue
             edges_here = self.crossing(layer)
             for xp, x in edges_here:
-                if xp == b or x == b or not dag.reaches(x, a):
+                if xp == b or x == b or not climbs(x, a):
                     continue
                 for yp, y in edges_here:
                     if xp == yp or x == y or y == a:
                         continue
-                    if not dag.reaches(b, yp):
+                    if not climbs(b, yp):
                         continue
                     outer = self.waypoint_split(a, b, xp, x, yp, y)
                     if outer is None:

@@ -126,17 +126,18 @@ def fresh_distances(g):
 def sorted_rows_index(vertices, edges):
     """The `VertexIndex` of a graph on `vertices` with the {(u, v): w} map
     `edges`, built from the map in its own order, with a sort per row: the
-    reference for `graph._index`, which sorts no row."""
+    reference for `graph._index`, which sorts no row. Its `into` is set
+    from the map's own rows, sorted, so it is the reference for the `into`
+    that an index derives from `out`."""
     ids = tuple(sorted(vertices))
     slot = {u: i for i, u in enumerate(ids)}
     out, into = [[] for _ in ids], [[] for _ in ids]
     for (u, v), w in edges.items():
         out[slot[u]].append((slot[v], w))
         into[slot[v]].append((slot[u], w))
-    return VertexIndex(
-        ids, MappingProxyType(slot), tuple(tuple(sorted(r)) for r in out),
-        tuple(tuple(sorted(r)) for r in into),
-    )
+    index = VertexIndex(ids, MappingProxyType(slot), tuple(tuple(sorted(r)) for r in out))
+    index.__dict__["into"] = tuple(tuple(sorted(r)) for r in into)
+    return index
 
 
 def sum_rule_off(g, from_s, to_t):

@@ -27,6 +27,7 @@ from nextpath import (
     shortest_path_avoiding,
     two_disjoint_paths,
 )
+from nextpath.disjoint import _ordered_dag
 from nextpath.graph import edge_slack
 from nextpath.oracle import exhaustive_two_disjoint_paths
 from nextpath.solver import _LayeredSearch
@@ -90,6 +91,26 @@ def test_supplied_order_is_certified():
         ForwardDag.from_order([0, 3, 1, 2], adj)
     with pytest.raises(CyclicGraphError):
         ForwardDag.from_order([0, 1], {0: [1], 1: [0]})
+
+
+def test_a_deferred_dag_certifies_its_order_on_the_first_reach():
+    """`_ordered_dag` builds what `from_order` builds but its closure, and
+    the first `reaches` raises what `from_order` raises at once."""
+    adj = {0: [1, 2], 1: [3], 2: [3], 3: []}
+    dag = _ordered_dag([0, 2, 1, 3], adj)
+    eager = ForwardDag.from_order([0, 2, 1, 3], adj)
+    assert (dag.vertices, dag.adj, dag.rank) == (eager.vertices, eager.adj, eager.rank)
+    assert two_disjoint_paths(dag, (0, 0), (2, 3)) == two_disjoint_paths(eager, (0, 0), (2, 3))
+    assert "_descendants" not in vars(dag)
+    for order, adj, error, message in (
+        ([0, 3, 1, 2], adj, CyclicGraphError, "edge (2, 3) goes against the order"),
+        ([0, 1], {0: [1, 2], 1: []}, ValueError, "edge (0, 2) leaves the vertex set"),
+        ([0, 1], {0: [1]}, ValueError, "vertex 1 has no adjacency list"),
+    ):
+        dag = _ordered_dag(order, adj)
+        with pytest.raises(error) as info:
+            dag.reaches(0, 1)
+        assert info.type is error and str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -182,13 +203,16 @@ def dags(draw):
 @given(st.data())
 def test_reaches_is_bfs_reachability_under_both_constructors(data):
     """Kahn's order from `ForwardDag(vertices, adj)` and a given order from
-    `from_order`, whose closure the certifying pass builds."""
+    `from_order`, whose closure the certifying pass builds, and from
+    `_ordered_dag`, which builds it on the first `reaches`."""
     n = data.draw(st.integers(1, 12))
     order = data.draw(st.permutations(range(n)))
     forward = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(forward), unique=True)) if forward else []
     adj = {u: sorted(v for x, v in edges if x == u) for u in range(n)}
-    for dag in (ForwardDag(range(n), adj), ForwardDag.from_order(order, adj)):
+    deferred = _ordered_dag(order, adj)
+    assert "_descendants" not in vars(deferred)
+    for dag in (ForwardDag(range(n), adj), ForwardDag.from_order(order, adj), deferred):
         for u in range(n):
             seen, stack = {u}, [u]
             while stack:

@@ -290,11 +290,14 @@ def test_the_whole_text_path_reads_like_the_line_loop(drawn):
 
 def assert_built_as_public(g):
     """`g`, which `_edge_list` built without `__post_init__`, is the graph
-    the public constructor builds from its fields, in every derived view."""
+    the public constructor builds from its fields, in every derived view;
+    its `into`, derived on first read, is the reference's."""
     public = WeightedDigraph(g.vertices, dict(g.edges), g.s, g.t, g.scale)
     assert isinstance(g.edges, MappingProxyType)
     assert g == public and g.edges == public.edges and repr(g) == repr(public)
-    assert g.index == public.index == sorted_rows_index(g.vertices, g.edges)
+    reference = sorted_rows_index(g.vertices, g.edges)
+    assert g.index == public.index == reference and "into" not in vars(g.index)
+    assert g.index.into == reference.into
     assert g.distances == public.distances
     if is_straight(g, g.distances):
         assert g.layering == public.layering
@@ -407,10 +410,39 @@ def test_constructed_graphs_hold_the_index_of_sorted_rows(drawn):
     vertices, edges, s, t = drawn
     g = WeightedDigraph(vertices, edges, s, t)
     assert "index" in vars(g) and "edges" not in vars(g)
-    assert g.index == sorted_rows_index(vertices, edges)
+    reference = sorted_rows_index(vertices, edges)
+    assert g.index == reference and "into" not in vars(g.index)
+    assert g.index.into == reference.into
     assert g.edge_count == len(edges) and "edges" not in vars(g)
+    copy = g.replace(edges=edges)
+    assert copy == g and "edges" not in vars(g) and copy.index.into == reference.into
     assert list(g.edges.items()) == sorted(edges.items())
-    assert g.replace(edges=edges) == g == WeightedDigraph(vertices, dict(g.edges), s, t)
+    assert g == WeightedDigraph(vertices, dict(g.edges), s, t)
+
+
+def test_equality_compares_the_stored_form():
+    """Two graphs are equal when their vertices, terminals, scale and
+    index are; comparing them derives no `edges` and no `into`, and hashing
+    one raises TypeError without deriving `edges` either."""
+    text = serialize_graph(layered_digraph(6, 3, 4, 0))
+    g, h = parse_graph(text), parse_graph(text)
+    assert g == h and not g != h and g.index == h.index
+    assert all("edges" not in vars(x) and "into" not in vars(x.index) for x in (g, h))
+    with pytest.raises(TypeError):
+        hash(g)
+    assert "edges" not in vars(g)
+    edges = dict(g.edges)
+    (u, v), w = next(iter(edges.items()))
+    other = set(g.vertices) - {g.s, g.t}
+    for changed in (
+        WeightedDigraph(g.vertices, {**edges, (u, v): w + 1}, g.s, g.t),
+        WeightedDigraph(g.vertices, {e: x for e, x in edges.items() if e != (u, v)}, g.s, g.t),
+        WeightedDigraph(g.vertices | {max(g.vertices) + 1}, edges, g.s, g.t),
+        WeightedDigraph(g.vertices, edges, min(other), g.t),
+        WeightedDigraph(g.vertices, edges, g.s, g.t, 1),
+    ):
+        assert g != changed and changed != g
+    assert g != (g.vertices, g.s, g.t, g.scale, g.index)
 
 
 @pytest.mark.parametrize(
@@ -492,6 +524,7 @@ def test_adjacencies_are_read_only():
         g.index.out[0] = ()
     with pytest.raises(TypeError):
         g.index.into[2] = ()
+    assert g.index.into == ((), ((0, 1),), ((0, 1), (1, 1)))
     assert g.index.out == (((1, 1), (2, 1)), ((2, 1),), ())
     answer = solve(g)
     assert (answer.weight, answer.path) == (2, (0, 1, 2))

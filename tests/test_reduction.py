@@ -14,6 +14,7 @@ from conftest import (
     floyd_warshall,
     fresh_distances,
     skip_edge_graph,
+    sorted_rows_index,
     sum_rule_off,
     violation_count,
 )
@@ -405,7 +406,29 @@ def test_trace_replay_reproduces_reduced_graphs_on_drawn_inputs(skip_edges, seed
     for host, trace, out in ((g, tr_s, g_s), (g_s, tr_l, g_l)):
         replayed = reduce(apply_step, trace.steps, host)
         assert (replayed.vertices, replayed.s, replayed.t) == (out.vertices, out.s, out.t)
-        assert dict(replayed.edges) == dict(out.edges)
+        assert dict(replayed.edges) == dict(out.edges) and replayed == out
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.booleans(), st.integers(0, 10**6))
+def test_reduced_graphs_hold_the_index_of_sorted_rows(skip_edges, seed):
+    """`straighten` builds its output's index from the rows it kept and the
+    shortcuts it made, and `layerize` edits `out` rows only: each returned
+    graph that differs from its input derives no `into` before it is read,
+    and its index, with that `into`, is the one a sort of each row gives."""
+    g = skip_edge_graph(seed) if skip_edges else random_digraph(6 + seed % 8, 0.35, 4, seed)
+    if shortest_distances(g).from_s[g.t] is None:
+        return
+    g_s, tr_s = straighten(g)
+    fresh = [g_s] if tr_s.steps else []
+    assert all("into" not in vars(h.index) for h in fresh)
+    g_l, tr_l = layerize(g_s)
+    if tr_l.steps:
+        assert "into" not in vars(g_l.index)
+        fresh.append(g_l)
+    for out in fresh:
+        reference = sorted_rows_index(out.vertices, out.edges)
+        assert out.index == reference and out.index.into == reference.into
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

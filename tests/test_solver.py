@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import sys
 import time
@@ -19,9 +20,11 @@ from conftest import (
     back_edge_split,
     bead_graph,
     build_graph,
+    floyd_warshall,
     fresh_distances,
     relabelled,
     skip_edge_graph,
+    sorted_rows_index,
     with_span_edges,
 )
 from nextpath import (
@@ -32,8 +35,10 @@ from nextpath import (
     is_straight,
     layered_digraph,
     layerize,
+    parse_graph,
     path_weight,
     random_digraph,
+    serialize_graph,
     shortest_distances,
     shortest_path_avoiding,
     solve,
@@ -130,9 +135,10 @@ def layerized_with_a_flat_edge(seed):
 
 
 def test_layerize_shares_every_row_it_does_not_edit():
-    """`layerize` drops each removed edge from two rows of its input's
-    index and shares every other row; the index is the one the public
-    constructor builds from the remaining edges."""
+    """`layerize` drops each removed edge from its tail's `out` row of its
+    input's index and shares every other row; the index is the one the
+    public constructor builds from the remaining edges, and derives its
+    `into` on first read."""
     for seed in range(5):
         g, (g_l, trace) = layerized_with_a_flat_edge(seed)
         [step] = trace.steps
@@ -144,7 +150,9 @@ def test_layerize_shares_every_row_it_does_not_edit():
         i, j = map(ix.slot.__getitem__, step.edge)
         assert ix_l.ids is ix.ids and ix_l.slot is ix.slot
         assert [k for k, row in enumerate(ix_l.out) if row is not ix.out[k]] == [i]
-        assert [k for k, row in enumerate(ix_l.into) if row is not ix.into[k]] == [j]
+        assert "into" not in vars(ix_l)
+        ref = sorted_rows_index(g_l.vertices, kept)
+        assert ix_l.into == ref.into and ix_l.into[j] == tuple(p for p in ix.into[j] if p[0] != i)
 
 
 def test_a_search_without_a_start_builds_no_floor_reach():
@@ -157,6 +165,89 @@ def test_a_search_without_a_start_builds_no_floor_reach():
         assert search.starts == [] and search.scan(search.floor + 1) is None
         assert search.scan(None) is None and not solve_layered(g_l).found
         assert "floor_reach" not in search.__dict__
+
+
+def test_floor_reach_is_its_distance_definition():
+    """`floor_reach` holds the slots of the vertices a with dist(a, x) <=
+    least - 2 for a tail x of a back-edge of the least slack, by
+    Floyd-Warshall's distances. A back-edge of a layered graph goes
+    strictly back, so least >= 2; at 2 the reach is those tails, and no
+    in-edge is read, so the graph derives no `into`."""
+    sigmas = Counter()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        st.integers(4, 6),
+        st.integers(2, 4),
+        st.integers(1, 6),
+        st.integers(1, 7),
+        st.integers(0, 4),
+        st.integers(0, 2**16),
+    )
+    def check(layers, width, back, w_max, skips, seed):
+        g = layered_digraph(layers, width, back, seed, back_weight_max=w_max)
+        g = with_span_edges(g, skips, seed)
+        search = _LayeredSearch(g)
+        slacks = g.layering.back
+        least = min(slacks.values())
+        assert least == search.floor - search.dst >= 2
+        tails = {u for (u, _), slack in slacks.items() if slack == least}
+        dist = floyd_warshall(g)
+        assert search.floor_reach == {
+            g.index.slot[a]
+            for a in g.vertices
+            if any(dist[(a, x)] is not None and dist[(a, x)] <= least - 2 for x in tails)
+        }
+        assert ("into" in vars(g.index)) == (least > 2)
+        sigmas[min(least, 3)] += 1
+
+    check()
+    assert sigmas[2] > 20 and sigmas[3] > 20
+
+
+def test_the_layer_rule_agrees_with_the_closure():
+    """`climbs(u, v)` is the reachability of the certified forward DAG on
+    every vertex pair, and decides each pair whose v is not above u's
+    layer without building the closure. Relabelled, so that ids do not
+    follow the layers."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(
+        st.integers(3, 7),
+        st.integers(1, 4),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.integers(0, 2**16),
+    )
+    def check(layers, width, back, skips, seed):
+        g = with_span_edges(layered_digraph(layers, width, back, seed), skips, seed)
+        search = _LayeredSearch(relabelled(g, seed))
+        lam = search.lam
+        order = [u for layer in search.layers for u in layer]
+        closure = ForwardDag.from_order(order, search.forward)
+        pairs = list(itertools.product(order, repeat=2))
+        level = [(u, v) for u, v in pairs if lam[v] <= lam[u]]
+        assert [search.climbs(u, v) for u, v in level] == [u == v for u, v in level]
+        assert [u == v for u, v in level] == [closure.reaches(u, v) for u, v in level]
+        assert "_descendants" not in vars(search.dag)
+        assert [search.climbs(u, v) for u, v in pairs] == [closure.reaches(u, v) for u, v in pairs]
+
+    check()
+
+
+def test_a_floor_answer_builds_no_in_rows_and_no_closure(monkeypatch):
+    """`layered_digraph(36, 18, 200, 11)`, read from its file as the
+    `layered-dense` benchmark reads its instances, answers at the floor
+    with a least slack of 2: its floor reach reads no in-edge, and its
+    pair queries each park a token at a terminal, so no graph derives
+    `into` and the forward DAG builds no closure."""
+    made = record_searches(monkeypatch)
+    g = parse_graph(serialize_graph(layered_digraph(36, 18, 200, 11)))
+    got = solve(g)
+    [search] = made
+    assert got.weight == search.floor == search.dst + 2
+    assert "into" not in vars(g.index) and "into" not in vars(search.g.index)
+    assert "dag" in vars(search) and "_descendants" not in vars(search.dag)
 
 
 def assert_search_setup(g):
@@ -280,9 +371,11 @@ def test_solver_skips_layers_without_a_waypoint_pair(monkeypatch):
 
 def test_bound_tables_stop_at_the_incumbent_radius(monkeypatch):
     # A full single-source table per back vertex settles 16,740 vertices
-    # over these five solves. Each ceiling scan runs one floor-reach search
-    # and a floor-radius table only for the starts it settles: 10 Dijkstras
-    # settling 56 vertices, where a table for every start took 63 and 319.
+    # over these five solves. Each ceiling scan takes a floor-radius table
+    # only for the starts in its floor reach, which with a least slack of 2
+    # is the least-slack tails, found without a search: 5 Dijkstras settling
+    # 27 vertices, where a floor-reach search and a table for every start
+    # took 10 and 56, and a table for every start 63 and 319.
     settled = []
 
     def counting(*args, **kwargs):
@@ -293,7 +386,7 @@ def test_bound_tables_stop_at_the_incumbent_radius(monkeypatch):
     monkeypatch.setattr(nextpath.solver, "dijkstra", counting)
     for seed in range(5):
         assert solve_layered(layered_digraph(24, 12, 150, seed)).found
-    assert (len(settled), sum(settled)) == (10, 56)
+    assert (len(settled), sum(settled)) == (5, 27)
 
 
 def test_floor_first_search_returns_the_full_scans_route():
