@@ -90,6 +90,12 @@ class ForwardDag:
         return rank
 
     @cached_property
+    def rank(self) -> dict[int, int]:
+        """The given order as ranks, on first read; `ForwardDag(vertices,
+        adj)` sets it at once from Kahn's order."""
+        return {u: i for i, u in enumerate(self._order)}
+
+    @cached_property
     def _descendants(self) -> dict[int, int]:
         """The closure, on first use; `from_order` sets it at once."""
         return self._closure()
@@ -129,11 +135,13 @@ class ForwardDag:
 def _ordered_dag(order: Sequence[int], adj: Mapping[int, Sequence[int]]) -> ForwardDag:
     """`ForwardDag.from_order(order, adj)` without its closure: the pass
     that builds the closure, and certifies `order` as it goes, runs on the
-    first `reaches`. The caller vouches for `order` and `adj`."""
+    first `reaches`, and `rank` waits for its first read, which a query
+    with a parked token never makes. The caller vouches for `order` and
+    `adj`."""
     dag = ForwardDag.__new__(ForwardDag)
     dag.vertices = frozenset(order)
     dag.adj = adj
-    dag.rank = {u: i for i, u in enumerate(order)}
+    dag._order = order
     return dag
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 import bisect
 import decimal
 import heapq
+import json
 import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -30,6 +31,8 @@ _WEIGHT_RE = re.compile(r"^(\d+)(?:\.(\d{1,9}))?$", re.ASCII)
 # A plain edge list: a header and `u v w` lines of ASCII digits, single
 # spaces and LF endings ([0-9] matches no other digit).
 _PLAIN_RE = re.compile(r"[0-9]+ [0-9]+ [0-9]+ [0-9]+\n(?:[0-9]+ [0-9]+ [0-9]+\n)*")
+# Turns a plain edge list, its last LF cut, into the items of a JSON array.
+_PLAIN_TO_JSON = str.maketrans(" \n", ",,")
 
 
 class GraphFormatError(ValueError):
@@ -540,20 +543,17 @@ def parse_graph(text: str | bytes) -> WeightedDigraph:
 def _parse_plain(text: str) -> WeightedDigraph | None:
     """The graph of a plain edge list, as `serialize_graph` writes one:
     ASCII digits, single spaces and LF endings; edge k is on line k + 2.
-    None for any other text, for a token too long for int() and for a line
-    that fails its check, whose error `_parse_lines` then raises. One regex
-    match proves the shape; each distinct token is converted once, and the
-    line checks run over whole columns."""
+    None for any other text, for a token with a leading zero or too long
+    for int(), and for a line that fails its check, whose error
+    `_parse_lines` then raises. One regex match proves the shape, one JSON
+    decode turns every token into an int, and the line checks run over
+    whole columns."""
     if not _PLAIN_RE.fullmatch(text):
         return None
-    toks = text.split()
-    distinct = set(toks)
     try:
-        value = dict(zip(distinct, map(int, distinct)))
-    except ValueError:  # a token longer than int() converts
+        vals = json.loads("[" + text[:-1].translate(_PLAIN_TO_JSON) + "]")
+    except ValueError:  # JSON admits no leading zero; int() no more than 4,300 digits
         return None
-    vals = list(map(value.__getitem__, toks))
-    del toks, distinct, value
     n, m, s, t = vals[:4]
     us, vs, ws = vals[4::3], vals[5::3], vals[6::3]
     del vals
@@ -645,9 +645,9 @@ def _edge_list(
     other list is checked for a duplicate, then sorted once."""
     if len(ws) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(ws)}")
-    pairs = list(zip(us, vs))
     edges: Iterable[tuple[int, int, int]] = zip(us, vs, ws)
-    if not all(map(operator.lt, pairs, islice(pairs, 1, None))):
+    if not all(map(operator.lt, zip(us, vs), zip(us[1:], vs[1:]))):
+        pairs = list(zip(us, vs))
         if len(set(pairs)) != m:
             seen: set[Edge] = set()
             for edge, lineno in zip(pairs, lines):

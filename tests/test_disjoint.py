@@ -94,14 +94,15 @@ def test_supplied_order_is_certified():
 
 
 def test_a_deferred_dag_certifies_its_order_on_the_first_reach():
-    """`_ordered_dag` builds what `from_order` builds but its closure, and
-    the first `reaches` raises what `from_order` raises at once."""
+    """`_ordered_dag` builds what `from_order` builds but its closure and
+    its `rank`, which a query with a parked token never reads, and the
+    first `reaches` raises what `from_order` raises at once."""
     adj = {0: [1, 2], 1: [3], 2: [3], 3: []}
     dag = _ordered_dag([0, 2, 1, 3], adj)
     eager = ForwardDag.from_order([0, 2, 1, 3], adj)
-    assert (dag.vertices, dag.adj, dag.rank) == (eager.vertices, eager.adj, eager.rank)
     assert two_disjoint_paths(dag, (0, 0), (2, 3)) == two_disjoint_paths(eager, (0, 0), (2, 3))
-    assert "_descendants" not in vars(dag)
+    assert "_descendants" not in vars(dag) and "rank" not in vars(dag)
+    assert (dag.vertices, dag.adj, dag.rank) == (eager.vertices, eager.adj, eager.rank)
     for order, adj, error, message in (
         ([0, 3, 1, 2], adj, CyclicGraphError, "edge (2, 3) goes against the order"),
         ([0, 1], {0: [1, 2], 1: []}, ValueError, "edge (0, 2) leaves the vertex set"),

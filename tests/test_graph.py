@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -120,6 +121,8 @@ _HUGE = "9" * 5000
         ),
         # Edge lines in (u, v) order, but for the one that repeats or fails.
         ("3 3 0 2\n0 1 1\n0 1 2\n1 2 1\n", 3, "duplicate edge (0, 1)"),
+        ("3 3 0 2\n0 1 1\n1 2 1\n1 2 1\n", 4, "duplicate edge (1, 2)"),
+        ("3 4 0 2\n0 1 1\n0 2 1\n0 2 3\n1 2 1\n", 4, "duplicate edge (0, 2)"),
         ("3 3 0 2\n0 1 9999999999999999999\n1 2 1\n1 2 1\n", 4, "duplicate edge (1, 2)"),
         ("3 2 0 2\n0 1 1\n1 2 9999999999999999999\n", 3, "weight overflow"),
         ("3 3 0 2\n0 1 9999999999999999999\n0 2 1\n1 2 9999999999999999999\n", 2, "overflow"),
@@ -256,6 +259,9 @@ def plain_texts(draw):
     return text, fallbacks
 
 
+_LEADING_ZERO = re.compile(r"(?<![0-9])0[0-9]")
+
+
 def parse_outcome(text):
     """The graph that `parse_graph` reads, or the line and message it raises."""
     try:
@@ -269,12 +275,13 @@ def parse_outcome(text):
 def test_the_whole_text_path_reads_like_the_line_loop(drawn):
     """A plain text whose lines pass their checks is read whole, and raises
     the line loop's error if the whole list fails one; any other text goes
-    to the line loop. A trailing comment sends the reference to the line
-    loop without moving a line number."""
+    to the line loop, and so does one with a leading zero, which the JSON
+    decode rejects. A trailing comment sends the reference to the line loop
+    without moving a line number."""
     text, fallbacks = drawn
     reference = text + "# end\n"
     assert graph._parse_plain(reference) is None
-    if fallbacks & _LINE_FALLBACKS:
+    if fallbacks & _LINE_FALLBACKS or _LEADING_ZERO.search(text):
         assert graph._parse_plain(text) is None
     elif fallbacks:
         with pytest.raises(GraphFormatError) as err:
@@ -323,6 +330,48 @@ def test_serialized_graphs_take_the_whole_text_path(monkeypatch, make):
         assert parse_graph(text) == g
         assert calls == []
         assert line_loop(text) == g
+
+
+def test_the_json_decode_routes_every_plain_text(monkeypatch):
+    """A leading zero, which JSON rejects, and a token past int()'s 4,300
+    digits, which the decode cannot convert, send a plain text to the line
+    loop, which gives the graph or the error that the whole-text path would;
+    a header with no edge line is read whole."""
+    line_loop = graph._parse_lines
+    calls = []
+    monkeypatch.setattr(graph, "_parse_lines", lambda text: calls.append(text) or line_loop(text))
+    assert parse_graph("02 1 0 1\n0 1 5\n") == parse_graph("2 1 0 1\n0 1 5\n")
+    assert calls == ["02 1 0 1\n0 1 5\n"]
+    huge = "2 1 0 1\n0 1 " + "9" * 4301 + "\n"
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(huge)
+    assert str(err.value) == "line 2: weight overflow after scaling"
+    assert calls[1:] == [huge]
+    g = parse_graph("2 0 0 1\n")
+    assert calls[2:] == [] and g.edge_count == 0
+    assert_built_as_public(g)
+
+
+@pytest.mark.parametrize(
+    "lines,sorts",
+    [
+        (["0 1 1", "0 2 1", "1 2 1"], 0),
+        (["0 1 1", "1 2 1", "0 2 1"], 1),  # one descending pair
+        (["0 2 1", "0 1 1", "1 2 1"], 1),  # equal tails, descending heads
+        (["1 2 1", "0 1 1", "0 2 1"], 1),
+    ],
+)
+def test_edges_out_of_order_take_one_sort(monkeypatch, lines, sorts):
+    """`_edge_list` decides the (u, v) order from the columns: a list in
+    strictly increasing order goes to `_index` as it is, and any other,
+    also one whose only descent is between equal tails, is sorted once."""
+    calls = []
+    monkeypatch.setattr(graph, "sorted", lambda rows: calls.append(1) or sorted(rows), raising=False)
+    text = f"3 {len(lines)} 0 2\n" + "".join(line + "\n" for line in lines)
+    g = graph._parse_plain(text)
+    assert len(calls) == sorts
+    assert g.edges == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+    assert_built_as_public(g)
 
 
 @pytest.mark.parametrize(

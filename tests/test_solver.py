@@ -240,7 +240,7 @@ def test_a_floor_answer_builds_no_in_rows_and_no_closure(monkeypatch):
     `layered-dense` benchmark reads its instances, answers at the floor
     with a least slack of 2: its floor reach reads no in-edge, and its
     pair queries each park a token at a terminal, so no graph derives
-    `into` and the forward DAG builds no closure."""
+    `into` and the forward DAG builds neither its closure nor its `rank`."""
     made = record_searches(monkeypatch)
     g = parse_graph(serialize_graph(layered_digraph(36, 18, 200, 11)))
     got = solve(g)
@@ -248,6 +248,7 @@ def test_a_floor_answer_builds_no_in_rows_and_no_closure(monkeypatch):
     assert got.weight == search.floor == search.dst + 2
     assert "into" not in vars(g.index) and "into" not in vars(search.g.index)
     assert "dag" in vars(search) and "_descendants" not in vars(search.dag)
+    assert "rank" not in vars(search.dag)
 
 
 def assert_search_setup(g):
