@@ -8,6 +8,7 @@ from .disjoint import (
     DisjointPathPair,
     ForwardDag,
     SharedTerminalError,
+    topological_order,
     two_disjoint_paths,
 )
 from .generate import layered_digraph, random_digraph

@@ -8,6 +8,10 @@ never moves). That schedule rules out the two tokens ever occupying one
 vertex at different times. The BFS keeps each state's first parent, and each
 path is one token's coordinate of the state walk from start to goal.
 O(n*m) per query.
+
+The search runs on a `ForwardDag`, built from a topological order and an
+adjacency; `topological_order` gives Kahn's order for a DAG that comes
+without one.
 """
 from __future__ import annotations
 
@@ -38,69 +42,39 @@ class DisjointPathPair:
 class ForwardDag:
     """An acyclic digraph with a certified topological order.
 
-    Adjacency lists are kept sorted by head id so every search here is
-    deterministic. `ForwardDag(vertices, adj)` sorts them and finds Kahn's
-    smallest-id-first order; `from_order` takes both as they are given.
+    `ForwardDag(order, adj)` takes `order`, which lists every vertex once,
+    and `adj`, a list per vertex sorted by head id, so that every search
+    here is deterministic; both are used as they are. `rank` and the
+    reachability closure are derived on first read, and a query that parks
+    a token reads neither. The one pass, in reverse order, that builds the
+    closure also certifies the order: an edge that does not go later in it
+    raises CyclicGraphError, a vertex without a list or an edge out of the
+    vertex set ValueError.
     """
 
-    def __init__(self, vertices: Iterable[int], adj: Mapping[int, Iterable[int]]):
-        self.vertices = frozenset(vertices)
-        self.adj = {u: tuple(sorted(adj.get(u, ()))) for u in self.vertices}
-        self.rank = self._topological_rank()
-
-    @classmethod
-    def from_order(cls, order: Sequence[int], adj: Mapping[int, Sequence[int]]) -> "ForwardDag":
-        """The DAG whose topological order is `order`, which lists every
-        vertex once, and whose adjacency is `adj`, a list per vertex already
-        sorted by head id; both are used as they are. One pass in reverse
-        order certifies the order and builds the reachability closure: an
-        edge that does not go later in it raises CyclicGraphError, a vertex
-        without a list or an edge out of the vertex set ValueError."""
-        dag = _ordered_dag(order, adj)
-        dag._descendants = dag._closure()
-        return dag
+    def __init__(self, order: Sequence[int], adj: Mapping[int, Sequence[int]]):
+        self.vertices = frozenset(order)
+        if len(self.vertices) != len(order):
+            raise ValueError("the order lists a vertex twice")
+        self.adj = adj
+        self._order = order
 
     @classmethod
     def from_graph(cls, g: WeightedDigraph) -> "ForwardDag":
-        """Treat every edge of g as a DAG edge; weights are irrelevant here."""
+        """Treat every edge of g as a DAG edge, in Kahn's order; weights are
+        irrelevant here."""
         ids = g.index.ids
-        return cls(ids, {u: [ids[j] for j, _w in out] for u, out in zip(ids, g.index.out)})
-
-    def _topological_rank(self) -> dict[int, int]:
-        """Kahn's order, smallest id first among the ready vertices; the
-        rank decides which token of the pair search moves."""
-        indeg = {u: 0 for u in self.vertices}
-        for u in self.vertices:
-            for v in self.adj[u]:
-                if v not in indeg:
-                    raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
-                indeg[v] += 1
-        heap = [u for u in self.vertices if indeg[u] == 0]
-        heapq.heapify(heap)
-        rank: dict[int, int] = {}
-        while heap:
-            u = heapq.heappop(heap)
-            rank[u] = len(rank)
-            for v in self.adj[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(heap, v)
-        if len(rank) != len(self.vertices):
-            raise CyclicGraphError("graph contains a directed cycle")
-        return rank
+        adj = {u: [ids[j] for j, _w in out] for u, out in zip(ids, g.index.out)}
+        return cls(topological_order(ids, adj), adj)
 
     @cached_property
     def rank(self) -> dict[int, int]:
-        """The given order as ranks, on first read; `ForwardDag(vertices,
-        adj)` sets it at once from Kahn's order."""
+        """The order as ranks; the rank decides which token of the pair
+        search moves."""
         return {u: i for i, u in enumerate(self._order)}
 
     @cached_property
     def _descendants(self) -> dict[int, int]:
-        """The closure, on first use; `from_order` sets it at once."""
-        return self._closure()
-
-    def _closure(self) -> dict[int, int]:
         """Reachability closure as bitmasks indexed by rank, built in reverse
         order of `rank`. A head whose closure is not built yet does not go
         later in the order: the pass raises CyclicGraphError, or ValueError
@@ -132,17 +106,30 @@ class ForwardDag:
             raise ValueError(f"vertex {err.args[0]} not in the DAG") from None
 
 
-def _ordered_dag(order: Sequence[int], adj: Mapping[int, Sequence[int]]) -> ForwardDag:
-    """`ForwardDag.from_order(order, adj)` without its closure: the pass
-    that builds the closure, and certifies `order` as it goes, runs on the
-    first `reaches`, and `rank` waits for its first read, which a query
-    with a parked token never makes. The caller vouches for `order` and
-    `adj`."""
-    dag = ForwardDag.__new__(ForwardDag)
-    dag.vertices = frozenset(order)
-    dag.adj = adj
-    dag._order = order
-    return dag
+def topological_order(vertices: Iterable[int], adj: Mapping[int, Iterable[int]]) -> list[int]:
+    """Kahn's order of the digraph on `vertices` with out-lists `adj` (a
+    vertex without a list has no out-edge), smallest id first among the
+    ready vertices. An edge out of the vertex set raises ValueError, a
+    directed cycle CyclicGraphError."""
+    indeg = dict.fromkeys(vertices, 0)
+    for u in indeg:
+        for v in adj.get(u, ()):
+            if v not in indeg:
+                raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
+            indeg[v] += 1
+    heap = [u for u, k in indeg.items() if k == 0]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        u = heapq.heappop(heap)
+        order.append(u)
+        for v in adj.get(u, ()):
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(heap, v)
+    if len(order) != len(indeg):
+        raise CyclicGraphError("graph contains a directed cycle")
+    return order
 
 
 def _single_path(dag: ForwardDag, a: int, b: int, avoid: int) -> Path | None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .disjoint import DisjointPathPair, ForwardDag, _ordered_dag, two_disjoint_paths
+from .disjoint import DisjointPathPair, ForwardDag, two_disjoint_paths
 from .graph import (
     Edge,
     InternalInvariantError,
@@ -99,7 +99,7 @@ class _LayeredSearch:
         from s strictly increases along every forward edge, so the vertices
         by (d(s,u), u), the layers in turn, are a topological order. Its
         closure waits for the first such reach or pair-state query."""
-        return _ordered_dag([u for layer in self.layers for u in layer], self.forward)
+        return ForwardDag([u for layer in self.layers for u in layer], self.forward)
 
     def climbs(self, u: int, v: int) -> bool:
         """Whether u reaches v in the forward DAG. Every forward edge climbs

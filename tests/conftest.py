@@ -46,6 +46,19 @@ def with_span_edges(g, count, seed):
     return g.replace(edges=edges)
 
 
+def layered_tiers(layers, width):
+    """The layers that `layered_digraph(layers, width, ...)` builds: s, then
+    `width` consecutive ids per middle layer, then t."""
+    middle = [tuple(range(1 + i * width, 1 + (i + 1) * width)) for i in range(layers - 2)]
+    return [(0,), *middle, (1 + (layers - 2) * width,)]
+
+
+def back_edge_room(layers, width):
+    """How many back-edges such a graph holds: one per vertex and smaller
+    id, which lies in an earlier layer."""
+    return sum(tier[0] * len(tier) for tier in layered_tiers(layers, width))
+
+
 def relabelled(g, seed):
     """`g` with its vertex ids, s and t included, permuted by a seeded
     shuffle, so that ids no longer grow with the distance from s."""

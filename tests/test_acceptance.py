@@ -24,6 +24,7 @@ from nextpath import (
     solve,
     solve_detailed,
     straighten,
+    topological_order,
     two_disjoint_paths,
     validate_path,
 )
@@ -211,7 +212,7 @@ def test_criterion_5_disjoint_paths_sound_and_complete():
         n = rng.randint(5, 10)
         p = rng.choice((0.25, 0.4, 0.55))
         adj = {u: [v for v in range(u + 1, n) if rng.random() < p] for u in range(n)}
-        dag = ForwardDag(range(n), adj)
+        dag = ForwardDag(topological_order(range(n), adj), adj)
         for _ in range(30):
             s1, t1, s2, t2 = (rng.randrange(n) for _ in range(4))
             if {s1, t1} & {s2, t2}:

@@ -5,7 +5,10 @@ import hashlib
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import back_edge_room, layered_tiers
 from nextpath import (
     exhaustive_next_to_shortest,
     is_layered,
@@ -54,9 +57,20 @@ def test_minimal_layered_instance_is_a_path():
 
 
 @pytest.mark.parametrize("seed", range(15))
-def test_layered_outputs_pass_the_predicate(seed):
-    g = layered_digraph(3 + seed % 4, 1 + seed % 3, seed % 6, seed)
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(st.data())
+def test_layered_outputs_pass_the_predicate(seed, data):
+    """Layered by construction: under each seed, a drawn shape, back-edge
+    count within the room and weight bound give a layered graph whose
+    layers are the generator's tiers: s, then `width` consecutive ids per
+    middle layer, then t."""
+    layers, width = data.draw(st.integers(2, 7)), data.draw(st.integers(1, 5))
+    back_edges = data.draw(st.integers(0, min(back_edge_room(layers, width), 40)))
+    g = layered_digraph(
+        layers, width, back_edges, seed, back_weight_max=data.draw(st.integers(1, 9))
+    )
     assert is_layered(g, shortest_distances(g))
+    assert g.layering.layers == ((), *layered_tiers(layers, width))
 
 
 def test_layered_with_too_many_back_edges_rejected():
@@ -121,6 +135,7 @@ def test_layered_output_is_pinned(params):
 @pytest.mark.parametrize("params", BACK_EDGE_ROOM, ids=lambda p: "-".join(map(str, p)))
 def test_layered_names_the_back_edges_that_fit(params):
     room = BACK_EDGE_ROOM[params]
+    assert back_edge_room(*params[:2]) == room
     with pytest.raises(ValueError, match=f"^at most {room} back-edges fit these layer parameters$"):
         layered_digraph(*params, seed=0)
     layers, width, _ = params

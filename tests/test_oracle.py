@@ -11,6 +11,7 @@ from nextpath import (
     exhaustive_two_disjoint_paths,
     parse_graph,
     random_digraph,
+    topological_order,
     validate_path,
 )
 from nextpath.oracle import BudgetExceeded, simple_paths
@@ -84,12 +85,17 @@ def test_oracle_witness_is_always_valid():
             assert check.simple and check.weight == out.weight
 
 
+def kahn_dag(adj):
+    """The DAG with the out-lists `adj`, one per vertex, in Kahn's order."""
+    return ForwardDag(topological_order(adj, adj), adj)
+
+
 def test_exhaustive_disjoint_pairs():
-    dag = ForwardDag(range(4), {0: [1], 1: [], 2: [3], 3: []})
+    dag = kahn_dag({0: [1], 1: [], 2: [3], 3: []})
     pair = exhaustive_two_disjoint_paths(dag, (0, 1), (2, 3))
     assert pair.p1 == (0, 1) and pair.p2 == (2, 3)
 
-    x_gadget = ForwardDag(range(5), {0: [2], 1: [2], 2: [3, 4], 3: [], 4: []})
+    x_gadget = kahn_dag({0: [2], 1: [2], 2: [3, 4], 3: [], 4: []})
     assert exhaustive_two_disjoint_paths(x_gadget, (0, 3), (1, 4)) is None
     with pytest.raises(SharedTerminalError):
         exhaustive_two_disjoint_paths(x_gadget, (0, 3), (0, 4))
@@ -99,6 +105,6 @@ def test_exhaustive_disjoint_pairs_on_long_dag_path():
     # a 1,200-vertex path as p1 and a separate edge as p2: the DAG path
     # enumeration must not recurse once per path vertex
     n = 1200
-    dag = ForwardDag(range(n + 2), {i: [i + 1] for i in range(n - 1)} | {n: [n + 1]})
+    dag = kahn_dag({i: [i + 1] for i in range(n - 1)} | {n - 1: [], n: [n + 1], n + 1: []})
     pair = exhaustive_two_disjoint_paths(dag, (0, n - 1), (n, n + 1))
     assert pair.p1 == tuple(range(n)) and pair.p2 == (n, n + 1)

@@ -9,14 +9,16 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nextpath.disjoint
 import nextpath.graph
 import nextpath.reduction
 import nextpath.solver
 from conftest import (
     PARALLEL_CHAINS,
+    back_edge_room,
     back_edge_split,
     bead_graph,
     build_graph,
@@ -220,11 +222,13 @@ def test_the_layer_rule_agrees_with_the_closure():
         st.integers(0, 2**16),
     )
     def check(layers, width, back, skips, seed):
+        assume(back <= back_edge_room(layers, width))
         g = with_span_edges(layered_digraph(layers, width, back, seed), skips, seed)
         search = _LayeredSearch(relabelled(g, seed))
         lam = search.lam
         order = [u for layer in search.layers for u in layer]
-        closure = ForwardDag.from_order(order, search.forward)
+        closure = ForwardDag(order, search.forward)
+        assert closure.reaches(search.g.s, search.g.t)  # builds and certifies the closure
         pairs = list(itertools.product(order, repeat=2))
         level = [(u, v) for u, v in pairs if lam[v] <= lam[u]]
         assert [search.climbs(u, v) for u, v in level] == [u == v for u, v in level]
@@ -500,7 +504,7 @@ def test_seed_41_builds_one_boundary_list_and_no_kahn_order(monkeypatch):
     order never runs."""
     made = record_searches(monkeypatch)
     kahn, visited = [], []
-    monkeypatch.setattr(ForwardDag, "_topological_rank", lambda dag: kahn.append(dag))
+    monkeypatch.setattr(nextpath.disjoint, "topological_order", lambda *args: kahn.append(args))
     route = _LayeredSearch._pair_route
 
     def visiting(search, a, b, *args):
