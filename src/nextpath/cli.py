@@ -71,7 +71,8 @@ def _dump_trace(result, g: WeightedDigraph) -> None:
         ("straighten", result.straighten_trace),
         ("layerize", result.layerize_trace),
     ):
-        print(f"# {name}: {len(trace.steps)} steps, {len(trace.candidates)} candidates",
+        candidates = trace.candidates
+        print(f"# {name}: {len(trace.steps)} steps, {len(candidates)} candidates",
               file=sys.stderr)
         for step in trace.steps:
             if isinstance(step, EliminationRecord):
@@ -80,7 +81,7 @@ def _dump_trace(result, g: WeightedDigraph) -> None:
                 print(f"eliminate {removed} shortcuts[{shortcuts}]", file=sys.stderr)
             elif isinstance(step, BackEdgeRemoval):
                 print(f"remove-back-edge {step.edge[0]}->{step.edge[1]}", file=sys.stderr)
-        for path, weight in trace.candidates:
+        for path, weight in candidates:
             ids = " ".join(str(v) for v in path)
             print(f"candidate weight={format_weight(weight, g.scale)}: {ids}",
                   file=sys.stderr)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 from .graph import (
     InternalInvariantError,
-    Path,
     SolveOutcome,
     WeightedDigraph,
     path_weight,
@@ -36,11 +35,19 @@ def solve(g: WeightedDigraph) -> SolveOutcome:
 def solve_detailed(g: WeightedDigraph) -> PipelineResult:
     """Run the full pipeline and keep the intermediate traces.
 
-    The reported path is the minimum-weight entry of the candidate pool:
-    detour paths recorded by the reductions (already in original
-    coordinates) plus the lifted layered-graph solution, all weighed in the
-    original graph. Ties keep the earliest entry, making the output
-    deterministic.
+    The reported path is the minimum-weight entry of the candidate pool,
+    weighed in the original graph: straighten's candidates (already in its
+    coordinates), then layerize's, then the lifted layered-graph solution.
+    Ties keep the earliest entry, making the output deterministic. The pool
+    is picked from the weights the reductions recorded, and only the
+    winner's path is built.
+
+    A layerize candidate weighs in g what it recorded in g_s. Its tree
+    paths use tight edges only, and no shortcut is tight: a tight detour
+    would put its eliminated vertices on a shortest s-t path. So only its
+    removed back-edge can be a shortcut, and lifting splices in that one
+    detour of eliminated vertices, which closes no loop. The final
+    `validate_path` checks the answer's weight.
     """
     d = shortest_distances(g)
     dst = d.from_s[g.t]
@@ -53,24 +60,28 @@ def solve_detailed(g: WeightedDigraph) -> PipelineResult:
     g_l, tr_l = layerize(g_s)
     layered_sol = solve_layered(g_l)
 
-    def lifted(path: Path, weight: int) -> tuple[Path, int]:
-        """A path of g_s and its weight there, lifted to g. A path that the
-        lift leaves as it was uses no shortcut, so it weighs the same in g."""
-        out = lift_path(tr_s, path)
-        return out, weight if out == path else path_weight(g, out)
-
-    pool: list[tuple[Path, int]] = list(tr_s.candidates)
-    pool += (lifted(p, w) for p, w in tr_l.candidates)
+    pool = tr_s.weights + tr_l.weights
     if layered_sol.found:
         # Removing back-edges keeps every vertex and the surviving edges'
-        # weights, so the layered answer is already a path of g_s.
-        pool.append(lifted(layered_sol.path, layered_sol.weight))
+        # weights, so the layered answer is already a path of g_s. A path
+        # that the lift leaves as it was uses no shortcut, so it weighs the
+        # same in g.
+        layered = lift_path(tr_s, layered_sol.path)
+        pool.append(
+            layered_sol.weight if layered == layered_sol.path else path_weight(g, layered)
+        )
 
     if not pool:
         outcome = SolveOutcome.none()
     else:
-        weight, idx = min((w, i) for i, (_p, w) in enumerate(pool))
-        path = pool[idx][0]
+        weight, k = min((w, k) for k, w in enumerate(pool))
+        n_s, n_l = len(tr_s.weights), len(tr_l.weights)
+        if k < n_s:
+            path = tr_s.candidate_path(k)
+        elif k < n_s + n_l:
+            path = lift_path(tr_s, tr_l.candidate_path(k - n_s))
+        else:
+            path = layered
         check = validate_path(g, path)
         if not check.simple or check.weight != weight or weight <= dst:
             raise InternalInvariantError(

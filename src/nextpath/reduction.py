@@ -76,12 +76,30 @@ Step = Union[EliminationRecord, BackEdgeRemoval]
 class ReductionTrace:
     """Ordered transformation log plus candidate paths found along the way.
 
-    Candidates are stored in the coordinates of the graph the reduction
-    started from, with weights measured there.
+    A candidate is recorded as its weight, in `weights`, and the ends of its
+    path, in `ends`: (x, mid, y) stands for s -> x along the smallest-id
+    shortest-path tree from s, then `mid`, then y -> t along the
+    smallest-id shortest-path tree to t, all in the graph the reduction
+    started from, and weighed there. `tree_path` builds such a path; it is
+    the reduction's one memo of tree parents and successors, so
+    `candidate_path` builds only the paths something reads, and
+    `candidates`, every (path, weight) in record order, is derived on each
+    read: appending to it records nothing.
     """
 
     steps: list[Step] = field(default_factory=list)
-    candidates: list[tuple[Path, int]] = field(default_factory=list)
+    weights: list[int] = field(default_factory=list)
+    ends: list[tuple[int, Path, int]] = field(default_factory=list)
+    tree_path: Callable[[int, Path, int], Path] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def candidate_path(self, k: int) -> Path:
+        return self.tree_path(*self.ends[k])
+
+    @property
+    def candidates(self) -> list[tuple[Path, int]]:
+        return [(self.candidate_path(k), w) for k, w in enumerate(self.weights)]
 
 
 def apply_step(g: WeightedDigraph, step: Step) -> WeightedDigraph:
@@ -177,9 +195,11 @@ def _tree_paths(g: WeightedDigraph, d: DistanceTable) -> Callable[[int, Path, in
     to t, all in g. One reduction call shares one memo of each vertex's tree
     parent and tree successor over all its candidates.
 
-    The reductions call this on their input graph while they change a copy:
-    they never add, remove or reweigh a tight edge at a vertex of a
-    shortest path, so the trees are the same in both.
+    The reductions keep this on their trace, which builds a candidate's path
+    only when it is read, after the reduction has returned. g is immutable,
+    so the path does not depend on when it is built; and the reductions
+    never add, remove or reweigh a tight edge at a vertex of a shortest
+    path, so the trees are also those of the graph they return.
     """
     ix = g.index
     parents: dict[int, int] = {}
@@ -205,9 +225,11 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     (x, y) becomes a shortcut of the detour's weight when it was absent or
     heavier. When (x, y) is instead a tight edge lighter than the detour,
     the path s -> x, the detour, y -> t along the smallest-id shortest-path
-    trees is recorded as a candidate next-to-shortest path, because the
-    reduced graph can no longer represent it. It is simple: the tree paths
-    hold survivors only and lie on either side of the tight edge.
+    trees is a candidate next-to-shortest path, because the reduced graph
+    can no longer represent it. It is recorded as its weight and its ends
+    (x, the detour's inner vertices, y); the trace builds the path only when
+    it is read. It is simple: the tree paths hold survivors only and lie on
+    either side of the tight edge.
 
     The input's distance table is read once, and weighs each candidate:
     d(s,x) + detour + d(y,t). Removing vertices off every shortest path
@@ -247,7 +269,7 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
             if j not in left:
                 into.setdefault(j, []).append((i, w))
     shortcuts: dict[Edge, Path] = {}
-    tree_path = _tree_paths(g, d)
+    trace.tree_path = _tree_paths(g, d)
     for i in sorted(into):
         overlay[i] = into[i]
         dist, parent = dijkstra(overlay, i)
@@ -263,7 +285,8 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
                 shortcuts[(x, y)] = tuple(map(ids.__getitem__, parent_path(parent, i, j)[1:-1]))
             elif old < detour and from_s[x] + old + to_t[y] == dst:
                 mid = tuple(map(ids.__getitem__, parent_path(parent, i, j)[1:-1]))
-                trace.candidates.append((tree_path(x, mid, y), from_s[x] + detour + to_t[y]))
+                trace.ends.append((x, mid, y))
+                trace.weights.append(from_s[x] + detour + to_t[y])
     trace.steps.append(EliminationRecord(gone, shortcuts))
     # Built without the constructor, whose checks hold: every kept edge is
     # the input's, between survivors, and a shortcut joins two distinct
@@ -280,11 +303,12 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
 
     Each back-edge (u,v) that does not, the graph's `layering.against`, is
     removed, smallest ids first, after recording the candidate path s->u,
-    (u,v), v->t built from the smallest-id shortest-path trees -- the
-    cheapest path through that edge, which the reduced graph loses. Forward
-    edges stay as they are: weights are positive, so each one already goes
-    strictly up a layer, and the search takes an edge that spans several
-    layers whole.
+    (u,v), v->t along the smallest-id shortest-path trees -- the cheapest
+    path through that edge, which the reduced graph loses -- as its weight
+    and its ends (u, (), v); the trace builds the path only when it is
+    read. Forward edges stay as they are: weights are positive, so each one
+    already goes strictly up a layer, and the search takes an edge that
+    spans several layers whole.
 
     The input's distance table and layering are read once; the table weighs
     each candidate, d(s,u) + w(u,v) + d(v,t). The removals drop each edge
@@ -303,12 +327,13 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
         return g, trace
     ix = g.index
     out = list(ix.out)
-    tree_path = _tree_paths(g, d)
+    trace.tree_path = _tree_paths(g, d)
     for u, v in layering.against:
         i, j = ix.slot[u], ix.slot[v]
         w = dict(out[i])[j]
         out[i] = tuple(pair for pair in out[i] if pair[0] != j)
-        trace.candidates.append((tree_path(u, (), v), d.from_s[u] + w + d.to_t[v]))
+        trace.ends.append((u, (), v))
+        trace.weights.append(d.from_s[u] + w + d.to_t[v])
         trace.steps.append(BackEdgeRemoval((u, v)))
     index = VertexIndex(ix.ids, ix.slot, tuple(out))
     g_l = _graph(g.vertices, g.s, g.t, g.scale, index)

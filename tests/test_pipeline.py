@@ -30,9 +30,9 @@ from nextpath import (
     solve_detailed,
     validate_path,
 )
-from nextpath import pipeline
-from nextpath.graph import dijkstra, path_weight
-from nextpath.reduction import lift_path
+from nextpath import cli, pipeline, reduction
+from nextpath.graph import SolveOutcome, dijkstra, path_weight
+from nextpath.reduction import _tight_walk, lift_path
 
 
 def test_triangle_answer():
@@ -186,10 +186,11 @@ def test_a_parsed_graph_is_solved_from_its_index_alone(make):
 
 def test_the_pipeline_weighs_only_the_paths_a_lift_changes(monkeypatch):
     """The reductions weigh their candidates off the distance table, and the
-    layered answer comes weighed; the pipeline weighs a path in g again only
-    when lifting it changed it. A path the lift leaves as it was uses no
-    shortcut, so its weight holds in g, and the final check confirms the
-    answer's."""
+    layered answer comes weighed, so the pipeline weighs at most one path in
+    g again: the lifted layered answer, when lifting changed it. A path the
+    lift leaves as it was uses no shortcut, so its weight holds in g; a
+    layerize candidate's recorded weight holds in g even when the lift
+    changes it; and the final check confirms the answer's."""
     weighed = []
     monkeypatch.setattr(
         pipeline, "path_weight", lambda g, path: weighed.append(path) or path_weight(g, path)
@@ -198,14 +199,131 @@ def test_the_pipeline_weighs_only_the_paths_a_lift_changes(monkeypatch):
     for seed in range(40):
         weighed.clear()
         result = solve_detailed(random_digraph(12, 0.3, 5, seed))
-        paths = [p for p, _w in result.layerize_trace.candidates]
-        if result.layered_outcome.found:
-            paths.append(result.layered_outcome.path)
-        lifts = [lift_path(result.straighten_trace, p) for p in paths]
-        assert weighed == [q for p, q in zip(paths, lifts) if q != p]
-        changed += len(weighed)
-        kept += len(paths) - len(weighed)
+        if not result.layered_outcome.found:
+            assert weighed == []
+            continue
+        p = result.layered_outcome.path
+        q = lift_path(result.straighten_trace, p)
+        assert weighed == ([q] if q != p else [])
+        changed += q != p
+        kept += q == p
     assert kept and changed
+
+
+@pytest.mark.parametrize(
+    "shape,seeds",
+    [((12, 0.3, 5), range(900)), ((30, 0.12, 9), range(280)), ((8, 0.5, 2), range(1300))],
+    ids=["12-0.3-5", "30-0.12-9", "8-0.5-2"],
+)
+def test_a_layerize_candidate_weighs_in_g_what_it_recorded(shape, seeds):
+    """Lifted to g, every layerize candidate weighs exactly its recorded
+    weight, also when the lift changes it: its tree paths use only tight
+    edges, no shortcut is tight, so only its removed back-edge can be a
+    shortcut, and splicing in that one detour closes no loop. The pipeline
+    relies on this to pick the pool's minimum from recorded weights."""
+    candidates = changed = 0
+    for seed in seeds:
+        g = random_digraph(*shape, seed)
+        result = solve_detailed(g)
+        for p, w in result.layerize_trace.candidates:
+            q = lift_path(result.straighten_trace, p)
+            assert path_weight(g, q) == w
+            candidates += 1
+            changed += q != p
+    assert changed and candidates > changed
+
+
+def _eager_first_minimum(g, result):
+    """The pool built eagerly, as the reference: every candidate's path,
+    each layerize candidate and the layered answer lifted to g and weighed
+    there; then the first entry of least weight, and which part of the
+    pool it came from."""
+    tr_s, tr_l = result.straighten_trace, result.layerize_trace
+    pool = [(p, w, "straighten") for p, w in tr_s.candidates]
+    lifted = [p for p, _w in tr_l.candidates]
+    if result.layered_outcome.found:
+        lifted.append(result.layered_outcome.path)
+    for k, p in enumerate(lifted):
+        q = lift_path(tr_s, p)
+        pool.append((q, path_weight(g, q), "layerize" if k < len(tr_l.candidates) else "layered"))
+    if not pool:
+        return SolveOutcome.none(), None
+    path, weight, part = min(pool, key=lambda entry: entry[1])
+    return SolveOutcome.of(path, weight), part
+
+
+@pytest.mark.parametrize(
+    "make,seeds,parts",
+    [
+        pytest.param(
+            lambda seed: random_digraph(12, 0.3, 5, seed), range(120),
+            {None, "straighten", "layerize"}, id="random",
+        ),
+        pytest.param(skip_edge_graph, range(200), {"layerize", "layered"}, id="skip-edge"),
+        pytest.param(
+            lambda seed: layered_digraph(6, 3, 8, seed), range(40), {"layered"}, id="layered"
+        ),
+        pytest.param(lambda seed: bead_graph(3, 3, 6, seed), range(20), {None}, id="beads"),
+    ],
+)
+def test_the_answer_is_the_eager_pools_first_minimum(make, seeds, parts):
+    """Picking the winner from recorded weights and building its path alone
+    answers what building and weighing every pool entry answered: the same
+    path and weight, ties going to the earliest entry. `parts` is which
+    parts of the pool the answers came from over the seeds (None: no
+    answer), so that each family exercises what it should."""
+    won = set()
+    for seed in seeds:
+        g = make(seed)
+        result = solve_detailed(g)
+        want, part = _eager_first_minimum(g, result)
+        assert result.outcome == want
+        won.add(part)
+    assert won == parts
+
+
+# Two unit chains 0-1-2-5 and 0-3-4-5 (shortest distance 3), the strict
+# back-edge 4 -> 1 that gives the layered answer 0 3 4 1 2 5 (weight 5), and
+# back-edges inside layers, which `layerize` removes, each recording a
+# candidate of weight 5 too: 1 -> 3 records 0 1 3 4 5.
+_TIES = {
+    (0, 1): 1, (1, 2): 1, (2, 5): 1, (0, 3): 1, (3, 4): 1, (4, 5): 1,
+    (4, 1): 1, (1, 3): 2,
+}
+_MORE_TIES = {**_TIES, (2, 4): 2, (3, 1): 2}
+
+
+def test_a_layerize_candidate_that_ties_the_layered_answer_wins():
+    """The pool keeps the first entry of least weight, and layerize's
+    candidates come before the layered answer."""
+    result = solve_detailed(build_graph(6, _TIES))
+    assert result.layered_outcome == SolveOutcome.of((0, 3, 4, 1, 2, 5), 5)
+    assert result.layerize_trace.candidates == [((0, 1, 3, 4, 5), 5)]
+    assert result.outcome == SolveOutcome.of((0, 1, 3, 4, 5), 5)
+
+
+def test_only_the_winners_trees_are_walked(monkeypatch, tmp_path, capsys):
+    """A solve builds the path of the winning candidate alone, one walk up
+    each shortest-path tree; `--dump-trace` prints every candidate, so it
+    walks the trees of all of them."""
+    walks = []
+    monkeypatch.setattr(
+        reduction, "_tight_walk", lambda *args: walks.append(args[3]) or _tight_walk(*args)
+    )
+    g = build_graph(6, _MORE_TIES)
+    assert len(g.layering.against) == 3
+    result = solve_detailed(g)
+    assert result.outcome == SolveOutcome.of((0, 1, 3, 4, 5), 5)
+    assert walks == [1, 3]
+    f = tmp_path / "ties.txt"
+    f.write_text(serialize_graph(g))
+    walks.clear()
+    assert cli.main(["solve", "--dump-trace", str(f)]) == 0
+    assert capsys.readouterr().err.count("candidate weight=5") == 3
+    assert len(walks) == 2 + 2 * 3
+    walks.clear()
+    assert cli.main(["solve", str(f)]) == 0
+    assert len(walks) == 2
 
 
 def test_outcome_always_validates():
