@@ -55,10 +55,12 @@ class InternalInvariantError(RuntimeError):
 class WeightedDigraph:
     """Simple directed graph with strictly positive integer edge weights.
 
-    `vertices` need not be contiguous: reductions delete vertices and never
-    add one, so the surviving ids stay stable. `scale` is the power of ten
-    by which the original decimal weights were multiplied; it only matters
-    when formatting output.
+    `vertices`, any iterable of ids, is stored as a frozenset, so a later
+    change to the caller's collection leaves the graph as it was. The ids
+    need not be contiguous: reductions delete vertices and never add one,
+    so the surviving ids stay stable. `scale`, an int >= 0, is the power of
+    ten by which the original decimal weights were multiplied; it only
+    matters when formatting output.
     A graph stores its edges in one form, its `index` (see `VertexIndex`),
     built at construction by `_index` and read-only, so shared. `edges` is
     a read-only view derived from `index` on first read, in (u, v) order;
@@ -77,14 +79,17 @@ class WeightedDigraph:
 
     def __post_init__(self) -> None:
         edges = self.__dict__.pop("edges")
+        vertices = self.__dict__["vertices"] = frozenset(self.vertices)
+        if type(self.scale) is not int or self.scale < 0:
+            raise ValueError("scale must be a non-negative integer")
         if self.s == self.t:
             raise ValueError("source and sink must differ")
-        if self.s not in self.vertices or self.t not in self.vertices:
+        if self.s not in vertices or self.t not in vertices:
             raise ValueError("source/sink must be graph vertices")
         for (u, v), w in edges.items():
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if u not in self.vertices or v not in self.vertices:
+            if u not in vertices or v not in vertices:
                 raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
             # Exact ints only, so that no weight sum rounds: no float, Decimal,
             # Fraction or bool.
@@ -93,7 +98,7 @@ class WeightedDigraph:
             if w <= 0:
                 raise ValueError(f"non-positive weight on edge ({u}, {v})")
         rows = sorted([(u, v, w) for (u, v), w in edges.items()])
-        self.__dict__["index"] = _index(sorted(self.vertices), rows)
+        self.__dict__["index"] = _index(sorted(vertices), rows)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -116,8 +121,8 @@ class WeightedDigraph:
         computed once; read-only, so shared. A sweep after the Dijkstra from
         s finds those (`_off_slots`). A straight graph, with none, has
         d(v,t) = d(s,t) - d(s,v); any other takes a second Dijkstra, to t.
-        A graph that `straighten` or `layerize` returns holds its table,
-        handed on from the reduction's input (see `_seed_distances`)."""
+        A graph that `straighten` or `layerize` returns is built holding its
+        table, handed on from the reduction's input (see `_graph`)."""
         ix = self.index
         out, _ = dijkstra(ix.out, ix.slot[self.s])
         off = _off_slots(ix.out, out, ix.slot[self.t])
@@ -173,7 +178,7 @@ class WeightedDigraph:
     def replace(self, *, vertices=None, edges=None) -> "WeightedDigraph":
         """Copy with a new vertex set and/or edge map (s, t, scale kept)."""
         return WeightedDigraph(
-            vertices=self.vertices if vertices is None else frozenset(vertices),
+            vertices=self.vertices if vertices is None else vertices,
             edges=self.edges if edges is None else edges,
             s=self.s,
             t=self.t,
@@ -408,29 +413,8 @@ def parent_path(parent: Mapping[int, int], a: int, b: int) -> Path:
 
 def shortest_distances(g: WeightedDigraph) -> DistanceTable:
     """Distances from s and to t: the graph's own `distances`, computed on
-    first use or seeded by the reduction that made the graph."""
+    first use or handed on by the reduction that made the graph."""
     return g.distances
-
-
-def _seed_distances(
-    g: WeightedDigraph, d: DistanceTable, layering: Layering | None = None
-) -> WeightedDigraph:
-    """`g`, with its cached `distances` set to `d` restricted to its vertices
-    and, when given, its cached `layering` set to `layering`, so that
-    neither a Dijkstra nor an edge pass runs for it. The caller vouches that
-    these are g's own and g is straight (empty `off`); only a reduction that
-    keeps them and returns a straight graph may call it. A `d` over g's
-    vertex set exactly is handed on as it is."""
-    if len(d.from_s) != len(g.vertices):
-        d = DistanceTable(
-            from_s=MappingProxyType({u: d.from_s[u] for u in g.vertices}),
-            to_t=MappingProxyType({u: d.to_t[u] for u in g.vertices}),
-            off=(),
-        )
-    g.__dict__["distances"] = d
-    if layering is not None:
-        g.__dict__["layering"] = layering
-    return g
 
 
 def edge_slack(d: DistanceTable, u: int, v: int, w: int) -> int | None:
@@ -668,17 +652,26 @@ def _edge_list(
     # - every edge within the vertex set: `max(us) < n and max(vs) < n`,
     #   "vertex id out of range";
     # - positive integer weights: each is int() of its digits, `min(ws) > 0`,
-    #   "non-positive weight" (positive when its digits are not all zero).
-    return _graph(frozenset(range(n)), s, t, scale, _index(range(n), edges))
+    #   "non-positive weight" (positive when its digits are not all zero);
+    # - an int scale >= 0: 0, or the most fraction digits of a weight.
+    return _graph(s, t, scale, _index(range(n), edges))
 
 
 def _graph(
-    vertices: frozenset[int], s: int, t: int, scale: int, index: VertexIndex
+    s: int, t: int, scale: int, index: VertexIndex,
+    distances: DistanceTable | None = None, layering: Layering | None = None,
 ) -> WeightedDigraph:
-    """The graph with these fields and `index`, built without
-    `__post_init__`: the caller vouches for its checks and for `index`."""
+    """The graph on the vertices `index.ids`, built without `__post_init__`:
+    the caller vouches for its checks and for `index`, and for a given
+    `distances` and `layering` as the graph's own, over its vertices exactly
+    (only a reduction that returns a straight graph passes them). They are
+    stored at once, so that neither a Dijkstra nor an edge pass runs."""
     g = object.__new__(WeightedDigraph)
-    g.__dict__.update(vertices=vertices, s=s, t=t, scale=scale, index=index)
+    g.__dict__.update(vertices=frozenset(index.ids), s=s, t=t, scale=scale, index=index)
+    if distances is not None:
+        g.__dict__["distances"] = distances
+    if layering is not None:
+        g.__dict__["layering"] = layering
     return g
 
 

@@ -20,17 +20,18 @@ the reductions themselves make one pass and never replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, Union
 
 from .graph import (
     DistanceTable,
     Edge,
+    InvalidPathError,
     Path,
     VertexIndex,
     WeightedDigraph,
     _graph,
     _index,
-    _seed_distances,
     dijkstra,
     parent_path,
     path_weight,
@@ -123,8 +124,10 @@ def lift_path(trace: ReductionTrace, path: Path) -> Path:
     Replays the steps in reverse: edge removals pass the path through
     unchanged, and an elimination splices each shortcut's detour back in.
     The result is valid in the trace's input graph with weight at most the
-    reduced path's weight.
+    reduced path's weight. An empty path raises InvalidPathError.
     """
+    if not path:
+        raise InvalidPathError("empty vertex sequence")
     for step in reversed(trace.steps):
         if isinstance(step, BackEdgeRemoval):
             continue
@@ -291,10 +294,14 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     # Built without the constructor, whose checks hold: every kept edge is
     # the input's, between survivors, and a shortcut joins two distinct
     # survivors with a sum of the input's weights.
-    kept = g.vertices - gone
+    kept = [u for u in ids if u not in gone]
     rows = sorted([(x, y, w) for (x, y), w in edges.items()])
-    out = _graph(kept, g.s, g.t, g.scale, _index(sorted(kept), rows))
-    return _seed_distances(out, d), trace
+    table = DistanceTable(
+        from_s=MappingProxyType({u: from_s[u] for u in kept}),
+        to_t=MappingProxyType({u: to_t[u] for u in kept}),
+        off=(),
+    )
+    return _graph(g.s, g.t, g.scale, _index(kept, rows), table), trace
 
 
 def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
@@ -336,5 +343,4 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
         trace.weights.append(d.from_s[u] + w + d.to_t[v])
         trace.steps.append(BackEdgeRemoval((u, v)))
     index = VertexIndex(ix.ids, ix.slot, tuple(out))
-    g_l = _graph(g.vertices, g.s, g.t, g.scale, index)
-    return _seed_distances(g_l, d, replace(layering, against=())), trace
+    return _graph(g.s, g.t, g.scale, index, d, replace(layering, against=())), trace

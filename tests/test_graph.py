@@ -539,6 +539,52 @@ def test_graph_invariants_enforced():
         WeightedDigraph(frozenset({0, 1}), {}, 0, 0)
 
 
+@pytest.mark.parametrize("scale", [-1, 1.5, True, "1", None])
+def test_the_constructor_rejects_a_scale_that_is_not_a_non_negative_int(scale):
+    """A negative scale would serialize weights that `parse_graph` rejects,
+    and a float one would make `serialize_graph` raise a TypeError."""
+    with pytest.raises(ValueError, match="scale must be a non-negative integer"):
+        WeightedDigraph(frozenset({0, 1, 2}), {(0, 1): 1, (1, 2): 1, (0, 2): 3}, 0, 2, scale)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(2, 14), st.floats(0.1, 0.6), st.integers(0, 10**6))
+def test_any_iterable_of_vertices_builds_the_same_graph(n, p, seed):
+    """The constructor stores a frozenset of the vertices it is given, so a
+    set, list, tuple, range or generator builds the graph that a frozenset
+    does, and `solve`, whose reductions take set differences of vertex
+    sets, gives the same answer on each."""
+    edges = dict(random_digraph(n, p, 5, seed).edges)
+    reference = WeightedDigraph(frozenset(range(n)), edges, 0, n - 1)
+    collections = [set(range(n)), list(range(n)), tuple(range(n)), range(n), (v for v in range(n))]
+    for vertices in collections:
+        g = WeightedDigraph(vertices, edges, 0, n - 1)
+        assert type(g.vertices) is frozenset
+        assert g == reference and solve(g) == solve(reference)
+
+
+def test_changing_the_callers_vertex_set_leaves_the_graph_as_it_was():
+    vertices = {0, 1, 2}
+    g = WeightedDigraph(vertices, {(0, 1): 1, (1, 2): 1, (0, 2): 3}, 0, 2)
+    text = serialize_graph(g)
+    vertices.add(3)
+    assert g.vertex_count == 3 and serialize_graph(g) == text == "3 3 0 2\n0 1 1\n0 2 3\n1 2 1\n"
+    assert g == parse_graph(text)
+    assert validate_path(g, (0, 1, 2)).weight == 2
+
+
+def test_the_private_constructor_builds_a_graph_complete():
+    """`_graph` takes its vertices from the index ids, and stores a given
+    distance table and layering as the graph's own, at construction."""
+    g = parse_graph(serialize_graph(layered_digraph(5, 3, 4, 1)))
+    bare = graph._graph(g.s, g.t, g.scale, g.index)
+    assert bare == g and bare.vertices == frozenset(g.index.ids)
+    assert "distances" not in vars(bare) and "layering" not in vars(bare)
+    held = graph._graph(g.s, g.t, g.scale, g.index, g.distances, g.layering)
+    assert held == g and held.distances is g.distances and held.layering is g.layering
+    assert {"distances", "layering"} <= set(vars(held))
+
+
 def test_edges_are_read_only():
     src = {(0, 1): 1, (1, 2): 1}
     g = WeightedDigraph(frozenset(range(3)), src, 0, 2)

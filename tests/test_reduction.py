@@ -21,6 +21,8 @@ from conftest import (
 from nextpath import (
     BackEdgeRemoval,
     EliminationRecord,
+    InvalidPathError,
+    ReductionTrace,
     TraceError,
     WeightedDigraph,
     apply_step,
@@ -30,6 +32,7 @@ from nextpath import (
     layered_digraph,
     layerize,
     lift_path,
+    parse_graph,
     path_weight,
     random_digraph,
     serialize_graph,
@@ -438,13 +441,20 @@ def test_reductions_hand_on_their_inputs_distances(skip_edges, seed):
     fresh Dijkstra on that graph's vertices and edges, and its empty `off`
     the one of a copy rebuilt through the constructor; a reduction that
     changes nothing returns its input. Each graph holds its index and no
-    edge map."""
+    edge map, and each, parsed ones too, takes its vertex set, a frozenset,
+    from its index ids. The table, and layerize's layering, are held as
+    the reduction returns its graph: handed on, or read on the input that
+    it returns unchanged."""
     g = skip_edge_graph(seed) if skip_edges else random_digraph(6 + seed % 8, 0.35, 4, seed)
     if shortest_distances(g).from_s[g.t] is None:
         return
     g_s, tr_s = straighten(g)
+    assert "distances" in vars(g_s)
     g_l, tr_l = layerize(g_s)
+    assert {"distances", "layering"} <= set(vars(g_l))
     assert all("index" in vars(h) and "edges" not in vars(h) for h in (g, g_s, g_l))
+    for h in (parse_graph(serialize_graph(g)), g, g_s, g_l):
+        assert type(h.vertices) is frozenset and h.vertices == frozenset(h.index.ids)
     for host, trace, out in ((g, tr_s, g_s), (g_s, tr_l, g_l)):
         assert (out is host) == (not trace.steps)
         assert "distances" in out.__dict__
@@ -505,6 +515,20 @@ def test_lift_path_keeps_a_layer_skipping_edge():
     assert trace.steps == [BackEdgeRemoval((1, 3))]
     assert lift_path(trace, (0, 2, 3)) == (0, 2, 3)
     assert path_weight(g, (0, 2, 3)) == path_weight(g_l, (0, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: straighten(random_digraph(12, 0.3, 5, 20))[1], id="straighten"),
+        pytest.param(lambda: layerize(skip_edge_graph(2))[1], id="layerize"),
+        pytest.param(ReductionTrace, id="empty"),
+    ],
+)
+def test_lift_path_rejects_an_empty_path(make):
+    trace = make()
+    with pytest.raises(InvalidPathError, match="^empty vertex sequence$"):
+        lift_path(trace, ())
 
 
 def test_straighten_rejects_a_graph_without_an_s_t_path():
