@@ -51,46 +51,53 @@ class InternalInvariantError(RuntimeError):
     """A structural guarantee failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, repr=False)
 class WeightedDigraph:
     """Simple directed graph with strictly positive integer edge weights.
 
-    `vertices`, any iterable of ids, is stored as a frozenset, so a later
-    change to the caller's collection leaves the graph as it was. The ids
+    A graph stores its terminals `s` and `t`, its `scale` and its `index`
+    (see `VertexIndex`), its one stored form of its vertices and edges,
+    built at construction by `_index` and read-only, so shared. The
+    constructor takes the vertices as any iterable of int ids and the edges
+    as a map from (u, v) to an int weight; it checks both, then keeps
+    neither. `vertices`, a frozenset, and `edges`, a read-only map in
+    (u, v) order, are views derived from `index` on first read. The ids
     need not be contiguous: reductions delete vertices and never add one,
     so the surviving ids stay stable. `scale`, an int >= 0, is the power of
     ten by which the original decimal weights were multiplied; it only
-    matters when formatting output.
-    A graph stores its edges in one form, its `index` (see `VertexIndex`),
-    built at construction by `_index` and read-only, so shared. `edges` is
-    a read-only view derived from `index` on first read, in (u, v) order;
-    the map passed in is checked, then not kept. The hot paths keep
-    per-vertex state in lists by the slots of `index`, and read no `edges`;
-    every public function takes and returns vertex ids. Two graphs are
-    equal when their vertices, s, t, scale and `index` are, which derives
-    no `edges`; a graph is unhashable.
+    matters when formatting output. The hot paths keep per-vertex state in
+    lists by the slots of `index`, and read no `edges`; every public
+    function takes and returns vertex ids. Two graphs are equal when their
+    stored fields are, which derives no view; a graph is unhashable.
     """
 
-    vertices: frozenset[int]
-    edges: Mapping[Edge, int]
     s: int
     t: int
-    scale: int = 0
+    scale: int
+    index: VertexIndex
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        edges = self.__dict__.pop("edges")
-        vertices = self.__dict__["vertices"] = frozenset(self.vertices)
-        if type(self.scale) is not int or self.scale < 0:
+    def __init__(
+        self, vertices: Iterable[int], edges: Mapping[Edge, int], s: int, t: int, scale: int = 0
+    ) -> None:
+        vertices = frozenset(vertices)
+        if type(scale) is not int or scale < 0:
             raise ValueError("scale must be a non-negative integer")
-        if self.s == self.t:
+        if s == t:
             raise ValueError("source and sink must differ")
-        if self.s not in vertices or self.t not in vertices:
+        if s not in vertices or t not in vertices:
             raise ValueError("source/sink must be graph vertices")
+        # Int ids only: a float or bool id serializes text that `parse_graph`
+        # rejects, and a float one cannot index the slot lists.
+        if set(map(type, vertices)) | {type(s), type(t)} != {int}:
+            raise ValueError("vertex ids and terminals must be integers")
         for (u, v), w in edges.items():
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if u not in vertices or v not in vertices:
                 raise ValueError(f"edge ({u}, {v}) leaves the vertex set")
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"non-integer vertex id on edge ({u}, {v})")
             # Exact ints only, so that no weight sum rounds: no float, Decimal,
             # Fraction or bool.
             if type(w) is not int:
@@ -98,18 +105,27 @@ class WeightedDigraph:
             if w <= 0:
                 raise ValueError(f"non-positive weight on edge ({u}, {v})")
         rows = sorted([(u, v, w) for (u, v), w in edges.items()])
-        self.__dict__["index"] = _index(sorted(vertices), rows)
+        self.__dict__.update(s=s, t=t, scale=scale, index=_index(sorted(vertices), rows))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.s, self.t, self.scale, self.index) == (
-            other.vertices, other.s, other.t, other.scale, other.index
+    def __repr__(self) -> str:
+        return (
+            f"WeightedDigraph(vertices={self.vertices!r}, edges={self.edges!r}, "
+            f"s={self.s!r}, t={self.t!r}, scale={self.scale!r})"
         )
+
+    @cached_property
+    def vertices(self) -> frozenset[int]:
+        return frozenset(self.index.ids)
+
+    @cached_property
+    def edges(self) -> Mapping[Edge, int]:
+        """The read-only map from each edge to its weight, in (u, v) order."""
+        ids, out = self.index.ids, self.index.out
+        return MappingProxyType({(u, ids[j]): w for u, row in zip(ids, out) for j, w in row})
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return len(self.index.ids)
 
     @property
     def edge_count(self) -> int:
@@ -177,27 +193,9 @@ class WeightedDigraph:
 
     def replace(self, *, vertices=None, edges=None) -> "WeightedDigraph":
         """Copy with a new vertex set and/or edge map (s, t, scale kept)."""
-        return WeightedDigraph(
-            vertices=self.vertices if vertices is None else vertices,
-            edges=self.edges if edges is None else edges,
-            s=self.s,
-            t=self.t,
-            scale=self.scale,
-        )
-
-
-def _edges(g: WeightedDigraph) -> Mapping[Edge, int]:
-    """A read-only map from each edge of `g` to its weight, in (u, v) order."""
-    ids = g.index.ids
-    return MappingProxyType({(u, ids[j]): w for u, row in zip(ids, g.index.out) for j, w in row})
-
-
-# Installed after `@dataclass` has run, so that `edges` stays a required
-# field. A cached_property has no `__set__`; `__post_init__` takes the map
-# that `__init__` set out of the graph's `__dict__`, so the first read
-# derives `edges` from `index`, once.
-WeightedDigraph.edges = cached_property(_edges)
-WeightedDigraph.edges.__set_name__(WeightedDigraph, "edges")
+        vertices = self.index.ids if vertices is None else vertices
+        edges = self.edges if edges is None else edges
+        return WeightedDigraph(vertices, edges, self.s, self.t, self.scale)
 
 
 @dataclass(frozen=True)
@@ -208,8 +206,8 @@ class VertexIndex:
 
     `slot` maps an id to its slot. `out[i]` lists slot i's out-edges as
     (head slot, weight) in head order. Every field is read-only. A graph's
-    `index`, its one stored form of its edges, is built by `_index`.
-    Equality compares the fields and never derives `into`.
+    `index`, its one stored form of its vertices and edges, is built by
+    `_index`. Equality compares the fields and never derives `into`.
     """
 
     ids: tuple[int, ...]
@@ -459,7 +457,7 @@ def validate_path(g: WeightedDigraph, path: Path) -> PathCheck:
     if not path:
         raise InvalidPathError("empty vertex sequence")
     for u in path:
-        if u not in g.vertices:
+        if u not in g.index.slot:
             raise InvalidPathError(f"unknown vertex {u}")
     weights = _edge_weights(g, path)
     d = g.distances
@@ -467,6 +465,16 @@ def validate_path(g: WeightedDigraph, path: Path) -> PathCheck:
     return PathCheck(
         simple=len(set(path)) == len(path), weight=sum(weights), uses_back_edge=uses_back
     )
+
+
+def check_answer(g: WeightedDigraph, path: Path, weight: int, check: PathCheck) -> None:
+    """The release-build check of a built answer: unless `path`, whose
+    `validate_path` verdict is `check`, is a simple s-t path of g of weight
+    `weight` > d(s,t), raise InternalInvariantError, as a bug, never an input
+    condition. Each caller validates the path, so a tracer sees whose it is."""
+    simple_s_t = check.simple and (path[0], path[-1]) == (g.s, g.t)
+    if not simple_s_t or check.weight != weight or weight <= g.distances.from_s[g.t]:
+        raise InternalInvariantError(f"built an invalid answer {path} (weight {weight})")
 
 
 def is_straight(g: WeightedDigraph, d: DistanceTable) -> bool:
@@ -642,11 +650,12 @@ def _edge_list(
     top = max(ws, default=0)
     if n * top > MAX_ACCUMULATOR:
         raise GraphFormatError("weight overflow after scaling", lines[ws.index(top)])
-    # Built without `WeightedDigraph.__post_init__`, whose checks are made:
+    # Built without `WeightedDigraph.__init__`, whose checks are made:
     # - s != t: `_parse_plain`'s `s != t`, `_parse_lines`' "source and sink
     #   must differ";
     # - s and t are vertices: `s < n and t < n` (the plain regex admits no
     #   sign), "source/sink id out of range";
+    # - int ids and terminals: both parses read every integer as an int;
     # - no self-loop: `not any(map(operator.eq, us, vs))`, "self-loop at
     #   vertex";
     # - every edge within the vertex set: `max(us) < n and max(vs) < n`,
@@ -661,13 +670,14 @@ def _graph(
     s: int, t: int, scale: int, index: VertexIndex,
     distances: DistanceTable | None = None, layering: Layering | None = None,
 ) -> WeightedDigraph:
-    """The graph on the vertices `index.ids`, built without `__post_init__`:
-    the caller vouches for its checks and for `index`, and for a given
-    `distances` and `layering` as the graph's own, over its vertices exactly
-    (only a reduction that returns a straight graph passes them). They are
-    stored at once, so that neither a Dijkstra nor an edge pass runs."""
+    """The graph of `index`, built by setting its four fields without
+    `__init__`: the caller vouches for the constructor's checks and `index`,
+    and for a given `distances` and `layering` as the graph's own, over its
+    vertices exactly (only a reduction that returns a straight graph passes
+    them). They are stored at once, so that neither a Dijkstra nor an edge
+    pass runs."""
     g = object.__new__(WeightedDigraph)
-    g.__dict__.update(vertices=frozenset(index.ids), s=s, t=t, scale=scale, index=index)
+    g.__dict__.update(s=s, t=t, scale=scale, index=index)
     if distances is not None:
         g.__dict__["distances"] = distances
     if layering is not None:
@@ -704,7 +714,8 @@ def serialize_graph(g: WeightedDigraph) -> str:
     """Exact inverse of parse_graph (edges sorted by endpoint ids). The
     lines are read off the `index` rows: with ids 0..n-1 a slot is its id,
     and the rows, in head order, list the edges in (u, v) order."""
-    if g.vertices != frozenset(range(g.vertex_count)):
+    ids = g.index.ids
+    if (ids[0], ids[-1]) != (0, len(ids) - 1):  # sorted distinct ints: 0..n-1 exactly
         raise ValueError("only graphs with contiguous vertex ids serialize")
     scale = g.scale
     out = [f"{g.vertex_count} {g.edge_count} {g.s} {g.t}"]

@@ -7,9 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import (
-    InternalInvariantError,
     SolveOutcome,
     WeightedDigraph,
+    check_answer,
     path_weight,
     shortest_distances,
     validate_path,
@@ -47,7 +47,7 @@ def solve_detailed(g: WeightedDigraph) -> PipelineResult:
     would put its eliminated vertices on a shortest s-t path. So only its
     removed back-edge can be a shortcut, and lifting splices in that one
     detour of eliminated vertices, which closes no loop. The final
-    `validate_path` checks the answer's weight.
+    `check_answer` checks the answer's ends, simplicity and weight.
     """
     d = shortest_distances(g)
     dst = d.from_s[g.t]
@@ -82,10 +82,6 @@ def solve_detailed(g: WeightedDigraph) -> PipelineResult:
             path = lift_path(tr_s, tr_l.candidate_path(k - n_s))
         else:
             path = layered
-        check = validate_path(g, path)
-        if not check.simple or check.weight != weight or weight <= dst:
-            raise InternalInvariantError(
-                f"pipeline produced an invalid answer {path} (weight {weight})"
-            )
+        check_answer(g, path, weight, validate_path(g, path))
         outcome = SolveOutcome.of(path, weight)
     return PipelineResult(outcome, tr_s, tr_l, g_l, layered_sol)

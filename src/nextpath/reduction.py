@@ -50,7 +50,8 @@ class EliminationRecord:
 
     (x, y) is a shortcut when the edge was absent or heavier than the
     lightest x-to-y detour through eliminated vertices only; its weight is
-    then that detour's.
+    then that detour's. `straighten` records the map read-only, as what
+    `lift_path` splices.
     """
 
     vertices: frozenset[int]
@@ -290,7 +291,7 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
                 mid = tuple(map(ids.__getitem__, parent_path(parent, i, j)[1:-1]))
                 trace.ends.append((x, mid, y))
                 trace.weights.append(from_s[x] + detour + to_t[y])
-    trace.steps.append(EliminationRecord(gone, shortcuts))
+    trace.steps.append(EliminationRecord(gone, MappingProxyType(shortcuts)))
     # Built without the constructor, whose checks hold: every kept edge is
     # the input's, between survivors, and a shortcut joins two distinct
     # survivors with a sum of the input's weights.

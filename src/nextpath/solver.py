@@ -24,10 +24,10 @@ from functools import cached_property
 from .disjoint import DisjointPathPair, ForwardDag, two_disjoint_paths
 from .graph import (
     Edge,
-    InternalInvariantError,
     Path,
     SolveOutcome,
     WeightedDigraph,
+    check_answer,
     dijkstra,
     path_weight,
     shortest_distances,
@@ -278,21 +278,11 @@ class _LayeredSearch:
                         continue
                     weight = base + path_weight(g, p0)
                     full = outer.p1 + p0[1:] + outer.p2[1:]
-                    _check_candidate(g, full, weight, self.dst)
+                    check_answer(g, full, weight, validate_path(g, full))
                     best, bound = (weight, full), weight
                     if weight <= self.floor or base + lower >= weight:
                         return best
         return best
-
-
-def _check_candidate(g: WeightedDigraph, path: Path, weight: int, dst: int) -> None:
-    """Defensive check, kept in release builds: a constructed candidate that
-    fails validation is a solver bug, never an input condition."""
-    check = validate_path(g, path)
-    if not check.simple or check.weight != weight or weight <= dst:
-        raise InternalInvariantError(
-            f"solver built an invalid candidate {path} (weight {weight})"
-        )
 
 
 def solve_layered(g: WeightedDigraph) -> SolveOutcome:

@@ -97,6 +97,17 @@ def test_internal_errors_exit_3_without_a_traceback(capsys, monkeypatch, triangl
     assert run(capsys, "solve", triangle_file) == (3, "", "internal error: broken invariant\n")
 
 
+def test_an_invalid_answer_exits_3(capsys, monkeypatch, tmp_path):
+    """A lift that drops the answer's last vertex leaves a path that misses
+    t; the pipeline's check refuses it, and `solve` exits 3."""
+    f = tmp_path / "layered.txt"
+    f.write_text(nextpath.serialize_graph(nextpath.layered_digraph(7, 3, 8, 0)))
+    lift = nextpath.pipeline.lift_path
+    monkeypatch.setattr(nextpath.pipeline, "lift_path", lambda trace, path: lift(trace, path)[:-1])
+    code, out, err = run(capsys, "solve", str(f))
+    assert (code, out) == (3, "") and err.startswith("internal error: built an invalid answer ")
+
+
 def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch, triangle_file):
     def fail(g):
         raise MemoryError

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import re
 import sys
@@ -29,12 +30,14 @@ from conftest import (
 from nextpath import graph
 from nextpath import (
     GraphFormatError,
+    InternalInvariantError,
     InvalidPathError,
     WeightedDigraph,
     format_weight,
     is_layered,
     is_straight,
     layered_digraph,
+    layerize,
     parse_graph,
     path_weight,
     random_digraph,
@@ -296,7 +299,7 @@ def test_the_whole_text_path_reads_like_the_line_loop(drawn):
 
 
 def assert_built_as_public(g):
-    """`g`, which `_edge_list` built without `__post_init__`, is the graph
+    """`g`, which `_edge_list` built without `__init__`, is the graph
     the public constructor builds from its fields, in every derived view;
     its `into`, derived on first read, is the reference's."""
     public = WeightedDigraph(g.vertices, dict(g.edges), g.s, g.t, g.scale)
@@ -378,7 +381,7 @@ def test_edges_out_of_order_take_one_sort(monkeypatch, lines, sorts):
     "workload", ["random-general", "layer-skip", "layered-dense", "layered-none"]
 )
 def test_parsed_graphs_equal_publicly_built_ones(monkeypatch, workload):
-    """`_edge_list` trusts the parse checks in place of `__post_init__`'s;
+    """`_edge_list` trusts the parse checks in place of `__init__`'s;
     on the benchmark's four families the graph it builds is the one the
     public constructor builds."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -550,10 +553,9 @@ def test_the_constructor_rejects_a_scale_that_is_not_a_non_negative_int(scale):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(st.integers(2, 14), st.floats(0.1, 0.6), st.integers(0, 10**6))
 def test_any_iterable_of_vertices_builds_the_same_graph(n, p, seed):
-    """The constructor stores a frozenset of the vertices it is given, so a
-    set, list, tuple, range or generator builds the graph that a frozenset
-    does, and `solve`, whose reductions take set differences of vertex
-    sets, gives the same answer on each."""
+    """The constructor reads the vertices it is given once, so a set,
+    list, tuple, range or generator builds the graph that a frozenset
+    does, and `solve` gives the same answer on each."""
     edges = dict(random_digraph(n, p, 5, seed).edges)
     reference = WeightedDigraph(frozenset(range(n)), edges, 0, n - 1)
     collections = [set(range(n)), list(range(n)), tuple(range(n)), range(n), (v for v in range(n))]
@@ -583,6 +585,84 @@ def test_the_private_constructor_builds_a_graph_complete():
     held = graph._graph(g.s, g.t, g.scale, g.index, g.distances, g.layering)
     assert held == g and held.distances is g.distances and held.layering is g.layering
     assert {"distances", "layering"} <= set(vars(held))
+
+
+def test_a_graph_stores_only_its_terminals_scale_and_index():
+    """Every way of building a graph stores s, t, scale and index and no
+    view: `vertices` and `edges` are derived on first read, `vertices` as
+    the frozenset of the index ids. Neither a solve nor a serialization
+    reads a view."""
+    assert [f.name for f in dataclasses.fields(WeightedDigraph)] == ["s", "t", "scale", "index"]
+    text = serialize_graph(random_digraph(12, 0.3, 5, 20))
+    g = parse_graph(text)
+    g_s = straighten(g)[0]
+    made = [
+        g,
+        parse_graph("# line by line\n" + text),
+        graph._graph(g.s, g.t, g.scale, g.index),
+        g_s,
+        layerize(g_s)[0],
+        layerize(parse_graph(serialize_graph(layered_digraph(6, 3, 8, 2))))[0],
+        WeightedDigraph(range(3), {(0, 1): 1, (1, 2): 1}, 0, 2),
+    ]
+    assert g_s is not g and made[-2] is not g_s
+    for h in made:
+        solve(h)
+        if h.index.ids == tuple(range(h.vertex_count)):
+            serialize_graph(h)
+        assert vars(h).keys() & {"vertices", "edges"} == set()
+        assert vars(h).keys() >= {"s", "t", "scale", "index"}
+        assert type(h.vertices) is frozenset and h.vertices == frozenset(h.index.ids)
+        assert "vertices" in vars(h) and "edges" not in vars(h)
+
+
+def test_repr_prints_the_views_as_fields():
+    g = WeightedDigraph({5, 1, 3}, {(5, 3): 25, (1, 5): 10, (1, 3): 40}, 1, 3, 1)
+    assert repr(g) == (
+        "WeightedDigraph(vertices=frozenset({1, 3, 5}), "
+        "edges=mappingproxy({(1, 3): 40, (1, 5): 10, (5, 3): 25}), s=1, t=3, scale=1)"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((frozenset({0, 1.0, 2}), {(0, 1.0): 1}, 0, 2), "vertex ids and terminals must be integers"),
+        ((frozenset({False, True}), {}, False, True), "vertex ids and terminals must be integers"),
+        ((frozenset({0, 1, 2}), {}, 0, 2.0), "vertex ids and terminals must be integers"),
+        ((frozenset({0, 1, 2}), {}, True, 2), "vertex ids and terminals must be integers"),
+        ((frozenset({0, 1, 2}), {(0, 1.0): 1}, 0, 2), r"non-integer vertex id on edge \(0, 1\.0\)"),
+        ((frozenset({0, 1, 2}), {(True, 2): 1}, 0, 2), r"non-integer vertex id on edge \(True, 2\)"),
+    ],
+    ids=["float id", "bool ids", "float terminal", "bool terminal", "float head", "bool tail"],
+)
+def test_the_constructor_rejects_ids_that_are_not_ints(args, message):
+    """An id equal to an int but of another type would serialize text that
+    `parse_graph` rejects ("0 1.0 1", or a "2 0 False True" header), and a
+    float one makes `solve` index a list with it."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        WeightedDigraph(*args)
+
+
+@pytest.mark.parametrize("ids", [{1, 2, 3}, {0, 2}, {-1, 0, 1}])
+def test_only_contiguous_ids_serialize(ids):
+    g = WeightedDigraph(ids, {}, min(ids), max(ids))
+    with pytest.raises(ValueError, match="^only graphs with contiguous vertex ids serialize$"):
+        serialize_graph(g)
+
+
+@pytest.mark.parametrize(
+    "path, weight",
+    [((1, 2, 3), 2), ((0, 1, 2), 2), ((0, 1, 2, 1, 2, 3), 5), ((0, 1, 2, 3), 4), ((0, 3), 1)],
+    ids=["not from s", "not to t", "not simple", "wrong weight", "shortest"],
+)
+def test_check_answer_refuses_each_broken_condition(path, weight):
+    """A simple s-t path of the weight stated, heavier than d(s,t), passes;
+    a path that breaks one of these alone raises InternalInvariantError."""
+    g = build_graph(4, {(0, 1): 1, (1, 2): 1, (2, 1): 1, (2, 3): 1, (0, 3): 1})
+    graph.check_answer(g, (0, 1, 2, 3), 3, validate_path(g, (0, 1, 2, 3)))
+    with pytest.raises(InternalInvariantError, match="invalid answer"):
+        graph.check_answer(g, path, weight, validate_path(g, path))
 
 
 def test_edges_are_read_only():

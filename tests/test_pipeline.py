@@ -19,6 +19,7 @@ from conftest import (
     sum_rule_off,
 )
 from nextpath import (
+    InternalInvariantError,
     WeightedDigraph,
     exhaustive_next_to_shortest,
     layered_digraph,
@@ -28,9 +29,10 @@ from nextpath import (
     shortest_distances,
     solve,
     solve_detailed,
+    solve_layered,
     validate_path,
 )
-from nextpath import cli, pipeline, reduction
+from nextpath import cli, pipeline, reduction, solver
 from nextpath.graph import SolveOutcome, dijkstra, path_weight
 from nextpath.reduction import _tight_walk, lift_path
 
@@ -324,6 +326,24 @@ def test_only_the_winners_trees_are_walked(monkeypatch, tmp_path, capsys):
     walks.clear()
     assert cli.main(["solve", str(f)]) == 0
     assert len(walks) == 2
+
+
+def test_an_answer_that_does_not_end_at_t_is_an_internal_error(monkeypatch):
+    """A lift that dropped the answer's last vertex would leave a simple
+    path of the stated weight that misses t; the final check refuses it."""
+    g = layered_digraph(7, 3, 8, 0)
+    assert solve(g) == SolveOutcome.of((0, 2, 4, 8, 11, 5, 7, 10, 15, 16), 10)
+    monkeypatch.setattr(pipeline, "lift_path", lambda trace, path: lift_path(trace, path)[:-1])
+    with pytest.raises(InternalInvariantError, match="invalid answer"):
+        solve(g)
+
+
+def test_a_candidate_of_the_wrong_weight_is_an_internal_error(monkeypatch):
+    """The layered search checks each route it completes."""
+    g = layered_digraph(7, 3, 8, 0)
+    monkeypatch.setattr(solver, "path_weight", lambda g, path: path_weight(g, path) + 1)
+    with pytest.raises(InternalInvariantError, match="invalid answer"):
+        solve_layered(g)
 
 
 def test_outcome_always_validates():

@@ -120,6 +120,17 @@ def test_lift_across_two_shortcuts():
     assert path_weight(g, lifted) == path_weight(g2, reduced) == 12
 
 
+def test_the_recorded_shortcuts_are_read_only():
+    """The record is what `lift_path` splices, so an assignment to its map
+    must not change a lift."""
+    g = random_digraph(12, 0.3, 5, 20)
+    (rec,) = straighten(g)[1].steps
+    edge = next(iter(rec.shortcut_edges))
+    with pytest.raises(TypeError):
+        rec.shortcut_edges[edge] = ()
+    assert rec.shortcut_edges[edge]
+
+
 def test_lift_cuts_the_loop_two_detours_close():
     # frozen by seed search: the detours of (1, 5) and (5, 7) both pass
     # through 8, so splicing gives 0 1 8 5 8 6 7 4 9; the cut keeps the
