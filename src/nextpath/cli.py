@@ -112,7 +112,7 @@ def _cmd_check(args) -> int:
         print(f"INVALID: {exc}")
         return 0
     d = shortest_distances(g)
-    dst = d.from_s[g.t]
+    dst = d.dst
     back = "yes" if check.uses_back_edge else "no"
     simple = "yes" if check.simple else "no"
     print(f"simple={simple} weight={format_weight(check.weight, g.scale)} uses-back-edge={back}")
@@ -162,12 +162,12 @@ def _cmd_vdp(args) -> int:
 def _cmd_stats(args) -> int:
     g = _load_graph(args.graph)
     d = shortest_distances(g)
-    ix = g.index  # the edges as stored; reading `g.edges` would derive a map
-    slacks = [edge_slack(d, u, ix.ids[j], w) for u, row in zip(ix.ids, ix.out) for j, w in row]
+    # The edges as stored, by slot; reading `g.edges` would derive a map.
+    slacks = [edge_slack(d, i, j, w) for i, row in enumerate(g.index.out) for j, w in row]
     unclassified = slacks.count(None)
     forward = slacks.count(0)
     back = len(slacks) - unclassified - forward
-    dst = d.from_s[g.t]
+    dst = d.dst
     straight = is_straight(g, d)
     # Only a straight graph has a layering.
     violations = sum(map(len, layering_violations(g))) if straight else None

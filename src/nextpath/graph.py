@@ -65,9 +65,9 @@ class WeightedDigraph:
     need not be contiguous: reductions delete vertices and never add one,
     so the surviving ids stay stable. `scale`, an int >= 0, is the power of
     ten by which the original decimal weights were multiplied; it only
-    matters when formatting output. The hot paths keep per-vertex state in
-    lists by the slots of `index`, and read no `edges`; every public
-    function takes and returns vertex ids. Two graphs are equal when their
+    matters when formatting output. Inside a solve a vertex is its slot in
+    `index`, and no hot path reads `edges`; ids appear at the parse, in the
+    public functions and in the output. Two graphs are equal when their
     stored fields are, which derives no view; a graph is unhashable.
     """
 
@@ -104,8 +104,9 @@ class WeightedDigraph:
                 raise ValueError(f"non-integer weight on edge ({u}, {v})")
             if w <= 0:
                 raise ValueError(f"non-positive weight on edge ({u}, {v})")
-        rows = sorted([(u, v, w) for (u, v), w in edges.items()])
-        self.__dict__.update(s=s, t=t, scale=scale, index=_index(sorted(vertices), rows))
+        slot = {u: i for i, u in enumerate(sorted(vertices))}
+        rows = sorted([(slot[u], slot[v], w) for (u, v), w in edges.items()])
+        self.__dict__.update(s=s, t=t, scale=scale, index=_index(slot, rows))
 
     def __repr__(self) -> str:
         return (
@@ -140,18 +141,17 @@ class WeightedDigraph:
         A graph that `straighten` or `layerize` returns is built holding its
         table, handed on from the reduction's input (see `_graph`)."""
         ix = self.index
+        t = ix.slot[self.t]
         out, _ = dijkstra(ix.out, ix.slot[self.s])
-        off = _off_slots(ix.out, out, ix.slot[self.t])
+        off = _off_slots(ix.out, out, t)
+        dst = out.get(t)
         if off:
-            into, _ = dijkstra(ix.into, ix.slot[self.t])
+            into, _ = dijkstra(ix.into, t)
         else:
-            dst = out[ix.slot[self.t]]
             into = {u: dst - du for u, du in out.items()}
         slots = range(len(ix.ids))
         return DistanceTable(
-            from_s=MappingProxyType(dict(zip(ix.ids, map(out.get, slots)))),
-            to_t=MappingProxyType(dict(zip(ix.ids, map(into.get, slots)))),
-            off=tuple(map(ix.ids.__getitem__, off)),
+            ix.ids, tuple(map(out.get, slots)), tuple(map(into.get, slots)), dst, tuple(off)
         )
 
     @cached_property
@@ -160,35 +160,32 @@ class WeightedDigraph:
         once in one pass over the edges in (tail, head) order, or handed on
         by `layerize`; read-only, so shared. Raises ValueError when the graph
         is not straight, which leaves every slack defined and non-negative.
-        The pass keeps d(s,.) and the layers in lists by slot and computes
-        each `edge_slack` inline."""
+        The pass computes each `edge_slack` inline."""
         d = self.distances
         if d.off:
             raise ValueError("graph is not (s,t)-straight")
-        ix = self.index
-        ids = ix.ids
-        ds = list(map(d.from_s.__getitem__, ids))
+        ds = d.ds
         rank = {x: i for i, x in enumerate(sorted(set(ds)), start=1)}
-        lam = list(map(rank.__getitem__, ds))
+        lam = tuple(map(rank.__getitem__, ds))
         layers: list[list[int]] = [[] for _ in range(len(rank) + 1)]
-        forward, back, spans, against = {}, {}, [], []
-        for u, du, lu, nbrs in zip(ids, ds, lam, ix.out):
+        forward, back, spans, against = [], {}, [], []
+        for u, (du, lu, nbrs) in enumerate(zip(ds, lam, self.index.out)):
             layers[lu].append(u)
             heads = []
             for j, w in nbrs:
                 slack = du + w - ds[j]
                 if not slack:
-                    heads.append(ids[j])
+                    heads.append(j)
                     if lam[j] > lu + 1:
-                        spans.append((u, ids[j]))
+                        spans.append((u, j))
                 elif lam[j] < lu:
-                    back[(u, ids[j])] = slack
+                    back[(u, j)] = slack
                 else:
-                    against.append((u, ids[j]))
-            forward[u] = tuple(heads)
+                    against.append((u, j))
+            forward.append(tuple(heads))
         return Layering(
-            MappingProxyType(dict(zip(ids, lam))), tuple(map(tuple, layers)),
-            MappingProxyType(forward), tuple(spans), MappingProxyType(back), tuple(against),
+            lam, tuple(map(tuple, layers)), tuple(forward), tuple(spans),
+            MappingProxyType(back), tuple(against),
         )
 
     def replace(self, *, vertices=None, edges=None) -> "WeightedDigraph":
@@ -228,37 +225,50 @@ class VertexIndex:
 
 @dataclass(frozen=True)
 class DistanceTable:
-    """Exact distances from s and to t; None marks unreachable. `off` lists
-    the vertices on no shortest s-t path in id order, all of them when t is
-    unreachable from s; the graph is (s,t)-straight when it is empty.
+    """Exact distances from s and to t by slot of the graph's index, whose
+    `ids` it shares: `ds[i]` is d(s, ids[i]), `dt[i]` is d(ids[i], t), and
+    `dst` is d(s,t); None marks unreachable. `off` lists the slots on no
+    shortest s-t path, ascending, all of them when t is unreachable from s;
+    the graph is (s,t)-straight when it is empty.
 
     Unreachable is a real sentinel, never a large finite stand-in, so it can
-    never leak into weight arithmetic. Both maps are read-only views. On a
-    straight graph `to_t` is d(s,t) - `from_s`, which its one Dijkstra
-    yields (see `WeightedDigraph.distances`).
+    never leak into weight arithmetic. On a straight graph `dt` is d(s,t) -
+    `ds`, which its one Dijkstra yields (see `WeightedDigraph.distances`).
+    `from_s` and `to_t`, read-only maps by id, are derived on first read.
     """
 
-    from_s: Mapping[int, int | None]
-    to_t: Mapping[int, int | None]
+    ids: tuple[int, ...]
+    ds: tuple[int | None, ...]
+    dt: tuple[int | None, ...]
+    dst: int | None
     off: tuple[int, ...]
+
+    @cached_property
+    def from_s(self) -> Mapping[int, int | None]:
+        return MappingProxyType(dict(zip(self.ids, self.ds)))
+
+    @cached_property
+    def to_t(self) -> Mapping[int, int | None]:
+        return MappingProxyType(dict(zip(self.ids, self.dt)))
 
 
 @dataclass(frozen=True)
 class Layering:
-    """The distance layers of a straight graph, and the kind of each edge.
+    """The distance layers of a straight graph, and the kind of each edge,
+    all by slot of the graph's index; an edge is a (tail, head) slot pair.
 
-    Layer l >= 1 holds the vertices with the l-th smallest distinct d(s,u):
-    `lam` maps a vertex to its layer, and `layers[l]` lists the layer in id
-    order. A forward edge (zero `edge_slack`) climbs at least one layer, as
-    weights are positive: `forward` maps each tail to its heads in head
-    order, and `spans` lists those that climb more than one. A back-edge
-    goes strictly back (`back`, edge to slack) or not (`against`). Edge lists
+    Layer l >= 1 holds the slots with the l-th smallest distinct d(s,u):
+    `lam[u]` is slot u's layer, and `layers[l]` lists the layer ascending.
+    A forward edge (zero `edge_slack`) climbs at least one layer, as
+    weights are positive: `forward[u]` lists slot u's heads ascending, and
+    `spans` lists those edges that climb more than one. A back-edge goes
+    strictly back (`back`, edge to slack) or not (`against`). Edge lists
     are in (tail, head) order, and every field is read-only.
     """
 
-    lam: Mapping[int, int]
+    lam: tuple[int, ...]
     layers: tuple[tuple[int, ...], ...]
-    forward: Mapping[int, tuple[int, ...]]
+    forward: tuple[tuple[int, ...], ...]
     spans: tuple[Edge, ...]
     back: Mapping[Edge, int]
     against: tuple[Edge, ...]
@@ -416,10 +426,11 @@ def shortest_distances(g: WeightedDigraph) -> DistanceTable:
 
 
 def edge_slack(d: DistanceTable, u: int, v: int, w: int) -> int | None:
-    """d(s,u) + w(u,v) - d(s,v): positive on a back-edge, zero on a forward
-    edge, None when an endpoint is unreachable from s. The one place that
-    decides back against forward."""
-    du, dv = d.from_s[u], d.from_s[v]
+    """d(s,u) + w(u,v) - d(s,v) for the edge between slots u and v of d's
+    graph: positive on a back-edge, zero on a forward edge, None when an
+    endpoint is unreachable from s. The one place that decides back against
+    forward."""
+    du, dv = d.ds[u], d.ds[v]
     if du is None or dv is None:
         return None
     return du + w - dv
@@ -456,12 +467,13 @@ def validate_path(g: WeightedDigraph, path: Path) -> PathCheck:
     """
     if not path:
         raise InvalidPathError("empty vertex sequence")
-    for u in path:
-        if u not in g.index.slot:
-            raise InvalidPathError(f"unknown vertex {u}")
+    try:
+        slots = list(map(g.index.slot.__getitem__, path))
+    except KeyError as err:
+        raise InvalidPathError(f"unknown vertex {err.args[0]}") from None
     weights = _edge_weights(g, path)
     d = g.distances
-    uses_back = any(map(edge_slack, repeat(d), path, path[1:], weights))
+    uses_back = any(map(edge_slack, repeat(d), slots, slots[1:], weights))
     return PathCheck(
         simple=len(set(path)) == len(path), weight=sum(weights), uses_back_edge=uses_back
     )
@@ -473,7 +485,7 @@ def check_answer(g: WeightedDigraph, path: Path, weight: int, check: PathCheck) 
     `weight` > d(s,t), raise InternalInvariantError, as a bug, never an input
     condition. Each caller validates the path, so a tracer sees whose it is."""
     simple_s_t = check.simple and (path[0], path[-1]) == (g.s, g.t)
-    if not simple_s_t or check.weight != weight or weight <= g.distances.from_s[g.t]:
+    if not simple_s_t or check.weight != weight or weight <= g.distances.dst:
         raise InternalInvariantError(f"built an invalid answer {path} (weight {weight})")
 
 
@@ -492,8 +504,10 @@ def is_layered(g: WeightedDigraph, d: DistanceTable) -> bool:
 def layering_violations(g: WeightedDigraph) -> tuple[list[Edge], list[Edge]]:
     """Edges of a straight graph that violate layeredness, split by kind:
     the back-edges that do not go strictly back, then the forward edges
-    that skip a layer, both in (tail, head) order (see `Layering`)."""
-    return list(g.layering.against), list(g.layering.spans)
+    that skip a layer, both in (tail, head) order (see `Layering`), as
+    id pairs."""
+    ids, lay = g.index.ids, g.layering
+    return tuple([(ids[u], ids[v]) for u, v in edges] for edges in (lay.against, lay.spans))
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +646,10 @@ def _edge_list(
     `lines[k]` with scaled weight `ws[k]`. Raises, in order, a wrong edge
     count, the first duplicate edge, an overflow at the first largest weight.
 
-    Edges listed in strictly increasing (u, v) order, as `serialize_graph`
-    writes them, hold no duplicate and go to `_index` as they are; any
-    other list is checked for a duplicate, then sorted once."""
+    The ids are 0..n-1, so each id is its slot, and one int object serves
+    as both. Edges listed in strictly increasing (u, v) order, as
+    `serialize_graph` writes them, hold no duplicate and go to `_index` as
+    they are; any other list is checked for a duplicate, then sorted once."""
     if len(ws) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(ws)}")
     edges: Iterable[tuple[int, int, int]] = zip(us, vs, ws)
@@ -663,7 +678,7 @@ def _edge_list(
     # - positive integer weights: each is int() of its digits, `min(ws) > 0`,
     #   "non-positive weight" (positive when its digits are not all zero);
     # - an int scale >= 0: 0, or the most fraction digits of a weight.
-    return _graph(s, t, scale, _index(range(n), edges))
+    return _graph(s, t, scale, _index({u: u for u in range(n)}, edges))
 
 
 def _graph(
@@ -685,16 +700,13 @@ def _graph(
     return g
 
 
-def _index(ids: Iterable[int], edges: Iterable[tuple[int, int, int]]) -> VertexIndex:
-    """The `index` of the graph on the vertices `ids`, in id order, whose
-    edges are the (u, v, w) rows of `edges`, in strictly increasing (u, v)
-    order: the one builder of index rows. Slot order is id order, so
-    bucketing the edges in list order leaves each `out` row in head order,
-    and no row needs a sort."""
-    ids = tuple(ids)
-    slot = dict(zip(ids, range(len(ids))))
-    if (ids[0], ids[-1]) != (0, len(ids) - 1):  # ids other than 0..n-1: map to slots
-        edges = ((slot[u], slot[v], w) for u, v, w in edges)
+def _index(slot: dict[int, int], edges: Iterable[tuple[int, int, int]]) -> VertexIndex:
+    """The `index` of the graph on the keys of `slot`, in id order, each
+    mapped to its slot, whose edges are the (i, j, w) slot rows of `edges`,
+    in strictly increasing (i, j) order: the one builder of index rows, which
+    keeps `slot` as its map. Bucketing the edges in list order leaves each
+    `out` row in head order, so no row needs a sort."""
+    ids = tuple(slot)
     out: list[list[tuple[int, int]]] = [[] for _ in ids]
     for i, j, w in edges:
         out[i].append((j, w))

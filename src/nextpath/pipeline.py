@@ -50,7 +50,7 @@ def solve_detailed(g: WeightedDigraph) -> PipelineResult:
     `check_answer` checks the answer's ends, simplicity and weight.
     """
     d = shortest_distances(g)
-    dst = d.from_s[g.t]
+    dst = d.dst
     if dst is None:
         # No s-to-t path at all, hence no not-shortest one.
         return PipelineResult(

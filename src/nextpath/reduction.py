@@ -63,7 +63,7 @@ class BackEdgeRemoval:
     edge: Edge
 
 
-# Never produced; perfbench/tracing.py imports it until ROADMAP item 5 drops that import.
+# Never produced; perfbench/tracing.py imports it until ROADMAP item 5b drops that import.
 @dataclass(frozen=True)
 class SubdivisionRecord:
     edge: Edge
@@ -79,14 +79,14 @@ class ReductionTrace:
     """Ordered transformation log plus candidate paths found along the way.
 
     A candidate is recorded as its weight, in `weights`, and the ends of its
-    path, in `ends`: (x, mid, y) stands for s -> x along the smallest-id
-    shortest-path tree from s, then `mid`, then y -> t along the
-    smallest-id shortest-path tree to t, all in the graph the reduction
-    started from, and weighed there. `tree_path` builds such a path; it is
-    the reduction's one memo of tree parents and successors, so
-    `candidate_path` builds only the paths something reads, and
-    `candidates`, every (path, weight) in record order, is derived on each
-    read: appending to it records nothing.
+    path, in `ends`: (x, mid, y), all slots of the graph the reduction
+    started from, stands for s -> x along the smallest-id shortest-path tree
+    from s, then `mid`, then y -> t along the smallest-id shortest-path tree
+    to t, all in that graph, and weighed there. `tree_path` builds such a
+    path, in ids; it is the reduction's one memo of tree parents and
+    successors, so `candidate_path` builds only the paths something reads,
+    and `candidates`, every (path, weight) in record order, is derived on
+    each read: appending to it records nothing.
     """
 
     steps: list[Step] = field(default_factory=list)
@@ -166,27 +166,25 @@ def _splice(step: EliminationRecord, path: Path) -> Path:
 
 
 def _tight_walk(
-    ix: VertexIndex, adj: Sequence[tuple[tuple[int, int], ...]],
-    dist: Mapping[int, int | None], v: int, end: int, step: dict[int, int],
+    adj: Sequence[tuple[tuple[int, int], ...]], dist: Sequence[int | None],
+    v: int, end: int, step: dict[int, int],
 ) -> list[int]:
-    """Walk from v to `end`, each time to the smallest-id neighbor z in
-    `adj`, one of `ix`'s adjacencies, with dist[z] + w == dist[current].
+    """Walk from slot v to slot `end`, each time to the smallest slot z in
+    `adj`, an index's adjacency, with dist[z] + w == dist[current].
 
     Over in-edges with d(s,.) this is the smallest-id predecessor tree path
     from s to v, reversed; over out-edges with d(.,t) it is the smallest-id
-    successor tree path from v to t. `step` memoizes each vertex's next one
-    for this adjacency and table, so a walk that meets a vertex an earlier
-    walk passed follows parents from there.
+    successor tree path from v to t, as slot order is id order. `step`
+    memoizes each slot's next one for this adjacency and table, so a walk
+    that meets a slot an earlier walk passed follows parents from there.
     """
-    ids, slot = ix.ids, ix.slot
     walk = [v]
     while v != end:
         nxt = step.get(v)
         if nxt is None:
             dv = dist[v]
             nxt = step[v] = next(
-                ids[j] for j, w in adj[slot[v]]
-                if dist[ids[j]] is not None and dist[ids[j]] + w == dv
+                j for j, w in adj[v] if dist[j] is not None and dist[j] + w == dv
             )
         v = nxt
         walk.append(v)
@@ -196,8 +194,9 @@ def _tight_walk(
 def _tree_paths(g: WeightedDigraph, d: DistanceTable) -> Callable[[int, Path, int], Path]:
     """`path(x, mid, y)`: s -> x along the smallest-id shortest-path tree
     from s, then `mid`, then y -> t along the smallest-id shortest-path tree
-    to t, all in g. One reduction call shares one memo of each vertex's tree
-    parent and tree successor over all its candidates.
+    to t, all in g, from slots of g to the path's ids. One reduction call
+    shares one memo of each vertex's tree parent and tree successor over
+    all its candidates.
 
     The reductions keep this on their trace, which builds a candidate's path
     only when it is read, after the reduction has returned. g is immutable,
@@ -206,12 +205,14 @@ def _tree_paths(g: WeightedDigraph, d: DistanceTable) -> Callable[[int, Path, in
     path, so the trees are also those of the graph they return.
     """
     ix = g.index
+    s, t = ix.slot[g.s], ix.slot[g.t]
     parents: dict[int, int] = {}
     successors: dict[int, int] = {}
 
     def path(x: int, mid: Path, y: int) -> Path:
-        to_x = _tight_walk(ix, ix.into, d.from_s, x, g.s, parents)
-        return (*reversed(to_x), *mid, *_tight_walk(ix, ix.out, d.to_t, y, g.t, successors))
+        to_x = _tight_walk(ix.into, d.ds, x, s, parents)
+        walk = (*reversed(to_x), *mid, *_tight_walk(ix.out, d.dt, y, t, successors))
+        return tuple(map(ix.ids.__getitem__, walk))
 
     return path
 
@@ -230,8 +231,8 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     heavier. When (x, y) is instead a tight edge lighter than the detour,
     the path s -> x, the detour, y -> t along the smallest-id shortest-path
     trees is a candidate next-to-shortest path, because the reduced graph
-    can no longer represent it. It is recorded as its weight and its ends
-    (x, the detour's inner vertices, y); the trace builds the path only when
+    can no longer represent it. It is recorded as its weight and its ends,
+    slots (x, the detour's inner ones, y); the trace builds the path only when
     it is read. It is simple: the tree paths hold survivors only and lie on
     either side of the tight edge.
 
@@ -244,19 +245,17 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     semiring.
     """
     d = shortest_distances(g)
-    from_s, to_t, off = d.from_s, d.to_t, d.off
-    dst = from_s[g.t]
+    ds, dt, dst, off = d.ds, d.dt, d.dst, d.off
     if dst is None:
         raise ValueError("no s-to-t path exists")
     trace = ReductionTrace()
     if not off:
         return g, trace
-    gone = frozenset(off)
     ix = g.index
     ids = ix.ids
-    left = frozenset(map(ix.slot.__getitem__, off))
+    left = frozenset(off)
     edges = {
-        (ids[i], ids[j]): w
+        (i, j): w
         for i, row in enumerate(ix.out) if i not in left
         for j, w in row if j not in left
     }
@@ -264,10 +263,9 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     # survivor has none but, in its own Dijkstra, its edges into the inner set.
     overlay: list[Sequence[tuple[int, int]]] = [()] * len(ids)
     into: dict[int, list[tuple[int, int]]] = {}
-    for u in off:
-        if from_s[u] is None or to_t[u] is None:
+    for i in off:
+        if ds[i] is None or dt[i] is None:
             continue
-        i = ix.slot[u]
         overlay[i] = ix.out[i]
         for j, w in ix.into[i]:
             if j not in left:
@@ -278,31 +276,31 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
         overlay[i] = into[i]
         dist, parent = dijkstra(overlay, i)
         overlay[i] = ()
-        x = ids[i]
         for j in sorted(dist):
             if j == i or j in left:
                 continue
-            y = ids[j]
-            old, detour = edges.get((x, y)), dist[j]
+            old, detour = edges.get((i, j)), dist[j]
             if old is None or detour < old:
-                edges[(x, y)] = detour
-                shortcuts[(x, y)] = tuple(map(ids.__getitem__, parent_path(parent, i, j)[1:-1]))
-            elif old < detour and from_s[x] + old + to_t[y] == dst:
-                mid = tuple(map(ids.__getitem__, parent_path(parent, i, j)[1:-1]))
-                trace.ends.append((x, mid, y))
-                trace.weights.append(from_s[x] + detour + to_t[y])
+                edges[(i, j)] = detour
+                inner = parent_path(parent, i, j)[1:-1]
+                shortcuts[(ids[i], ids[j])] = tuple(map(ids.__getitem__, inner))
+            elif old < detour and ds[i] + old + dt[j] == dst:
+                trace.ends.append((i, parent_path(parent, i, j)[1:-1], j))
+                trace.weights.append(ds[i] + detour + dt[j])
+    gone = frozenset(map(ids.__getitem__, off))
     trace.steps.append(EliminationRecord(gone, MappingProxyType(shortcuts)))
     # Built without the constructor, whose checks hold: every kept edge is
     # the input's, between survivors, and a shortcut joins two distinct
-    # survivors with a sum of the input's weights.
-    kept = [u for u in ids if u not in gone]
-    rows = sorted([(x, y, w) for (x, y), w in edges.items()])
+    # survivors with a sum of the input's weights. Renumbering the kept
+    # slots keeps their order, so the rows stay in (tail, head) order.
+    kept = [i for i in range(len(ids)) if i not in left]
+    new = dict(zip(kept, range(len(kept))))
+    rows = [(new[i], new[j], w) for (i, j), w in sorted(edges.items())]
+    index = _index({ids[i]: k for k, i in enumerate(kept)}, rows)
     table = DistanceTable(
-        from_s=MappingProxyType({u: from_s[u] for u in kept}),
-        to_t=MappingProxyType({u: to_t[u] for u in kept}),
-        off=(),
+        index.ids, tuple(map(ds.__getitem__, kept)), tuple(map(dt.__getitem__, kept)), dst, ()
     )
-    return _graph(g.s, g.t, g.scale, _index(kept, rows), table), trace
+    return _graph(g.s, g.t, g.scale, index, table), trace
 
 
 def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
@@ -313,7 +311,7 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     removed, smallest ids first, after recording the candidate path s->u,
     (u,v), v->t along the smallest-id shortest-path trees -- the cheapest
     path through that edge, which the reduced graph loses -- as its weight
-    and its ends (u, (), v); the trace builds the path only when it is
+    and its ends, slots (u, (), v); the trace builds the path only when it is
     read. Forward edges stay as they are: weights are positive, so each one
     already goes strictly up a layer, and the search takes an edge that
     spans several layers whole.
@@ -336,12 +334,11 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     ix = g.index
     out = list(ix.out)
     trace.tree_path = _tree_paths(g, d)
-    for u, v in layering.against:
-        i, j = ix.slot[u], ix.slot[v]
+    for i, j in layering.against:
         w = dict(out[i])[j]
         out[i] = tuple(pair for pair in out[i] if pair[0] != j)
-        trace.ends.append((u, (), v))
-        trace.weights.append(d.from_s[u] + w + d.to_t[v])
-        trace.steps.append(BackEdgeRemoval((u, v)))
+        trace.ends.append((i, (), j))
+        trace.weights.append(d.ds[i] + w + d.dt[j])
+        trace.steps.append(BackEdgeRemoval((ix.ids[i], ix.ids[j])))
     index = VertexIndex(ix.ids, ix.slot, tuple(out))
     return _graph(g.s, g.t, g.scale, index, d, replace(layering, against=())), trace

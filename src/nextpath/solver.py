@@ -42,11 +42,14 @@ class _LayeredSearch:
     vertices a with the last such boundary below each, the forward edges
     that cross a boundary, the forward DAG and the floor reach once a scan
     needs them, and memoized disjoint-pair queries for the outer paths. The
-    set-up and the memo serve every scan of the same search."""
+    set-up and the memo serve every scan of the same search. A vertex here,
+    s and t too, is a slot of the graph's index; ids appear only at the
+    residual search, `shortest_path_avoiding`, and in the routes returned."""
 
     def __init__(self, g: WeightedDigraph):
         self.g = g
         self.d = d = shortest_distances(g)
+        self.s, self.t = g.index.slot[g.s], g.index.slot[g.t]
         # The input check: straight (`layering` raises otherwise), with every
         # back-edge going strictly back.
         try:
@@ -57,7 +60,7 @@ class _LayeredSearch:
             raise ValueError("graph is not (s,t)-layered")
         self.lam = lam = layering.lam
         self.layers, self.forward, self.spans = layering.layers, layering.forward, layering.spans
-        self.dst: int = d.from_s[g.t]
+        self.dst: int = d.dst
         self.back_vertices = frozenset(x for edge in layering.back for x in edge)
         # Smallest possible excess of any not-shortest path over d(s,t):
         # every back-edge contributes its own slack, forward edges none.
@@ -87,7 +90,7 @@ class _LayeredSearch:
                 self.waypoints.add(layer)
             tops[layer + 1] = layer if layer in self.waypoints else tops[layer]
         self.starts = [
-            (a, tops[lam[a]]) for a in sorted(self.back_vertices) if a != g.t and tops[lam[a]]
+            (a, tops[lam[a]]) for a in sorted(self.back_vertices) if a != self.t and tops[lam[a]]
         ]
         self._crossing: dict[int, list[Edge]] = {}
         self._pairs: dict[tuple[tuple[int, int], ...], DisjointPathPair | None] = {}
@@ -108,14 +111,8 @@ class _LayeredSearch:
         return u == v or self.lam[u] < self.lam[v] and self.dag.reaches(u, v)
 
     @cached_property
-    def back_slots(self) -> frozenset[int]:
-        """The back vertices' slots in the graph's index, built when the scan
-        needs its first bound table."""
-        return frozenset(map(self.g.index.slot.__getitem__, self.back_vertices))
-
-    @cached_property
     def floor_reach(self) -> frozenset[int]:
-        """The slots of the vertices a with dist(a, x) <= least - 2, where
+        """The vertices a with dist(a, x) <= least - 2, where
         least = floor - d(s,t) is the least back-edge slack and x the tail
         of some back-edge of that slack: the only starts that can pass a
         pair under a bound of at most floor + 1 (see `scan`). Built when the
@@ -127,7 +124,7 @@ class _LayeredSearch:
         ix = self.g.index
         least = self.floor - self.dst
         back = self.g.layering.back
-        tails = sorted({ix.slot[u] for (u, _), slack in back.items() if slack == least})
+        tails = sorted({u for (u, _), slack in back.items() if slack == least})
         if least == 2:
             return frozenset(tails)
         virtual = len(ix.ids)
@@ -171,10 +168,10 @@ class _LayeredSearch:
         raises the layer. The halves cannot collide, so concatenating them
         is sound.
         """
-        prefix = self.disjoint_pair((self.g.s, xp), (b, yp))
+        prefix = self.disjoint_pair((self.s, xp), (b, yp))
         if prefix is None:
             return None
-        suffix = self.disjoint_pair((x, a), (y, self.g.t))
+        suffix = self.disjoint_pair((x, a), (y, self.t))
         if suffix is None:
             return None
         return DisjointPathPair(prefix.p1 + suffix.p1, prefix.p2 + suffix.p2)
@@ -210,22 +207,20 @@ class _LayeredSearch:
         the memo are those of a scan that visits it. The full scan
         (`ceiling` None) visits every start.
         """
-        g, dfs, lam = self.g, self.d.from_s, self.lam
+        out, ds, lam = self.g.index.out, self.d.ds, self.lam
         best: tuple[int, Path] | None = None
         bound = ceiling
         for a, top in self.starts:
-            ix = g.index
             narrow = bound is not None and bound <= self.floor + 1
-            if narrow and ix.slot[a] not in self.floor_reach:
+            if narrow and a not in self.floor_reach:
                 continue
             radius = None if bound is None else bound - self.dst - 1
-            table, _ = dijkstra(ix.out, ix.slot[a], limit=radius)
-            for j in sorted(self.back_slots.intersection(table)):
-                b = ix.ids[j]
-                if lam[b] > top or b == g.s:
+            table, _ = dijkstra(out, a, limit=radius)
+            for b in sorted(self.back_vertices.intersection(table)):
+                if lam[b] > top or b == self.s:
                     continue
-                lower = table[j]
-                base = dfs[a] - dfs[b] + self.dst
+                lower = table[b]
+                base = ds[a] - ds[b] + self.dst
                 # No route of this pair weighs less than base + lower.
                 if bound is not None and base + lower >= bound:
                     continue
@@ -250,6 +245,7 @@ class _LayeredSearch:
         so a later tuple whose blocked set contains a cut fails too and is
         skipped without a search."""
         g, lam, climbs = self.g, self.lam, self.climbs
+        ids, slot = g.index.ids, g.index.slot
         best: tuple[int, Path] | None = None
         cuts: list[set[int]] = []
         for layer in range(lam[b], lam[a]):
@@ -272,12 +268,15 @@ class _LayeredSearch:
                         continue
                     limit = None if bound is None else bound - base
                     met: set[int] = set()
-                    p0 = shortest_path_avoiding(g, blocked, a, b, limit, met)
+                    p0 = shortest_path_avoiding(
+                        g, set(map(ids.__getitem__, blocked)), ids[a], ids[b], limit, met
+                    )
                     if p0 is None:
-                        cuts.append(met)
+                        cuts.append(set(map(slot.__getitem__, met)))
                         continue
                     weight = base + path_weight(g, p0)
-                    full = outer.p1 + p0[1:] + outer.p2[1:]
+                    p1, p2 = (tuple(map(ids.__getitem__, p)) for p in (outer.p1, outer.p2))
+                    full = p1 + p0[1:] + p2[1:]
                     check_answer(g, full, weight, validate_path(g, full))
                     best, bound = (weight, full), weight
                     if weight <= self.floor or base + lower >= weight:

@@ -197,10 +197,15 @@ def violation_count(g):
 
 def back_edge_split(g, path):
     """(prefix, middle, suffix) of an s-t path cut at its first and last
-    back-edges (positive `edge_slack`), or None when it has no back-edge.
-    `middle` runs from the first back-edge's tail to the last one's head."""
-    d = shortest_distances(g)
-    backs = [i for i, e in enumerate(zip(path, path[1:])) if edge_slack(d, *e, g.edges[e])]
+    back-edges (positive `edge_slack`, which takes slots), or None when it
+    has no back-edge. `middle` runs from the first back-edge's tail to the
+    last one's head."""
+    d, slot = shortest_distances(g), g.index.slot
+    backs = [
+        i
+        for i, (u, v) in enumerate(zip(path, path[1:]))
+        if edge_slack(d, slot[u], slot[v], g.edges[(u, v)])
+    ]
     if not backs:
         return None
     i, j = backs[0], backs[-1]

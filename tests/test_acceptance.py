@@ -192,9 +192,10 @@ def _layer_stepping_violations(g) -> tuple[int, int]:
     d = shortest_distances(g)
     if not is_straight(g, d):
         return 1, 0
-    lam = _LayeredSearch(g).lam
+    lam, slot = _LayeredSearch(g).lam, g.index.slot
     bad = spans = 0
-    for (u, v), w in g.edges.items():
+    for (x, y), w in g.edges.items():
+        u, v = slot[x], slot[y]
         slack = edge_slack(d, u, v, w)
         if slack == 0:
             bad += lam[v] <= lam[u]

@@ -410,7 +410,9 @@ def test_layer_order_and_kahn_order_agree_on_waypoint_queries():
     """The search's DAG ranks vertices by (d(s,u), u); `topological_order`
     by Kahn's smallest-id-first order. On relabelled layered graphs,
     drawn until the two orders differ, both give a disjoint pair for the
-    same waypoint-split queries, and every pair is valid in its DAG."""
+    same waypoint-split queries, and every pair is valid in its DAG. The
+    search's vertices are slots, whose order is id order, so Kahn's order
+    on slots is Kahn's order on ids."""
     queries = []
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -424,10 +426,11 @@ def test_layer_order_and_kahn_order_agree_on_waypoint_queries():
     def check(layers, width, back, skips, seed):
         g = with_span_edges(layered_digraph(layers, width, back, seed), skips, seed)
         search = _LayeredSearch(relabelled(g, seed))
-        kahn_order = topological_order(search.g.vertices, search.forward)
+        slots = range(len(search.g.index.ids))
+        kahn_order = topological_order(slots, dict(zip(slots, search.forward)))
         ours, kahn = search.dag, ForwardDag(kahn_order, search.forward)
         assume(list(ours.rank) != list(kahn.rank))
-        s, t, lam = search.g.s, search.g.t, search.lam
+        s, t, lam = search.s, search.t, search.lam
         for a, b in itertools.permutations(sorted(search.back_vertices), 2):
             for layer in search.waypoints.intersection(range(lam[b], lam[a])):
                 edges = search.crossing(layer)

@@ -773,14 +773,17 @@ def table_graphs(draw):
 
 
 def _check_own_table(g):
-    """g's `distances` match a fresh Dijkstra each way, its `off` the
-    distance-sum rule over those, and it took one Dijkstra when g is
-    straight, two otherwise."""
+    """g's `distances`, by slot and aligned with g's index, match a fresh
+    Dijkstra each way, its `off`, as ids, the distance-sum rule over those,
+    and it took one Dijkstra when g is straight, two otherwise."""
     from_s, to_t = fresh_distances(g)
     off = sum_rule_off(g, from_s, to_t)
     with mock.patch.object(graph, "dijkstra", wraps=graph.dijkstra) as spy:
         d = g.distances
-    assert (dict(d.from_s), dict(d.to_t), d.off) == (from_s, to_t, off)
+    ids = g.index.ids
+    assert d.ids is ids and len(d.ds) == len(d.dt) == len(ids)
+    assert (dict(zip(ids, d.ds)), dict(zip(ids, d.dt)), d.dst) == (from_s, to_t, from_s[g.t])
+    assert (dict(d.from_s), dict(d.to_t), tuple(ids[i] for i in d.off)) == (from_s, to_t, off)
     assert spy.call_count == (2 if off else 1)
     return not off
 
@@ -820,6 +823,19 @@ def test_distance_table_is_read_only():
         d.to_t[0] = 1
 
 
+def test_layering_violations_are_id_edges_on_sparse_ids():
+    """The layering holds slot pairs; `layering_violations` returns them as
+    id pairs, in (tail, head) id order, on a graph whose ids are not its
+    slots: the graph below with 0..4 mapped onto -40, 7, 300, 12, -3."""
+    m = {0: -40, 1: 7, 2: 300, 3: 12, 4: -3}
+    edges = {(0, 1): 1, (1, 2): 1, (0, 2): 2, (2, 3): 1, (0, 4): 1, (4, 2): 1,
+             (1, 4): 1, (4, 1): 2, (2, 1): 3}
+    g = WeightedDigraph(m.values(), {(m[u], m[v]): w for (u, v), w in edges.items()}, -40, 12)
+    assert g.index.ids == (-40, -3, 7, 12, 300)
+    assert g.layering.against == ((1, 2), (2, 1)) and g.layering.spans == ((0, 4),)
+    assert graph.layering_violations(g) == ([(-3, 7), (7, -3)], [(-40, 300)])
+
+
 def test_layering_classifies_each_edge_once():
     g = build_graph(
         5,
@@ -830,9 +846,11 @@ def test_layering_classifies_each_edge_once():
     )
     layering = g.layering
     assert layering is g.layering
-    assert dict(layering.lam) == {0: 1, 1: 2, 4: 2, 2: 3, 3: 4}
+    # The layering is by slot, and the ids 0..4 are their own slots.
+    assert g.index.ids == (0, 1, 2, 3, 4)
+    assert layering.lam == (1, 2, 3, 4, 2)
     assert layering.layers == ((), (0,), (1, 4), (2,), (3,))
-    assert dict(layering.forward) == {0: (1, 2, 4), 1: (2,), 2: (3,), 3: (), 4: (2,)}
+    assert layering.forward == ((1, 2, 4), (2,), (3,), (), (2,))
     assert layering.spans == ((0, 2),)
     assert dict(layering.back) == {(2, 1): 4}
     assert layering.against == ((1, 4), (4, 1))
@@ -855,26 +873,30 @@ def _straight_graphs():
 
 def test_layering_agrees_with_edge_slack():
     """`layering` computes each edge's slack inline; `edge_slack` stays the
-    definition of an edge's kind, and of a back-edge's slack."""
+    definition of an edge's kind, and of a back-edge's slack. Both are by
+    slot, and are compared here by id, through the graph's index."""
     kinds = set()
     for g in _straight_graphs():
         d, layering = g.distances, g.layering
-        lam = layering.lam
+        ids, slot = g.index.ids, g.index.slot
+        lam = dict(zip(ids, layering.lam))
         values = sorted(set(d.from_s.values()))
-        assert dict(lam) == {u: values.index(d.from_s[u]) + 1 for u in g.vertices}
+        assert lam == {u: values.index(d.from_s[u]) + 1 for u in g.vertices}
         want = {}
         for (u, v), w in g.edges.items():
-            slack = edge_slack(d, u, v, w)
+            slack = edge_slack(d, slot[u], slot[v], w)
             if slack == 0:
                 want[(u, v)] = "span" if lam[v] > lam[u] + 1 else "forward"
             elif lam[v] < lam[u]:
                 want[(u, v)] = ("back", slack)
             else:
                 want[(u, v)] = "against"
-        got = {(u, v): "forward" for u, heads in layering.forward.items() for v in heads}
-        got.update(dict.fromkeys(layering.spans, "span"))
-        got.update({e: ("back", slack) for e, slack in layering.back.items()})
-        got.update(dict.fromkeys(layering.against, "against"))
+        got = {
+            (ids[i], ids[j]): "forward" for i, heads in enumerate(layering.forward) for j in heads
+        }
+        got.update({(ids[i], ids[j]): "span" for i, j in layering.spans})
+        got.update({(ids[i], ids[j]): ("back", slack) for (i, j), slack in layering.back.items()})
+        got.update({(ids[i], ids[j]): "against" for i, j in layering.against})
         assert got == want
         kinds.update(k if isinstance(k, str) else k[0] for k in want.values())
     assert kinds == {"forward", "span", "back", "against"}

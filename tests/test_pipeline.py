@@ -37,6 +37,41 @@ from nextpath.graph import SolveOutcome, dijkstra, path_weight
 from nextpath.reduction import _tight_walk, lift_path
 
 
+@pytest.mark.parametrize("through", ["cli", "sparse-ids"])
+def test_each_stage_keeps_its_table_by_slot_and_derives_no_id_view(
+    monkeypatch, tmp_path, capsys, through
+):
+    """Each stage's distance table, the input's, straighten's and
+    layerize's, is stored by slot and aligned with its graph's index, whose
+    ids it shares. A solve derives neither id view, `from_s` nor `to_t`;
+    a read derives each from the slots. Seed 20's graph is one that
+    straighten shrinks, solved through `cli.main` from its file, and
+    through `solve_detailed` on a copy built by the constructor on sparse
+    ids, in reverse order, so that no id is its slot."""
+    g = random_digraph(12, 0.3, 5, 20)
+    seen = []
+    for name in ("straighten", "layerize", "solve_layered"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda h, real=real: seen.append(h) or real(h))
+    if through == "cli":
+        f = tmp_path / "g.txt"
+        f.write_text(serialize_graph(g))
+        assert cli.main(["solve", str(f)]) == 0
+        assert capsys.readouterr().out.startswith("7\n")
+    else:
+        m = {u: 1000 - 97 * u for u in g.vertices}
+        edges = {(m[u], m[v]): w for (u, v), w in g.edges.items()}
+        result = solve_detailed(WeightedDigraph(m.values(), edges, m[g.s], m[g.t]))
+        assert result.layered_outcome.found and result.outcome.weight == 7
+    assert len(seen) == 3 and seen[1].vertex_count < seen[0].vertex_count
+    # layerize hands its input's table on, so the views are read only below.
+    assert not {"from_s", "to_t"} & {k for h in seen for k in vars(h.distances)}
+    for h in seen:
+        d, ids = h.distances, h.index.ids
+        assert d.ids is ids and len(d.ds) == len(d.dt) == len(ids)
+        assert d.from_s == dict(zip(ids, d.ds)) and d.to_t == dict(zip(ids, d.dt))
+
+
 def test_triangle_answer():
     assert solve(parse_graph(TRIANGLE)).path == (0, 1, 2)
 
@@ -307,16 +342,16 @@ def test_a_layerize_candidate_that_ties_the_layered_answer_wins():
 def test_only_the_winners_trees_are_walked(monkeypatch, tmp_path, capsys):
     """A solve builds the path of the winning candidate alone, one walk up
     each shortest-path tree; `--dump-trace` prints every candidate, so it
-    walks the trees of all of them."""
+    walks the trees of all of them. A walk starts at the slot `args[2]`."""
     walks = []
     monkeypatch.setattr(
-        reduction, "_tight_walk", lambda *args: walks.append(args[3]) or _tight_walk(*args)
+        reduction, "_tight_walk", lambda *args: walks.append(args[2]) or _tight_walk(*args)
     )
     g = build_graph(6, _MORE_TIES)
     assert len(g.layering.against) == 3
     result = solve_detailed(g)
     assert result.outcome == SolveOutcome.of((0, 1, 3, 4, 5), 5)
-    assert walks == [1, 3]
+    assert [g.index.ids[v] for v in walks] == [1, 3]
     f = tmp_path / "ties.txt"
     f.write_text(serialize_graph(g))
     walks.clear()

@@ -260,12 +260,14 @@ def assert_search_setup(g):
     filing lists each forward edge under every boundary l|l+1 it crosses, in
     (tail, head) order; a boundary holds a waypoint pair when its edges have
     two distinct tails and two distinct heads, and a start's top is the last
-    such boundary below it. Returns the search, the layers and the forward
-    edges."""
+    such boundary below it. The search keeps its vertices by slot, and is
+    compared here by id, through the graph's index. Returns the search, and
+    the layers and the forward edges by id."""
     d = shortest_distances(g)
+    ids, slot = g.index.ids, g.index.slot
     values = sorted(set(d.from_s.values()))
     lam = {u: values.index(d.from_s[u]) + 1 for u in g.vertices}
-    slack = {(u, v): edge_slack(d, u, v, w) for (u, v), w in g.edges.items()}
+    slack = {(u, v): edge_slack(d, slot[u], slot[v], w) for (u, v), w in g.edges.items()}
     back = [e for e, x in slack.items() if x > 0]
     forward = sorted(e for e, x in slack.items() if x == 0)
     assert len(back) + len(forward) == g.edge_count
@@ -274,8 +276,10 @@ def assert_search_setup(g):
         for layer in range(lam[u], lam[v]):
             by_layer.setdefault(layer, []).append((u, v))
     search = _LayeredSearch(g)
-    assert search.lam == lam
-    assert search.back_vertices == {u for e in back for u in e}
+    assert (search.s, search.t) == (slot[g.s], slot[g.t])
+    assert dict(zip(ids, search.lam)) == lam
+    back_vertices = {u for e in back for u in e}
+    assert search.back_vertices == set(map(slot.__getitem__, back_vertices))
     assert search.floor == d.from_s[g.t] + min((slack[e] for e in back), default=0)
     assert search.waypoints == {
         layer
@@ -283,18 +287,19 @@ def assert_search_setup(g):
         if len({u for u, _ in edges}) > 1 and len({v for _, v in edges}) > 1
     }
     top = {
-        a: max((x for x in search.waypoints if x < lam[a]), default=0)
-        for a in search.back_vertices
+        a: max((x for x in search.waypoints if x < lam[a]), default=0) for a in back_vertices
     }
-    assert search.starts == [
-        (a, top[a]) for a in sorted(search.back_vertices) if a != g.t and top[a]
+    assert [(ids[a], x) for a, x in search.starts] == [
+        (a, top[a]) for a in sorted(back_vertices) if a != g.t and top[a]
     ]
     assert search._crossing == {}
-    assert {layer: search.crossing(layer) for layer in by_layer} == by_layer
-    assert {u: list(heads) for u, heads in search.dag.adj.items()} == {
+    assert {
+        layer: [(ids[u], ids[v]) for u, v in search.crossing(layer)] for layer in by_layer
+    } == by_layer
+    assert {ids[u]: [ids[v] for v in heads] for u, heads in enumerate(search.dag.adj)} == {
         u: [v for x, v in forward if x == u] for u in g.vertices
     }
-    assert list(search.dag.rank) == sorted(g.vertices, key=lambda u: (lam[u], u))
+    assert [ids[u] for u in search.dag.rank] == sorted(g.vertices, key=lambda u: (lam[u], u))
     return search, lam, forward
 
 
@@ -692,7 +697,7 @@ def test_search_accepts_exactly_straight_graphs_whose_back_edges_go_back(kind, s
     assert is_straight(g, d)
     assert nextpath.graph.layering_violations(g)[0] == []
     values = sorted(set(d.from_s.values()))
-    assert lam == {u: values.index(d.from_s[u]) + 1 for u in g.vertices}
+    assert dict(zip(g.index.ids, lam)) == {u: values.index(d.from_s[u]) + 1 for u in g.vertices}
 
 
 def test_residual_path_single_back_edge():
