@@ -35,6 +35,7 @@ from .oracle import (
     BudgetExceeded,
     exhaustive_next_to_shortest,
     exhaustive_two_disjoint_paths,
+    ranked_next_to_shortest,
     simple_paths,
 )
 from .pipeline import PipelineResult, solve, solve_detailed

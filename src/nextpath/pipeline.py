@@ -14,7 +14,7 @@ from .graph import (
     shortest_distances,
     validate_path,
 )
-from .reduction import ReductionTrace, layerize, lift_path, straighten
+from .reduction import ReductionTrace, incumbent, layerize, lift_path, straighten
 from .solver import solve_layered
 
 
@@ -48,6 +48,17 @@ def solve_detailed(g: WeightedDigraph) -> PipelineResult:
     removed back-edge can be a shortcut, and lifting splices in that one
     detour of eliminated vertices, which closes no loop. The final
     `check_answer` checks the answer's ends, simplicity and weight.
+
+    Straighten takes `incumbent(g)`, the weight of a simple path that is
+    not shortest, found in one edge pass, as a bound on the answer A, and
+    leaves out of its overlay the detours outside the bound's ellipse.
+    Every pool entry of weight <= bound is then the one an unbounded
+    straighten gives, in the same order, and every other entry weighs more
+    than bound >= A (see `straighten`). So the answer's weight is always
+    the unbounded one, and so is its path when a reduction candidate wins.
+    A layered winner could meet another route of equal weight first, as
+    tuples start only at back vertices and a dropped shortcut can remove
+    one; none has been seen to.
     """
     d = shortest_distances(g)
     dst = d.dst
@@ -56,7 +67,7 @@ def solve_detailed(g: WeightedDigraph) -> PipelineResult:
         return PipelineResult(
             SolveOutcome.none(), ReductionTrace(), ReductionTrace(), None, SolveOutcome.none()
         )
-    g_s, tr_s = straighten(g)
+    g_s, tr_s = straighten(g, incumbent(g))
     g_l, tr_l = layerize(g_s)
     layered_sol = solve_layered(g_l)
 

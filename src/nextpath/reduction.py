@@ -8,7 +8,10 @@ left on (x, y) between two survivors is min(w(x, y), lightest x-to-y
 detour whose inner vertices are all eliminated) -- the boundary clique of
 a Customizable Route Planning overlay. One Dijkstra per boundary vertex
 (a survivor with an edge into the eliminated set) finds those detours,
-and lifting splices them back in.
+and lifting splices them back in. Given an upper bound on the answer,
+`incumbent`'s one edge pass, the overlay holds only the eliminated
+vertices inside the bound's ellipse, d(s,v) + d(v,t) <= bound, as no walk
+the answer can use leaves it; the others are deleted without detours.
 
 Every transformation is logged in a ReductionTrace so that any path in the
 reduced graph can be lifted back to the original graph, and so that
@@ -217,7 +220,39 @@ def _tree_paths(g: WeightedDigraph, d: DistanceTable) -> Callable[[int, Path, in
     return path
 
 
-def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
+def incumbent(g: WeightedDigraph) -> int | None:
+    """An upper bound on the weight of g's next-to-shortest path, from one
+    pass over the edges: the least d(s,u) + w + d(v,t) over the edges
+    (u, v, w) with d(s,u) + d(v,t) < d(s,t) < d(s,u) + w + d(v,t). None
+    when g is straight, when t is unreachable or when no edge qualifies.
+
+    Such an edge closes a simple path that is not shortest, s -> u along a
+    shortest path, (u, v), then a shortest path to t: a vertex z on both
+    shortest paths would have d(s,z) + d(z,t) <= d(s,u) + d(v,t) < d(s,t),
+    which no vertex has. So the answer weighs at most the bound. No path is
+    built: only its weight is read.
+    """
+    d = shortest_distances(g)
+    ds, dt, dst = d.ds, d.dt, d.dst
+    if not d.off or dst is None:
+        return None
+    best = None
+    for u, row in enumerate(g.index.out):
+        du = ds[u]
+        if du is None:
+            continue
+        # With slack = dst - d(s,u): d(v,t) < slack < w + d(v,t).
+        slack = dst - du
+        for v, w in row:
+            dv = dt[v]
+            if dv is not None and dv < slack < dv + w and (best is None or du + w + dv < best):
+                best = du + w + dv
+    return best
+
+
+def straighten(
+    g: WeightedDigraph, bound: int | None = None
+) -> tuple[WeightedDigraph, ReductionTrace]:
     """Reduce to a graph where every vertex lies on a shortest s-to-t path.
 
     Each vertex of the input table's `off` is eliminated in one overlay step.
@@ -243,6 +278,23 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     than computed again. The result is the same graph as eliminating the
     vertices one at a time, which is Gaussian elimination in the (min,+)
     semiring.
+
+    With a `bound` on the answer, from `incumbent`, an eliminated vertex v
+    enters the overlay only when d(s,v) + d(v,t) <= bound; the others are
+    deleted without detours, as the cut-off ones are, and the record still
+    lists every eliminated vertex. The answer's weight is unchanged:
+    (1) every vertex of a walk of weight <= bound lies inside that ellipse;
+    (2) so for survivors x, y with d(s,x) + detour + d(y,t) <= bound, every
+    vertex on a lightest x-y detour, and every vertex that relaxes one of
+    them to its final distance, is kept, and the kept vertices settle in
+    the same (distance, slot) order: the detour, its parent path and the
+    shortcut-or-candidate decision for (x, y) are the unbounded ones;
+    (3) hence every entry of the pipeline's pool of weight <= bound is the
+    unbounded one, in the same relative order, and (4) every entry that is
+    new or heavier weighs more than bound >= the answer. The bounded overlay
+    keeps no all-pairs distance between survivors, only those within the
+    ellipse, which is why the bound is an argument: without it this is the
+    exact (min,+) closed form.
     """
     d = shortest_distances(g)
     ds, dt, dst, off = d.ds, d.dt, d.dst, d.off
@@ -264,7 +316,7 @@ def straighten(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     overlay: list[Sequence[tuple[int, int]]] = [()] * len(ids)
     into: dict[int, list[tuple[int, int]]] = {}
     for i in off:
-        if ds[i] is None or dt[i] is None:
+        if ds[i] is None or dt[i] is None or (bound is not None and ds[i] + dt[i] > bound):
             continue
         overlay[i] = ix.out[i]
         for j, w in ix.into[i]:

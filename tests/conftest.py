@@ -46,6 +46,21 @@ def with_span_edges(g, count, seed):
     return g.replace(edges=edges)
 
 
+def with_off_path_vertices(g, count, seed):
+    """`g` plus `count` fresh vertices, each entered from one vertex of g
+    and left to one or two others (weights 1..6), so that most of them lie
+    on no shortest s-t path and some shorten or add detours."""
+    rng = random.Random(f"off:{seed}")
+    edges = dict(g.edges)
+    vs = sorted(g.vertices)
+    fresh = range(vs[-1] + 1, vs[-1] + 1 + count)
+    for x in fresh:
+        edges[(rng.choice(vs), x)] = rng.randint(1, 6)
+        for v in rng.sample(vs, rng.randint(1, 2)):
+            edges[(x, v)] = rng.randint(1, 6)
+    return WeightedDigraph(g.vertices | set(fresh), edges, g.s, g.t, g.scale)
+
+
 def layered_tiers(layers, width):
     """The layers that `layered_digraph(layers, width, ...)` builds: s, then
     `width` consecutive ids per middle layer, then t."""

@@ -1,5 +1,16 @@
-"""oracle: exhaustive references keep themselves honest."""
+"""oracle: exhaustive references keep themselves honest.
+
+The ranked oracle also checks `solve` on any edge-list files:
+
+    PYTHONPATH=src python tests/test_oracle.py FILE...
+
+It prints the number of graphs checked and exits 0 when the ranked
+oracle's `found` and weight equal `solve`'s on each; the first mismatch
+stops it with the file and both answers.
+"""
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -11,6 +22,8 @@ from nextpath import (
     exhaustive_two_disjoint_paths,
     parse_graph,
     random_digraph,
+    ranked_next_to_shortest,
+    solve,
     topological_order,
     validate_path,
 )
@@ -21,11 +34,13 @@ def test_triangle_two_paths():
     g = parse_graph(TRIANGLE)
     out = exhaustive_next_to_shortest(g)
     assert out.path == (0, 1, 2) and out.weight == 2
+    assert ranked_next_to_shortest(g) == out
 
 
 def test_single_edge_has_no_second_path():
     g = build_graph(2, {(0, 1): 1})
     assert not exhaustive_next_to_shortest(g).found
+    assert not ranked_next_to_shortest(g).found
 
 
 def test_parallel_chains_weight():
@@ -35,6 +50,10 @@ def test_parallel_chains_weight():
     assert paths == [3, 3, 5]
     out = exhaustive_next_to_shortest(g)
     assert out.weight == 5
+    # the ranked oracle ranks both shortest paths, then the crossover
+    assert ranked_next_to_shortest(g, budget=3).weight == 5
+    with pytest.raises(BudgetExceeded):
+        ranked_next_to_shortest(g, budget=2)
 
 
 def test_budget_exceeded_is_loud():
@@ -49,11 +68,14 @@ def test_negative_budget_is_rejected_before_any_path():
         next(simple_paths(g, g.s, g.t, budget=-1))
     with pytest.raises(ValueError, match="budget must be non-negative"):
         exhaustive_next_to_shortest(g, budget=-5)
+    with pytest.raises(ValueError, match="budget must be non-negative"):
+        ranked_next_to_shortest(g, budget=-1)
     # A zero budget is valid: it admits no path at all.
-    with pytest.raises(BudgetExceeded):
-        exhaustive_next_to_shortest(g, budget=0)
     unreachable = build_graph(3, {(0, 1): 1}, s=0, t=2)
-    assert not exhaustive_next_to_shortest(unreachable, budget=0).found
+    for oracle in (exhaustive_next_to_shortest, ranked_next_to_shortest):
+        with pytest.raises(BudgetExceeded):
+            oracle(g, budget=0)
+        assert not oracle(unreachable, budget=0).found
 
 
 def test_oracle_weight_invariant_under_relabeling():
@@ -85,6 +107,39 @@ def test_oracle_witness_is_always_valid():
             assert check.simple and check.weight == out.weight
 
 
+def answer(outcome):
+    return outcome.found, outcome.weight
+
+
+def test_ranked_oracle_matches_the_exhaustive_one_on_small_graphs():
+    """Weights 1..3 put ties everywhere, among the shortest paths and among
+    the next ones; sparse draws give NONE answers and unreachable sinks."""
+    found = none = 0
+    for seed in range(400):
+        g = random_digraph(4 + seed % 8, (0.2, 0.35, 0.5)[seed % 3], 1 + seed % 3, seed)
+        ranked = ranked_next_to_shortest(g)
+        assert answer(ranked) == answer(exhaustive_next_to_shortest(g)), seed
+        if ranked.found:
+            check = validate_path(g, ranked.path)
+            assert check.simple and check.weight == ranked.weight
+        found += ranked.found
+        none += not ranked.found
+    assert found >= 100 and none >= 50
+
+
+def test_ranked_oracle_matches_solve_beyond_the_exhaustive_reach():
+    """On 100-vertex random graphs, the shape of the `random-general`
+    benchmark, where straighten's bound acts and no enumeration of all
+    simple paths finishes."""
+    found = 0
+    for seed in range(100):
+        g = random_digraph(100, 0.045, 10, seed)
+        solved = solve(g)
+        assert answer(ranked_next_to_shortest(g)) == answer(solved), seed
+        found += solved.found
+    assert found >= 50
+
+
 def kahn_dag(adj):
     """The DAG with the out-lists `adj`, one per vertex, in Kahn's order."""
     return ForwardDag(topological_order(adj, adj), adj)
@@ -108,3 +163,14 @@ def test_exhaustive_disjoint_pairs_on_long_dag_path():
     dag = kahn_dag({i: [i + 1] for i in range(n - 1)} | {n - 1: [], n: [n + 1], n + 1: []})
     pair = exhaustive_two_disjoint_paths(dag, (0, n - 1), (n, n + 1))
     assert pair.p1 == tuple(range(n)) and pair.p2 == (n, n + 1)
+
+
+if __name__ == "__main__":
+    files = sys.argv[1:]
+    for name in files:
+        with open(name, encoding="utf-8") as fh:
+            g = parse_graph(fh.read())
+        ranked, solved = answer(ranked_next_to_shortest(g)), answer(solve(g))
+        if ranked != solved:
+            sys.exit(f"{name}: ranked oracle {ranked}, solve {solved}")
+    print(f"{len(files)} graphs: the ranked oracle agrees with solve")

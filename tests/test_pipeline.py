@@ -17,6 +17,7 @@ from conftest import (
     skip_edge_graph,
     skip_path_graph,
     sum_rule_off,
+    with_off_path_vertices,
 )
 from nextpath import (
     InternalInvariantError,
@@ -52,7 +53,9 @@ def test_each_stage_keeps_its_table_by_slot_and_derives_no_id_view(
     seen = []
     for name in ("straighten", "layerize", "solve_layered"):
         real = getattr(pipeline, name)
-        monkeypatch.setattr(pipeline, name, lambda h, real=real: seen.append(h) or real(h))
+        monkeypatch.setattr(
+            pipeline, name, lambda h, *rest, real=real: seen.append(h) or real(h, *rest)
+        )
     if through == "cli":
         f = tmp_path / "g.txt"
         f.write_text(serialize_graph(g))
@@ -227,13 +230,15 @@ def test_the_pipeline_weighs_only_the_paths_a_lift_changes(monkeypatch):
     g again: the lifted layered answer, when lifting changed it. A path the
     lift leaves as it was uses no shortcut, so its weight holds in g; a
     layerize candidate's recorded weight holds in g even when the lift
-    changes it; and the final check confirms the answer's."""
+    changes it; and the final check confirms the answer's. Straighten's
+    bound drops the shortcuts no answer can use, so a layered answer that a
+    lift changes is rare: seed 180 is the first."""
     weighed = []
     monkeypatch.setattr(
         pipeline, "path_weight", lambda g, path: weighed.append(path) or path_weight(g, path)
     )
     kept = changed = 0
-    for seed in range(40):
+    for seed in range(200):
         weighed.clear()
         result = solve_detailed(random_digraph(12, 0.3, 5, seed))
         if not result.layered_outcome.found:
@@ -245,6 +250,27 @@ def test_the_pipeline_weighs_only_the_paths_a_lift_changes(monkeypatch):
         changed += q != p
         kept += q == p
     assert kept and changed
+
+
+def test_the_bounded_pipeline_answers_as_the_unbounded_one(monkeypatch):
+    """Straighten's bound drops only detours that no answer within it can
+    use, so the pipeline's outcome, path included, is the one it gives
+    without a bound, here with `incumbent` patched to find none."""
+    graphs = [
+        *(random_digraph(100, 0.045, 10, seed) for seed in range(60)),
+        *(random_digraph(30, 0.12, 9, seed) for seed in range(100)),
+        *(random_digraph(12, 0.3, 5, seed) for seed in range(200)),
+        *(
+            with_off_path_vertices(layered_digraph(4 + seed % 5, 3, seed % 7, seed), 5, seed)
+            for seed in range(100)
+        ),
+    ]
+    bounded = [pipeline.incumbent(g) is not None for g in graphs]
+    bounded_outcomes = [solve(g) for g in graphs]
+    monkeypatch.setattr(pipeline, "incumbent", lambda g: None)
+    for g, outcome in zip(graphs, bounded_outcomes):
+        assert outcome == solve(g)
+    assert sum(bounded[:360]) >= 200 and sum(bounded[360:]) >= 30
 
 
 @pytest.mark.parametrize(

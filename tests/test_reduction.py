@@ -44,6 +44,7 @@ from nextpath import (
 from nextpath import reduction
 from nextpath.graph import layering_violations
 from nextpath.oracle import simple_paths
+from nextpath.reduction import incumbent
 
 
 # --- the overlay step ----------------------------------------------------------
@@ -86,6 +87,71 @@ def test_eliminate_preserves_surviving_distances(seed):
     for x in g2.vertices:
         for y in g2.vertices:
             assert before[(x, y)] == after[(x, y)], (seed, x, y)
+
+
+# --- the incumbent bound -------------------------------------------------------
+
+
+def test_incumbent_is_none_on_straight_graphs_and_without_an_s_t_path():
+    for seed in range(6):
+        for g in (layered_digraph(6, 3, 5, seed), skip_edge_graph(seed)):
+            assert not shortest_distances(g).off
+            assert incumbent(g) is None
+    assert incumbent(build_graph(3, {(0, 1): 1, (2, 1): 1}, s=0, t=2)) is None
+
+
+def test_incumbent_is_none_when_no_edge_qualifies():
+    # The unit path 0 -> 1 -> 2 -> 3 plus the chord (0, 3): not straight,
+    # and the answer is the path, but no edge (u, v) has d(s,u) + d(v,t)
+    # below d(s,t) = 1 and d(s,u) + w + d(v,t) above it.
+    g = build_graph(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1})
+    assert shortest_distances(g).off and incumbent(g) is None
+    assert solve(g).weight == 3
+
+
+def bounded_seeds(number, n, p, w_max):
+    """The first `number` seeds whose random_digraph(n, p, w_max, seed) gets
+    an incumbent, so that no case of a test over them checks nothing."""
+    return list(islice((s for s in count() if incumbent(random_digraph(n, p, w_max, s))), number))
+
+
+def test_incumbent_bounds_the_answer_and_is_a_simple_path_weight():
+    """Over small random graphs, the incumbent is None or at least the
+    oracle's answer, and it is the weight of a simple s-t path that is not
+    shortest: the path it stands for exists."""
+    bounded = tight = 0
+    for seed in range(300):
+        g = random_digraph(5 + seed % 6, (0.3, 0.4, 0.5)[seed % 3], 1 + seed % 5, seed)
+        bound = incumbent(g)
+        if bound is None:
+            continue
+        answer = exhaustive_next_to_shortest(g)
+        assert answer.found and bound >= answer.weight, seed
+        dst = shortest_distances(g).dst
+        assert bound in {w for _path, w in simple_paths(g, g.s, g.t) if w > dst}, seed
+        bounded += 1
+        tight += bound == answer.weight
+    assert bounded >= 100 and 0 < tight < bounded
+
+
+@pytest.mark.parametrize("seed", bounded_seeds(8, 8, 0.45, 4))
+def test_bounded_straighten_keeps_the_distances_inside_the_bound(seed):
+    """A bounded overlay leaves out the detours outside the bound's
+    ellipse: between survivors x and y no distance falls, and d(x, y) holds
+    whenever d(s,x) + d(x,y) + d(y,t) is within the bound."""
+    g = random_digraph(8, 0.45, 4, seed)
+    bound = incumbent(g)
+    g2, _ = straighten(g, bound)
+    d = shortest_distances(g)
+    before, after = floyd_warshall(g), floyd_warshall(g2)
+    for x in g2.vertices:
+        for y in g2.vertices:
+            if before[(x, y)] is None:
+                assert after[(x, y)] is None
+                continue
+            assert after[(x, y)] is None or after[(x, y)] >= before[(x, y)], (seed, x, y)
+            if d.from_s[x] + before[(x, y)] + d.to_t[y] <= bound:
+                assert after[(x, y)] == before[(x, y)], (seed, x, y)
 
 
 # --- lifting through the overlay step -------------------------------------------
@@ -411,13 +477,15 @@ def test_trace_replay_reproduces_reduced_graphs():
 @given(st.booleans(), st.integers(0, 10**6))
 def test_trace_replay_reproduces_reduced_graphs_on_drawn_inputs(skip_edges, seed):
     """Folding `apply_step` over each trace rebuilds the graph that
-    `straighten` or `layerize` returned, edge for edge."""
+    `straighten`, bounded by the incumbent or not, or `layerize` returned,
+    edge for edge."""
     g = skip_edge_graph(seed) if skip_edges else random_digraph(6 + seed % 8, 0.35, 4, seed)
     if shortest_distances(g).from_s[g.t] is None:
         return
     g_s, tr_s = straighten(g)
     g_l, tr_l = layerize(g_s)
-    for host, trace, out in ((g, tr_s, g_s), (g_s, tr_l, g_l)):
+    g_b, tr_b = straighten(g, incumbent(g))
+    for host, trace, out in ((g, tr_s, g_s), (g_s, tr_l, g_l), (g, tr_b, g_b)):
         replayed = reduce(apply_step, trace.steps, host)
         assert (replayed.vertices, replayed.s, replayed.t) == (out.vertices, out.s, out.t)
         assert dict(replayed.edges) == dict(out.edges) and replayed == out

@@ -52,6 +52,7 @@ from nextpath import (
 )
 from nextpath.graph import dijkstra, edge_slack
 from nextpath.oracle import simple_paths
+from nextpath.reduction import incumbent
 from nextpath.solver import _LayeredSearch
 
 
@@ -655,7 +656,7 @@ def test_a_solve_builds_one_layering_on_the_straightened_graph(monkeypatch):
         assert len(built) == 1
         made = layering(*built[0])
         assert result.layered_graph.layering == dataclasses.replace(made, against=())
-        assert made == straighten(g)[0].layering
+        assert made == straighten(g, incumbent(g))[0].layering
         removals += len(result.layerize_trace.steps)
     assert removals
 
