@@ -15,7 +15,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -28,9 +28,9 @@ Path = tuple[int, ...]
 MAX_ACCUMULATOR = 2**63 - 1
 
 _WEIGHT_RE = re.compile(r"^(\d+)(?:\.(\d{1,9}))?$", re.ASCII)
-# A plain edge list: a header and `u v w` lines of ASCII digits, single
-# spaces and LF endings ([0-9] matches no other digit).
-_PLAIN_RE = re.compile(r"[0-9]+ [0-9]+ [0-9]+ [0-9]+\n(?:[0-9]+ [0-9]+ [0-9]+\n)*")
+# Drops the ASCII digits, and no other digit, leaving a plain edge list's
+# shape: its spaces and line feeds.
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
 # Turns a plain edge list, its last LF cut, into the items of a JSON array.
 _PLAIN_TO_JSON = str.maketrans(" \n", ",,")
 
@@ -143,7 +143,7 @@ class WeightedDigraph:
         ix = self.index
         t = ix.slot[self.t]
         out, _ = dijkstra(ix.out, ix.slot[self.s])
-        off = _off_slots(ix.out, out, t)
+        off = _off_slots(ix, out, t)
         dst = out.get(t)
         if off:
             into, _ = dijkstra(ix.into, t)
@@ -151,7 +151,7 @@ class WeightedDigraph:
             into = {u: dst - du for u, du in out.items()}
         slots = range(len(ix.ids))
         return DistanceTable(
-            ix.ids, tuple(map(out.get, slots)), tuple(map(into.get, slots)), dst, tuple(off)
+            ix.ids, tuple(map(out.get, slots)), tuple(map(into.get, slots)), dst, off
         )
 
     @cached_property
@@ -357,12 +357,12 @@ def dijkstra(
     return dist, parent
 
 
-def _off_slots(
-    out: Sequence[Iterable[tuple[int, int]]], from_s: dict[int, int], t: int
-) -> list[int]:
+def _off_slots(ix: VertexIndex, from_s: dict[int, int], t: int) -> tuple[int, ...]:
     """The slots on no shortest s-t path, ascending, all of them when slot t
-    is unreachable. `from_s` is `dijkstra`'s table from s over `out`, in
-    settle order. The program's one straightness rule.
+    is unreachable, as the int objects of `ix.slot`, whose values are the
+    slots ascending (see `_index`), so that a table keeps no int of its
+    own. `from_s` is `dijkstra`'s table from s over `ix.out`, in settle
+    order. The program's one straightness rule.
 
     A slot is on a shortest s-t path iff it settled and is either t or has
     a tight out-edge, d(s,u) + w = d(s,v), to a slot on one. A tight edge
@@ -371,6 +371,7 @@ def _off_slots(
     them all, and a slot that never settled is on no such path."""
     # on[v] is d(s,v) once v is found on a shortest s-t path, else None,
     # which no distance equals.
+    out = ix.out
     on: list[int | None] = [None] * len(out)
     on[t] = from_s.get(t)
     for u, du in reversed(from_s.items()):
@@ -379,7 +380,7 @@ def _off_slots(
                 if du + w == on[v]:
                     on[u] = du
                     break
-    return [u for u, du in enumerate(on) if du is None]
+    return tuple(compress(ix.slot.values(), map(operator.is_, on, repeat(None))))
 
 
 def shortest_path_avoiding(
@@ -551,14 +552,21 @@ def _parse_plain(text: str) -> WeightedDigraph | None:
     ASCII digits, single spaces and LF endings; edge k is on line k + 2.
     None for any other text, for a token with a leading zero or too long
     for int(), and for a line that fails its check, whose error
-    `_parse_lines` then raises. One regex match proves the shape, one JSON
-    decode turns every token into an int, and the line checks run over
-    whole columns."""
-    if not _PLAIN_RE.fullmatch(text):
+    `_parse_lines` then raises. The text with its digits dropped proves the
+    shape, one JSON decode turns every token into an int, and the line
+    checks run over whole columns.
+
+    The shape is three spaces and a line feed, then two spaces and a line
+    feed per edge line, with the text ending in a line feed; the decode
+    rejects an empty token, so each token is one or more ASCII digits."""
+    if not text.endswith("\n"):
+        return None
+    shape = text.translate(_DROP_DIGITS)
+    if shape != "   \n" + "  \n" * ((len(shape) - 4) // 3):
         return None
     try:
         vals = json.loads("[" + text[:-1].translate(_PLAIN_TO_JSON) + "]")
-    except ValueError:  # JSON admits no leading zero; int() no more than 4,300 digits
+    except ValueError:  # JSON admits no empty token or leading zero; int() no more than 4,300 digits
         return None
     n, m, s, t = vals[:4]
     us, vs, ws = vals[4::3], vals[5::3], vals[6::3]
@@ -668,7 +676,7 @@ def _edge_list(
     # Built without `WeightedDigraph.__init__`, whose checks are made:
     # - s != t: `_parse_plain`'s `s != t`, `_parse_lines`' "source and sink
     #   must differ";
-    # - s and t are vertices: `s < n and t < n` (the plain regex admits no
+    # - s and t are vertices: `s < n and t < n` (a plain text holds no
     #   sign), "source/sink id out of range";
     # - int ids and terminals: both parses read every integer as an int;
     # - no self-loop: `not any(map(operator.eq, us, vs))`, "self-loop at

@@ -23,6 +23,7 @@ the reductions themselves make one pass and never replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, Union
 
@@ -168,30 +169,33 @@ def _splice(step: EliminationRecord, path: Path) -> Path:
     return tuple(out)
 
 
-def _tight_walk(
-    adj: Sequence[tuple[tuple[int, int], ...]], dist: Sequence[int | None],
-    v: int, end: int, step: dict[int, int],
-) -> list[int]:
-    """Walk from slot v to slot `end`, each time to the smallest slot z in
-    `adj`, an index's adjacency, with dist[z] + w == dist[current].
-
-    Over in-edges with d(s,.) this is the smallest-id predecessor tree path
-    from s to v, reversed; over out-edges with d(.,t) it is the smallest-id
-    successor tree path from v to t, as slot order is id order. `step`
-    memoizes each slot's next one for this adjacency and table, so a walk
-    that meets a slot an earlier walk passed follows parents from there.
-    """
+def _tight_walk(step: Callable[[int], int], v: int, end: int) -> list[int]:
+    """The walk from slot v to slot `end` that goes from each slot to
+    `step(slot)`, its next one on a shortest-path tree (see `_tree_paths`)."""
     walk = [v]
     while v != end:
-        nxt = step.get(v)
-        if nxt is None:
-            dv = dist[v]
-            nxt = step[v] = next(
-                j for j, w in adj[v] if dist[j] is not None and dist[j] + w == dv
-            )
-        v = nxt
+        v = step(v)
         walk.append(v)
     return walk
+
+
+def _tight_step(
+    adj: Sequence[tuple[tuple[int, int], ...]], dist: Sequence[int | None]
+) -> Callable[[int], int]:
+    """The step from slot v to the smallest slot z in `adj`, an index's
+    adjacency, with dist[z] + w == dist[v], memoized per slot, so that a
+    walk that meets a slot an earlier walk passed follows steps from there.
+
+    Over in-edges with d(s,.) it goes to v's smallest-id parent on the
+    shortest-path tree from s; over out-edges with d(.,t) to v's
+    smallest-id successor on the tree to t, as slot order is id order."""
+
+    @cache
+    def step(v: int) -> int:
+        dv = dist[v]
+        return next(j for j, w in adj[v] if dist[j] is not None and dist[j] + w == dv)
+
+    return step
 
 
 def _tree_paths(g: WeightedDigraph, d: DistanceTable) -> Callable[[int, Path, int], Path]:
@@ -201,6 +205,14 @@ def _tree_paths(g: WeightedDigraph, d: DistanceTable) -> Callable[[int, Path, in
     shares one memo of each vertex's tree parent and tree successor over
     all its candidates.
 
+    On a graph that is not straight the walks follow tight edges over
+    `into` and `out`; the Dijkstra to t of g's table has built `into`. On a
+    straight graph a tight edge is a forward one and d(.,t) = d(s,t) -
+    d(s,.), so both trees lie in g's layering: v's successor is its
+    smallest forward head, `forward[v][0]`, and its parent the smallest z
+    with v in `forward[z]`, from a table built out of the forward rows on
+    the first walk; no `into` is derived.
+
     The reductions keep this on their trace, which builds a candidate's path
     only when it is read, after the reduction has returned. g is immutable,
     so the path does not depend on when it is built; and the reductions
@@ -209,12 +221,25 @@ def _tree_paths(g: WeightedDigraph, d: DistanceTable) -> Callable[[int, Path, in
     """
     ix = g.index
     s, t = ix.slot[g.s], ix.slot[g.t]
-    parents: dict[int, int] = {}
-    successors: dict[int, int] = {}
+    if d.off:
+        parent, successor = _tight_step(ix.into, d.ds), _tight_step(ix.out, d.dt)
+    else:
+        forward = g.layering.forward
+
+        @cache
+        def tails() -> dict[int, int]:
+            # Each slot's smallest forward tail, which writes last.
+            return {j: i for i in reversed(range(len(forward))) for j in forward[i]}
+
+        def parent(v: int) -> int:
+            return tails()[v]
+
+        def successor(v: int) -> int:
+            return forward[v][0]
 
     def path(x: int, mid: Path, y: int) -> Path:
-        to_x = _tight_walk(ix.into, d.ds, x, s, parents)
-        walk = (*reversed(to_x), *mid, *_tight_walk(ix.out, d.dt, y, t, successors))
+        to_x = _tight_walk(parent, x, s)
+        walk = (*reversed(to_x), *mid, *_tight_walk(successor, y, t))
         return tuple(map(ix.ids.__getitem__, walk))
 
     return path

@@ -24,6 +24,7 @@ from functools import cached_property
 from .disjoint import DisjointPathPair, ForwardDag, two_disjoint_paths
 from .graph import (
     Edge,
+    Layering,
     Path,
     SolveOutcome,
     WeightedDigraph,
@@ -50,14 +51,7 @@ class _LayeredSearch:
         self.g = g
         self.d = d = shortest_distances(g)
         self.s, self.t = g.index.slot[g.s], g.index.slot[g.t]
-        # The input check: straight (`layering` raises otherwise), with every
-        # back-edge going strictly back.
-        try:
-            layering = g.layering
-        except ValueError:
-            raise ValueError("graph is not (s,t)-layered") from None
-        if layering.against:
-            raise ValueError("graph is not (s,t)-layered")
+        layering = _layering(g)
         self.lam = lam = layering.lam
         self.layers, self.forward, self.spans = layering.layers, layering.forward, layering.spans
         self.dst: int = d.dst
@@ -284,6 +278,19 @@ class _LayeredSearch:
         return best
 
 
+def _layering(g: WeightedDigraph) -> Layering:
+    """g's layering, after the input check of the layered search: g is
+    straight (`layering` raises otherwise), and every back-edge goes
+    strictly back; raises ValueError("graph is not (s,t)-layered") if not."""
+    try:
+        layering = g.layering
+    except ValueError:
+        raise ValueError("graph is not (s,t)-layered") from None
+    if layering.against:
+        raise ValueError("graph is not (s,t)-layered")
+    return layering
+
+
 def solve_layered(g: WeightedDigraph) -> SolveOutcome:
     """Find a next-to-shortest s-to-t path of a layered graph, or report none.
 
@@ -308,9 +315,15 @@ def solve_layered(g: WeightedDigraph) -> SolveOutcome:
     So when a route weighs `floor`, both scans return the first such route
     in enumeration order, and when none does, the ceiling scan returns None.
 
+    A path weighs d(s,t) plus the slacks of its edges, and a forward edge
+    has none, so without a back-edge every s-t path is shortest: the answer
+    is none, and no search is set up.
+
     Raises ValueError("graph is not (s,t)-layered") when `g` is not
     straight or has a back-edge that does not go strictly back.
     """
+    if not _layering(g).back:
+        return SolveOutcome.none()
     search = _LayeredSearch(g)
     best = search.scan(search.floor + 1)
     if best is None:

@@ -4,8 +4,12 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import json
+import operator
+import random
 import re
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -296,6 +300,82 @@ def test_the_whole_text_path_reads_like_the_line_loop(drawn):
     if not fallbacks - {"no final newline", "CR LF"}:
         assert_built_as_public(parse_graph(text))
         assert_built_as_public(parse_graph(reference))
+
+
+# The plain-text check before the digit-dropping one, kept as the reference:
+# a full match of this regex, then the same JSON decode and column checks.
+_REGEX_PLAIN = re.compile(r"[0-9]+ [0-9]+ [0-9]+ [0-9]+\n(?:[0-9]+ [0-9]+ [0-9]+\n)*")
+
+
+def regex_parse_plain(text):
+    """`graph._parse_plain` with its shape proved by `_REGEX_PLAIN`."""
+    if not _REGEX_PLAIN.fullmatch(text):
+        return None
+    try:
+        vals = json.loads("[" + text[:-1].translate(str.maketrans(" \n", ",,")) + "]")
+    except ValueError:
+        return None
+    n, m, s, t = vals[:4]
+    us, vs, ws = vals[4::3], vals[5::3], vals[6::3]
+    if not (
+        s < n and t < n and s != t
+        and max(us, default=0) < n and max(vs, default=0) < n and min(ws, default=1) > 0
+        and all(map(operator.ne, us, vs))
+    ):
+        return None
+    return graph._edge_list(n, m, s, t, us, vs, ws, 0, range(2, m + 2))
+
+
+def outcome_of(parse, text):
+    """What `parse` returns on `text`, or the line and message it raises."""
+    try:
+        return parse(text)
+    except GraphFormatError as err:
+        return err.line, str(err)
+
+
+# What a one-character edit of a plain text inserts or swaps in: the digits,
+# the separators the line loop accepts, a sign, a decimal point, a comment
+# and a non-ASCII digit.
+_EDIT_CHARS = "0123456789 \n\r\t-.#\u0663"
+
+
+def edited_texts(text, rng, count):
+    """`count` one-character edits of `text`, each an insert, a delete or a
+    swap of one character for one of `_EDIT_CHARS`, drawn from `rng`; every
+    edit when `count` is None."""
+    edits = [(k, k, c) for k in range(len(text) + 1) for c in _EDIT_CHARS]
+    edits += [(k, k + 1, "") for k in range(len(text))]
+    edits += [(k, k + 1, c) for k in range(len(text)) for c in _EDIT_CHARS if c != text[k]]
+    if count is not None:
+        edits = rng.sample(edits, min(count, len(edits)))
+    return [text[:i] + c + text[j:] for i, j, c in edits]
+
+
+def test_the_shape_check_takes_what_the_regex_took():
+    """The whole-text parse proves a plain text's shape by dropping its
+    digits, where it matched a regex: on valid serializations, on one-
+    character edits of them and on empty, header-only and unterminated
+    texts it returns what it did under the regex, and `parse_graph` gives
+    the same graph or error."""
+    rng = random.Random("shape")
+    bases = [TRIANGLE, "2 0 0 1\n", "12 1 10 11\n10 11 100\n"]
+    bases += [serialize_graph(random_digraph(n, 0.3, 200, n)) for n in range(2, 14)]
+    bases += [serialize_graph(layered_digraph(5, 3, 4, seed)) for seed in range(3)]
+    # Unterminated: a text whose digits after its last line feed, read as
+    # one more token, would still decode and pass the column checks.
+    texts = ["", "2 0 0 1", TRIANGLE[:-1], TRIANGLE + "10", "2 1 0 1\n0 1 1\n11"]
+    for k, base in enumerate(bases):
+        texts += [base] + edited_texts(base, rng, None if k < 3 else 150)
+    read = 0
+    for text in texts:
+        expected = outcome_of(regex_parse_plain, text)
+        got = outcome_of(graph._parse_plain, text)
+        assert got == expected
+        read += got is not None
+        reference = outcome_of(lambda t: regex_parse_plain(t) or graph._parse_lines(t), text)
+        assert outcome_of(parse_graph, text) == reference
+    assert len(texts) > 4000 and 500 < read < len(texts) - 2000
 
 
 def assert_built_as_public(g):
@@ -1084,6 +1164,24 @@ def test_distance_table_off_lists_vertices_off_every_shortest_path():
     assert shortest_distances(g).off == (1, 3, 4)
     no_route = build_graph(3, {(1, 0): 1}, s=0, t=2)
     assert shortest_distances(no_route).off == (0, 1, 2)
+
+
+def test_a_table_lists_off_slots_as_the_index_ints():
+    """`off` holds the index's own slot ints, not fresh ones: a table of a
+    parsed 300,000-vertex graph without edges, whose every slot is off,
+    keeps four tuples of 300,000 pointers (the index's derived `into` and
+    the table's `ds`, `dt` and `off`), 9.2 MiB, where fresh ints would add
+    8.0 MiB."""
+    g = parse_graph("300000 0 0 1\n")
+    tracemalloc.start()
+    try:
+        d = g.distances
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(d.off) == 300000
+    assert all(map(operator.is_, d.off, g.index.ids))
+    assert retained < 12 * 2**20
 
 
 def test_layered_rejects_skipping_edge():

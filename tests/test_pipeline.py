@@ -368,10 +368,10 @@ def test_a_layerize_candidate_that_ties_the_layered_answer_wins():
 def test_only_the_winners_trees_are_walked(monkeypatch, tmp_path, capsys):
     """A solve builds the path of the winning candidate alone, one walk up
     each shortest-path tree; `--dump-trace` prints every candidate, so it
-    walks the trees of all of them. A walk starts at the slot `args[2]`."""
+    walks the trees of all of them. A walk starts at the slot `args[1]`."""
     walks = []
     monkeypatch.setattr(
-        reduction, "_tight_walk", lambda *args: walks.append(args[2]) or _tight_walk(*args)
+        reduction, "_tight_walk", lambda *args: walks.append(args[1]) or _tight_walk(*args)
     )
     g = build_graph(6, _MORE_TIES)
     assert len(g.layering.against) == 3

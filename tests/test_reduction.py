@@ -1,9 +1,11 @@
 """reduction: straightening, layerization, traces and lifting."""
 from __future__ import annotations
 
+import random
 from collections import Counter
 from functools import reduce
 from itertools import count, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,10 +15,12 @@ from conftest import (
     build_graph,
     floyd_warshall,
     fresh_distances,
+    relabelled,
     skip_edge_graph,
     sorted_rows_index,
     sum_rule_off,
     violation_count,
+    with_span_edges,
 )
 from nextpath import (
     BackEdgeRemoval,
@@ -44,7 +48,9 @@ from nextpath import (
 from nextpath import reduction
 from nextpath.graph import layering_violations
 from nextpath.oracle import simple_paths
+from nextpath.pipeline import solve_detailed
 from nextpath.reduction import incumbent
+from test_metamorphic import relabelling
 
 
 # --- the overlay step ----------------------------------------------------------
@@ -302,6 +308,73 @@ def test_layerize_requires_straight():
     g = build_graph(3, {(0, 1): 1, (1, 2): 1, (0, 2): 1}, s=0, t=2)
     with pytest.raises(ValueError, match="straight"):
         layerize(g)
+
+
+def against_edge_graph(seed):
+    """A layered graph with back-edges, tied shortest paths and spans, plus
+    up to 8 edges that climb no layer or climb with slack, which `layerize`
+    removes, each recording a candidate; no distance changes."""
+    g = with_span_edges(layered_digraph(7, 3, 5, seed), 6, seed)
+    ds = shortest_distances(g).from_s
+    rng = random.Random(f"against:{seed}")
+    edges = dict(g.edges)
+    for _ in range(8):
+        u, v = rng.sample(sorted(g.vertices), 2)
+        if (u, v) not in edges and ds[v] >= ds[u]:
+            edges[(u, v)] = ds[v] - ds[u] + rng.randint(1, 3)
+    return g.replace(edges=edges)
+
+
+def into_walk_path(g, x, mid, y):
+    """The reference for a candidate's path, from slots of g to ids: s -> x
+    by the smallest tight in-edge of each vertex, over an `into` built from
+    g's edge map, then `mid`, then y -> t by the smallest tight out-edge."""
+    ix, d = sorted_rows_index(g.vertices, g.edges), g.distances
+    head, tail = [x], [y]
+    while head[-1] != ix.slot[g.s]:
+        v = head[-1]
+        head.append(next(j for j, w in ix.into[v] if d.ds[j] + w == d.ds[v]))
+    while tail[-1] != ix.slot[g.t]:
+        v = tail[-1]
+        tail.append(next(j for j, w in ix.out[v] if d.dt[j] + w == d.dt[v]))
+    return tuple(ix.ids[v] for v in (*reversed(head), *mid, *tail))
+
+
+def test_layerize_candidates_follow_the_trees_of_an_into_walk():
+    """`layerize` walks its candidates' trees on the layering's forward
+    rows; each path is the one a walk over the in-edges gives, on graphs
+    with spans, ties, and ids that are shuffled or sparse, and neither the
+    input nor the output index derives `into`."""
+    spanning = candidates = 0
+    for seed in range(40):
+        built = against_edge_graph(seed)
+        for g in (built, relabelled(built, seed), relabelling(built, random.Random(seed))[0]):
+            assert g.layering.against and g.layering.back
+            g_l, trace = layerize(g)
+            expected = [(into_walk_path(g, *ends), w) for ends, w in zip(trace.ends, trace.weights)]
+            assert trace.candidates == expected
+            assert "into" not in vars(g.index) and "into" not in vars(g_l.index)
+            spanning += bool(g.layering.spans)
+            candidates += len(expected)
+    assert spanning >= 100 and candidates >= 400
+
+
+def test_a_layer_skip_solve_derives_no_into(monkeypatch):
+    """A graph with layer-skipping edges and no back-edge, as `layer-skip`
+    draws them: its solve walks the winner's trees on the layering and
+    sets no search up, so neither its index nor layerize's derives `into`."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from families import layer_skip_digraph
+
+    found = 0
+    for seed in range(10):
+        g = layer_skip_digraph(10, 3, 12, seed, max_span=4, slack_share=0.3)
+        result = solve_detailed(g)
+        assert result.outcome.weight == exhaustive_next_to_shortest(g).weight
+        assert not result.layered_outcome.found and not result.layered_graph.layering.back
+        found += result.outcome.found
+        assert "into" not in vars(g.index) and "into" not in vars(result.layered_graph.index)
+    assert found >= 5
 
 
 @pytest.mark.parametrize("seed", range(12))

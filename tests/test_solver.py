@@ -116,14 +116,14 @@ def record_searches(monkeypatch):
 
 
 def test_solver_builds_no_forward_dag_without_a_waypoint_tuple(monkeypatch):
-    # A graph without back-edges has no middle segment, so no tuple is
-    # reached and neither the DAG nor a boundary's crossing edges are needed.
+    # A graph without back-edges has no middle segment, so every s-t path
+    # is shortest: the answer is none, and no search is set up.
     made = record_searches(monkeypatch)
     for seed in range(10):
         g = layered_digraph(5, 3, 0, seed)
         assert not solve_layered(g).found
         assert not solve_layered(relabelled(with_span_edges(g, 4, seed), seed)).found
-    assert len(made) == 20
+    assert len(made) == 0
     assert not any("dag" in search.__dict__ or search._crossing for search in made)
 
 
@@ -135,6 +135,19 @@ def layerized_with_a_flat_edge(seed):
     u, v = next((u, v) for u in sorted(lam) for v in sorted(lam) if u != v and lam[u] == lam[v])
     g = g.replace(edges={**g.edges, (u, v): 1})
     return g, layerize(g)
+
+
+def test_a_graph_without_back_edges_still_takes_the_input_check(monkeypatch):
+    """The answer of a graph without back-edges is none only once the input
+    check passes: an `against` edge still fails it, before any search."""
+    made = record_searches(monkeypatch)
+    for seed in range(5):
+        g, (g_l, _) = layerized_with_a_flat_edge(seed)
+        assert g.layering.against and not g.layering.back
+        with pytest.raises(ValueError, match=r"^graph is not \(s,t\)-layered$"):
+            solve_layered(g)
+        assert not solve_layered(g_l).found
+    assert made == []
 
 
 def test_layerize_shares_every_row_it_does_not_edit():
