@@ -137,18 +137,24 @@ def _single_path(dag: ForwardDag, a: int, b: int, avoid: int) -> Path | None:
     and avoid not in {a, b}. The pair search below returns the same path
     when one token is parked at `avoid`, but its pair states cost several
     times as much, and most of the layered search's queries are of this
-    kind."""
+    kind. It reads no closure, so it raises the closure pass's ValueError
+    for a malformed DAG itself."""
     parent: dict[int, int] = {a: a}
     queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        for v in dag.adj[u]:
-            if v == avoid or v in parent:
-                continue
-            parent[v] = u
-            if v == b:
-                return parent_path(parent, a, b)
-            queue.append(v)
+    try:
+        while queue:
+            u = queue.popleft()
+            for v in dag.adj[u]:
+                if v == avoid or v in parent:
+                    continue
+                parent[v] = u
+                if v == b:
+                    return parent_path(parent, a, b)
+                queue.append(v)
+    except KeyError:
+        if u in dag.vertices:
+            raise ValueError(f"vertex {u} has no adjacency list") from None
+        raise ValueError(f"edge ({parent[u]}, {u}) leaves the vertex set") from None
     return None
 
 

@@ -22,6 +22,7 @@ the reductions themselves make one pass and never replay.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cache
 from types import MappingProxyType
@@ -83,14 +84,15 @@ class ReductionTrace:
     """Ordered transformation log plus candidate paths found along the way.
 
     A candidate is recorded as its weight, in `weights`, and the ends of its
-    path, in `ends`: (x, mid, y), all slots of the graph the reduction
-    started from, stands for s -> x along the smallest-id shortest-path tree
-    from s, then `mid`, then y -> t along the smallest-id shortest-path tree
-    to t, all in that graph, and weighed there. `tree_path` builds such a
-    path, in ids; it is the reduction's one memo of tree parents and
-    successors, so `candidate_path` builds only the paths something reads,
-    and `candidates`, every (path, weight) in record order, is derived on
-    each read: appending to it records nothing.
+    path, in `ends`: (x, mid, y), with x and y slots of the straight graph
+    the reduction returns and `mid` ids, stands for s -> x along the
+    smallest-id shortest-path tree from s, then `mid`, then y -> t along
+    the smallest-id shortest-path tree to t. The path lies in the graph the
+    reduction started from and is weighed there. `tree_path` builds such a
+    path, in ids, on the forward rows of the returned graph's layering (see
+    `_tree_paths`), so `candidate_path` builds only the paths something
+    reads, and `candidates`, every (path, weight) in record order, is
+    derived on each read: appending to it records nothing.
     """
 
     steps: list[Step] = field(default_factory=list)
@@ -179,68 +181,42 @@ def _tight_walk(step: Callable[[int], int], v: int, end: int) -> list[int]:
     return walk
 
 
-def _tight_step(
-    adj: Sequence[tuple[tuple[int, int], ...]], dist: Sequence[int | None]
-) -> Callable[[int], int]:
-    """The step from slot v to the smallest slot z in `adj`, an index's
-    adjacency, with dist[z] + w == dist[v], memoized per slot, so that a
-    walk that meets a slot an earlier walk passed follows steps from there.
-
-    Over in-edges with d(s,.) it goes to v's smallest-id parent on the
-    shortest-path tree from s; over out-edges with d(.,t) to v's
-    smallest-id successor on the tree to t, as slot order is id order."""
-
-    @cache
-    def step(v: int) -> int:
-        dv = dist[v]
-        return next(j for j, w in adj[v] if dist[j] is not None and dist[j] + w == dv)
-
-    return step
-
-
-def _tree_paths(g: WeightedDigraph, d: DistanceTable) -> Callable[[int, Path, int], Path]:
+def _tree_paths(g: WeightedDigraph) -> Callable[[int, Path, int], Path]:
     """`path(x, mid, y)`: s -> x along the smallest-id shortest-path tree
     from s, then `mid`, then y -> t along the smallest-id shortest-path tree
-    to t, all in g, from slots of g to the path's ids. One reduction call
-    shares one memo of each vertex's tree parent and tree successor over
-    all its candidates.
+    to t, all in g, a straight graph, from slots x and y of g and the ids
+    `mid` to the path's ids. One reduction call shares one table of tree
+    parents over all its candidates.
 
-    On a graph that is not straight the walks follow tight edges over
-    `into` and `out`; the Dijkstra to t of g's table has built `into`. On a
-    straight graph a tight edge is a forward one and d(.,t) = d(s,t) -
-    d(s,.), so both trees lie in g's layering: v's successor is its
-    smallest forward head, `forward[v][0]`, and its parent the smallest z
-    with v in `forward[z]`, from a table built out of the forward rows on
-    the first walk; no `into` is derived.
+    On a straight graph a tight edge is a forward one and d(.,t) = d(s,t) -
+    d(s,.), so both trees lie in g's layering: v's successor is its smallest
+    forward head, `forward[v][0]`, and its parent the smallest z with v in
+    `forward[z]`, from a table built out of the forward rows on the first
+    walk. The layering is read only when a path is built, and no `into` is
+    derived.
 
     The reductions keep this on their trace, which builds a candidate's path
     only when it is read, after the reduction has returned. g is immutable,
-    so the path does not depend on when it is built; and the reductions
-    never add, remove or reweigh a tight edge at a vertex of a shortest
-    path, so the trees are also those of the graph they return.
+    so the path does not depend on when it is built.
     """
     ix = g.index
     s, t = ix.slot[g.s], ix.slot[g.t]
-    if d.off:
-        parent, successor = _tight_step(ix.into, d.ds), _tight_step(ix.out, d.dt)
-    else:
+
+    @cache
+    def tails() -> dict[int, int]:
+        # Each slot's smallest forward tail, which writes last.
         forward = g.layering.forward
+        return {j: i for i in reversed(range(len(forward))) for j in forward[i]}
 
-        @cache
-        def tails() -> dict[int, int]:
-            # Each slot's smallest forward tail, which writes last.
-            return {j: i for i in reversed(range(len(forward))) for j in forward[i]}
+    def parent(v: int) -> int:
+        return tails()[v]
 
-        def parent(v: int) -> int:
-            return tails()[v]
-
-        def successor(v: int) -> int:
-            return forward[v][0]
+    def successor(v: int) -> int:
+        return g.layering.forward[v][0]
 
     def path(x: int, mid: Path, y: int) -> Path:
-        to_x = _tight_walk(parent, x, s)
-        walk = (*reversed(to_x), *mid, *_tight_walk(successor, y, t))
-        return tuple(map(ix.ids.__getitem__, walk))
+        to_x, to_t = _tight_walk(parent, x, s), _tight_walk(successor, y, t)
+        return (*map(ix.ids.__getitem__, reversed(to_x)), *mid, *map(ix.ids.__getitem__, to_t))
 
     return path
 
@@ -291,10 +267,15 @@ def straighten(
     heavier. When (x, y) is instead a tight edge lighter than the detour,
     the path s -> x, the detour, y -> t along the smallest-id shortest-path
     trees is a candidate next-to-shortest path, because the reduced graph
-    can no longer represent it. It is recorded as its weight and its ends,
-    slots (x, the detour's inner ones, y); the trace builds the path only when
-    it is read. It is simple: the tree paths hold survivors only and lie on
-    either side of the tight edge.
+    can no longer represent it. It is recorded as its weight and its ends:
+    x and y as slots of the returned graph, and the detour's inner ids
+    between them; the trace builds the path only when it is read, on the
+    returned graph's layering. Those trees are the input's: a tight in-edge
+    (z, x) of a survivor x puts z on a shortest path, so it survives, and
+    the edge stays, as no detour is lighter than a tight edge; a tight
+    out-edge likewise; and no shortcut is tight, as a tight detour would put
+    its eliminated vertices on a shortest path. The path is simple: the tree
+    paths hold survivors only and lie on either side of the tight edge.
 
     The input's distance table is read once, and weighs each candidate:
     d(s,x) + detour + d(y,t). Removing vertices off every shortest path
@@ -347,8 +328,11 @@ def straighten(
         for j, w in ix.into[i]:
             if j not in left:
                 into.setdefault(j, []).append((i, w))
+    # Renumbering the kept slots keeps their order, so the rows stay in
+    # (tail, head) order, and a candidate's ends are slots of the result.
+    kept = [i for i in range(len(ids)) if i not in left]
+    new = dict(zip(kept, range(len(kept))))
     shortcuts: dict[Edge, Path] = {}
-    trace.tree_path = _tree_paths(g, d)
     for i in sorted(into):
         overlay[i] = into[i]
         dist, parent = dijkstra(overlay, i)
@@ -362,22 +346,22 @@ def straighten(
                 inner = parent_path(parent, i, j)[1:-1]
                 shortcuts[(ids[i], ids[j])] = tuple(map(ids.__getitem__, inner))
             elif old < detour and ds[i] + old + dt[j] == dst:
-                trace.ends.append((i, parent_path(parent, i, j)[1:-1], j))
+                inner = parent_path(parent, i, j)[1:-1]
+                trace.ends.append((new[i], tuple(map(ids.__getitem__, inner)), new[j]))
                 trace.weights.append(ds[i] + detour + dt[j])
     gone = frozenset(map(ids.__getitem__, off))
     trace.steps.append(EliminationRecord(gone, MappingProxyType(shortcuts)))
     # Built without the constructor, whose checks hold: every kept edge is
     # the input's, between survivors, and a shortcut joins two distinct
-    # survivors with a sum of the input's weights. Renumbering the kept
-    # slots keeps their order, so the rows stay in (tail, head) order.
-    kept = [i for i in range(len(ids)) if i not in left]
-    new = dict(zip(kept, range(len(kept))))
+    # survivors with a sum of the input's weights.
     rows = [(new[i], new[j], w) for (i, j), w in sorted(edges.items())]
     index = _index({ids[i]: k for k, i in enumerate(kept)}, rows)
     table = DistanceTable(
         index.ids, tuple(map(ds.__getitem__, kept)), tuple(map(dt.__getitem__, kept)), dst, ()
     )
-    return _graph(g.s, g.t, g.scale, index, table), trace
+    g_s = _graph(g.s, g.t, g.scale, index, table)
+    trace.tree_path = _tree_paths(g_s)
+    return g_s, trace
 
 
 def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
@@ -410,12 +394,14 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
         return g, trace
     ix = g.index
     out = list(ix.out)
-    trace.tree_path = _tree_paths(g, d)
+    trace.tree_path = _tree_paths(g)
     for i, j in layering.against:
-        w = dict(out[i])[j]
-        out[i] = tuple(pair for pair in out[i] if pair[0] != j)
+        # A row is sorted by head, and (j,) sorts just before j's pair.
+        row = out[i]
+        k = bisect_left(row, (j,))
+        out[i] = row[:k] + row[k + 1 :]
         trace.ends.append((i, (), j))
-        trace.weights.append(d.ds[i] + w + d.dt[j])
+        trace.weights.append(d.ds[i] + row[k][1] + d.dt[j])
         trace.steps.append(BackEdgeRemoval((ix.ids[i], ix.ids[j])))
     index = VertexIndex(ix.ids, ix.slot, tuple(out))
     return _graph(g.s, g.t, g.scale, index, d, replace(layering, against=())), trace

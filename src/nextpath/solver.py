@@ -38,7 +38,8 @@ from .graph import (
 
 
 class _LayeredSearch:
-    """State for one solve: distances, the graph's layering, the back
+    """State for one solve: distances, the graph's layering, which
+    `solve_layered` checks once and hands in, the back
     vertices, the layer boundaries that can hold a waypoint pair, the start
     vertices a with the last such boundary below each, the forward edges
     that cross a boundary, the forward DAG and the floor reach once a scan
@@ -47,11 +48,10 @@ class _LayeredSearch:
     s and t too, is a slot of the graph's index; ids appear only at the
     residual search, `shortest_path_avoiding`, and in the routes returned."""
 
-    def __init__(self, g: WeightedDigraph):
+    def __init__(self, g: WeightedDigraph, layering: Layering):
         self.g = g
         self.d = d = shortest_distances(g)
         self.s, self.t = g.index.slot[g.s], g.index.slot[g.t]
-        layering = _layering(g)
         self.lam = lam = layering.lam
         self.layers, self.forward, self.spans = layering.layers, layering.forward, layering.spans
         self.dst: int = d.dst
@@ -322,9 +322,10 @@ def solve_layered(g: WeightedDigraph) -> SolveOutcome:
     Raises ValueError("graph is not (s,t)-layered") when `g` is not
     straight or has a back-edge that does not go strictly back.
     """
-    if not _layering(g).back:
+    layering = _layering(g)
+    if not layering.back:
         return SolveOutcome.none()
-    search = _LayeredSearch(g)
+    search = _LayeredSearch(g, layering)
     best = search.scan(search.floor + 1)
     if best is None:
         best = search.scan(None)

@@ -31,7 +31,7 @@ from nextpath import (
 from nextpath.cli import main as cli_main
 from nextpath.graph import edge_slack
 from nextpath.oracle import simple_paths
-from nextpath.solver import _LayeredSearch, solve_layered
+from nextpath.solver import _LayeredSearch, _layering, solve_layered
 
 RANDOM_GRID = [
     (n, p, w_max)
@@ -192,7 +192,7 @@ def _layer_stepping_violations(g) -> tuple[int, int]:
     d = shortest_distances(g)
     if not is_straight(g, d):
         return 1, 0
-    lam, slot = _LayeredSearch(g).lam, g.index.slot
+    lam, slot = _LayeredSearch(g, _layering(g)).lam, g.index.slot
     bad = spans = 0
     for (x, y), w in g.edges.items():
         u, v = slot[x], slot[y]

@@ -30,7 +30,7 @@ from nextpath import (
 )
 from nextpath.graph import edge_slack
 from nextpath.oracle import exhaustive_two_disjoint_paths
-from nextpath.solver import _LayeredSearch
+from nextpath.solver import _LayeredSearch, _layering
 
 
 def dag_of(edges, n):
@@ -40,7 +40,7 @@ def dag_of(edges, n):
 
 
 def forward_dag(g):
-    return _LayeredSearch(g).dag
+    return _LayeredSearch(g, _layering(g)).dag
 
 
 def assert_valid_pair(dag, pair, q1, q2):
@@ -155,8 +155,18 @@ def test_supplied_order_rejects_self_loops_and_edges_back(adj):
             "edge (0, 2) leaves the vertex set",
         ),
         (lambda: ForwardDag([0, 1], {0: [1]}).reaches(0, 1), "vertex 1 has no adjacency list"),
+        (
+            lambda: two_disjoint_paths(ForwardDag([0, 1, 2, 3], {0: [1]}), (0, 2), (3, 3)),
+            "vertex 1 has no adjacency list",
+        ),
+        (
+            lambda: two_disjoint_paths(
+                ForwardDag([0, 1, 2, 3], {0: [5], 1: [], 2: [], 3: []}), (3, 3), (0, 2)
+            ),
+            "edge (0, 5) leaves the vertex set",
+        ),
     ],
-    ids=["kahn-head", "order-head", "order-list"],
+    ids=["kahn-head", "order-head", "order-list", "parked-list", "parked-head"],
 )
 def test_vertices_outside_the_dag_are_value_errors(build, message):
     """Neither a bare KeyError nor a cycle: the input names a vertex that
@@ -317,7 +327,7 @@ def test_exact_paths_match_recorded_digest():
 def test_waypoint_parallel_chains():
     g = build_graph(6, PARALLEL_CHAINS, s=0, t=5)
     # middle endpoints a=4, b=1; waypoints (3,4) on route 1 and (1,2) on route 2
-    pair = _LayeredSearch(g).waypoint_split(4, 1, 3, 4, 1, 2)
+    pair = _LayeredSearch(g, _layering(g)).waypoint_split(4, 1, 3, 4, 1, 2)
     assert pair.p1 == (0, 3, 4)
     assert pair.p2 == (1, 2, 5)
 
@@ -334,7 +344,7 @@ def test_waypoint_prefix_suffix_regions_are_disjoint():
     hits = 0
     for seed in range(12):
         g = layered_digraph(5, 3, 4, seed)
-        search = _LayeredSearch(g)
+        search = _LayeredSearch(g, _layering(g))
         d, dag, lam = search.d, search.dag, search.lam
         vb = sorted(search.back_vertices)
         fwd = [(u, v) for u in sorted(g.vertices) for v in search.forward[u]]
@@ -382,7 +392,7 @@ def test_waypoint_feasibility_matches_exhaustive_pair_search():
     agreements = feasible = 0
     for seed in range(14):
         g = layered_digraph(4 + seed % 3, 2 + seed % 2, 3 + seed % 3, seed * 5 + 1)
-        search = _LayeredSearch(g)
+        search = _LayeredSearch(g, _layering(g))
         d, dag, lam = search.d, search.dag, search.lam
         vb = sorted(search.back_vertices)
         fwd = [(u, v) for u in sorted(g.vertices) for v in search.forward[u]]
@@ -425,7 +435,8 @@ def test_layer_order_and_kahn_order_agree_on_waypoint_queries():
     )
     def check(layers, width, back, skips, seed):
         g = with_span_edges(layered_digraph(layers, width, back, seed), skips, seed)
-        search = _LayeredSearch(relabelled(g, seed))
+        h = relabelled(g, seed)
+        search = _LayeredSearch(h, _layering(h))
         slots = range(len(search.g.index.ids))
         kahn_order = topological_order(slots, dict(zip(slots, search.forward)))
         ours, kahn = search.dag, ForwardDag(kahn_order, search.forward)

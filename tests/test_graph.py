@@ -54,7 +54,7 @@ from nextpath import (
 )
 from nextpath.graph import MAX_ACCUMULATOR, dijkstra, edge_slack
 from nextpath.oracle import simple_paths
-from nextpath.solver import _LayeredSearch
+from nextpath.solver import _LayeredSearch, _layering
 
 
 # --- parsing ---------------------------------------------------------------
@@ -1193,7 +1193,7 @@ def test_layered_rejects_skipping_edge():
 
 def test_search_layers_path_graph():
     g = build_graph(3, {(0, 1): 1, (1, 2): 1}, s=0, t=2)
-    lam = _LayeredSearch(g).lam
+    lam = _LayeredSearch(g, _layering(g)).lam
     assert [lam[u] for u in range(3)] == [1, 2, 3]
 
 
@@ -1201,7 +1201,7 @@ def test_search_layers_parallel_chains_share_layers():
     g = build_graph(
         6, {(0, 1): 1, (1, 2): 1, (2, 5): 1, (0, 3): 1, (3, 4): 1, (4, 5): 1}, s=0, t=5
     )
-    lam = _LayeredSearch(g).lam
+    lam = _LayeredSearch(g, _layering(g)).lam
     assert lam[1] == lam[3] == 2
     assert lam[2] == lam[4] == 3
 
@@ -1209,14 +1209,14 @@ def test_search_layers_parallel_chains_share_layers():
 def test_search_rejects_non_layered():
     g = parse_graph(TRIANGLE)
     with pytest.raises(ValueError, match="layered"):
-        _LayeredSearch(g)
+        _LayeredSearch(g, _layering(g))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_layer_stepping_on_generated_instances(seed):
     g = layered_digraph(4 + seed % 3, 2, 2 + seed % 4, seed)
     d = shortest_distances(g)
-    lam = _LayeredSearch(g).lam
+    lam = _LayeredSearch(g, _layering(g)).lam
     for (u, v), w in g.edges.items():
         slack = edge_slack(d, u, v, w)
         if slack == 0:

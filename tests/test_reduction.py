@@ -328,15 +328,18 @@ def against_edge_graph(seed):
 def into_walk_path(g, x, mid, y):
     """The reference for a candidate's path, from slots of g to ids: s -> x
     by the smallest tight in-edge of each vertex, over an `into` built from
-    g's edge map, then `mid`, then y -> t by the smallest tight out-edge."""
+    g's edge map, then `mid`, then y -> t by the smallest tight out-edge;
+    g need not be straight."""
     ix, d = sorted_rows_index(g.vertices, g.edges), g.distances
     head, tail = [x], [y]
     while head[-1] != ix.slot[g.s]:
         v = head[-1]
-        head.append(next(j for j, w in ix.into[v] if d.ds[j] + w == d.ds[v]))
+        head.append(
+            next(j for j, w in ix.into[v] if d.ds[j] is not None and d.ds[j] + w == d.ds[v])
+        )
     while tail[-1] != ix.slot[g.t]:
         v = tail[-1]
-        tail.append(next(j for j, w in ix.out[v] if d.dt[j] + w == d.dt[v]))
+        tail.append(next(j for j, w in ix.out[v] if d.dt[j] is not None and d.dt[j] + w == d.dt[v]))
     return tuple(ix.ids[v] for v in (*reversed(head), *mid, *tail))
 
 
@@ -357,6 +360,39 @@ def test_layerize_candidates_follow_the_trees_of_an_into_walk():
             spanning += bool(g.layering.spans)
             candidates += len(expected)
     assert spanning >= 100 and candidates >= 400
+
+
+def test_straighten_candidates_follow_the_trees_of_an_into_walk():
+    """`straighten`, bounded or not, walks its candidates' trees on the
+    layering of the graph it returns; each path is the one a walk over the
+    input's in-edges gives, on graphs that are not straight, with tied
+    shortest paths, and ids that are shuffled or sparse, and building the
+    paths derives no `into` on the returned graph's index."""
+    graphs = tied = candidates = bounded = 0
+    for seed in range(60):
+        built = random_digraph(14, 0.3, 2, seed)
+        if shortest_distances(built).dst is None:
+            continue
+        for g in (built, relabelled(built, seed), relabelling(built, random.Random(seed))[0]):
+            d, ix = g.distances, g.index
+            assert d.off
+            graphs += 1
+            tied += any(
+                sum(d.ds[j] is not None and d.ds[j] + w == d.ds[v] for j, w in ix.into[v]) > 1
+                for v in range(len(ix.ids)) if v not in d.off
+            )
+            for bound in (None, incumbent(g)):
+                g_s, trace = straighten(g, bound)
+                slot = {x: ix.slot[i] for x, i in enumerate(g_s.index.ids)}
+                expected = [
+                    (into_walk_path(g, slot[x], tuple(map(ix.slot.get, mid)), slot[y]), w)
+                    for (x, mid, y), w in zip(trace.ends, trace.weights)
+                ]
+                assert trace.candidates == expected
+                assert "into" not in vars(g_s.index)
+                candidates += len(expected)
+                bounded += len(expected) if bound is not None else 0
+    assert graphs >= 150 and tied >= 40 and bounded >= 180 and candidates >= 650
 
 
 def test_a_layer_skip_solve_derives_no_into(monkeypatch):

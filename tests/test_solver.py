@@ -53,7 +53,7 @@ from nextpath import (
 from nextpath.graph import dijkstra, edge_slack
 from nextpath.oracle import simple_paths
 from nextpath.reduction import incumbent
-from nextpath.solver import _LayeredSearch
+from nextpath.solver import _LayeredSearch, _layering
 
 
 def test_decomposition_of_shortest_path_is_none():
@@ -107,8 +107,8 @@ def record_searches(monkeypatch):
     made = []
     init = _LayeredSearch.__init__
 
-    def keeping(search, g):
-        init(search, g)
+    def keeping(search, g, layering):
+        init(search, g, layering)
         made.append(search)
 
     monkeypatch.setattr(_LayeredSearch, "__init__", keeping)
@@ -177,7 +177,7 @@ def test_a_search_without_a_start_builds_no_floor_reach():
     for seed in range(5):
         _, (g_l, trace) = layerized_with_a_flat_edge(seed)
         assert trace.steps and {"distances", "layering"} <= vars(g_l).keys()
-        search = _LayeredSearch(g_l)
+        search = _LayeredSearch(g_l, _layering(g_l))
         assert search.starts == [] and search.scan(search.floor + 1) is None
         assert search.scan(None) is None and not solve_layered(g_l).found
         assert "floor_reach" not in search.__dict__
@@ -203,7 +203,7 @@ def test_floor_reach_is_its_distance_definition():
     def check(layers, width, back, w_max, skips, seed):
         g = layered_digraph(layers, width, back, seed, back_weight_max=w_max)
         g = with_span_edges(g, skips, seed)
-        search = _LayeredSearch(g)
+        search = _LayeredSearch(g, _layering(g))
         slacks = g.layering.back
         least = min(slacks.values())
         assert least == search.floor - search.dst >= 2
@@ -238,7 +238,8 @@ def test_the_layer_rule_agrees_with_the_closure():
     def check(layers, width, back, skips, seed):
         assume(back <= back_edge_room(layers, width))
         g = with_span_edges(layered_digraph(layers, width, back, seed), skips, seed)
-        search = _LayeredSearch(relabelled(g, seed))
+        h = relabelled(g, seed)
+        search = _LayeredSearch(h, _layering(h))
         lam = search.lam
         order = [u for layer in search.layers for u in layer]
         closure = ForwardDag(order, search.forward)
@@ -270,7 +271,8 @@ def test_a_floor_answer_builds_no_in_rows_and_no_closure(monkeypatch):
 
 
 def assert_search_setup(g):
-    """`_LayeredSearch(g)`'s set-up against definitions from scratch. Eager
+    """`_LayeredSearch(g, _layering(g))`'s set-up against definitions from
+    scratch. Eager
     filing lists each forward edge under every boundary l|l+1 it crosses, in
     (tail, head) order; a boundary holds a waypoint pair when its edges have
     two distinct tails and two distinct heads, and a start's top is the last
@@ -289,7 +291,7 @@ def assert_search_setup(g):
     for u, v in forward:
         for layer in range(lam[u], lam[v]):
             by_layer.setdefault(layer, []).append((u, v))
-    search = _LayeredSearch(g)
+    search = _LayeredSearch(g, _layering(g))
     assert (search.s, search.t) == (slot[g.s], slot[g.t])
     assert dict(zip(ids, search.lam)) == lam
     back_vertices = {u for e in back for u in e}
@@ -432,7 +434,7 @@ def test_floor_first_search_returns_the_full_scans_route():
     def check(layers, width, back, w_max, skips, seed):
         g = layered_digraph(layers, width, back, seed, back_weight_max=w_max)
         g = with_span_edges(g, skips, seed)
-        search = _LayeredSearch(g)
+        search = _LayeredSearch(g, _layering(g))
         full = search.scan(None)
         got = solve_layered(g)
         assert (got.found, got.weight, got.path) == (
@@ -465,7 +467,7 @@ def test_floor_reach_skips_only_starts_without_a_ceiling_pair():
         nonlocal skipped, kept
         g = layered_digraph(layers, width, back, seed, back_weight_max=w_max)
         g = with_span_edges(g, skips, seed)
-        search = _LayeredSearch(g)
+        search = _LayeredSearch(g, _layering(g))
         ix, dfs, dst, ceiling = g.index, search.d.from_s, search.dst, search.floor + 1
         for a, top in search.starts:
             if ix.slot[a] in search.floor_reach:
@@ -477,7 +479,7 @@ def test_floor_reach_skips_only_starts_without_a_ceiling_pair():
                 b = ix.ids[j]
                 if b in search.back_vertices and search.lam[b] <= top and b != g.s:
                     assert dst + dfs[a] - dfs[b] + lower >= ceiling
-        unfiltered = _LayeredSearch(g)
+        unfiltered = _LayeredSearch(g, _layering(g))
         unfiltered.floor_reach = frozenset(range(len(ix.ids)))
         assert search.scan(ceiling) == unfiltered.scan(ceiling)
         assert search._pairs == unfiltered._pairs
@@ -511,7 +513,7 @@ def test_floor_first_search_skips_the_full_scan_on_seed_41(monkeypatch):
     monkeypatch.setattr(nextpath.solver, "two_disjoint_paths", pair)
     g = layered_digraph(36, 18, 200, 41)
     out = solve_layered(g)
-    assert out.weight == _LayeredSearch(g).floor == 37
+    assert out.weight == _LayeredSearch(g, _layering(g)).floor == 37
     assert (calls["residual"], calls["pair"]) == (1, 2)
     assert calls["bound"] and None not in calls["bound"]
 
@@ -582,9 +584,9 @@ def test_a_graph_that_is_not_straight_gets_the_layered_message(monkeypatch):
         return sweep(*args)
 
     monkeypatch.setattr(nextpath.graph, "_off_slots", counting)
-    _LayeredSearch(g)
+    _LayeredSearch(g, _layering(g))
     assert callers == ["distances"]
-    _LayeredSearch(g)
+    _LayeredSearch(g, _layering(g))
     assert callers == ["distances"]
 
 
@@ -594,7 +596,7 @@ def test_solver_takes_a_layer_skipping_forward_edge():
     g = build_graph(6, {**PARALLEL_CHAINS, (0, 2): 2}, s=0, t=5)
     d = shortest_distances(g)
     assert is_straight(g, d) and nextpath.graph.layering_violations(g) == ([], [(0, 2)])
-    search = _LayeredSearch(g)
+    search = _LayeredSearch(g, _layering(g))
     assert search.waypoints == {2} and search.crossing(2) == [(0, 2), (1, 2), (3, 4)]
     want = exhaustive_next_to_shortest(g)
     assert want.found and solve_layered(g).weight == want.weight == 5
@@ -620,7 +622,7 @@ def test_a_graph_built_from_a_layerize_output_computes_its_own_table():
         assert (dict(h.distances.from_s), dict(h.distances.to_t)) == fresh_distances(h)
         assert h.distances != d
         with pytest.raises(ValueError, match="layered"):
-            _LayeredSearch(h)
+            _LayeredSearch(h, _layering(h))
 
 
 def test_a_solve_never_runs_the_unit_step_layering_check(monkeypatch):
@@ -645,6 +647,22 @@ def test_a_solve_never_runs_the_unit_step_layering_check(monkeypatch):
     solve_layered(layered)
     solve(skipping)
     assert calls == []
+
+
+def test_a_layered_solve_checks_its_input_once(monkeypatch):
+    """`solve_layered` checks the layering and hands it to the search it
+    sets up, which checks it no more."""
+    checked = []
+
+    def counting(g):
+        checked.append(g)
+        return _layering(g)
+
+    monkeypatch.setattr(nextpath.solver, "_layering", counting)
+    made = record_searches(monkeypatch)
+    g = layered_digraph(6, 3, 5, 2)
+    assert solve_layered(g).found
+    assert checked == [g] and [search.g for search in made] == [g]
 
 
 def test_a_solve_builds_one_layering_on_the_straightened_graph(monkeypatch):
@@ -703,7 +721,7 @@ def test_search_accepts_exactly_straight_graphs_whose_back_edges_go_back(kind, s
     g = _drawn_graph(kind, seed)
     d = shortest_distances(g)
     try:
-        lam = _LayeredSearch(g).lam
+        lam = _LayeredSearch(g, _layering(g)).lam
     except ValueError:
         assert kind != "layerized"
         assert not is_straight(g, d) or nextpath.graph.layering_violations(g)[0]
@@ -791,7 +809,7 @@ def _check_span_edge_instance(layers, width, back, skips, seed):
     want_l = want if g_l is g else exhaustive_next_to_shortest(g_l)
     got_l = solve_layered(g_l)
     assert (got_l.found, got_l.weight) == (want_l.found, want_l.weight)
-    search = _LayeredSearch(g_l)
+    search = _LayeredSearch(g_l, _layering(g_l))
     return any(search.lam[v] > search.lam[u] + 1 for u in g_l.vertices for v in search.forward[u])
 
 
