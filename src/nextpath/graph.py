@@ -263,7 +263,9 @@ class Layering:
     weights are positive: `forward[u]` lists slot u's heads ascending, and
     `spans` lists those edges that climb more than one. A back-edge goes
     strictly back (`back`, edge to slack) or not (`against`). Edge lists
-    are in (tail, head) order, and every field is read-only.
+    are in (tail, head) order, and every field is read-only. `parent`, the
+    forward rows transposed to each slot's smallest tail, is derived on
+    first read, so every reader of one layering shares one table.
     """
 
     lam: tuple[int, ...]
@@ -272,6 +274,18 @@ class Layering:
     spans: tuple[Edge, ...]
     back: Mapping[Edge, int]
     against: tuple[Edge, ...]
+
+    @cached_property
+    def parent(self) -> tuple[int | None, ...]:
+        """`parent[v]` is the smallest z with v in `forward[z]`, slot v's
+        parent on the smallest-id shortest-path tree from s; None for s,
+        which alone has no forward in-edge. Read-only, so shared."""
+        parent: list[int | None] = [None] * len(self.forward)
+        # The smallest tail writes last.
+        for i in reversed(range(len(self.forward))):
+            for j in self.forward[i]:
+                parent[j] = i
+        return tuple(parent)
 
 
 @dataclass(frozen=True)
@@ -553,8 +567,9 @@ def _parse_plain(text: str) -> WeightedDigraph | None:
     None for any other text, for a token with a leading zero or too long
     for int(), and for a line that fails its check, whose error
     `_parse_lines` then raises. The text with its digits dropped proves the
-    shape, one JSON decode turns every token into an int, and the line
-    checks run over whole columns.
+    shape, one JSON decode turns every token into an int, and the header,
+    head and weight checks run over whole columns; `_edge_list` makes the
+    tail and self-loop checks.
 
     The shape is three spaces and a line feed, then two spaces and a line
     feed per edge line, with the text ending in a line feed; the decode
@@ -573,8 +588,7 @@ def _parse_plain(text: str) -> WeightedDigraph | None:
     del vals
     if not (
         s < n and t < n and s != t  # so n >= 2
-        and max(us, default=0) < n and max(vs, default=0) < n and min(ws, default=1) > 0
-        and not any(map(operator.eq, us, vs))
+        and max(vs, default=0) < n and min(ws, default=1) > 0
     ):
         return None
     return _edge_list(n, m, s, t, us, vs, ws, 0, range(2, m + 2))
@@ -582,7 +596,8 @@ def _parse_plain(text: str) -> WeightedDigraph | None:
 
 def _parse_lines(text: str) -> WeightedDigraph:
     """`parse_graph` on any text: a loop checks each line and keeps its edge,
-    then the weights are scaled and `_edge_list` checks the whole list."""
+    then the weights are scaled and `_edge_list` checks the whole list,
+    which never returns None here, as every line passed its checks."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     header: tuple[int, int, int, int] | None = None
@@ -649,19 +664,28 @@ def _parse_lines(text: str) -> WeightedDigraph:
 def _edge_list(
     n: int, m: int, s: int, t: int, us: list[int], vs: list[int], ws: list[int],
     scale: int, lines: Sequence[int],
-) -> WeightedDigraph:
+) -> WeightedDigraph | None:
     """The graph of a checked header and edge columns, edge k from line
-    `lines[k]` with scaled weight `ws[k]`. Raises, in order, a wrong edge
-    count, the first duplicate edge, an overflow at the first largest weight.
+    `lines[k]` with scaled weight `ws[k]`. None when an edge is a self-loop
+    or its tail is not below n: a line check that `_parse_plain` leaves to
+    this list, and whose error `_parse_lines` raises. Otherwise raises, in
+    order, a wrong edge count, the first duplicate edge, an overflow at the
+    first largest weight.
 
     The ids are 0..n-1, so each id is its slot, and one int object serves
-    as both. Edges listed in strictly increasing (u, v) order, as
-    `serialize_graph` writes them, hold no duplicate and go to `_index` as
-    they are; any other list is checked for a duplicate, then sorted once."""
+    as both. `_index` takes the list as given, and refuses it at the first
+    edge out of strictly increasing (u, v) order, the order in which
+    `serialize_graph` writes it, at a self-loop and at a tail past the last
+    row. Only a refused list, or one of the wrong length, pays for the tail
+    and self-loop passes over its columns; a refused list that passes them
+    is checked for a duplicate, then sorted once."""
+    slot = {u: u for u in range(n)}
+    index = _index(slot, zip(us, vs, ws))
+    if index is None and (max(us, default=0) >= n or not all(map(operator.ne, us, vs))):
+        return None
     if len(ws) != m:
         raise GraphFormatError(f"header declares {m} edges, found {len(ws)}")
-    edges: Iterable[tuple[int, int, int]] = zip(us, vs, ws)
-    if not all(map(operator.lt, zip(us, vs), zip(us[1:], vs[1:]))):
+    if index is None:
         pairs = list(zip(us, vs))
         if len(set(pairs)) != m:
             seen: set[Edge] = set()
@@ -669,7 +693,7 @@ def _edge_list(
                 if edge in seen:
                     raise GraphFormatError(f"duplicate edge {edge}", lineno)
                 seen.add(edge)
-        edges = sorted(edges)
+        index = _index(slot, sorted(zip(us, vs, ws)))
     top = max(ws, default=0)
     if n * top > MAX_ACCUMULATOR:
         raise GraphFormatError("weight overflow after scaling", lines[ws.index(top)])
@@ -679,14 +703,15 @@ def _edge_list(
     # - s and t are vertices: `s < n and t < n` (a plain text holds no
     #   sign), "source/sink id out of range";
     # - int ids and terminals: both parses read every integer as an int;
-    # - no self-loop: `not any(map(operator.eq, us, vs))`, "self-loop at
-    #   vertex";
-    # - every edge within the vertex set: `max(us) < n and max(vs) < n`,
+    # - no self-loop: `_index`'s refusal, then `all(map(operator.ne, us,
+    #   vs))` above, "self-loop at vertex";
+    # - every edge within the vertex set: `max(vs) < n` in `_parse_plain`,
+    #   and for a tail `_index`'s refusal, then `max(us) >= n` above;
     #   "vertex id out of range";
     # - positive integer weights: each is int() of its digits, `min(ws) > 0`,
     #   "non-positive weight" (positive when its digits are not all zero);
     # - an int scale >= 0: 0, or the most fraction digits of a weight.
-    return _graph(s, t, scale, _index({u: u for u in range(n)}, edges))
+    return _graph(s, t, scale, index)
 
 
 def _graph(
@@ -708,16 +733,34 @@ def _graph(
     return g
 
 
-def _index(slot: dict[int, int], edges: Iterable[tuple[int, int, int]]) -> VertexIndex:
+def _index(
+    slot: dict[int, int], edges: Iterable[tuple[int, int, int]]
+) -> VertexIndex | None:
     """The `index` of the graph on the keys of `slot`, in id order, each
-    mapped to its slot, whose edges are the (i, j, w) slot rows of `edges`,
-    in strictly increasing (i, j) order: the one builder of index rows, which
-    keeps `slot` as its map. Bucketing the edges in list order leaves each
-    `out` row in head order, so no row needs a sort."""
+    mapped to its slot, whose edges are the (i, j, w) slot rows of `edges`:
+    the one builder of index rows, which keeps `slot` as its map. It proves
+    the order while it buckets, and returns None at the first row that is
+    not strictly after the one before it in (i, j) order, that is a
+    self-loop, or whose tail has no row, where the row lookup itself fails;
+    a slot is a non-negative int, and a head is the caller's to check.
+    Bucketing the rows in list order leaves each `out` row in head order, so
+    no row needs a sort."""
     ids = tuple(slot)
     out: list[list[tuple[int, int]]] = [[] for _ in ids]
-    for i, j, w in edges:
-        out[i].append((j, w))
+    i0 = j0 = -1
+    try:
+        for i, j, w in edges:
+            if i != i0:
+                if i < i0:
+                    return None
+                add = out[i].append
+                i0, j0 = i, -1
+            if j <= j0 or j == i:
+                return None
+            add((j, w))
+            j0 = j
+    except IndexError:
+        return None
     return VertexIndex(ids, MappingProxyType(slot), tuple(map(tuple, out)))
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from functools import cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, Union
 
@@ -185,15 +184,15 @@ def _tree_paths(g: WeightedDigraph) -> Callable[[int, Path, int], Path]:
     """`path(x, mid, y)`: s -> x along the smallest-id shortest-path tree
     from s, then `mid`, then y -> t along the smallest-id shortest-path tree
     to t, all in g, a straight graph, from slots x and y of g and the ids
-    `mid` to the path's ids. One reduction call shares one table of tree
-    parents over all its candidates.
+    `mid` to the path's ids.
 
     On a straight graph a tight edge is a forward one and d(.,t) = d(s,t) -
     d(s,.), so both trees lie in g's layering: v's successor is its smallest
-    forward head, `forward[v][0]`, and its parent the smallest z with v in
-    `forward[z]`, from a table built out of the forward rows on the first
-    walk. The layering is read only when a path is built, and no `into` is
-    derived.
+    forward head, `forward[v][0]`, and its parent the layering's
+    `parent[v]`, a table built on the first walk and shared by every reader
+    of that layering, so both reductions' traces over one straight graph
+    build it once. The layering is read only when a path is built, and no
+    `into` is derived.
 
     The reductions keep this on their trace, which builds a candidate's path
     only when it is read, after the reduction has returned. g is immutable,
@@ -202,14 +201,8 @@ def _tree_paths(g: WeightedDigraph) -> Callable[[int, Path, int], Path]:
     ix = g.index
     s, t = ix.slot[g.s], ix.slot[g.t]
 
-    @cache
-    def tails() -> dict[int, int]:
-        # Each slot's smallest forward tail, which writes last.
-        forward = g.layering.forward
-        return {j: i for i in reversed(range(len(forward))) for j in forward[i]}
-
     def parent(v: int) -> int:
-        return tails()[v]
+        return g.layering.parent[v]
 
     def successor(v: int) -> int:
         return g.layering.forward[v][0]

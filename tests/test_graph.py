@@ -1,7 +1,20 @@
-"""graph-core: parsing, distances, classification, predicates, layers."""
+"""graph-core: parsing, distances, classification, predicates, layers.
+
+The parse's three routes run over any plain edge-list files, as
+`serialize_graph` writes them:
+
+    PYTHONPATH=src python tests/test_graph.py FILE...
+
+Each file is read whole with no sort, its copy with the edge lines
+reversed is read whole and sorted once, and its copy behind a comment line
+goes line by line (see `check_routes`). It prints the number of files and
+exits 0 when the three give one graph for each; the first that does not
+stops it with the file.
+"""
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
 import importlib
 import json
@@ -17,7 +30,7 @@ from types import MappingProxyType, ModuleType
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -135,6 +148,13 @@ _HUGE = "9" * 5000
         ("3 3 0 2\n0 1 9999999999999999999\n0 2 1\n1 2 9999999999999999999\n", 2, "overflow"),
         ("3 2 0 2\n0 1 1\n1 3 1\n", 3, "vertex id out of range 0..2"),
         ("3 3 0 2\n0 1 1\n1 1 1\n1 2 1\n1 2 1\n", 3, "self-loop at vertex 1"),
+        # The edge count is off, and a line fails a check that the whole-text
+        # pass makes only once the index builder has refused the list: a
+        # self-loop, a tail past the last row on the last line, where the
+        # builder's row lookup fails; or one it makes before: a head >= n.
+        ("3 3 0 2\n0 1 1\n1 1 1\n", 3, "self-loop at vertex 1"),
+        ("3 2 0 2\n0 1 1\n1 2 1\n3 0 1\n", 4, "vertex id out of range 0..2"),
+        ("3 1 0 2\n0 1 1\n1 3 1\n", 3, "vertex id out of range 0..2"),
     ],
 )
 def test_parse_error_precedence(text, line, fragment):
@@ -435,6 +455,19 @@ def test_the_json_decode_routes_every_plain_text(monkeypatch):
     assert_built_as_public(g)
 
 
+@contextlib.contextmanager
+def counted_sorts():
+    """Yields a list that each call of `sorted` inside `graph` appends to."""
+    sorts = []
+
+    def counting(rows):
+        sorts.append(1)
+        return sorted(rows)
+
+    with mock.patch.object(graph, "sorted", counting, create=True):
+        yield sorts
+
+
 @pytest.mark.parametrize(
     "lines,sorts",
     [
@@ -442,19 +475,76 @@ def test_the_json_decode_routes_every_plain_text(monkeypatch):
         (["0 1 1", "1 2 1", "0 2 1"], 1),  # one descending pair
         (["0 2 1", "0 1 1", "1 2 1"], 1),  # equal tails, descending heads
         (["1 2 1", "0 1 1", "0 2 1"], 1),
+        (["0 2 1", "1 0 1", "1 2 1"], 0),  # a new tail, on a smaller head
     ],
 )
-def test_edges_out_of_order_take_one_sort(monkeypatch, lines, sorts):
-    """`_edge_list` decides the (u, v) order from the columns: a list in
-    strictly increasing order goes to `_index` as it is, and any other,
-    also one whose only descent is between equal tails, is sorted once."""
-    calls = []
-    monkeypatch.setattr(graph, "sorted", lambda rows: calls.append(1) or sorted(rows), raising=False)
+def test_edges_out_of_order_take_one_sort(lines, sorts):
+    """`_index` proves the (u, v) order while it buckets the edges: a list
+    in strictly increasing order is built as it is, also one whose tail
+    steps up onto a smaller head, and any other, also one whose only
+    descent is between equal tails, is refused and sorted once."""
     text = f"3 {len(lines)} 0 2\n" + "".join(line + "\n" for line in lines)
-    g = graph._parse_plain(text)
+    with counted_sorts() as calls:
+        g = graph._parse_plain(text)
     assert len(calls) == sorts
-    assert g.edges == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+    assert g.edges == {(int(u), int(v)): int(w) for u, v, w in map(str.split, lines)}
     assert_built_as_public(g)
+
+
+def check_routes(text):
+    """The graph of a plain edge list, read whole with no sort, is the graph
+    of its edge lines reversed, read whole and sorted once when it has two
+    or more, and of a copy behind a comment line, read line by line."""
+    header, *lines = text.splitlines(keepends=True)
+    commented = "# the same graph\n" + text
+    with counted_sorts() as calls:
+        g = graph._parse_plain(text)
+        assert g is not None and calls == [], "not read whole, or sorted"
+        assert graph._parse_plain(header + "".join(reversed(lines))) == g, "reversed"
+        assert len(calls) == (len(lines) > 1), "reversed copy not sorted once"
+    assert graph._parse_plain(commented) is None and parse_graph(commented) == g, "commented"
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_digraph(40, 0.3, 10, 1), layered_digraph(8, 5, 6, 2), random_digraph(3, 0.1, 5, 0)],
+    ids=["random", "layered", "edgeless"],
+)
+def test_every_route_reads_one_graph(g):
+    text = serialize_graph(g)
+    check_routes(text)
+    assert parse_graph(text) == g
+
+
+@st.composite
+def serialized_graphs(draw):
+    """A seeded `random_digraph`, up to 40 vertices and dense enough for
+    rows of dozens of edges, or `layered_digraph`, and the text that
+    `serialize_graph` writes for it; (graph, text)."""
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        n, p = draw(st.integers(2, 40)), draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+        g = random_digraph(n, p, 10, seed)
+    else:
+        layers = draw(st.integers(2, 10))
+        g = layered_digraph(layers, draw(st.integers(1, 6)), draw(st.integers(0, layers - 1)), seed)
+    return g, serialize_graph(g)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(serialized_graphs(), st.data())
+def test_one_swapped_pair_of_edge_lines_takes_one_sort(drawn, data):
+    """What `serialize_graph` writes is read whole with no sort. With one
+    adjacent pair of its edge lines swapped, the index builder refuses the
+    list, which is then sorted once into the same graph."""
+    g, text = drawn
+    header, *lines = text.splitlines(keepends=True)
+    assume(len(lines) >= 2)
+    k = data.draw(st.integers(0, len(lines) - 2))
+    lines[k : k + 2] = lines[k + 1], lines[k]
+    with counted_sorts() as calls:
+        assert graph._parse_plain(text) == g and calls == []
+        assert graph._parse_plain(header + "".join(lines)) == g and len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -983,8 +1073,9 @@ def test_layering_agrees_with_edge_slack():
 
 
 def test_layering_is_read_only():
-    """No field of the cached layering can be changed, so a later solve
-    sees the layering the graph was built with."""
+    """No field of the cached layering, nor its table of tree parents, can
+    be changed, so a later solve sees the layering the graph was built
+    with."""
     g = layered_digraph(5, 3, 6, 2)
     answer = solve(g)
     layering = g.layering
@@ -994,10 +1085,11 @@ def test_layering_is_read_only():
         (layering.forward, u),
         (layering.back, next(iter(layering.back))),
         (layering.layers, 1),
+        (layering.parent, u),
     ):
         with pytest.raises(TypeError):
             view[key] = ()
-    for name in ("lam", "layers", "forward", "spans", "back", "against"):
+    for name in ("lam", "layers", "forward", "spans", "back", "against", "parent"):
         with pytest.raises(AttributeError):
             setattr(layering, name, ())
     with pytest.raises(AttributeError):
@@ -1254,3 +1346,14 @@ def test_runtime_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top == "nextpath" or top in sys.stdlib_module_names, (path.name, name)
+
+
+if __name__ == "__main__":
+    files = sys.argv[1:]
+    for name in files:
+        with open(name, encoding="utf-8") as fh:
+            try:
+                check_routes(fh.read())
+            except AssertionError as exc:
+                sys.exit(f"{name}: {exc}")
+    print(f"{len(files)} files: the three parse routes give one graph")

@@ -34,7 +34,7 @@ from nextpath import (
     validate_path,
 )
 from nextpath import cli, pipeline, reduction, solver
-from nextpath.graph import SolveOutcome, dijkstra, path_weight
+from nextpath.graph import Layering, SolveOutcome, dijkstra, path_weight
 from nextpath.reduction import _tight_walk, lift_path
 
 
@@ -387,6 +387,35 @@ def test_only_the_winners_trees_are_walked(monkeypatch, tmp_path, capsys):
     walks.clear()
     assert cli.main(["solve", str(f)]) == 0
     assert len(walks) == 2
+
+
+@pytest.mark.parametrize("seed", [2, 4, 19])
+def test_both_traces_share_one_table_of_tree_parents(monkeypatch, seed):
+    """`straighten`'s and `layerize`'s traces walk the trees of one straight
+    graph, the one straighten returns, whose layering builds its table of
+    tree parents once: reading every candidate of both traces builds that
+    one table and no other. Each graph is a `random-general` one whose two
+    traces both hold candidates, 2 to 14 in all."""
+    built = []
+    prop = Layering.__dict__["parent"]
+
+    def counting(layering, build=prop.func):
+        built.append(layering)
+        return build(layering)
+
+    monkeypatch.setattr(prop, "func", counting)
+    straightened = []
+    real = pipeline.straighten
+    monkeypatch.setattr(
+        pipeline, "straighten", lambda *args: straightened.append(real(*args)) or straightened[0]
+    )
+    result = solve_detailed(random_digraph(100, 0.045, 10, seed))
+    tr_s, tr_l = result.straighten_trace, result.layerize_trace
+    assert tr_s.weights and tr_l.weights
+    assert len(built) <= 1
+    assert [w for _, w in tr_s.candidates + tr_l.candidates] == tr_s.weights + tr_l.weights
+    g_s = straightened[0][0]
+    assert len(built) == 1 and built[0] is g_s.layering
 
 
 def test_an_answer_that_does_not_end_at_t_is_an_internal_error(monkeypatch):
