@@ -32,7 +32,6 @@ from .graph import (
     parse_graph,
     parse_int,
     serialize_graph,
-    shortest_distances,
     validate_path,
 )
 from .oracle import BudgetExceeded, DEFAULT_BUDGET, exhaustive_next_to_shortest
@@ -111,8 +110,7 @@ def _cmd_check(args) -> int:
     except InvalidPathError as exc:
         print(f"INVALID: {exc}")
         return 0
-    d = shortest_distances(g)
-    dst = d.dst
+    dst = g.distances.dst
     back = "yes" if check.uses_back_edge else "no"
     simple = "yes" if check.simple else "no"
     print(f"simple={simple} weight={format_weight(check.weight, g.scale)} uses-back-edge={back}")
@@ -161,7 +159,7 @@ def _cmd_vdp(args) -> int:
 
 def _cmd_stats(args) -> int:
     g = _load_graph(args.graph)
-    d = shortest_distances(g)
+    d = g.distances
     # The edges as stored, by slot; reading `g.edges` would derive a map.
     slacks = [edge_slack(d, i, j, w) for i, row in enumerate(g.index.out) for j, w in row]
     unclassified = slacks.count(None)

@@ -279,7 +279,9 @@ class Layering:
     def parent(self) -> tuple[int | None, ...]:
         """`parent[v]` is the smallest z with v in `forward[z]`, slot v's
         parent on the smallest-id shortest-path tree from s; None for s,
-        which alone has no forward in-edge. Read-only, so shared."""
+        which alone has no forward in-edge. Read-only, so shared: a
+        `ReductionTrace` walks it with `parent_path` for the s -> x part of
+        each candidate path it builds."""
         parent: list[int | None] = [None] * len(self.forward)
         # The smallest tail writes last.
         for i in reversed(range(len(self.forward))):
@@ -426,8 +428,9 @@ def shortest_path_avoiding(
     return tuple(map(ix.ids.__getitem__, parent_path(parent, sa, sb)))
 
 
-def parent_path(parent: Mapping[int, int], a: int, b: int) -> Path:
-    """The path a -> b that follows `parent` back from b until it reaches a."""
+def parent_path(parent: Mapping[int, int] | Sequence[int | None], a: int, b: int) -> Path:
+    """The path a -> b that follows `parent` back from b until it reaches a:
+    the one parent walk, over a search's parent map or a layering's table."""
     rev = [b]
     while rev[-1] != a:
         rev.append(parent[rev[-1]])

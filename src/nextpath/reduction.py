@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .graph import (
     DistanceTable,
@@ -78,31 +78,41 @@ class SubdivisionRecord:
 Step = Union[EliminationRecord, BackEdgeRemoval]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReductionTrace:
     """Ordered transformation log plus candidate paths found along the way.
 
     A candidate is recorded as its weight, in `weights`, and the ends of its
-    path, in `ends`: (x, mid, y), with x and y slots of the straight graph
-    the reduction returns and `mid` ids, stands for s -> x along the
-    smallest-id shortest-path tree from s, then `mid`, then y -> t along
-    the smallest-id shortest-path tree to t. The path lies in the graph the
-    reduction started from and is weighed there. `tree_path` builds such a
-    path, in ids, on the forward rows of the returned graph's layering (see
-    `_tree_paths`), so `candidate_path` builds only the paths something
-    reads, and `candidates`, every (path, weight) in record order, is
-    derived on each read: appending to it records nothing.
+    path, in `ends`: (x, mid, y), with x and y slots of `graph` and `mid`
+    ids, stands for s -> x along the smallest-id shortest-path tree from s,
+    then `mid`, then y -> t along the smallest-id shortest-path tree to t.
+    The path lies in the graph the reduction started from and is weighed
+    there. `graph` is the straight graph the reduction returns
+    (`straighten`) or takes (`layerize`), whose trees are the input's; it
+    is None only on a trace without candidates. On a straight graph a tight
+    edge is a forward one and d(.,t) = d(s,t) - d(s,.), so both trees lie
+    in its layering: slot v's parent is `layering.parent[v]`, and its
+    successor its smallest forward head, `forward[v][0]`. The graph is
+    immutable, so `candidate_path` builds the same path whenever it is
+    called, and builds only the paths something reads; `candidates`, every
+    (path, weight) in record order, is derived on each read.
     """
 
     steps: list[Step] = field(default_factory=list)
     weights: list[int] = field(default_factory=list)
     ends: list[tuple[int, Path, int]] = field(default_factory=list)
-    tree_path: Callable[[int, Path, int], Path] | None = field(
-        default=None, repr=False, compare=False
-    )
+    graph: WeightedDigraph | None = field(default=None, repr=False, compare=False)
 
     def candidate_path(self, k: int) -> Path:
-        return self.tree_path(*self.ends[k])
+        x, mid, y = self.ends[k]
+        g = self.graph
+        ix, layering = g.index, g.layering
+        to_x = parent_path(layering.parent, ix.slot[g.s], x)
+        to_t, t = [y], ix.slot[g.t]
+        while y != t:
+            y = layering.forward[y][0]
+            to_t.append(y)
+        return (*map(ix.ids.__getitem__, to_x), *mid, *map(ix.ids.__getitem__, to_t))
 
     @property
     def candidates(self) -> list[tuple[Path, int]]:
@@ -168,50 +178,6 @@ def _splice(step: EliminationRecord, path: Path) -> Path:
             at[v] = len(out)
             out.append(v)
     return tuple(out)
-
-
-def _tight_walk(step: Callable[[int], int], v: int, end: int) -> list[int]:
-    """The walk from slot v to slot `end` that goes from each slot to
-    `step(slot)`, its next one on a shortest-path tree (see `_tree_paths`)."""
-    walk = [v]
-    while v != end:
-        v = step(v)
-        walk.append(v)
-    return walk
-
-
-def _tree_paths(g: WeightedDigraph) -> Callable[[int, Path, int], Path]:
-    """`path(x, mid, y)`: s -> x along the smallest-id shortest-path tree
-    from s, then `mid`, then y -> t along the smallest-id shortest-path tree
-    to t, all in g, a straight graph, from slots x and y of g and the ids
-    `mid` to the path's ids.
-
-    On a straight graph a tight edge is a forward one and d(.,t) = d(s,t) -
-    d(s,.), so both trees lie in g's layering: v's successor is its smallest
-    forward head, `forward[v][0]`, and its parent the layering's
-    `parent[v]`, a table built on the first walk and shared by every reader
-    of that layering, so both reductions' traces over one straight graph
-    build it once. The layering is read only when a path is built, and no
-    `into` is derived.
-
-    The reductions keep this on their trace, which builds a candidate's path
-    only when it is read, after the reduction has returned. g is immutable,
-    so the path does not depend on when it is built.
-    """
-    ix = g.index
-    s, t = ix.slot[g.s], ix.slot[g.t]
-
-    def parent(v: int) -> int:
-        return g.layering.parent[v]
-
-    def successor(v: int) -> int:
-        return g.layering.forward[v][0]
-
-    def path(x: int, mid: Path, y: int) -> Path:
-        to_x, to_t = _tight_walk(parent, x, s), _tight_walk(successor, y, t)
-        return (*map(ix.ids.__getitem__, reversed(to_x)), *mid, *map(ix.ids.__getitem__, to_t))
-
-    return path
 
 
 def incumbent(g: WeightedDigraph) -> int | None:
@@ -299,9 +265,8 @@ def straighten(
     ds, dt, dst, off = d.ds, d.dt, d.dst, d.off
     if dst is None:
         raise ValueError("no s-to-t path exists")
-    trace = ReductionTrace()
     if not off:
-        return g, trace
+        return g, ReductionTrace(graph=g)
     ix = g.index
     ids = ix.ids
     left = frozenset(off)
@@ -326,6 +291,8 @@ def straighten(
     kept = [i for i in range(len(ids)) if i not in left]
     new = dict(zip(kept, range(len(kept))))
     shortcuts: dict[Edge, Path] = {}
+    weights: list[int] = []
+    ends: list[tuple[int, Path, int]] = []
     for i in sorted(into):
         overlay[i] = into[i]
         dist, parent = dijkstra(overlay, i)
@@ -340,10 +307,9 @@ def straighten(
                 shortcuts[(ids[i], ids[j])] = tuple(map(ids.__getitem__, inner))
             elif old < detour and ds[i] + old + dt[j] == dst:
                 inner = parent_path(parent, i, j)[1:-1]
-                trace.ends.append((new[i], tuple(map(ids.__getitem__, inner)), new[j]))
-                trace.weights.append(ds[i] + detour + dt[j])
+                ends.append((new[i], tuple(map(ids.__getitem__, inner)), new[j]))
+                weights.append(ds[i] + detour + dt[j])
     gone = frozenset(map(ids.__getitem__, off))
-    trace.steps.append(EliminationRecord(gone, MappingProxyType(shortcuts)))
     # Built without the constructor, whose checks hold: every kept edge is
     # the input's, between survivors, and a shortcut joins two distinct
     # survivors with a sum of the input's weights.
@@ -353,8 +319,8 @@ def straighten(
         index.ids, tuple(map(ds.__getitem__, kept)), tuple(map(dt.__getitem__, kept)), dst, ()
     )
     g_s = _graph(g.s, g.t, g.scale, index, table)
-    trace.tree_path = _tree_paths(g_s)
-    return g_s, trace
+    step = EliminationRecord(gone, MappingProxyType(shortcuts))
+    return g_s, ReductionTrace([step], weights, ends, g_s)
 
 
 def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
@@ -382,19 +348,21 @@ def layerize(g: WeightedDigraph) -> tuple[WeightedDigraph, ReductionTrace]:
     """
     d = shortest_distances(g)
     layering = g.layering
-    trace = ReductionTrace()
     if not layering.against:
-        return g, trace
+        return g, ReductionTrace(graph=g)
     ix = g.index
     out = list(ix.out)
-    trace.tree_path = _tree_paths(g)
+    steps: list[Step] = []
+    weights: list[int] = []
+    ends: list[tuple[int, Path, int]] = []
     for i, j in layering.against:
         # A row is sorted by head, and (j,) sorts just before j's pair.
         row = out[i]
         k = bisect_left(row, (j,))
         out[i] = row[:k] + row[k + 1 :]
-        trace.ends.append((i, (), j))
-        trace.weights.append(d.ds[i] + row[k][1] + d.dt[j])
-        trace.steps.append(BackEdgeRemoval((ix.ids[i], ix.ids[j])))
+        ends.append((i, (), j))
+        weights.append(d.ds[i] + row[k][1] + d.dt[j])
+        steps.append(BackEdgeRemoval((ix.ids[i], ix.ids[j])))
     index = VertexIndex(ix.ids, ix.slot, tuple(out))
-    return _graph(g.s, g.t, g.scale, index, d, replace(layering, against=())), trace
+    g_l = _graph(g.s, g.t, g.scale, index, d, replace(layering, against=()))
+    return g_l, ReductionTrace(steps, weights, ends, g)

@@ -31,7 +31,6 @@ from .graph import (
     check_answer,
     dijkstra,
     path_weight,
-    shortest_distances,
     shortest_path_avoiding,
     validate_path,
 )
@@ -50,7 +49,7 @@ class _LayeredSearch:
 
     def __init__(self, g: WeightedDigraph, layering: Layering):
         self.g = g
-        self.d = d = shortest_distances(g)
+        self.d = d = g.distances
         self.s, self.t = g.index.slot[g.s], g.index.slot[g.t]
         self.lam = lam = layering.lam
         self.layers, self.forward, self.spans = layering.layers, layering.forward, layering.spans

@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior beyond what the CLI tests cover."""
 from __future__ import annotations
 
+import sys
 import tracemalloc
 
 import pytest
@@ -33,9 +34,9 @@ from nextpath import (
     solve_layered,
     validate_path,
 )
-from nextpath import cli, pipeline, reduction, solver
+from nextpath import cli, pipeline, solver
 from nextpath.graph import Layering, SolveOutcome, dijkstra, path_weight
-from nextpath.reduction import _tight_walk, lift_path
+from nextpath.reduction import ReductionTrace, lift_path
 
 
 @pytest.mark.parametrize("through", ["cli", "sparse-ids"])
@@ -296,6 +297,41 @@ def test_a_layerize_candidate_weighs_in_g_what_it_recorded(shape, seeds):
     assert changed and candidates > changed
 
 
+def check_candidates(g):
+    """Every candidate that a solve of g records, straighten's as built and
+    layerize's lifted through straighten's trace, is a simple s-t path of g
+    that weighs exactly its recorded weight, more than d(s,t). Returns the
+    number of candidates of each reduction, (0, 0) when t is unreachable."""
+    dst = shortest_distances(g).dst
+    if dst is None:
+        return 0, 0
+    result = solve_detailed(g)
+    tr_s, tr_l = result.straighten_trace, result.layerize_trace
+    lifted = [(lift_path(tr_s, p), w) for p, w in tr_l.candidates]
+    for name, pool in (("straighten", tr_s.candidates), ("layerize", lifted)):
+        for path, w in pool:
+            check = validate_path(g, path)
+            assert (path[0], path[-1]) == (g.s, g.t), f"{name} candidate {path} is not s-t"
+            assert check.simple, f"{name} candidate {path} is not simple"
+            assert check.weight == w, f"{name} candidate {path} weighs {check.weight}, not {w}"
+            assert w > dst, f"{name} candidate {path} is shortest"
+    return len(tr_s.weights), len(lifted)
+
+
+def test_every_candidate_is_a_simple_path_of_its_recorded_weight():
+    """`check_candidates` on random graphs of 8 to 37 vertices whose
+    largest weight is 1 to 4: most have an s-t path, and both reductions
+    record candidates on them."""
+    graphs = straightened = layerized = 0
+    for seed in range(300):
+        g = random_digraph(8 + seed % 30, 0.25, 1 + seed % 4, seed)
+        n_s, n_l = check_candidates(g)
+        graphs += shortest_distances(g).dst is not None
+        straightened += n_s
+        layerized += n_l
+    assert graphs >= 270 and straightened >= 700 and layerized >= 1400
+
+
 def _eager_first_minimum(g, result):
     """The pool built eagerly, as the reference: every candidate's path,
     each layerize candidate and the layered answer lifted to g and weighed
@@ -368,16 +404,22 @@ def test_a_layerize_candidate_that_ties_the_layered_answer_wins():
 def test_only_the_winners_trees_are_walked(monkeypatch, tmp_path, capsys):
     """A solve builds the path of the winning candidate alone, one walk up
     each shortest-path tree; `--dump-trace` prints every candidate, so it
-    walks the trees of all of them. A walk starts at the slot `args[1]`."""
+    walks the trees of all of them. `walks` gets the ids of the two ends of
+    each path built, where its two tree walks start."""
     walks = []
-    monkeypatch.setattr(
-        reduction, "_tight_walk", lambda *args: walks.append(args[1]) or _tight_walk(*args)
-    )
+    build = ReductionTrace.candidate_path
+
+    def recording(trace, k):
+        x, _mid, y = trace.ends[k]
+        walks.extend(trace.graph.index.ids[v] for v in (x, y))
+        return build(trace, k)
+
+    monkeypatch.setattr(ReductionTrace, "candidate_path", recording)
     g = build_graph(6, _MORE_TIES)
     assert len(g.layering.against) == 3
     result = solve_detailed(g)
     assert result.outcome == SolveOutcome.of((0, 1, 3, 4, 5), 5)
-    assert [g.index.ids[v] for v in walks] == [1, 3]
+    assert walks == [1, 3]
     f = tmp_path / "ties.txt"
     f.write_text(serialize_graph(g))
     walks.clear()
@@ -540,3 +582,21 @@ def test_long_skip_edges_with_back_edges_keep_their_weight():
     result = solve_detailed(g)
     assert result.outcome.weight == 304
     assert result.layered_graph.vertex_count <= g.vertex_count
+
+
+if __name__ == "__main__":
+    files = sys.argv[1:]
+    straightened = layerized = 0
+    for name in files:
+        with open(name, encoding="utf-8") as fh:
+            g = parse_graph(fh.read())
+        try:
+            n_s, n_l = check_candidates(g)
+        except AssertionError as exc:
+            sys.exit(f"{name}: {exc}")
+        straightened += n_s
+        layerized += n_l
+    print(
+        f"{len(files)} graphs: {straightened} straighten and {layerized} layerize candidates,"
+        " each a simple s-t path of its recorded weight"
+    )
