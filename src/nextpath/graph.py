@@ -330,11 +330,21 @@ def dijkstra(
     """Exact distances from `source` that never enter `blocked`, and the
     parent that set each reached vertex's distance, over the vertices
     0..len(adj)-1, where `adj[u]` lists u's out-edges as (v, w): the slots of
-    a `VertexIndex`. `dist` holds settled vertices only; with a `target` the
-    search stops once it is settled. Only a strict improvement pushes, so on
-    ties the first parent stays. A positive `limit` pushes nothing at
-    distance `limit` or more; every vertex closer keeps its distance and
-    parent, and those entries pop in order.
+    a `VertexIndex`. `dist` holds settled vertices only, in settle order;
+    with a `target` the search stops once it is settled. Only a strict
+    improvement pushes, so on ties the first parent stays. A positive
+    `limit` pushes nothing at distance `limit` or more; every vertex closer
+    keeps its distance and parent.
+
+    The queue is a bucket queue (Dial, CACM 12(11), 1969) keyed by
+    distance: a heap of the distinct distances pushed, and each one's list
+    of the slots pushed at it. A popped distance settles its slots in slot
+    order, the order of a heap of (distance, slot) pairs: a weight is
+    positive, so settling a slot pushes only at larger distances and never
+    into the list being settled. `best[v]` starts at `limit`, so one test
+    rejects a push that is no better and one at or past the limit; as only
+    a strict improvement pushes, a slot is listed at most once per
+    distance, and a listed slot whose best has since fallen is stale.
 
     Each blocked vertex that a settled vertex would have pushed below
     `limit` is added to `met`. When the target is not reached, `met` is a
@@ -342,34 +352,40 @@ def dijkstra(
     no larger, because the first vertex of a lighter path that leaves the
     settled ball is either in `met` or would have been settled."""
     dist: dict[int, int] = {}
-    # best[v] is the lightest distance pushed for v, so it is dist[v] once v
-    # is settled; weights are positive, so one test skips settled vertices.
-    best: list[int | None] = [None] * len(adj)
+    # best[v] is the lightest distance pushed for v, else `limit`, so it is
+    # dist[v] once v is settled.
+    best: list[int | None] = [limit] * len(adj)
     best[source] = 0
     parent: dict[int, int] = {}
-    heap = [(0, source)]
+    bucket = {0: [source]}
+    heap = [0]
     push, pop = heapq.heappush, heapq.heappop
     while heap:
-        du, u = pop(heap)
-        if u in dist:
-            continue
-        dist[u] = du
-        if u == target:
-            break
-        for v, w in adj[u]:
-            nd = du + w
-            old = best[v]
-            if old is not None and nd >= old:
+        du = pop(heap)
+        slots = bucket.pop(du)
+        slots.sort()
+        for u in slots:
+            if best[u] != du:
                 continue
-            if limit is not None and nd >= limit:
-                continue
-            if v in blocked:
-                if met is not None:
-                    met.add(v)
-                continue
-            best[v] = nd
-            parent[v] = u
-            push(heap, (nd, v))
+            dist[u] = du
+            if u == target:
+                return dist, parent
+            for v, w in adj[u]:
+                nd = du + w
+                old = best[v]
+                if old is not None and nd >= old:
+                    continue
+                if v in blocked:
+                    if met is not None:
+                        met.add(v)
+                    continue
+                best[v] = nd
+                parent[v] = u
+                if nd in bucket:
+                    bucket[nd].append(v)
+                else:
+                    bucket[nd] = [v]
+                    push(heap, nd)
     return dist, parent
 
 

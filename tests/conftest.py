@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import heapq
 import random
 from types import MappingProxyType
 
@@ -149,6 +150,37 @@ def fresh_distances(g):
         {u: from_s.get(i) for i, u in enumerate(ix.ids)},
         {u: to_t.get(i) for i, u in enumerate(ix.ids)},
     )
+
+
+def heap_dijkstra(adj, source, *, target=None, blocked=frozenset(), limit=None, met=None):
+    """`graph.dijkstra` by a heap of (distance, slot) pairs, one per strict
+    improvement, with no code in common: the reference for its bucket
+    queue's `dist` with its settle order, `parent` and `met`."""
+    dist, parent = {}, {}
+    best = [None] * len(adj)
+    best[source] = 0
+    heap = [(0, source)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if u in dist:
+            continue
+        dist[u] = du
+        if u == target:
+            break
+        for v, w in adj[u]:
+            nd = du + w
+            if best[v] is not None and nd >= best[v]:
+                continue
+            if limit is not None and nd >= limit:
+                continue
+            if v in blocked:
+                if met is not None:
+                    met.add(v)
+                continue
+            best[v] = nd
+            parent[v] = u
+            heapq.heappush(heap, (nd, v))
+    return dist, parent
 
 
 def sorted_rows_index(vertices, edges):

@@ -1,7 +1,7 @@
 """graph-core: parsing, distances, classification, predicates, layers.
 
-The parse's three routes run over any plain edge-list files, as
-`serialize_graph` writes them:
+Two checks run as a script over any plain edge-list files, as
+`serialize_graph` writes them. The parse's three routes:
 
     PYTHONPATH=src python tests/test_graph.py FILE...
 
@@ -10,6 +10,15 @@ reversed is read whole and sorted once, and its copy behind a comment line
 goes line by line (see `check_routes`). It prints the number of files and
 exits 0 when the three give one graph for each; the first that does not
 stops it with the file.
+
+Every Dijkstra call of a solve against the heap reference:
+
+    PYTHONPATH=src python tests/test_graph.py --dijkstra FILE...
+
+Each file is solved with `dijkstra` wrapped under each name the program
+calls it by, so that every call is replayed through `heap_dijkstra` (see
+`replayed_dijkstra`). It prints the number of graphs and calls and exits 0
+when every call matches; the first that does not stops it with the file.
 """
 from __future__ import annotations
 
@@ -39,6 +48,7 @@ from conftest import (
     bellman_ford_from,
     build_graph,
     fresh_distances,
+    heap_dijkstra,
     relabelled,
     skip_edge_graph,
     sorted_rows_index,
@@ -1183,6 +1193,81 @@ def test_a_failed_search_leaves_a_cut_that_decides_wider_searches(query, data):
             assert shortest_path_avoiding(g, wider, g.s, g.t, cap) is None, (limit, wider, cap)
 
 
+@st.composite
+def dijkstra_queries(draw):
+    """Out-edge rows on 1..12 slots, weighted 1..3 (ties everywhere) or up
+    to 10^9 (all but surely distinct distances), and a query: a source, a
+    target or None, a blocked set and a limit, None, 0, 1..12 or anywhere
+    in the weights' range."""
+    n = draw(st.integers(1, 12))
+    top = draw(st.sampled_from((3, 10**9)))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.dictionaries(st.sampled_from(pairs), st.integers(1, top))) if pairs else {}
+    adj = [[] for _ in range(n)]
+    for (u, v), w in edges.items():
+        adj[u].append((v, w))
+    slots = st.integers(0, n - 1)
+    return (
+        tuple(map(tuple, adj)),
+        draw(slots),
+        dict(
+            target=draw(st.none() | slots),
+            blocked=draw(st.frozensets(slots)),
+            limit=draw(st.none() | st.integers(0, 12) | st.integers(0, 4 * top)),
+        ),
+    )
+
+
+def check_dijkstra_call(adj, source, query, met=None):
+    """`dijkstra`'s answer to one call, checked against the heap
+    reference's: the same `dist` items in settle order, `parent` items in
+    order and `met`, which each adds to a set of its own that starts as a
+    copy of `met`."""
+    want_met = None if met is None else set(met)
+    got = dijkstra(adj, source, met=met, **query)
+    want = heap_dijkstra(adj, source, met=want_met, **query)
+    assert [list(x.items()) for x in got] == [list(x.items()) for x in want], (source, query)
+    assert met == want_met, (source, query)
+    return got
+
+
+@contextlib.contextmanager
+def replayed_dijkstra():
+    """Wraps `dijkstra` under the names `graph`, `solver` and `reduction`
+    call it by, so that `check_dijkstra_call` checks each call as it is
+    made; yields a list that counts the calls."""
+    from nextpath import reduction, solver
+
+    calls = []
+
+    def wrapped(adj, source, *, met=None, **query):
+        calls.append(None)
+        return check_dijkstra_call(adj, source, query, met)
+
+    with contextlib.ExitStack() as stack:
+        for module in (graph, solver, reduction):
+            stack.enter_context(mock.patch.object(module, "dijkstra", wrapped))
+        yield calls
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(dijkstra_queries())
+def test_dijkstra_settles_in_the_order_of_a_heap_of_pairs(query):
+    adj, source, rest = query
+    check_dijkstra_call(adj, source, rest, set())
+
+
+@pytest.mark.parametrize(
+    "workload", ["random-general", "layer-skip", "layered-dense", "layered-none"]
+)
+def test_every_dijkstra_call_of_a_solve_matches_the_heap_reference(monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    build = importlib.import_module("workloads").WORKLOADS[workload].build
+    with replayed_dijkstra() as calls:
+        solve(build(0))
+    assert calls
+
+
 # --- classification ---------------------------------------------------------
 
 
@@ -1349,6 +1434,18 @@ def test_runtime_imports_only_the_standard_library():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--dijkstra"]:
+        files = sys.argv[2:]
+        with replayed_dijkstra() as calls:
+            for name in files:
+                with open(name, encoding="utf-8") as fh:
+                    g = parse_graph(fh.read())
+                try:
+                    solve(g)
+                except AssertionError as exc:
+                    sys.exit(f"{name}: {exc}")
+        print(f"{len(files)} graphs: {len(calls)} Dijkstra calls match the heap reference")
+        sys.exit()
     files = sys.argv[1:]
     for name in files:
         with open(name, encoding="utf-8") as fh:
