@@ -9,6 +9,10 @@ vertex at different times. The BFS keeps each state's first parent, and each
 path is one token's coordinate of the state walk from start to goal.
 O(n*m) per query.
 
+A query that parks one token at its target is one token's BFS around the
+parked vertex (`_single_path`). On a layering whose forward edges all climb
+exactly one layer, `layer_walk` finds that BFS path by a depth-first walk.
+
 The search runs on a `ForwardDag`, built from a topological order and an
 adjacency; `topological_order` gives Kahn's order for a DAG that comes
 without one.
@@ -136,9 +140,9 @@ def _single_path(dag: ForwardDag, a: int, b: int, avoid: int) -> Path | None:
     """Deterministic BFS path a -> b around the vertex `avoid`, for a != b
     and avoid not in {a, b}. The pair search below returns the same path
     when one token is parked at `avoid`, but its pair states cost several
-    times as much, and most of the layered search's queries are of this
-    kind. It reads no closure, so it raises the closure pass's ValueError
-    for a malformed DAG itself."""
+    times as much. The layered search asks it only on a layering with spans,
+    and walks the layers otherwise (`layer_walk`). It reads no closure, so
+    it raises the closure pass's ValueError for a malformed DAG itself."""
     parent: dict[int, int] = {a: a}
     queue = deque([a])
     try:
@@ -155,6 +159,49 @@ def _single_path(dag: ForwardDag, a: int, b: int, avoid: int) -> Path | None:
         if u in dag.vertices:
             raise ValueError(f"vertex {u} has no adjacency list") from None
         raise ValueError(f"edge ({parent[u]}, {u}) leaves the vertex set") from None
+    return None
+
+
+def layer_walk(
+    adj: Sequence[Sequence[int]], lam: Sequence[int], a: int, b: int, avoid: int
+) -> Path | None:
+    """`_single_path`'s path a -> b around `avoid`, by a depth-first walk,
+    on a layering without spans: `adj` lists each vertex's forward heads in
+    ascending order, `lam` gives its layer, and every forward edge climbs
+    exactly one layer. The walk tries the heads in order, enters each vertex
+    at most once, never enters `avoid`, and enters no layer at or above b's
+    but at b itself; it returns the first path that reaches b.
+
+    That path is the BFS's. As every edge climbs one layer, the BFS's levels
+    are the layers, and a vertex is found by the first-dequeued of its
+    tails. So, level by level, the BFS dequeues the vertices in the
+    lexicographic order of their tree paths from a, and each tree path is
+    the lexicographically smallest path to its vertex around `avoid`; the
+    walk, trying heads in order, meets that path to b first. A vertex the
+    walk backs out of reaches b only through `avoid`: each of its heads is
+    `avoid`, lies at or above b's layer, or was backed out of before, as the
+    walk's path lies in lower layers. So skipping it when met again loses
+    nothing. Towards t, as every other vertex has a forward head, the walk
+    backs up only where a vertex's one head is `avoid`, and costs about the
+    path's length.
+    """
+    top = lam[b]
+    seen = {a, avoid}
+    path = [a]
+    heads = [iter(adj[a])]
+    while heads:
+        for v in heads[-1]:
+            if v == b:
+                path.append(b)
+                return tuple(path)
+            if v not in seen and lam[v] < top:
+                seen.add(v)
+                path.append(v)
+                heads.append(iter(adj[v]))
+                break
+        else:
+            heads.pop()
+            path.pop()
     return None
 
 

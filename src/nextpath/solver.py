@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .disjoint import DisjointPathPair, ForwardDag, two_disjoint_paths
+from .disjoint import DisjointPathPair, ForwardDag, layer_walk, two_disjoint_paths
 from .graph import (
     Edge,
     Layering,
@@ -38,11 +38,11 @@ from .graph import (
 
 class _LayeredSearch:
     """State for one solve: distances, the graph's layering, which
-    `solve_layered` checks once and hands in, the back
-    vertices, the layer boundaries that can hold a waypoint pair, the start
-    vertices a with the last such boundary below each, the forward edges
-    that cross a boundary, the forward DAG and the floor reach once a scan
-    needs them, and memoized disjoint-pair queries for the outer paths. The
+    `solve_layered` checks once and hands in, the layer boundaries that can
+    hold a waypoint pair, and, once a scan needs them, the back vertices,
+    the floor, the start vertices a with the last such boundary below each,
+    the forward edges that cross a boundary, the forward DAG and the floor
+    reach, and memoized disjoint-pair queries for the outer paths. The
     set-up and the memo serve every scan of the same search. A vertex here,
     s and t too, is a slot of the graph's index; ids appear only at the
     residual search, `shortest_path_avoiding`, and in the routes returned."""
@@ -53,11 +53,8 @@ class _LayeredSearch:
         self.s, self.t = g.index.slot[g.s], g.index.slot[g.t]
         self.lam = lam = layering.lam
         self.layers, self.forward, self.spans = layering.layers, layering.forward, layering.spans
+        self.back = layering.back
         self.dst: int = d.dst
-        self.back_vertices = frozenset(x for edge in layering.back for x in edge)
-        # Smallest possible excess of any not-shortest path over d(s,t):
-        # every back-edge contributes its own slack, forward edges none.
-        self.floor = self.dst + min(layering.back.values(), default=0)
         # A waypoint pair is two forward edges across one boundary l|l+1 with
         # distinct tails and distinct heads. In a straight graph every vertex
         # of layer l has a forward out-edge across it and every vertex of
@@ -74,7 +71,7 @@ class _LayeredSearch:
         # layer l (0 if none), a running maximum over the layers; a vertex a
         # with tops[lam(a)] = 0 starts no tuple, and b must not lie above it.
         self.waypoints: set[int] = set()
-        tops = [0] * len(self.layers)
+        self._tops = tops = [0] * len(self.layers)
         passing = 0
         for layer in range(1, len(self.layers) - 1):
             tails = len(self.layers[layer]) > 1 or passing > layer
@@ -82,19 +79,38 @@ class _LayeredSearch:
             if tails and (len(self.layers[layer + 1]) > 1 or passing > layer + 1):
                 self.waypoints.add(layer)
             tops[layer + 1] = layer if layer in self.waypoints else tops[layer]
-        self.starts = [
-            (a, tops[lam[a]]) for a in sorted(self.back_vertices) if a != self.t and tops[lam[a]]
-        ]
         self._crossing: dict[int, list[Edge]] = {}
         self._pairs: dict[tuple[tuple[int, int], ...], DisjointPathPair | None] = {}
 
     @cached_property
+    def back_vertices(self) -> frozenset[int]:
+        """The endpoints of the back-edges."""
+        return frozenset(x for edge in self.back for x in edge)
+
+    @cached_property
+    def floor(self) -> int:
+        """Smallest possible weight of a not-shortest path: every back-edge
+        adds its own slack to d(s,t), a forward edge none."""
+        return self.dst + min(self.back.values(), default=0)
+
+    @cached_property
+    def starts(self) -> list[tuple[int, int]]:
+        """The back vertices a other than t that have a waypoint boundary
+        below their layer, ascending, each with the last such boundary."""
+        tops, lam = self._tops, self.lam
+        return [
+            (a, tops[lam[a]]) for a in sorted(self.back_vertices) if a != self.t and tops[lam[a]]
+        ]
+
+    @cached_property
     def dag(self) -> ForwardDag:
-        """The forward subgraph, built on the scan's first disjoint-pair
-        query or reach that the layers leave open (see `climbs`). Distance
-        from s strictly increases along every forward edge, so the vertices
-        by (d(s,u), u), the layers in turn, are a topological order. Its
-        closure waits for the first such reach or pair-state query."""
+        """The forward subgraph, built on the scan's first reach that the
+        layers leave open (see `climbs`) or disjoint-pair query that is not
+        a walk: one where both tokens move, or any on a layering with spans
+        (see `disjoint_pair`). Distance from s strictly increases along
+        every forward edge, so the vertices by (d(s,u), u), the layers in
+        turn, are a topological order. Its closure waits for the first such
+        reach or pair-state query."""
         return ForwardDag([u for layer in self.layers for u in layer], self.forward)
 
     def climbs(self, u: int, v: int) -> bool:
@@ -116,8 +132,7 @@ class _LayeredSearch:
         a unit edge to each tail, cut at `least`."""
         ix = self.g.index
         least = self.floor - self.dst
-        back = self.g.layering.back
-        tails = sorted({u for (u, _), slack in back.items() if slack == least})
+        tails = sorted({u for (u, _), slack in self.back.items() if slack == least})
         if least == 2:
             return frozenset(tails)
         virtual = len(ix.ids)
@@ -142,10 +157,23 @@ class _LayeredSearch:
     def disjoint_pair(
         self, pair1: tuple[int, int], pair2: tuple[int, int]
     ) -> DisjointPathPair | None:
-        """`two_disjoint_paths` over the forward DAG, memoized."""
+        """`two_disjoint_paths` over the forward DAG, memoized. On a layering
+        without spans a query that parks exactly one token walks the layers
+        from the other (`disjoint.layer_walk`), which finds the path that
+        `two_disjoint_paths` returns there; with spans that path is the
+        smallest among the fewest-hop ones, which the walk does not find."""
         key = (pair1, pair2)
         if key not in self._pairs:
-            self._pairs[key] = two_disjoint_paths(self.dag, pair1, pair2)
+            (s1, t1), (s2, t2) = pair1, pair2
+            if self.spans or (s1 == t1) == (s2 == t2):
+                pair = two_disjoint_paths(self.dag, pair1, pair2)
+            elif s1 == t1:
+                p2 = layer_walk(self.forward, self.lam, s2, t2, s1)
+                pair = DisjointPathPair((s1,), p2) if p2 is not None else None
+            else:
+                p1 = layer_walk(self.forward, self.lam, s1, t1, s2)
+                pair = DisjointPathPair(p1, (s2,)) if p1 is not None else None
+            self._pairs[key] = pair
         return self._pairs[key]
 
     def waypoint_split(
@@ -316,7 +344,9 @@ def solve_layered(g: WeightedDigraph) -> SolveOutcome:
 
     A path weighs d(s,t) plus the slacks of its edges, and a forward edge
     has none, so without a back-edge every s-t path is shortest: the answer
-    is none, and no search is set up.
+    is none, and no search is set up. Every tuple needs a waypoint
+    boundary, so without one the answer is none too, and the search has
+    set up its boundaries only: no back vertex, floor or start.
 
     Raises ValueError("graph is not (s,t)-layered") when `g` is not
     straight or has a back-edge that does not go strictly back.
@@ -325,6 +355,8 @@ def solve_layered(g: WeightedDigraph) -> SolveOutcome:
     if not layering.back:
         return SolveOutcome.none()
     search = _LayeredSearch(g, layering)
+    if not search.waypoints:
+        return SolveOutcome.none()
     best = search.scan(search.floor + 1)
     if best is None:
         best = search.scan(None)

@@ -6,12 +6,22 @@ only their feasibility. When a change to the paths is intended, say why in
 the change and print the new digest from the repository root with
 
     PYTHONPATH=src python tests/test_disjoint.py
+
+With `--walks FILE...` the script solves each graph file instead and
+replays every walk that the layered search makes through
+`two_disjoint_paths` (see `replayed_walks`); it prints how many it
+replayed, or exits with the first mismatch.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import importlib
 import itertools
 import random
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,14 +30,19 @@ from hypothesis import strategies as st
 from conftest import PARALLEL_CHAINS, build_graph, relabelled, with_span_edges
 from nextpath import (
     CyclicGraphError,
+    DisjointPathPair,
     ForwardDag,
     SharedTerminalError,
     layered_digraph,
+    parse_graph,
     shortest_distances,
     shortest_path_avoiding,
+    solve,
     topological_order,
     two_disjoint_paths,
 )
+from nextpath import solver
+from nextpath.disjoint import _single_path, layer_walk
 from nextpath.graph import edge_slack
 from nextpath.oracle import exhaustive_two_disjoint_paths
 from nextpath.solver import _LayeredSearch, _layering
@@ -321,6 +336,146 @@ def test_exact_paths_match_recorded_digest():
     assert pair_digest() == PAIR_DIGEST
 
 
+# --- walks on a layering without spans -----------------------------------------
+
+
+def layer_dag(layering):
+    """The forward DAG of `layering`, in the layer order the search uses."""
+    return ForwardDag([u for layer in layering.layers for u in layer], layering.forward)
+
+
+def assert_pair_search_agrees(dag, a, b, avoid, path):
+    """`two_disjoint_paths` on the query a -> b with `avoid` parked, in
+    either place, returns the pair that holds the walk's `path`, or None
+    with it."""
+    for query, want in (
+        (((a, b), (avoid, avoid)), path and DisjointPathPair(path, (avoid,))),
+        (((avoid, avoid), (a, b)), path and DisjointPathPair((avoid,), path)),
+    ):
+        got = two_disjoint_paths(dag, *query)
+        assert got == want, f"{query}: the walk gives {want}, the pair search {got}"
+
+
+def assert_walk_is_the_bfs_path(layering, a, b, avoid):
+    """`layer_walk` returns `_single_path`'s path, and the pair search
+    agrees. Returns the path."""
+    dag = layer_dag(layering)
+    path = layer_walk(layering.forward, layering.lam, a, b, avoid)
+    assert path == _single_path(dag, a, b, avoid), (a, b, avoid)
+    assert_pair_search_agrees(dag, a, b, avoid, path)
+    return path
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    st.integers(3, 10),
+    st.integers(1, 5),
+    st.booleans(),
+    st.integers(0, 2**16),
+    st.data(),
+)
+def test_layer_walk_finds_the_bfs_path(layers, width, relabel, seed, data):
+    """On `layered_digraph` instances, whose forward edges all climb one
+    layer, relabelled or not, so that slot order and layer order differ:
+    random (a, b, avoid) triples, most with a below b."""
+    g = layered_digraph(layers, width, 2, seed)
+    if relabel:
+        g = relabelled(g, seed)
+    layering = _layering(g)
+    assert not layering.spans
+    lam, found = layering.lam, 0
+    for _ in range(20):
+        a, b, avoid = data.draw(
+            st.lists(st.integers(0, len(lam) - 1), min_size=3, max_size=3, unique=True)
+        )
+        if lam[a] > lam[b]:
+            a, b = b, a
+        found += assert_walk_is_the_bfs_path(layering, a, b, avoid) is not None
+    assume(found)
+
+
+# Unit edges over the layers {0}, {1, 2}, {3, 4}, {5, 6}, {7}.
+DEAD_END = [
+    (u, v, 1) for u, v in [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 6), (5, 7), (6, 7)]
+]
+
+
+def test_layer_walk_backs_out_of_a_dead_end():
+    """Around 5 the smallest head 1 leads to 3, whose one head is 5: the
+    walk backs out of 3 and 1, and from 2 skips 3, which it has backed out
+    of, for 4."""
+    layering = _layering(build_graph(8, DEAD_END, s=0, t=7))
+    read = []
+
+    class Recording(tuple):
+        def __getitem__(self, u):
+            read.append(u)
+            return tuple.__getitem__(self, u)
+
+    path = layer_walk(Recording(layering.forward), layering.lam, 0, 7, 5)
+    assert path == (0, 2, 4, 6, 7)
+    assert read == [0, 1, 3, 2, 4, 6]
+    assert assert_walk_is_the_bfs_path(layering, 0, 7, 5) == path
+    # No vertex in b's layer but b: 3 shares b = 4's layer, so 1 is a dead
+    # end, and without 2 there is no path.
+    assert assert_walk_is_the_bfs_path(layering, 0, 4, 5) == (0, 2, 4)
+    assert assert_walk_is_the_bfs_path(layering, 0, 4, 2) is None
+
+
+def test_a_parked_query_walks_without_a_forward_dag():
+    """The search's parked queries on a layering without spans are walks:
+    the same pairs as `two_disjoint_paths`, and no DAG built."""
+    g = build_graph(8, DEAD_END + [(6, 1, 2)], s=0, t=7)
+    search = _LayeredSearch(g, _layering(g))
+    dag = layer_dag(_layering(g))
+    for query in (((0, 7), (5, 5)), ((3, 3), (0, 7)), ((1, 1), (2, 6)), ((0, 6), (4, 4))):
+        assert search.disjoint_pair(*query) == two_disjoint_paths(dag, *query), query
+    assert "dag" not in vars(search)
+
+
+def test_a_span_keeps_the_parked_query_on_the_bfs():
+    """Layers {0}, {1, 2}, {3, 4}, {5}, and the span 2 -> 5 over layer 2.
+    The lexicographically smallest path 0 -> 5 is (0, 1, 3, 5), which a
+    walk finds, but the BFS returns the fewest-hop (0, 2, 5), and so must
+    the search."""
+    edges = [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 4, 1), (3, 5, 1), (4, 5, 1), (2, 5, 2)]
+    g = build_graph(6, edges, s=0, t=5)
+    layering = _layering(g)
+    assert layering.spans == ((2, 5),)
+    assert layer_walk(layering.forward, layering.lam, 0, 5, 4) == (0, 1, 3, 5)
+    assert _single_path(layer_dag(layering), 0, 5, 4) == (0, 2, 5)
+    search = _LayeredSearch(g, layering)
+    assert search.disjoint_pair((0, 5), (4, 4)) == DisjointPathPair((0, 2, 5), (4,))
+    assert "dag" in vars(search)
+
+
+@contextlib.contextmanager
+def replayed_walks():
+    """Wraps `layer_walk` under the name the solver calls it by, so that
+    each walk is checked as it is made: `two_disjoint_paths`, with the
+    avoided vertex parked in either place, must return the pair that holds
+    the walk's path. Yields a list of the walks' paths."""
+    walks = []
+
+    def replayed(adj, lam, a, b, avoid):
+        path = layer_walk(adj, lam, a, b, avoid)
+        dag = ForwardDag(sorted(range(len(adj)), key=lam.__getitem__), adj)
+        assert_pair_search_agrees(dag, a, b, avoid, path)
+        walks.append(path)
+        return path
+
+    with mock.patch.object(solver, "layer_walk", replayed):
+        yield walks
+
+
+def test_every_walk_of_a_layered_dense_solve_matches_two_disjoint_paths(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    build = importlib.import_module("workloads").WORKLOADS["layered-dense"].build
+    with replayed_walks() as walks:
+        solve(build(0))
+    assert walks
+
+
 # --- the solver's waypoint split ----------------------------------------------
 
 
@@ -480,4 +635,16 @@ def test_forward_paths_between_fixed_vertices_have_equal_weight():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--walks"]:
+        files = sys.argv[2:]
+        with replayed_walks() as walks:
+            for name in files:
+                with open(name, encoding="utf-8") as fh:
+                    g = parse_graph(fh.read())
+                try:
+                    solve(g)
+                except AssertionError as exc:
+                    sys.exit(f"{name}: {exc}")
+        print(f"{len(files)} graphs: {len(walks)} walks match two_disjoint_paths")
+        sys.exit()
     print(pair_digest())

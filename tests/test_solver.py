@@ -50,6 +50,7 @@ from nextpath import (
     two_disjoint_paths,
     validate_path,
 )
+from nextpath.disjoint import layer_walk
 from nextpath.graph import dijkstra, edge_slack
 from nextpath.oracle import simple_paths
 from nextpath.reduction import incumbent
@@ -125,6 +126,23 @@ def test_solver_builds_no_forward_dag_without_a_waypoint_tuple(monkeypatch):
         assert not solve_layered(relabelled(with_span_edges(g, 4, seed), seed)).found
     assert len(made) == 0
     assert not any("dag" in search.__dict__ or search._crossing for search in made)
+
+
+def test_a_graph_without_a_waypoint_boundary_is_answered_from_its_boundaries(monkeypatch):
+    # Every layer of a bead graph shares one tail or one head with the next,
+    # so no boundary holds a waypoint pair, and no tuple exists: the search
+    # sets up its boundaries, and answers none with no start, floor reach
+    # or DAG.
+    made = record_searches(monkeypatch)
+    for seed in range(10):
+        g = bead_graph(4, 3, 10, seed)
+        assert _layering(g).back
+        assert not solve_layered(g).found
+    assert len(made) == 10
+    for search in made:
+        assert not search.waypoints
+        assert not {"back_vertices", "floor", "starts", "floor_reach", "dag"} & vars(search).keys()
+        assert not search._crossing and not search._pairs
 
 
 def layerized_with_a_flat_edge(seed):
@@ -257,17 +275,18 @@ def test_the_layer_rule_agrees_with_the_closure():
 def test_a_floor_answer_builds_no_in_rows_and_no_closure(monkeypatch):
     """`layered_digraph(36, 18, 200, 11)`, read from its file as the
     `layered-dense` benchmark reads its instances, answers at the floor
-    with a least slack of 2: its floor reach reads no in-edge, and its
-    pair queries each park a token at a terminal, so no graph derives
-    `into` and the forward DAG builds neither its closure nor its `rank`."""
+    with a least slack of 2: its floor reach reads no in-edge, and its two
+    pair queries each park a token on a layering without spans, so they
+    walk the layers: no graph derives `into`, and no forward DAG is built,
+    so neither its closure nor its `rank`."""
     made = record_searches(monkeypatch)
     g = parse_graph(serialize_graph(layered_digraph(36, 18, 200, 11)))
     got = solve(g)
     [search] = made
     assert got.weight == search.floor == search.dst + 2
     assert "into" not in vars(g.index) and "into" not in vars(search.g.index)
-    assert "dag" in vars(search) and "_descendants" not in vars(search.dag)
-    assert "rank" not in vars(search.dag)
+    assert len(search._pairs) == 2 and not search.spans
+    assert "dag" not in vars(search)
 
 
 def assert_search_setup(g):
@@ -493,8 +512,9 @@ def test_floor_first_search_skips_the_full_scan_on_seed_41(monkeypatch):
     """The full scan of this instance runs 1,533 residual searches and 5,890
     disjoint-pair queries before it reaches a route at the floor; under the
     floor ceiling every bound table and residual search starts at the floor
-    radius."""
-    calls = {"bound": [], "residual": 0, "pair": 0}
+    radius. Both of its disjoint-pair queries park a token, and its
+    layering has no spans, so both are walks."""
+    calls = {"bound": [], "residual": 0, "pair": 0, "walk": 0}
 
     def bound_table(*args, **kwargs):
         calls["bound"].append(kwargs.get("limit"))
@@ -508,21 +528,26 @@ def test_floor_first_search_skips_the_full_scan_on_seed_41(monkeypatch):
         calls["pair"] += 1
         return two_disjoint_paths(*args)
 
+    def walk(*args):
+        calls["walk"] += 1
+        return layer_walk(*args)
+
     monkeypatch.setattr(nextpath.solver, "dijkstra", bound_table)
     monkeypatch.setattr(nextpath.solver, "shortest_path_avoiding", residual)
     monkeypatch.setattr(nextpath.solver, "two_disjoint_paths", pair)
+    monkeypatch.setattr(nextpath.solver, "layer_walk", walk)
     g = layered_digraph(36, 18, 200, 41)
     out = solve_layered(g)
     assert out.weight == _LayeredSearch(g, _layering(g)).floor == 37
-    assert (calls["residual"], calls["pair"]) == (1, 2)
+    assert (calls["residual"], calls["pair"], calls["walk"]) == (1, 0, 2)
     assert calls["bound"] and None not in calls["bound"]
 
 
 def test_seed_41_builds_one_boundary_list_and_no_kahn_order(monkeypatch):
     """The solve visits one pair, (a, b) = (588, 569), which spans the one
     boundary 33|34. Of the 33 waypoint boundaries it files the crossing
-    edges of that one only, and its DAG takes the layer order, so Kahn's
-    order never runs."""
+    edges of that one only, and its two parked queries walk the layers, so
+    it builds no DAG, and Kahn's order never runs."""
     made = record_searches(monkeypatch)
     kahn, visited = [], []
     monkeypatch.setattr(nextpath.disjoint, "topological_order", lambda *args: kahn.append(args))
@@ -537,7 +562,7 @@ def test_seed_41_builds_one_boundary_list_and_no_kahn_order(monkeypatch):
     [search] = made
     assert visited == [(588, 569)] and (search.lam[588], search.lam[569]) == (34, 33)
     assert len(search.waypoints) == 33 and list(search._crossing) == [33]
-    assert "dag" in search.__dict__ and kahn == []
+    assert "dag" not in search.__dict__ and kahn == []
 
 
 # The two parallel unit chains without their back-edge, plus one edge.
