@@ -9,9 +9,10 @@ vertex at different times. The BFS keeps each state's first parent, and each
 path is one token's coordinate of the state walk from start to goal.
 O(n*m) per query.
 
-A query that parks one token at its target is one token's BFS around the
-parked vertex (`_single_path`). On a layering whose forward edges all climb
-exactly one layer, `layer_walk` finds that BFS path by a depth-first walk.
+On a query that parks one token at its target only the other token moves,
+so the pair search is that token's BFS around the parked vertex. On a
+layering whose forward edges all climb exactly one layer, `layer_walk` finds
+the same path by a depth-first walk.
 
 The search runs on a `ForwardDag`, built from a topological order and an
 adjacency; `topological_order` gives Kahn's order for a DAG that comes
@@ -23,7 +24,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, KeysView, Mapping, Sequence
 
 from .graph import Path, WeightedDigraph, parent_path
 
@@ -48,20 +49,26 @@ class ForwardDag:
 
     `ForwardDag(order, adj)` takes `order`, which lists every vertex once,
     and `adj`, a list per vertex sorted by head id, so that every search
-    here is deterministic; both are used as they are. `rank` and the
-    reachability closure are derived on first read, and a query that parks
-    a token reads neither. The one pass, in reverse order, that builds the
-    closure also certifies the order: an edge that does not go later in it
-    raises CyclicGraphError, a vertex without a list or an edge out of the
-    vertex set ValueError.
+    here is deterministic; `adj` is used as it is. The order is kept as
+    `rank`, the one vertex map; the reachability closure is derived on the
+    first `reaches`, which a query that parks both tokens never makes. The
+    one pass, in reverse order, that builds the closure also certifies the
+    order: an edge that does not go later in it raises CyclicGraphError, a
+    vertex without a list or an edge out of the vertex set ValueError.
+    The closure holds a bitmask of up to n bits per vertex, so it takes
+    O(n^2) bits.
     """
 
     def __init__(self, order: Sequence[int], adj: Mapping[int, Sequence[int]]):
-        self.vertices = frozenset(order)
-        if len(self.vertices) != len(order):
+        self.rank = {u: i for i, u in enumerate(order)}
+        if len(self.rank) != len(order):
             raise ValueError("the order lists a vertex twice")
         self.adj = adj
-        self._order = order
+
+    @property
+    def vertices(self) -> KeysView[int]:
+        """The vertex set, a read-only view of `rank`."""
+        return self.rank.keys()
 
     @classmethod
     def from_graph(cls, g: WeightedDigraph) -> "ForwardDag":
@@ -70,12 +77,6 @@ class ForwardDag:
         ids = g.index.ids
         adj = {u: [ids[j] for j, _w in out] for u, out in zip(ids, g.index.out)}
         return cls(topological_order(ids, adj), adj)
-
-    @cached_property
-    def rank(self) -> dict[int, int]:
-        """The order as ranks; the rank decides which token of the pair
-        search moves."""
-        return {u: i for i, u in enumerate(self._order)}
 
     @cached_property
     def _descendants(self) -> dict[int, int]:
@@ -136,43 +137,22 @@ def topological_order(vertices: Iterable[int], adj: Mapping[int, Iterable[int]])
     return order
 
 
-def _single_path(dag: ForwardDag, a: int, b: int, avoid: int) -> Path | None:
-    """Deterministic BFS path a -> b around the vertex `avoid`, for a != b
-    and avoid not in {a, b}. The pair search below returns the same path
-    when one token is parked at `avoid`, but its pair states cost several
-    times as much. The layered search asks it only on a layering with spans,
-    and walks the layers otherwise (`layer_walk`). It reads no closure, so
-    it raises the closure pass's ValueError for a malformed DAG itself."""
-    parent: dict[int, int] = {a: a}
-    queue = deque([a])
-    try:
-        while queue:
-            u = queue.popleft()
-            for v in dag.adj[u]:
-                if v == avoid or v in parent:
-                    continue
-                parent[v] = u
-                if v == b:
-                    return parent_path(parent, a, b)
-                queue.append(v)
-    except KeyError:
-        if u in dag.vertices:
-            raise ValueError(f"vertex {u} has no adjacency list") from None
-        raise ValueError(f"edge ({parent[u]}, {u}) leaves the vertex set") from None
-    return None
-
-
 def layer_walk(
     adj: Sequence[Sequence[int]], lam: Sequence[int], a: int, b: int, avoid: int
 ) -> Path | None:
-    """`_single_path`'s path a -> b around `avoid`, by a depth-first walk,
-    on a layering without spans: `adj` lists each vertex's forward heads in
-    ascending order, `lam` gives its layer, and every forward edge climbs
-    exactly one layer. The walk tries the heads in order, enters each vertex
-    at most once, never enters `avoid`, and enters no layer at or above b's
-    but at b itself; it returns the first path that reaches b.
+    """The path a -> b around `avoid` that `two_disjoint_paths` returns with
+    `avoid` parked, by a depth-first walk, on a layering without spans:
+    `adj` lists each vertex's forward heads in ascending order, `lam` gives
+    its layer, and every forward edge climbs exactly one layer. The walk
+    tries the heads in order, enters each vertex at most once, never enters
+    `avoid`, and enters no layer at or above b's but at b itself; it returns
+    the first path that reaches b.
 
-    That path is the BFS's. As every edge climbs one layer, the BFS's levels
+    That path is the pair search's. With `avoid` parked only the other token
+    moves, so the pair search is a BFS from a around `avoid` over the
+    vertices that reach b, and returns its tree path to b. Every path into
+    such a vertex runs through such vertices only, so leaving out the rest
+    changes no tree path. As every edge climbs one layer, the BFS's levels
     are the layers, and a vertex is found by the first-dequeued of its
     tails. So, level by level, the BFS dequeues the vertices in the
     lexicographic order of their tree paths from a, and each tree path is
@@ -212,7 +192,10 @@ def two_disjoint_paths(
 
     A pair may degenerate to a single vertex (s1 == t1 yields the empty
     path at s1), but a terminal shared between the two pairs is a contract
-    violation and raises SharedTerminalError.
+    violation and raises SharedTerminalError. With one token parked only
+    the other moves, and its path is the BFS path around the parked vertex:
+    the lexicographically smallest of the fewest-hop ones. Every query but
+    one that parks both tokens reads the closure.
     """
     s1, t1 = pair1
     s2, t2 = pair2
@@ -223,12 +206,6 @@ def two_disjoint_paths(
         raise SharedTerminalError(f"pairs {pair1} and {pair2} share a terminal")
     if s1 == t1 and s2 == t2:
         return DisjointPathPair((s1,), (s2,))
-    if s1 == t1:
-        p2 = _single_path(dag, s2, t2, s1)
-        return DisjointPathPair((s1,), p2) if p2 is not None else None
-    if s2 == t2:
-        p1 = _single_path(dag, s1, t1, s2)
-        return DisjointPathPair(p1, (s2,)) if p1 is not None else None
     if not dag.reaches(s1, t1) or not dag.reaches(s2, t2):
         return None
 

@@ -106,11 +106,12 @@ class _LayeredSearch:
     def dag(self) -> ForwardDag:
         """The forward subgraph, built on the scan's first reach that the
         layers leave open (see `climbs`) or disjoint-pair query that is not
-        a walk: one where both tokens move, or any on a layering with spans
-        (see `disjoint_pair`). Distance from s strictly increases along
-        every forward edge, so the vertices by (d(s,u), u), the layers in
-        turn, are a topological order. Its closure waits for the first such
-        reach or pair-state query."""
+        a walk: one where both tokens move or both are parked, or any on a
+        layering with spans (see `disjoint_pair`). Distance from s strictly
+        increases along every forward edge, so the vertices by (d(s,u), u),
+        the layers in turn, are a topological order. Its closure waits for
+        the first such reach or pair query; every pair query but one that
+        parks both tokens reads it."""
         return ForwardDag([u for layer in self.layers for u in layer], self.forward)
 
     def climbs(self, u: int, v: int) -> bool:

@@ -183,6 +183,30 @@ def heap_dijkstra(adj, source, *, target=None, blocked=frozenset(), limit=None, 
     return dist, parent
 
 
+def bfs_path_around(adj, a, b, avoid):
+    """The BFS path a -> b around the vertex `avoid` in the digraph with
+    out-lists `adj`, heads taken in list order, or None when every path
+    passes `avoid`: whole levels in turn, each vertex's parent fixed when it
+    is first met, with no code in common with the program. The reference
+    for the path of a disjoint-pair query that parks one token at `avoid`."""
+    parent = {a: None}
+    level = [a]
+    while level and b not in parent:
+        nxt = []
+        for u in level:
+            for v in adj[u]:
+                if v != avoid and v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        level = nxt
+    if b not in parent:
+        return None
+    path = [b]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
 def sorted_rows_index(vertices, edges):
     """The `VertexIndex` of a graph on `vertices` with the {(u, v): w} map
     `edges`, built from the map in its own order, with a sort per row: the

@@ -9,8 +9,9 @@ the change and print the new digest from the repository root with
 
 With `--walks FILE...` the script solves each graph file instead and
 replays every walk that the layered search makes through
-`two_disjoint_paths` (see `replayed_walks`); it prints how many it
-replayed, or exits with the first mismatch.
+`two_disjoint_paths`, and every pair search it makes with one token parked
+through the BFS reference in conftest.py (see `replayed_parked_queries`);
+it prints how many it replayed, or exits with the first mismatch.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import PARALLEL_CHAINS, build_graph, relabelled, with_span_edges
+from conftest import PARALLEL_CHAINS, bfs_path_around, build_graph, relabelled, with_span_edges
 from nextpath import (
     CyclicGraphError,
     DisjointPathPair,
@@ -42,7 +43,7 @@ from nextpath import (
     two_disjoint_paths,
 )
 from nextpath import solver
-from nextpath.disjoint import _single_path, layer_walk
+from nextpath.disjoint import layer_walk
 from nextpath.graph import edge_slack
 from nextpath.oracle import exhaustive_two_disjoint_paths
 from nextpath.solver import _LayeredSearch, _layering
@@ -111,14 +112,14 @@ def test_supplied_order_is_certified():
 
 
 def test_a_deferred_dag_certifies_its_order_on_the_first_reach():
-    """A `ForwardDag` keeps its adjacency as given and builds neither its
-    closure nor its `rank`, which a query with a parked token never reads;
-    the first `reaches` builds the closure and certifies the order."""
+    """A `ForwardDag` keeps its adjacency as given and builds no closure,
+    which a query with both tokens parked never reads; the first `reaches`
+    builds the closure and certifies the order."""
     adj = {0: [1, 2], 1: [3], 2: [3], 3: []}
     dag = ForwardDag([0, 2, 1, 3], adj)
-    pair = two_disjoint_paths(dag, (0, 0), (2, 3))
-    assert (pair.p1, pair.p2) == ((0,), (2, 3))
-    assert "_descendants" not in vars(dag) and "rank" not in vars(dag)
+    pair = two_disjoint_paths(dag, (0, 0), (2, 2))
+    assert (pair.p1, pair.p2) == ((0,), (2,))
+    assert "_descendants" not in vars(dag)
     assert dag.adj is adj and dag.vertices == frozenset(adj)
     assert dag.reaches(0, 3) and not dag.reaches(2, 1)
     for order, adj, error, message in (
@@ -130,6 +131,17 @@ def test_a_deferred_dag_certifies_its_order_on_the_first_reach():
         with pytest.raises(error) as info:
             dag.reaches(0, 1)
         assert info.type is error and str(info.value) == message
+
+
+def test_a_parked_query_certifies_the_order():
+    """A query that parks one token reads the closure, so a DAG whose
+    order an edge goes against is a cycle error there too, as on a query
+    where both tokens move."""
+    adj = {0: [1, 2], 1: [3], 2: [3], 3: []}
+    for query in (((0, 0), (2, 3)), ((2, 3), (0, 0)), ((0, 1), (2, 3))):
+        with pytest.raises(CyclicGraphError) as info:
+            two_disjoint_paths(ForwardDag([0, 3, 1, 2], adj), *query)
+        assert str(info.value) == "edge (2, 3) goes against the order"
 
 
 @pytest.mark.parametrize(
@@ -172,7 +184,7 @@ def test_supplied_order_rejects_self_loops_and_edges_back(adj):
         (lambda: ForwardDag([0, 1], {0: [1]}).reaches(0, 1), "vertex 1 has no adjacency list"),
         (
             lambda: two_disjoint_paths(ForwardDag([0, 1, 2, 3], {0: [1]}), (0, 2), (3, 3)),
-            "vertex 1 has no adjacency list",
+            "vertex 3 has no adjacency list",
         ),
         (
             lambda: two_disjoint_paths(
@@ -286,6 +298,29 @@ def test_disjoint_pairs_agree_with_exhaustive_search(dag):
             assert_valid_pair(dag, got, *q)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(8, 40), st.floats(1, 4), st.integers(0, 2**16))
+def test_a_parked_token_gets_the_bfs_path_around_it(n, degree, seed):
+    """Beyond the digest's 7 vertices: on a DAG whose ids are not in
+    topological order, with `degree` out-edges per vertex on average, and
+    60 random queries, each with exactly one token parked, in either place,
+    `two_disjoint_paths` returns the reference BFS path of the other token
+    around the parked vertex, or None with it."""
+    rng = random.Random(seed)
+    order = rng.sample(range(n), n)
+    p = 2 * degree / n
+    dag = dag_of(
+        [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p], n
+    )
+    found = 0
+    for _ in range(60):
+        a, b, avoid = rng.sample(range(n), 3)
+        path = bfs_path_around(dag.adj, a, b, avoid)
+        assert_pair_search_agrees(dag, a, b, avoid, path)
+        found += path is not None and len(path) > 2
+    assume(found)
+
+
 @pytest.mark.parametrize("trial", range(40))
 def test_agrees_with_exhaustive_search(trial):
     rng = random.Random(trial)
@@ -346,23 +381,21 @@ def layer_dag(layering):
 
 def assert_pair_search_agrees(dag, a, b, avoid, path):
     """`two_disjoint_paths` on the query a -> b with `avoid` parked, in
-    either place, returns the pair that holds the walk's `path`, or None
-    with it."""
+    either place, returns the pair that holds `path`, or None with it."""
     for query, want in (
         (((a, b), (avoid, avoid)), path and DisjointPathPair(path, (avoid,))),
         (((avoid, avoid), (a, b)), path and DisjointPathPair((avoid,), path)),
     ):
         got = two_disjoint_paths(dag, *query)
-        assert got == want, f"{query}: the walk gives {want}, the pair search {got}"
+        assert got == want, f"{query}: want {want}, the pair search gives {got}"
 
 
 def assert_walk_is_the_bfs_path(layering, a, b, avoid):
-    """`layer_walk` returns `_single_path`'s path, and the pair search
+    """`layer_walk` returns the reference BFS path, and the pair search
     agrees. Returns the path."""
-    dag = layer_dag(layering)
     path = layer_walk(layering.forward, layering.lam, a, b, avoid)
-    assert path == _single_path(dag, a, b, avoid), (a, b, avoid)
-    assert_pair_search_agrees(dag, a, b, avoid, path)
+    assert path == bfs_path_around(layering.forward, a, b, avoid), (a, b, avoid)
+    assert_pair_search_agrees(layer_dag(layering), a, b, avoid, path)
     return path
 
 
@@ -443,37 +476,60 @@ def test_a_span_keeps_the_parked_query_on_the_bfs():
     layering = _layering(g)
     assert layering.spans == ((2, 5),)
     assert layer_walk(layering.forward, layering.lam, 0, 5, 4) == (0, 1, 3, 5)
-    assert _single_path(layer_dag(layering), 0, 5, 4) == (0, 2, 5)
+    assert bfs_path_around(layering.forward, 0, 5, 4) == (0, 2, 5)
     search = _LayeredSearch(g, layering)
     assert search.disjoint_pair((0, 5), (4, 4)) == DisjointPathPair((0, 2, 5), (4,))
     assert "dag" in vars(search)
 
 
 @contextlib.contextmanager
-def replayed_walks():
-    """Wraps `layer_walk` under the name the solver calls it by, so that
-    each walk is checked as it is made: `two_disjoint_paths`, with the
-    avoided vertex parked in either place, must return the pair that holds
-    the walk's path. Yields a list of the walks' paths."""
-    walks = []
+def replayed_parked_queries():
+    """Wraps `layer_walk` and `two_disjoint_paths` under the names the
+    solver calls them by, so that each parked query is checked as it is
+    made. For a walk, `two_disjoint_paths`, with the avoided vertex parked
+    in either place, must return the pair that holds the walk's path; for a
+    pair search with exactly one token parked, the moving token's path must
+    be `bfs_path_around`'s, in either place too. Yields the lists of the
+    walks' paths and of the parked pair searches' queries."""
+    walks, searches = [], []
 
-    def replayed(adj, lam, a, b, avoid):
+    def walk(adj, lam, a, b, avoid):
         path = layer_walk(adj, lam, a, b, avoid)
         dag = ForwardDag(sorted(range(len(adj)), key=lam.__getitem__), adj)
         assert_pair_search_agrees(dag, a, b, avoid, path)
         walks.append(path)
         return path
 
-    with mock.patch.object(solver, "layer_walk", replayed):
-        yield walks
+    def search(dag, pair1, pair2):
+        (s1, t1), (s2, t2) = pair1, pair2
+        if (s1 == t1) != (s2 == t2):
+            (a, b), avoid = (pair2, s1) if s1 == t1 else (pair1, s2)
+            assert_pair_search_agrees(dag, a, b, avoid, bfs_path_around(dag.adj, a, b, avoid))
+            searches.append((pair1, pair2))
+        return two_disjoint_paths(dag, pair1, pair2)
+
+    with mock.patch.object(solver, "layer_walk", walk), mock.patch.object(
+        solver, "two_disjoint_paths", search
+    ):
+        yield walks, searches
 
 
 def test_every_walk_of_a_layered_dense_solve_matches_two_disjoint_paths(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     build = importlib.import_module("workloads").WORKLOADS["layered-dense"].build
-    with replayed_walks() as walks:
+    with replayed_parked_queries() as (walks, searches):
         solve(build(0))
-    assert walks
+    assert walks and not searches
+
+
+def test_every_parked_pair_search_of_a_random_general_solve_is_the_bfs_path(monkeypatch):
+    """Instance 7 of `random-general` layers with spans, so its parked
+    queries go to `two_disjoint_paths`, which must give the reference path."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    build = importlib.import_module("workloads").WORKLOADS["random-general"].build
+    with replayed_parked_queries() as (walks, searches):
+        solve(build(7))
+    assert searches and not walks
 
 
 # --- the solver's waypoint split ----------------------------------------------
@@ -637,7 +693,7 @@ def test_forward_paths_between_fixed_vertices_have_equal_weight():
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--walks"]:
         files = sys.argv[2:]
-        with replayed_walks() as walks:
+        with replayed_parked_queries() as (walks, searches):
             for name in files:
                 with open(name, encoding="utf-8") as fh:
                     g = parse_graph(fh.read())
@@ -645,6 +701,9 @@ if __name__ == "__main__":
                     solve(g)
                 except AssertionError as exc:
                     sys.exit(f"{name}: {exc}")
-        print(f"{len(files)} graphs: {len(walks)} walks match two_disjoint_paths")
+        print(
+            f"{len(files)} graphs: {len(walks)} walks match two_disjoint_paths, "
+            f"{len(searches)} parked pair searches match the BFS reference"
+        )
         sys.exit()
     print(pair_digest())
