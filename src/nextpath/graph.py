@@ -136,23 +136,24 @@ class WeightedDigraph:
     def distances(self) -> "DistanceTable":
         """Exact distances and the vertices off every shortest s-t path,
         computed once; read-only, so shared. A sweep after the Dijkstra from
-        s finds those (`_off_slots`). A straight graph, with none, has
-        d(v,t) = d(s,t) - d(s,v); any other takes a second Dijkstra, to t.
-        A graph that `straighten` or `layerize` returns is built holding its
-        table, handed on from the reduction's input (see `_graph`)."""
+        s finds those (`_off_slots`). A straight graph, with none, settles
+        every slot and has d(v,t) = d(s,t) - d(s,v), one map over `ds`; any
+        other takes a second Dijkstra, to t. A graph that `straighten` or
+        `layerize` returns is built holding its table, handed on from the
+        reduction's input (see `_graph`)."""
         ix = self.index
         t = ix.slot[self.t]
         out, _ = dijkstra(ix.out, ix.slot[self.s])
         off = _off_slots(ix, out, t)
         dst = out.get(t)
+        slots = range(len(ix.ids))
+        ds = tuple(map(out.get, slots))
         if off:
             into, _ = dijkstra(ix.into, t)
+            dt = tuple(map(into.get, slots))
         else:
-            into = {u: dst - du for u, du in out.items()}
-        slots = range(len(ix.ids))
-        return DistanceTable(
-            ix.ids, tuple(map(out.get, slots)), tuple(map(into.get, slots)), dst, off
-        )
+            dt = tuple(map(operator.sub, repeat(dst), ds))
+        return DistanceTable(ix.ids, ds, dt, dst, off)
 
     @cached_property
     def layering(self) -> "Layering":

@@ -19,7 +19,9 @@ middle segment descends from d(a) to d(b) < d(a), which forces a back-edge.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import cached_property
+from itertools import chain
 
 from .disjoint import DisjointPathPair, ForwardDag, layer_walk, two_disjoint_paths
 from .graph import (
@@ -40,9 +42,10 @@ class _LayeredSearch:
     """State for one solve: distances, the graph's layering, which
     `solve_layered` checks once and hands in, the layer boundaries that can
     hold a waypoint pair, and, once a scan needs them, the back vertices,
-    the floor, the start vertices a with the last such boundary below each,
-    the forward edges that cross a boundary, the forward DAG and the floor
-    reach, and memoized disjoint-pair queries for the outer paths. The
+    the floor, the floor reach, the start vertices a with the last such
+    boundary below each (those in the reach for a ceiling scan, all of
+    them for a full scan), the forward edges that cross a boundary and the
+    forward DAG, and memoized disjoint-pair queries for the outer paths. The
     set-up and the memo serve every scan of the same search. A vertex here,
     s and t too, is a slot of the graph's index; ids appear only at the
     residual search, `shortest_path_avoiding`, and in the routes returned."""
@@ -85,7 +88,7 @@ class _LayeredSearch:
     @cached_property
     def back_vertices(self) -> frozenset[int]:
         """The endpoints of the back-edges."""
-        return frozenset(x for edge in self.back for x in edge)
+        return frozenset(chain.from_iterable(self.back))
 
     @cached_property
     def floor(self) -> int:
@@ -93,14 +96,27 @@ class _LayeredSearch:
         adds its own slack to d(s,t), a forward edge none."""
         return self.dst + min(self.back.values(), default=0)
 
+    def _starts_of(self, vertices: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """The starts among `vertices`, in their order: each vertex a other
+        than t with a waypoint boundary below its layer, with the last such
+        boundary."""
+        tops, lam, t = self._tops, self.lam, self.t
+        return ((a, tops[lam[a]]) for a in vertices if a != t and tops[lam[a]])
+
     @cached_property
     def starts(self) -> list[tuple[int, int]]:
-        """The back vertices a other than t that have a waypoint boundary
-        below their layer, ascending, each with the last such boundary."""
-        tops, lam = self._tops, self.lam
-        return [
-            (a, tops[lam[a]]) for a in sorted(self.back_vertices) if a != self.t and tops[lam[a]]
-        ]
+        """The back vertices that are starts, ascending: those of a full
+        scan, listed when one runs."""
+        return list(self._starts_of(sorted(self.back_vertices)))
+
+    @cached_property
+    def reach_starts(self) -> list[tuple[int, int]]:
+        """The starts in `floor_reach`, ascending: those a scan under a
+        bound of at most floor + 1 visits (see `scan`), listed from the
+        reach, which is built only once some back vertex is a start."""
+        if next(self._starts_of(self.back_vertices), None) is None:
+            return []
+        return list(self._starts_of(sorted(self.floor_reach & self.back_vertices)))
 
     @cached_property
     def dag(self) -> ForwardDag:
@@ -126,11 +142,11 @@ class _LayeredSearch:
         least = floor - d(s,t) is the least back-edge slack and x the tail
         of some back-edge of that slack: the only starts that can pass a
         pair under a bound of at most floor + 1 (see `scan`). Built when the
-        ceiling scan reaches its first start. A back-edge goes strictly back
-        and weighs at least 1, so least >= 2; at 2, as weights are positive
-        integers, dist(a, x) <= 0 forces a = x, and the reach is the tails.
-        Otherwise one Dijkstra over the in-edges, from a virtual source with
-        a unit edge to each tail, cut at `least`."""
+        ceiling scan lists its starts, if there is one. A back-edge goes
+        strictly back and weighs at least 1, so least >= 2; at 2, as weights
+        are positive integers, dist(a, x) <= 0 forces a = x, and the reach
+        is the tails. Otherwise one Dijkstra over the in-edges, from a
+        virtual source with a unit edge to each tail, cut at `least`."""
         ix = self.g.index
         least = self.floor - self.dst
         tails = sorted({u for (u, _), slack in self.back.items() if slack == least})
@@ -226,13 +242,16 @@ class _LayeredSearch:
         (x, y) at least 1, so dist(a, x) <= least - 2. A start outside
         `floor_reach` therefore has no pair that passes `base + lower <
         bound`, and the scan skips it without a bound table; the result and
-        the memo are those of a scan that visits it. The full scan
-        (`ceiling` None) visits every start.
+        the memo are those of a scan that visits it. So a scan under such a
+        ceiling lists only the starts in the reach (`reach_starts`); the
+        full scan (`ceiling` None) lists every start, and skips a start
+        outside the reach once its bound is that low.
         """
         out, ds, lam = self.g.index.out, self.d.ds, self.lam
         best: tuple[int, Path] | None = None
         bound = ceiling
-        for a, top in self.starts:
+        narrow = ceiling is not None and ceiling <= self.floor + 1
+        for a, top in self.reach_starts if narrow else self.starts:
             narrow = bound is not None and bound <= self.floor + 1
             if narrow and a not in self.floor_reach:
                 continue
@@ -274,13 +293,20 @@ class _LayeredSearch:
             if layer not in self.waypoints:
                 continue
             edges_here = self.crossing(layer)
+            below = None
             for xp, x in edges_here:
                 if xp == b or x == b or not climbs(x, a):
                     continue
-                for yp, y in edges_here:
-                    if xp == yp or x == y or y == a:
-                        continue
-                    if not climbs(b, yp):
+                if below is None:
+                    # The edges (yp, y), y != a, whose tail the layers leave
+                    # b able to climb to (see `climbs`), listed once; only a
+                    # tail above b's layer asks the DAG, per (xp, x) as it
+                    # meets one, so no DAG is built before a tuple needs it.
+                    below = [
+                        (yp, y) for yp, y in edges_here if y != a and (yp == b or lam[yp] > lam[b])
+                    ]
+                for yp, y in below:
+                    if xp == yp or x == y or yp != b and not climbs(b, yp):
                         continue
                     outer = self.waypoint_split(a, b, xp, x, yp, y)
                     if outer is None:

@@ -51,6 +51,7 @@ from conftest import (
     heap_dijkstra,
     relabelled,
     skip_edge_graph,
+    skip_path_graph,
     sorted_rows_index,
     sum_rule_off,
 )
@@ -932,9 +933,10 @@ def _sparse(g, seed):
 @st.composite
 def table_graphs(draw):
     """Graphs that compute their own distance table: layered graphs on
-    sparse ids, bead and skip-edge graphs, random graphs, and random graphs
-    straightened and rebuilt through the constructor."""
-    kind = draw(st.sampled_from(["layered", "bead", "skip", "random", "straightened"]))
+    sparse ids, bead, skip-edge and skip-path graphs, random graphs, and
+    random graphs straightened and rebuilt through the constructor."""
+    kinds = ["layered", "bead", "skip", "skip-path", "random", "straightened"]
+    kind = draw(st.sampled_from(kinds))
     seed = draw(st.integers(0, 10**6))
     if kind == "layered":
         layers = draw(st.integers(2, 8))
@@ -945,6 +947,8 @@ def table_graphs(draw):
         return bead_graph(wide, width, draw(st.integers(0, 3)), seed)
     if kind == "skip":
         return skip_edge_graph(seed)
+    if kind == "skip-path":
+        return skip_path_graph(draw(st.integers(5, 40)), draw(st.integers(0, 6)), seed)
     g = random_digraph(draw(st.integers(2, 12)), draw(st.sampled_from([0.1, 0.3, 0.5])), 5, seed)
     if kind == "straightened" and shortest_distances(g).from_s[g.t] is not None:
         out = straighten(g)[0]
@@ -955,7 +959,8 @@ def table_graphs(draw):
 def _check_own_table(g):
     """g's `distances`, by slot and aligned with g's index, match a fresh
     Dijkstra each way, its `off`, as ids, the distance-sum rule over those,
-    and it took one Dijkstra when g is straight, two otherwise."""
+    and it took one Dijkstra when g is straight, from s, with `dt` d(s,t)
+    minus `ds` slot by slot, and two otherwise."""
     from_s, to_t = fresh_distances(g)
     off = sum_rule_off(g, from_s, to_t)
     with mock.patch.object(graph, "dijkstra", wraps=graph.dijkstra) as spy:
@@ -965,6 +970,9 @@ def _check_own_table(g):
     assert (dict(zip(ids, d.ds)), dict(zip(ids, d.dt)), d.dst) == (from_s, to_t, from_s[g.t])
     assert (dict(d.from_s), dict(d.to_t), tuple(ids[i] for i in d.off)) == (from_s, to_t, off)
     assert spy.call_count == (2 if off else 1)
+    if not off:
+        assert spy.call_args.args[1] == g.index.slot[g.s]
+        assert d.dt == tuple(d.dst - x for x in d.ds)
     return not off
 
 

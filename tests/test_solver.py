@@ -508,6 +508,125 @@ def test_floor_reach_skips_only_starts_without_a_ceiling_pair():
     assert skipped > 100 and kept > 100
 
 
+def reference_ceiling_scan(search):
+    """The scan under the ceiling floor + 1 as a loop over every start, in
+    `starts`, that skips each start outside the floor reach: (weight, path
+    by id) or None."""
+    g, lam, dst, ds = search.g, search.lam, search.dst, search.d.ds
+    best, bound = None, search.floor + 1
+    for a, top in search.starts:
+        if a not in search.floor_reach:
+            continue
+        table, _ = dijkstra(g.index.out, a, limit=bound - dst - 1)
+        for b in sorted(search.back_vertices & table.keys()):
+            base, lower = ds[a] - ds[b] + dst, table[b]
+            if lam[b] > top or b == search.s or base + lower >= bound:
+                continue
+            route = reference_pair_route(search, a, b, base, lower, bound)
+            if route is not None:
+                best, bound = route, route[0]
+                if bound <= search.floor:
+                    return best
+    return best
+
+
+def reference_pair_route(search, a, b, base, lower, bound):
+    """`_pair_route` as a loop over every pair of boundary edges that asks
+    `climbs(b, yp)` per pair, with no residual cuts, which skip only
+    searches that fail."""
+    g, lam, climbs, ids = search.g, search.lam, search.climbs, search.g.index.ids
+    best = None
+    for layer in sorted(search.waypoints.intersection(range(lam[b], lam[a]))):
+        edges_here = search.crossing(layer)
+        for xp, x in edges_here:
+            if xp == b or x == b or not climbs(x, a):
+                continue
+            for yp, y in edges_here:
+                if xp == yp or x == y or y == a or not climbs(b, yp):
+                    continue
+                outer = search.waypoint_split(a, b, xp, x, yp, y)
+                if outer is None:
+                    continue
+                blocked = {ids[v] for v in outer.p1 + outer.p2} - {ids[a], ids[b]}
+                p0 = shortest_path_avoiding(g, blocked, ids[a], ids[b], bound - base)
+                if p0 is None:
+                    continue
+                p1, p2 = ([ids[v] for v in p] for p in (outer.p1, outer.p2))
+                bound = base + path_weight(g, p0)
+                best = bound, (*p1, *p0[1:], *p2[1:])
+                if bound <= search.floor or base + lower >= bound:
+                    return best
+    return best
+
+
+def test_ceiling_scan_lists_only_the_floor_reach():
+    """The ceiling scan walks `reach_starts`, built from the floor reach,
+    and asks `climbs(b, yp)` only for the boundary edges the layers leave
+    open: its route, its memoized pair queries, its boundary lists and
+    whether it built the forward DAG equal those of a reference loop over
+    every start, and it leaves the full `starts` unbuilt. With spans and
+    relabelled, so that ids follow neither the layers nor the slots."""
+    exits = Counter()
+
+    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    @given(
+        st.integers(4, 7),
+        st.integers(2, 4),
+        st.integers(0, 10),
+        st.integers(1, 7),
+        st.integers(0, 6),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    def check(layers, width, back, w_max, skips, relabel, seed):
+        g = layered_digraph(layers, width, back, seed, back_weight_max=w_max)
+        g = with_span_edges(g, skips, seed)
+        if relabel:
+            g = relabelled(g, seed)
+        layering = _layering(g)
+        search, ref = _LayeredSearch(g, layering), _LayeredSearch(g, layering)
+        got = search.scan(search.floor + 1)
+        assert got == reference_ceiling_scan(ref)
+        assert "starts" not in vars(search)
+        assert search._pairs.keys() == ref._pairs.keys()
+        assert search._crossing == ref._crossing
+        assert ("dag" in vars(search)) == ("dag" in vars(ref))
+        exits["none" if got is None else "dag" if "dag" in vars(search) else "found"] += 1
+
+    check()
+    assert min(exits.values()) > 20 and len(exits) == 3
+
+
+def test_a_pair_visit_asks_the_dag_only_for_a_tuple(monkeypatch):
+    """The one pair (3, 1) meets boundary 3|4, whose edges are the span
+    (1, 3) and (2, 3), (2, 4). Only (2, 3) passes as (xp, x), and every
+    (yp, y) pairs it with its own tail or ends at a = 3, so no tuple is
+    formed. Asking `climbs(1, 2)` for (2, 4) anyway would build the DAG, as
+    1 lies below 2's layer; the visit leaves it unbuilt."""
+    made = record_searches(monkeypatch)
+    edges = {(0, 1): 1, (1, 2): 1, (1, 3): 2, (2, 3): 1, (2, 4): 1, (3, 1): 1, (3, 5): 1, (4, 5): 1}
+    assert not solve_layered(build_graph(6, edges)).found
+    [search] = made
+    assert search.waypoints == {3} and search.spans == ((1, 3),)
+    assert search._crossing == {3: [(1, 3), (2, 3), (2, 4)]}
+    assert "dag" not in vars(search)
+
+
+def test_a_floor_answer_lists_no_start_outside_the_floor_reach(monkeypatch):
+    """`layered_digraph(36, 18, 200, 11)`, read from its file as the
+    `layered-dense` benchmark reads its instances, answers in the ceiling
+    scan, which lists the starts of its floor reach only: the full `starts`
+    is built only when a full scan runs."""
+    made = record_searches(monkeypatch)
+    assert solve(parse_graph(serialize_graph(layered_digraph(36, 18, 200, 11)))).found
+    [search] = made
+    assert "starts" not in vars(search)
+    assert 0 < len(search.reach_starts) < 10
+    assert search.scan(None) == search.scan(search.floor + 1)
+    assert len(search.starts) > 200
+    assert set(search.reach_starts) <= set(search.starts)
+
+
 def test_floor_first_search_skips_the_full_scan_on_seed_41(monkeypatch):
     """The full scan of this instance runs 1,533 residual searches and 5,890
     disjoint-pair queries before it reaches a route at the floor; under the
